@@ -35,7 +35,7 @@ from .wigner import (
     is_classical,
     sw_spectrum_qutrit,
 )
-from .ensembles import EnsembleKind, SamplerFailureError, SpectrumSampler
+from .ensembles import EnsembleKind, SamplerFailureError
 from .indicators import (
     DEGENERATE_QUTRIT,
     QUBIT_STRATUM,
@@ -48,9 +48,8 @@ from .indicators import (
     compute_indicator,
     minimize_q_over_zeta,
     ratio_degenerate_to_regular,
-    _edge_mix_weight,
+    stratum_spectra,
 )
-from .spectra import DegeneracyType
 from .svgplot import render_line_plot
 
 EXIT_OK = 0
@@ -356,21 +355,14 @@ def _run_table1(cfg: RunConfig) -> int:
 def _run_sample(cfg: RunConfig) -> int:
     csv_path, _ = _out_paths(cfg)
     n_dim = cfg.dimension
-    ensemble = cfg.ensembles[0]
-    rng = np.random.default_rng(cfg.seed)
     if cfg.stratum == "regular":
-        sampler = SpectrumSampler(ensemble, DegeneracyType((1,) * n_dim), rng=rng)
-        eigs = sampler.sample(cfg.samples)
+        stratum = QUBIT_STRATUM if n_dim == 2 else REGULAR_QUTRIT
+    elif n_dim == 3:
+        stratum = DEGENERATE_QUTRIT
     else:
-        if n_dim != 3:
-            raise _CliError("degenerate-stratum sampling is defined for the qutrit")
-        w0 = _edge_mix_weight(ensemble)
-        n0 = int(rng.binomial(cfg.samples, w0))
-        parts = []
-        for comp, count in (((2, 1), n0), ((1, 2), cfg.samples - n0)):
-            if count:
-                parts.append(SpectrumSampler(ensemble, DegeneracyType(comp), rng=rng).sample(count))
-        eigs = np.concatenate(parts, axis=0)
+        raise _CliError("degenerate-stratum sampling is defined for the qutrit")
+    rng = np.random.default_rng(cfg.seed)
+    eigs = np.concatenate(list(stratum_spectra(cfg.ensembles[0], stratum, cfg.samples, rng)))
     header = [f"r{i + 1}" for i in range(n_dim)]
     rows = [[_num(v) for v in row] for row in eigs]
     _write_text(csv_path, _csv_text(cfg, header, rows))

@@ -6,7 +6,7 @@ expressed through the joint eigenvalue density.  Three independent methods
 are provided and cross-validated against each other:
 
 * closed forms (qubit, all ensembles; qutrit, Hilbert-Schmidt only),
-* adaptive quadrature over the eigenvalue simplex,
+* tanh-sinh quadrature over the eigenvalue simplex,
 * seeded Monte Carlo over the ensemble samplers.
 
 On top of these sit the moduli-space utilities: minimization of the
@@ -17,14 +17,13 @@ degenerate-to-regular ratio.
 from __future__ import annotations
 
 import math
-import warnings
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .spectra import SQRT3, DegeneracyType, StratumLabel
 from .wigner import (
@@ -36,7 +35,8 @@ from .wigner import (
 from .ensembles import (
     EnsembleKind,
     SpectrumSampler,
-    mc_function,
+    _density3_vec,
+    _density_pair_vec,
     worker_seed,
 )
 
@@ -52,7 +52,8 @@ DEFAULT_TOLERANCE = {
 }
 DEFAULT_SAMPLES = 1_000_000
 
-#: Integrand-evaluation budget per indicator before declaring non-convergence.
+#: Density evaluations allowed for an indicator's numerator, and for its
+#: denominator, before declaring non-convergence.
 MAX_QUAD_EVALS = 1_000_000
 
 #: Moduli-scan layout: coarse grid then golden-section refinement.
@@ -64,12 +65,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: The degenerate qutrit stratum decomposes into these two edge pieces.
 _EDGE_COMPOSITIONS = ((2, 1), (1, 2))
 
-#: Flattening power for endpoint substitutions, per ensemble (see ensembles).
-_SUB_POWER = {
-    EnsembleKind.HILBERT_SCHMIDT: 1,
-    EnsembleKind.BURES: 2,
-    EnsembleKind.BKM: 4,
-}
 
 
 class Method(Enum):
@@ -247,202 +242,169 @@ def _closed_form(ensemble: EnsembleKind, stratum: StratumLabel, zeta: float | No
 
 
 # ---------------------------------------------------------------------------
-# scalar density kernels (fast paths mirroring ensembles.joint_density)
+# tanh-sinh quadrature
 # ---------------------------------------------------------------------------
 
-def _cf(kind: EnsembleKind, x: float, y: float) -> float:
-    return mc_function(kind, x, y)
+#: Tanh-sinh rule on [0, 1]: step of the first level, and the truncation
+#: |t| <= _TS_TMAX.  The inverse-sqrt face singularity of the monotone
+#: densities leaves a tail of about sqrt(d) beyond a last node at distance d
+#: from the end: ~5e-12 at |t| = 3.5, below 1e-30 at |t| = 4.5.
+_TS_STEP = 0.5
+_TS_TMAX = 4.5
 
-
-def _density3_triple(kind: EnsembleKind):
-    """Scalar regular-qutrit density from the three eigenvalues.
-
-    Taking r3 explicitly lets substituted integrands pass the exact small
-    eigenvalue instead of the cancellation-prone 1 - r1 - r2; near the
-    simplex face that difference corrupts the adaptive rule's error
-    estimates enough to bias the integral at the 1e-6 level.
-    """
-    if kind is EnsembleKind.HILBERT_SCHMIDT:
-        def f3(r1: float, r2: float, r3: float) -> float:
-            return ((r1 - r2) * (r1 - r3) * (r2 - r3)) ** 2
-        return f3
-
-    def f3(r1: float, r2: float, r3: float) -> float:
-        if r3 <= 0.0 or r2 <= 0.0:
-            return 0.0
-        v = ((r1 - r2) * (r1 - r3) * (r2 - r3)) ** 2
-        c = _cf(kind, r1, r2) * _cf(kind, r1, r3) * _cf(kind, r2, r3)
-        return v * c / math.sqrt(r1 * r2 * r3)
-    return f3
-
-
-def _density3(kind: EnsembleKind):
-    """Scalar regular-qutrit density in simplex coordinates (r1, r2)."""
-    f3 = _density3_triple(kind)
-
-    def f(r1: float, r2: float) -> float:
-        return f3(r1, r2, 1.0 - r1 - r2)
-    return f
-
-
-def _density_pair(kind: EnsembleKind, big: float, small: float, kk: int) -> float:
-    """Scalar two-eigenvalue density factor with pair exponent k_i k_j = kk."""
-    v = (big - small) ** (2 * kk)
-    if kind is EnsembleKind.HILBERT_SCHMIDT:
-        return v
-    if small <= 0.0:
-        return 0.0
-    return v * _cf(kind, big, small) ** kk / math.sqrt(big * small)
-
-
-# ---------------------------------------------------------------------------
-# adaptive quadrature
-# ---------------------------------------------------------------------------
-
-class _Budget:
-    """Counts integrand evaluations; raises past the convergence budget."""
-
-    __slots__ = ("count", "limit")
-
-    def __init__(self, limit: int | None = None) -> None:
-        self.count = 0
-        self.limit = limit if limit is not None else MAX_QUAD_EVALS
-
-    def charge(self) -> None:
-        self.count += 1
-        if self.count > self.limit:
-            raise ConvergenceError(
-                f"quadrature exceeded {self.limit} integrand evaluations without converging"
-            )
-
-
-def _quad(f, a: float, b: float, rel: float, budget: _Budget, limit: int = 200):
-    """1D adaptive quadrature returning (value, error-bound)."""
-    if b <= a:
-        return 0.0, 0.0
-
-    def counted(x: float) -> float:
-        budget.charge()
-        return f(x)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(counted, a, b, epsabs=1e-18, epsrel=rel, limit=limit)
-    return val, err
-
-
-def _inner_r2(kind: EnsembleKind, f3, r1: float, lo: float, hi: float,
-              singular_top: bool, rel: float, budget: _Budget) -> float:
-    """Integral over r2 in [lo, hi] at fixed r1, density given as f3(r1, r2, r3).
-
-    When the upper limit is the face r3 = 0 the monotone densities carry an
-    inverse-sqrt (BKM: times log^2) endpoint singularity; the substitution
-    r3 = t^k with the ensemble's flattening power restores a smooth
-    integrand.  The small eigenvalue is passed to the density directly from
-    t; recomputing it as 1 - r1 - r2 cancels catastrophically there.
-    """
-    if hi <= lo:
-        return 0.0
-    if singular_top and kind is not EnsembleKind.HILBERT_SCHMIDT:
-        k = _SUB_POWER[kind]
-        tmax = (hi - lo) ** (1.0 / k)
-
-        def g(t: float) -> float:
-            r3 = t ** k
-            return f3(r1, hi - r3, r3) * k * t ** (k - 1)  # hi = 1 - r1 here
-
-        return _quad(g, 0.0, tmax, rel, budget)[0]
-    return _quad(lambda r2: f3(r1, r2, 1.0 - r1 - r2), lo, hi, rel, budget)[0]
-
-
-def _regular_denominator_raw(kind: EnsembleKind, tol: float, budget: _Budget):
-    f3 = _density3_triple(kind)
-    inner_rel = tol / 20.0
-
-    def outer_low(r1: float) -> float:
-        return _inner_r2(kind, f3, r1, (1.0 - r1) / 2.0, r1, False, inner_rel, budget)
-
-    def outer_high(r1: float) -> float:
-        return _inner_r2(kind, f3, r1, (1.0 - r1) / 2.0, 1.0 - r1, True, inner_rel, budget)
-
-    v1, e1 = _quad(outer_low, 1.0 / 3.0, 0.5, tol, budget)
-    v2, e2 = _quad(outer_high, 0.5, 1.0, tol, budget)
-    val = v1 + v2
-    # the outer error bound cannot see the inner tolerance; add it explicitly
-    return val, e1 + e2 + inner_rel * abs(val)
+#: Step-halving differences below this relative size are rounding in the sums.
+_TS_ROUNDING = 1e-14
 
 
 @lru_cache(maxsize=None)
-def _regular_denominator(kind: EnsembleKind, tol: float):
-    return _regular_denominator_raw(kind, tol, _Budget())
+def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of the tanh-sinh rule on [0, 1] that are new at ``level``.
+
+    Level 0 has step ``_TS_STEP``; each further level halves the step and
+    adds the nodes at its odd multiples.  Returns ``(u, v, w)``: each node's
+    distance from the lower end and from the upper end, both exact to
+    rounding (no ``1 - u`` cancellation), and its weight without the step.
+    """
+    h = _TS_STEP / 2 ** level
+    n = round(_TS_TMAX / h)
+    j = np.arange(-n, n + 1)
+    if level:
+        j = j[j % 2 == 1]
+    t = j * h
+    s = math.pi * np.sinh(t)
+    u = 1.0 / (1.0 + np.exp(-s))
+    v = 1.0 / (1.0 + np.exp(s))
+    w = math.pi * np.cosh(t) * u * v
+    for a in (u, v, w):
+        a.flags.writeable = False
+    return u, v, w
 
 
-def _regular_numerator(kind: EnsembleKind, kernel: SWKernelSpectrum, tol: float, budget: _Budget):
-    """Measure of the classical region of the regular qutrit stratum.
+def _tanh_sinh(piece: str, f, dim: int, tol: float, budget: int) -> tuple[float, float, int]:
+    """Integral of ``f`` over the unit interval (dim 1) or square (dim 2).
+
+    ``f(u1, v1)`` or ``f(u1, v1, u2, v2)`` evaluates the integrand, Jacobian
+    included, at nodes given by their distances from both ends of each unit
+    interval; in two dimensions ``u1, v1`` arrive as columns and the result is
+    a (rows x columns) array.  Levels are added until the step-halving
+    difference ``|I_h - I_{h/2}|`` is at most ``tol |I_{h/2}|``; it is
+    returned as the error estimate, with ``I_{h/2}`` and the evaluation count.
+    Only the new nodes of each level are evaluated.  Raises
+    ``ConvergenceError`` rather than spend more than ``budget`` evaluations.
+    """
+    used, total, last, rel = 0, 0.0, None, math.nan
+    seen = (np.empty(0),) * 3  # (u, v, w) of every node so far, for the 2D cross terms
+    level = 0
+    while True:
+        u, v, w = _ts_level(level)
+        cost = u.size if dim == 1 else u.size * (u.size + 2 * seen[0].size)
+        if used + cost > budget:
+            raise ConvergenceError(
+                f"{piece} did not converge in {used} evaluations (the next level needs {cost} "
+                f"more, budget {budget}): last |dI|/I = {rel:.2e} against tolerance {tol:.1e}"
+            )
+        used += cost
+        if dim == 1:
+            total += float(w @ f(u, v))
+        else:
+            # old rows x new columns, then new rows x all columns
+            total += float(seen[2] @ f(seen[0][:, None], seen[1][:, None], u, v) @ w)
+            seen = tuple(np.concatenate(p) for p in zip(seen, (u, v, w)))
+            total += float(w @ f(u[:, None], v[:, None], seen[0], seen[1]) @ seen[2])
+        value = total * (_TS_STEP / 2 ** level) ** dim
+        if last is not None:
+            err = abs(value - last)
+            rel = err / abs(value) if value else 0.0
+            if err <= max(tol, _TS_ROUNDING) * abs(value):
+                return value, err, used
+        last = value
+        level += 1
+
+
+def _integrate(pieces, tol: float) -> list[tuple[float, float]]:
+    """(value, error) of each (label, integrand, dim) piece on one shared budget."""
+    out, used = [], 0
+    for piece, f, dim in pieces:
+        value, err, evals = _tanh_sinh(piece, f, dim, tol, MAX_QUAD_EVALS - used)
+        used += evals
+        out.append((value, err))
+    return out
+
+
+def _regular_piece(kind: EnsembleKind, a: float, b: float, bounds):
+    """Regular-qutrit integrand over ``a <= r1 <= b``, r3 <= r2 <= top(r1).
+
+    ``bounds(r1, e1, d1)``, with ``e1 = r1 - a`` and ``d1 = b - r1`` taken
+    from the rule's exact distances, gives ``(top, gap)``: the upper limit of
+    r2 and the value of r3 there.  The r2 interval then has length
+    ``(top - gap) / 2``, and r3 = gap + length * v2 keeps its relative
+    accuracy on the face r3 = 0 and at the corner (1/2, 1/2, 0).
+    """
+    def f(u1, v1, u2, v2):
+        e1, d1 = (b - a) * u1, (b - a) * v1
+        r1 = a + e1
+        top, gap = bounds(r1, e1, d1)
+        width = (top - gap) / 2.0
+        return _density3_vec(kind, r1, top - width * v2, gap + width * v2) * (width * (b - a))
+    return f
+
+
+def _strip(b: float):
+    """Bounds of the full strip r2 <= r1 for r1 <= b <= 1/2: r3 = 1 - 2 r1 on top."""
+    edge = max(1.0 - 2.0 * b, 0.0)
+    return lambda r1, e1, d1: (r1, edge + 2.0 * d1)
+
+
+def _regular_pieces(kind: EnsembleKind, zeta: float | None):
+    """Denominator pieces (zeta None) or classical-region pieces of the regular stratum.
 
     In (r1, r2) coordinates the classical region is the half-plane
-    ``r1 pi3 + r2 pi2 + r3 pi1 >= 0`` intersected with the ordered simplex;
-    the half-plane boundary is solved exactly for the inner r2 limit.  The
-    outer integral splits where the boundary line crosses the simplex edges
-    (r2 = r1 at ``rstar``, r2 = r3 at ``rmax``); for a degenerate kernel
-    (pi1 = pi2, zeta = 0) the cut is the vertical line r1 = pi1/(pi1-pi3).
+    ``r1 pi3 + r2 pi2 + r3 pi1 >= 0`` intersected with the ordered simplex.
+    Its boundary line r2 = cut(r1) leaves the edge r2 = r1 at ``rstar`` and
+    meets the edge r2 = r3 at ``rmax``; r3 on it grows linearly from
+    1 - 2 rstar.  For a degenerate kernel (pi1 = pi2, zeta = 0) the cut is
+    the vertical line r1 = pi1/(pi1-pi3).
     """
-    f3 = _density3_triple(kind)
-    p1, p2, p3 = kernel.values
-    inner_rel = tol / 20.0
-
-    def strip(r1: float, hi: float) -> float:
-        lo = (1.0 - r1) / 2.0
-        return _inner_r2(kind, f3, r1, lo, min(hi, 1.0 - r1, r1), False, inner_rel, budget)
-
+    if zeta is None:
+        return (("regular denominator r1 < 1/2", _regular_piece(kind, 1.0 / 3.0, 0.5, _strip(0.5)), 2),
+                ("regular denominator r1 > 1/2",
+                 _regular_piece(kind, 0.5, 1.0, lambda r1, e1, d1: (d1, 0.0)), 2))
+    p1, p2, p3 = sw_spectrum_qutrit(zeta).values
     if p1 - p2 < 1e-12:
         r1_cut = p1 / (p1 - p3)
-        val, err = _quad(lambda r1: strip(r1, 1.0), 1.0 / 3.0, r1_cut, tol, budget)
-        return val, err + inner_rel * abs(val)
-
+        return (("regular numerator strip", _regular_piece(kind, 1.0 / 3.0, r1_cut, _strip(r1_cut)), 2),)
     rstar = p1 / (3.0 * p1 - 1.0)
     rmax = (1.0 - p3) / (1.0 - 3.0 * p3)
+    edge = max(1.0 - 2.0 * rstar, 0.0)
+    slope = (p2 - p3) / (p1 - p2)
 
-    def cut(r1: float) -> float:
-        return (p1 + r1 * (p3 - p1)) / (p1 - p2)
+    def cut(r1, e1, d1):
+        gap = edge + e1 * slope
+        return 1.0 - r1 - gap, gap
 
-    v1, e1 = _quad(lambda r1: strip(r1, 1.0), 1.0 / 3.0, rstar, tol, budget)
-    v2, e2 = _quad(lambda r1: strip(r1, cut(r1)), rstar, rmax, tol, budget)
-    val = v1 + v2
-    return val, e1 + e2 + inner_rel * abs(val)
+    return (("regular numerator strip", _regular_piece(kind, 1.0 / 3.0, rstar, _strip(rstar)), 2),
+            ("regular numerator cut", _regular_piece(kind, rstar, rmax, cut), 2))
 
 
 _EDGE_RADIUS_FACTOR = {(2, 1): SQRT3 / 2.0, (1, 2): SQRT3}
 
 
-def _edge_integral(kind: EnsembleKind, comp: tuple[int, int], y_low: float,
-                   tol: float, budget: _Budget):
-    """Integral of the edge density over y in [y_low, 1/3].
+def _edge_piece(kind: EnsembleKind, comp: tuple[int, int], y_low: float):
+    """Edge integrand over the lone eigenvalue y in [y_low, 1/3].
 
-    Parameterized by the smallest distinct eigenvalue y (descending in the
-    polar radius), substituted y = u^k to flatten the endpoint singularity of
-    the monotone densities at y = 0; classical regions have y above a cutoff,
-    so one code path serves numerators and full-edge denominators (y_low = 0)
-    alike.  The radius measure contributes the constant edge factor |dr/dy|.
+    The smallest distinct eigenvalue y is descending in the polar radius, and
+    classical regions have y above a cutoff, so numerators and full-edge
+    denominators (y_low = 0, where y = u/3 is exact) share this integrand.
+    The radius measure contributes the constant edge factor |dr/dy|.
     """
-    factor = _EDGE_RADIUS_FACTOR[comp]
-    k = _SUB_POWER[kind]
+    span = 1.0 / 3.0 - y_low
+    scale = _EDGE_RADIUS_FACTOR[comp] * span
 
-    def big_of(y: float) -> float:
-        return (1.0 - y) / 2.0 if comp == (2, 1) else 1.0 - 2.0 * y
-
-    if k == 1:
-        def g(y: float) -> float:
-            return _density_pair(kind, big_of(y), y, 2) * factor
-        val, err = _quad(g, y_low, 1.0 / 3.0, tol, budget)
-        return val, err
-
-    def g(u: float) -> float:
-        y = u ** k
-        return _density_pair(kind, big_of(y), y, 2) * factor * k * u ** (k - 1)
-
-    val, err = _quad(g, y_low ** (1.0 / k), (1.0 / 3.0) ** (1.0 / k), tol, budget)
-    return val, err
+    def f(u, v):
+        y = y_low + span * u
+        big = (1.0 - y) / 2.0 if comp == (2, 1) else 1.0 - 2.0 * y
+        return _density_pair_vec(kind, big, y, 2) * scale
+    return f
 
 
 def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
@@ -453,10 +415,10 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
     written without cancellation as
     ``2 sin(zeta/2) sin(pi/3 - zeta/2) / (3 cos(zeta - pi/3))``, which is
     exactly 0 at zeta = 0, where the whole edge is classical.  The direct
-    difference leaves 5.6e-17 there, which the y = u^4 substitution turns
-    into a cut at u = 8.6e-5 that drops 2e-6 of the BKM edge mass.  On the
-    (1,2) edge the bound r = 1/(4 sqrt3 cos zeta) never reaches the edge
-    length, and y = 1/3 - 1/(12 cos zeta) lies in [1/6, 1/4].
+    difference leaves 5.6e-17 there, and cutting the edge at that y drops
+    2e-6 of its BKM mass, which crowds towards y = 0.  On the (1,2) edge the
+    bound r = 1/(4 sqrt3 cos zeta) never reaches the edge length, and
+    y = 1/3 - 1/(12 cos zeta) lies in [1/6, 1/4].
     """
     if comp == (2, 1):
         half = zeta / 2.0
@@ -465,47 +427,47 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
     return 1.0 / 3.0 - 1.0 / (12.0 * math.cos(zeta))
 
 
-@lru_cache(maxsize=None)
-def _edge_denominators(kind: EnsembleKind, tol: float):
-    budget = _Budget()
-    out = {}
-    for comp in _EDGE_COMPOSITIONS:
-        out[comp] = _edge_integral(kind, comp, 0.0, tol, budget)
-    return out
+def _edge_pieces(kind: EnsembleKind, zeta: float | None):
+    role = "denominator" if zeta is None else "numerator"
+    return tuple((f"edge ({comp[0]},{comp[1]}) {role}",
+                  _edge_piece(kind, comp, 0.0 if zeta is None else _edge_classical_cutoff(comp, zeta)), 1)
+                 for comp in _EDGE_COMPOSITIONS)
 
 
-def _qubit_integral(kind: EnsembleKind, upper: float, tol: float, budget: _Budget):
-    """Bloch-radius integral of the qubit density over [0, upper].
+def _qubit_piece(kind: EnsembleKind, upper: float):
+    """Qubit integrand over the Bloch radius r in [0, upper].
 
-    The full-range denominator of the monotone ensembles is singular at
-    r = 1 (smallest eigenvalue -> 0) and is evaluated through the same
-    substitution as everywhere else, with the small eigenvalue computed
-    directly from the substitution variable.
+    The small eigenvalue (1 - r)/2 is exact where it vanishes (r = upper = 1).
     """
-    def f(r: float) -> float:
-        return _density_pair(kind, (1.0 + r) / 2.0, (1.0 - r) / 2.0, 1)
+    def f(u, v):
+        small = (1.0 - upper) / 2.0 + upper * v / 2.0
+        return _density_pair_vec(kind, 1.0 - small, small, 1) * upper
+    return f
 
-    full = upper >= 1.0 - 1e-15
-    if not full or kind is EnsembleKind.HILBERT_SCHMIDT:
-        return _quad(f, 0.0, upper, tol, budget)
 
-    k = _SUB_POWER[kind]
-
-    def g(u: float) -> float:
-        small = u ** k
-        return _density_pair(kind, 1.0 - small, small, 1) * 2.0 * k * u ** (k - 1)
-
-    return _quad(g, 0.0, 0.5 ** (1.0 / k), tol, budget)
+@lru_cache(maxsize=None)
+def _denominator(kind: EnsembleKind, skind: str, tol: float) -> tuple[tuple[float, float], ...]:
+    """Per-piece (value, error) of a stratum's full integral; no kernel dependence."""
+    if skind == "qubit":
+        pieces = (("qubit denominator", _qubit_piece(kind, 1.0), 1),)
+    elif skind == "regular":
+        pieces = _regular_pieces(kind, None)
+    else:
+        pieces = _edge_pieces(kind, None)
+    return tuple(_integrate(pieces, tol))
 
 
 def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
-    """Indicator by adaptive quadrature of the joint eigenvalue density.
+    """Indicator by tanh-sinh quadrature of the joint eigenvalue density.
 
     The value is the ratio of the classical-region integral to the full
-    stratum integral; denominators are cached per (ensemble, stratum,
-    tolerance) since they carry no kernel dependence.  The error estimate is
-    the quadrature error bound propagated through the ratio.  Exceeding the
-    evaluation budget raises ``ConvergenceError``.
+    stratum integral, each a sum of pieces on which the density is smooth
+    inside; denominators are cached per (ensemble, stratum, tolerance) since
+    they carry no kernel dependence.  Each piece is refined until its
+    step-halving difference is within the relative tolerance, and the error
+    estimate is those differences propagated through the ratio.  Spending
+    more than ``MAX_QUAD_EVALS`` evaluations on the numerator, or on the
+    denominator, raises ``ConvergenceError`` naming the cell and the piece.
     """
     request.validate()
     if request.method is not Method.QUADRATURE:
@@ -513,37 +475,28 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     kind = request.ensemble
     tol = request.tolerance if request.tolerance is not None else DEFAULT_TOLERANCE[kind]
     skind = _stratum_kind(request.stratum)
-    budget = _Budget()
-
     if skind == "point":
         return IndicatorResult(q=1.0, method=Method.QUADRATURE, error_estimate=0.0, request=request)
-
     if request.stratum.n == 2:
-        num, num_err = _qubit_integral(kind, 1.0 / SQRT3, tol, budget)
-        den, den_err = _qubit_integral(kind, 1.0, tol, budget)
+        skind = "qubit"
+        numerator = (("qubit numerator", _qubit_piece(kind, 1.0 / SQRT3), 1),)
     elif skind == "regular":
-        kernel = sw_spectrum_qutrit(request.zeta)
-        num, num_err = _regular_numerator(kind, kernel, tol, budget)
-        den, den_err = _regular_denominator(kind, tol)
+        numerator = _regular_pieces(kind, request.zeta)
     else:
-        num = den = num_err = den_err = 0.0
-        for comp in _EDGE_COMPOSITIONS:
-            y_low = _edge_classical_cutoff(comp, request.zeta)
-            nv, ne = _edge_integral(kind, comp, y_low, tol, budget)
-            num += nv
-            num_err += ne
-            dv, de = _edge_denominators(kind, tol)[comp]
-            den += dv
-            den_err += de
+        numerator = _edge_pieces(kind, request.zeta)
+    try:
+        nums = _integrate(numerator, tol)
+        dens = _denominator(kind, skind, tol)
+    except ConvergenceError as exc:
+        where = "" if request.zeta is None else f" at zeta={request.zeta!r}"
+        raise ConvergenceError(f"{kind.label} {skind} stratum{where}: {exc}") from None
 
+    num, num_err = (math.fsum(p) for p in zip(*nums))
+    den, den_err = (math.fsum(p) for p in zip(*dens))
     if den <= 0.0 or not math.isfinite(den):
         raise ConvergenceError(f"degenerate denominator integral: {den!r}")
     q = num / den
     err = abs(q) * (num_err / num if num > 0.0 else 0.0) + abs(q) * den_err / den
-    if num > 0.0 and (num_err / num + den_err / den) > max(tol * 50.0, 1e-13):
-        raise ConvergenceError(
-            f"quadrature error {num_err / num + den_err / den:.2e} above requested tolerance {tol:.1e}"
-        )
     q = min(max(q, 0.0), 1.0)
     return IndicatorResult(q=q, method=Method.QUADRATURE, error_estimate=err, request=request)
 
@@ -558,38 +511,45 @@ def _kernel_for(request: IndicatorRequest) -> SWKernelSpectrum:
     return sw_spectrum_qutrit(request.zeta)
 
 
-@lru_cache(maxsize=None)
 def _edge_mix_weight(kind: EnsembleKind) -> float:
     """Probability that a degenerate-stratum draw lies on the (2,1) edge."""
-    dens = _edge_denominators(kind, 1e-10)
-    z0 = dens[(2, 1)][0]
-    zp = dens[(1, 2)][0]
+    (z0, _), (zp, _) = _denominator(kind, "degenerate", 1e-10)
     return z0 / (z0 + zp)
+
+
+def stratum_spectra(ensemble: EnsembleKind, stratum: StratumLabel, n: int,
+                    rng: np.random.Generator):
+    """Yield ``n`` spectra of a regular or degenerate stratum, in blocks.
+
+    Blocks hold at most ``SpectrumSampler._CHUNK`` rows, so memory does not
+    grow with ``n``; one ``sample(n)`` call draws the same blocks from the
+    generator in the same order, so the spectra do not depend on the
+    blocking.  Degenerate-stratum draws are split binomially between the two
+    edge pieces, with weights given by the quadrature partition functions of
+    the edges, and each edge has its own sampler.
+    """
+    if _stratum_kind(stratum) == "degenerate":
+        n0 = int(rng.binomial(n, _edge_mix_weight(ensemble)))
+        parts = ((DegeneracyType((2, 1)), n0), (DegeneracyType((1, 2)), n - n0))
+    else:
+        parts = ((DegeneracyType((1,) * stratum.n), n),)
+    chunk = SpectrumSampler._CHUNK
+    for deg, count in parts:
+        if count == 0:
+            continue
+        sampler = SpectrumSampler(ensemble, deg, rng=rng)
+        for done in range(0, count, chunk):
+            yield sampler.sample(min(chunk, count - done))
 
 
 def _mc_chunk_hits(request: IndicatorRequest, chunk: int, seed: int) -> int:
     """Classical-state count among ``chunk`` seeded draws."""
-    kernel = _kernel_for(request)
-    pi_asc = kernel.as_array()[::-1]
-    rng = np.random.default_rng(seed)
-    skind = _stratum_kind(request.stratum)
-    if skind == "point":
+    if _stratum_kind(request.stratum) == "point":
         return chunk
-    if skind == "degenerate":
-        w0 = _edge_mix_weight(request.ensemble)
-        n0 = int(rng.binomial(chunk, w0))
-        hits = 0
-        for comp, count in (((2, 1), n0), ((1, 2), chunk - n0)):
-            if count == 0:
-                continue
-            sampler = SpectrumSampler(request.ensemble, DegeneracyType(comp), rng=rng)
-            eigs = sampler.sample(count)
-            hits += int(np.count_nonzero(eigs @ pi_asc >= 0.0))
-        return hits
-    deg = DegeneracyType((1,) * request.stratum.n)
-    sampler = SpectrumSampler(request.ensemble, deg, rng=rng)
-    eigs = sampler.sample(chunk)
-    return int(np.count_nonzero(eigs @ pi_asc >= 0.0))
+    pi_asc = _kernel_for(request).as_array()[::-1]
+    rng = np.random.default_rng(seed)
+    return sum(int(np.count_nonzero(block @ pi_asc >= 0.0))
+               for block in stratum_spectra(request.ensemble, request.stratum, chunk, rng))
 
 
 def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
@@ -598,12 +558,13 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     The sample budget is split into ``workers`` chunks with seeds derived by
     ``worker_seed``; chunk hit counts are integers, so the total is
     deterministic for a fixed (seed, workers) pair regardless of execution
-    order.  The error estimate is the binomial standard error
-    ``sqrt(q (1 - q) / n)``; when no classical state is seen the estimate
-    falls back to the one-sided 95 percent bound 3/n (rule of three).
+    order.  At most ``os.cpu_count()`` threads run the chunks.  The error
+    estimate is the binomial standard error ``sqrt(q (1 - q) / n)``; when no
+    classical state is seen the estimate falls back to the one-sided 95
+    percent bound 3/n (rule of three).
 
-    Degenerate-stratum draws mix the two edge pieces with weights given by
-    the quadrature partition functions of the edges.
+    Degenerate-stratum draws mix the two edge pieces as ``stratum_spectra``
+    describes.
     """
     request.validate()
     if request.method is not Method.MONTE_CARLO:
@@ -615,7 +576,7 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     seeds = [worker_seed(request.seed, i) for i in range(workers)]
     tasks = [(sz, sd) for sz, sd in zip(sizes, seeds) if sz > 0]
     if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             hit_counts = list(pool.map(lambda t: _mc_chunk_hits(request, t[0], t[1]), tasks))
     else:
         hit_counts = [_mc_chunk_hits(request, sz, sd) for sz, sd in tasks]

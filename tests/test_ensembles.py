@@ -24,8 +24,9 @@ from wigner_classicality.ensembles import (
     mc_function,
     sample_spectrum,
     worker_seed,
+    _density3_vec,
+    _density_pair_vec,
 )
-from wigner_classicality.indicators import _density3, _density3_triple, _density_pair
 
 ALL_KINDS = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
 SUB_POWER = {EnsembleKind.HILBERT_SCHMIDT: 1, EnsembleKind.BURES: 2, EnsembleKind.BKM: 4}
@@ -132,19 +133,19 @@ class TestJointDensity:
         rng = np.random.default_rng(3)
         reg = DegeneracyType((1, 1, 1))
         for kind in ALL_KINDS:
-            f = _density3(kind)
             for _ in range(50):
                 r2 = rng.uniform(0.05, 0.32)
                 r1 = rng.uniform(max(r2, 1 - r2 - r2) + 1e-3, 1 - r2 - 1e-3)
                 r3 = 1 - r1 - r2
                 if not r1 > r2 > r3 > 0:
                     continue
-                assert f(r1, r2) == pytest.approx(joint_density(kind, reg, (r1, r2, r3)), rel=1e-12)
+                assert _density3_vec(kind, r1, r2, r3) == pytest.approx(
+                    joint_density(kind, reg, (r1, r2, r3)), rel=1e-12)
             for comp in ((2, 1), (1, 2)):
                 for _ in range(50):
                     y = rng.uniform(0.01, 0.32)
                     big = (1 - y) / 2 if comp == (2, 1) else 1 - 2 * y
-                    assert _density_pair(kind, big, y, 2) == pytest.approx(
+                    assert _density_pair_vec(kind, big, y, 2) == pytest.approx(
                         joint_density(kind, DegeneracyType(comp), (big, y)), rel=1e-12
                     )
 
@@ -244,6 +245,13 @@ def _merged_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
     return chisquare(obs_m, exp_m).pvalue
 
 
+def _density(kind: EnsembleKind, mult: tuple, r: tuple) -> float:
+    """Scalar joint density, zero where a monotone density leaves the simplex."""
+    if kind is not EnsembleKind.HILBERT_SCHMIDT and min(r) <= 0.0:
+        return 0.0
+    return joint_density(kind, DegeneracyType(mult), r, validate=False)
+
+
 def _qubit_bin_probs(kind: EnsembleKind, edges: np.ndarray) -> np.ndarray:
     """Bloch-radius bin masses, integrated in the substituted variable."""
     k = SUB_POWER[kind]
@@ -251,7 +259,7 @@ def _qubit_bin_probs(kind: EnsembleKind, edges: np.ndarray) -> np.ndarray:
     def integrand(u):
         small = u ** k
         jac = 2.0 * k * u ** (k - 1) if k > 1 else 2.0
-        return _density_pair(kind, 1.0 - small, small, 1) * jac
+        return _density(kind, (1, 1), (1.0 - small, small)) * jac
 
     def u_of(r):
         return ((1.0 - r) / 2.0) ** (1.0 / k)
@@ -265,8 +273,12 @@ def _qubit_bin_probs(kind: EnsembleKind, edges: np.ndarray) -> np.ndarray:
 
 def _regular3_bin_probs(kind: EnsembleKind, edges: np.ndarray) -> np.ndarray:
     """Largest-eigenvalue marginal bin masses for the regular qutrit stratum."""
-    f = _density3(kind)
-    f3 = _density3_triple(kind)
+    def f3(r1, r2, r3):
+        return _density(kind, (1, 1, 1), (r1, r2, r3))
+
+    def f(r1, r2):
+        return f3(r1, r2, 1.0 - r1 - r2)
+
     k = SUB_POWER[kind]
 
     def strip(r1):
@@ -306,7 +318,7 @@ def _edge_bin_probs(kind: EnsembleKind, comp: tuple[int, int], edges: np.ndarray
     def integrand(u):
         y = u ** k
         jac = k * u ** (k - 1) if k > 1 else 1.0
-        return _density_pair(kind, big_of(y), y, 2) * jac
+        return _density(kind, comp, (big_of(y), y)) * jac
 
     out = []
     for a, b in zip(edges[:-1], edges[1:]):

@@ -1,12 +1,16 @@
 """Tests for the indicator computations and moduli-space utilities."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wigner_classicality
 import wigner_classicality.indicators as ind
-from wigner_classicality.ensembles import EnsembleKind
+from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler, worker_seed
 from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
     QUBIT_STRATUM,
@@ -26,8 +30,8 @@ from wigner_classicality.indicators import (
     q_qubit_closed_form,
     ratio_degenerate_to_regular,
 )
-from wigner_classicality.spectra import StratumLabel
-from wigner_classicality.wigner import classical_edge_bound_qutrit
+from wigner_classicality.spectra import DegeneracyType, StratumLabel
+from wigner_classicality.wigner import classical_edge_bound_qutrit, sw_spectrum_qubit
 
 ZETA_MAX = math.pi / 3.0
 ALL_KINDS = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
@@ -114,10 +118,10 @@ class TestQuadrature:
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(ind, "MAX_QUAD_EVALS", 40)
-        ind._regular_denominator.cache_clear()
-        with pytest.raises(ConvergenceError):
+        ind._denominator.cache_clear()
+        with pytest.raises(ConvergenceError, match=r"^bkm regular stratum at zeta=0\.4: regular numerator strip "):
             q_quadrature(quad_request(EnsembleKind.BKM, REGULAR_QUTRIT, 0.4))
-        ind._regular_denominator.cache_clear()
+        ind._denominator.cache_clear()
 
     @pytest.mark.parametrize("ensemble", [EnsembleKind.BURES, EnsembleKind.BKM])
     @pytest.mark.parametrize("zeta", [0.0, 0.4, math.pi / 6, ZETA_MAX])
@@ -198,6 +202,38 @@ class TestDegenerateEdgeCutoff:
             radius = classical_edge_bound_qutrit(float(zeta), phi)
             expected = 1.0 / 3.0 - per_radius * radius / math.sqrt(3.0)
             assert ind._edge_classical_cutoff(comp, float(zeta)) == pytest.approx(expected, abs=1e-15)
+
+
+class TestQuadratureAccuracy:
+    @pytest.mark.parametrize("ensemble,zeta,reference", [
+        # the table1 minima: mpmath double integrals of the documented
+        # regular-stratum densities at 20 digits, with no package code
+        (EnsembleKind.BURES, 0.525096, 8.9102377997e-5),
+        (EnsembleKind.BKM, 0.527798, 1.2160539806e-5),
+    ])
+    def test_regular_minimum_matches_high_precision_reference(self, ensemble, zeta, reference):
+        res = q_quadrature(quad_request(ensemble, REGULAR_QUTRIT, zeta))
+        assert res.q == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    @pytest.mark.parametrize("stratum,zeta", [
+        (QUBIT_STRATUM, None),
+        (REGULAR_QUTRIT, 0.0), (REGULAR_QUTRIT, 0.4), (REGULAR_QUTRIT, ZETA_MAX),
+        (DEGENERATE_QUTRIT, 0.0), (DEGENERATE_QUTRIT, 0.4),
+    ])
+    def test_error_estimate_covers_tight_tolerance_value(self, ensemble, stratum, zeta):
+        loose = q_quadrature(quad_request(ensemble, stratum, zeta))
+        tight = q_quadrature(quad_request(ensemble, stratum, zeta, tol=1e-12))
+        assert abs(loose.q - tight.q) <= loose.error_estimate
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(wigner_classicality.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = ("import sys, wigner_classicality, wigner_classicality.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
 
 class TestRequestValidation:
@@ -286,6 +322,55 @@ class TestMonteCarlo:
         ref = q_hs_qutrit_degenerate_closed_form(math.pi / 6).q
         sigma = math.sqrt(ref * (1 - ref) / 200_000)
         assert abs(res.q - ref) <= 4.0 * sigma
+
+    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ind, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(ind.os, "cpu_count", lambda: 2)
+        req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, 640, 9, workers=64)
+        res = q_monte_carlo(req)
+        assert pools == [2]
+        # chunks and their seeds still follow the requested worker count
+        hits = sum(ind._mc_chunk_hits(req, 10, worker_seed(9, i)) for i in range(64))
+        assert res.q == hits / 640
+
+    @pytest.mark.parametrize("ensemble,route", [
+        (EnsembleKind.BKM, "reject_qubit"),
+        (EnsembleKind.HILBERT_SCHMIDT, "construction"),
+    ])
+    def test_chunk_hits_stream_in_blocks(self, monkeypatch, ensemble, route):
+        block = SpectrumSampler._CHUNK
+        n = 2 * block + 7
+        sampler = SpectrumSampler(ensemble, DegeneracyType((1, 1)), rng=np.random.default_rng(8))
+        assert sampler._route == route
+        kernel = sw_spectrum_qubit().as_array()[::-1]
+        expected = int(np.count_nonzero(sampler.sample(n) @ kernel >= 0.0))
+
+        asked = []
+        sample = SpectrumSampler.sample
+
+        def spy(self, m):
+            asked.append(m)
+            return sample(self, m)
+
+        monkeypatch.setattr(SpectrumSampler, "sample", spy)
+        req = self.mc_request(ensemble, QUBIT_STRATUM, None, n, 1)
+        assert ind._mc_chunk_hits(req, n, 8) == expected
+        assert max(asked) <= block and sum(asked) == n
 
     def test_point_stratum_all_classical(self):
         stratum = StratumLabel.for_partition((2,))

@@ -1,9 +1,11 @@
 """Draw random spectra from every qutrit stratum and classify them.
 
-Shows the sampler constructions (trace-normalized Ginibre for
-Hilbert-Schmidt, the (I+U)G model for Bures, rejection for the rest), the
-degeneracy structure of the edge strata, and the classical fraction at the
-symmetric kernel angle zeta = pi/6.
+Shows the samplers' rejection routes (a per-cell envelope table over the
+proposal box, with the acceptance rate each reaches), the degeneracy
+structure of the edge strata, and the classical fraction at the symmetric
+kernel angle zeta = pi/6.  The matrix-model constructions (Ginibre for
+Hilbert-Schmidt, (I+U)G for Bures) stay available with
+``method="construction"``.
 """
 
 import math

@@ -35,7 +35,7 @@ from .wigner import (
     is_classical,
     sw_spectrum_qutrit,
 )
-from .ensembles import EnsembleKind, SamplerFailureError
+from .ensembles import EnsembleKind, SamplerFailureError, worker_seed
 from .indicators import (
     DEGENERATE_QUTRIT,
     QUBIT_STRATUM,
@@ -401,9 +401,36 @@ def _mc_q(ensemble: EnsembleKind, stratum, zeta: float | None, samples: int, see
     return compute_indicator(req).q
 
 
+#: Expected classical hits that a ``verify`` Monte Carlo check draws for at
+#: least: with 25, 4 sigma is 0.8 of the expected value, so zero hits fails.
+VERIFY_MIN_EXPECTED_HITS = 25
+
+
+def _mc_checks(cfg: RunConfig) -> list[dict]:
+    """Monte Carlo versus quadrature at 4 sigma, on nine cells.
+
+    A cell draws ``min(--samples, 200 000)`` spectra, or
+    ``ceil(VERIFY_MIN_EXPECTED_HITS / q_quad)`` if that is more.  Cell
+    ``idx`` is seeded with ``worker_seed(seed, idx)``, so no two cells or
+    chunks share a stream.
+    """
+    samples = min(cfg.samples, 200_000) if cfg.samples else 200_000
+    all_kinds = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
+    mc_cells = [(e, s, math.pi / 6.0) for e in all_kinds for s in (REGULAR_QUTRIT, DEGENERATE_QUTRIT)]
+    mc_cells += [(e, QUBIT_STRATUM, None) for e in all_kinds]
+    checks = []
+    for idx, (ensemble, stratum, z) in enumerate(mc_cells):
+        quad = _quad_q(ensemble, stratum, z).q
+        n = max(samples, math.ceil(VERIFY_MIN_EXPECTED_HITS / quad)) if quad > 0.0 else samples
+        mc = _mc_q(ensemble, stratum, z, n, worker_seed(cfg.seed, idx), cfg.workers)
+        sigma = math.sqrt(quad * (1.0 - quad) / n)
+        tag = "qubit" if stratum.n == 2 else ("regular" if stratum is REGULAR_QUTRIT else "degenerate")
+        checks.append(_check(f"mc_vs_quad[{ensemble.label},{tag}]", quad, mc, 4.0 * sigma))
+    return checks
+
+
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     tol = cfg.tol if cfg.tol is not None else 1e-6
-    samples = min(cfg.samples, 200_000) if cfg.samples else 200_000
     checks: list[dict] = []
     all_kinds = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
     zeta_probe = [0.0, math.pi / 12.0, math.pi / 6.0, math.pi / 4.0, ZETA_MAX]
@@ -419,15 +446,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
             quad = _quad_q(EnsembleKind.HILBERT_SCHMIDT, stratum, z).q
             checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", closed, quad, tol * closed))
 
-    # Monte Carlo versus quadrature, 4 sigma
-    mc_cells = [(e, s, math.pi / 6.0) for e in all_kinds for s in (REGULAR_QUTRIT, DEGENERATE_QUTRIT)]
-    mc_cells += [(e, QUBIT_STRATUM, None) for e in all_kinds]
-    for idx, (ensemble, stratum, z) in enumerate(mc_cells):
-        quad = _quad_q(ensemble, stratum, z).q
-        mc = _mc_q(ensemble, stratum, z, samples, cfg.seed + idx, cfg.workers)
-        sigma = math.sqrt(quad * (1.0 - quad) / samples)
-        tag = "qubit" if stratum.n == 2 else ("regular" if stratum is REGULAR_QUTRIT else "degenerate")
-        checks.append(_check(f"mc_vs_quad[{ensemble.label},{tag}]", quad, mc, 4.0 * sigma))
+    checks += _mc_checks(cfg)
 
     # Hilbert-Schmidt mirror symmetry of the closed forms
     for stratum, tag in ((REGULAR_QUTRIT, "regular"), (DEGENERATE_QUTRIT, "degenerate")):

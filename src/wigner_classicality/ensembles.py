@@ -4,9 +4,10 @@ Three ensembles are supported: Hilbert-Schmidt, and the two monotone-metric
 ensembles (Bures and Bogoliubov-Kubo-Mori).  For each degeneracy type the
 module provides the unnormalized joint density of the distinct eigenvalues
 on the constraint surface ``sum k_i r_i = 1``, and a seeded sampler whose
-output follows that density: matrix-model constructions where they exist
+output follows that density: vectorized rejection sampling from a per-cell
+envelope table on every stratum, with the matrix-model constructions
 (trace-normalized Ginibre for Hilbert-Schmidt, the (I+U) G construction for
-Bures), vectorized rejection sampling everywhere else.
+Bures) kept as an explicitly selected alternative.
 
 Every density is a proportionality only.  Classicality indicators are ratios
 of integrals of one fixed density, so normalization constants cancel; when a
@@ -19,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +35,6 @@ CONSTRAINT_TOL = 1e-9
 
 #: Rejection sampling aborts below this acceptance rate.
 MIN_ACCEPTANCE = 1e-6
-
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 class EnsembleKind(Enum):
@@ -181,26 +181,43 @@ def joint_density(
 def worker_seed(master_seed: int, worker_index: int) -> int:
     """Derive the seed for one worker from a master seed.
 
-    The split is master XOR index, passed through one generator round so
-    that adjacent worker indices decorrelate.  Deterministic.
+    The seed is the first 64-bit word of ``np.random.SeedSequence`` with
+    entropy ``master_seed`` and spawn key ``(worker_index,)``, so distinct
+    (master, index) pairs give unrelated streams; in particular
+    ``worker_seed(s + 1, i)`` and ``worker_seed(s, i + 1)`` differ.
+    Deterministic.
     """
-    mixed = (int(master_seed) ^ int(worker_index)) & _U64
-    return int(np.random.default_rng(mixed).integers(0, 2 ** 63))
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(worker_index),))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
-# vectorized density kernels used by the rejection samplers
+# vectorized density kernels used by quadrature and the rejection samplers
 # ---------------------------------------------------------------------------
 
-def _mc_vec(kind: EnsembleKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mc_vec(kind: EnsembleKind, x, y, lx, ly):
+    """Morozova-Chentsov function on arrays; ``lx``, ``ly`` are ``np.log`` of x, y (BKM only).
+
+    The BKM series is evaluated only where ``|d| <= BKM_SERIES_CUTOFF``.
+    """
     if kind is EnsembleKind.BURES:
         return 2.0 / (x + y)
-    s = x + y
-    d = (x - y) / s
+    s = np.asarray(x + y)
+    d = np.asarray((x - y) / s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (np.log(x) - np.log(y)) / np.where(x == y, 1.0, x - y)
-    series = (1.0 + d * d / 3.0 + d ** 4 / 5.0) / (0.5 * s)
-    return np.where(np.abs(d) > BKM_SERIES_CUTOFF, exact, series)
+        out = np.asarray((lx - ly) / (x - y))
+    near = np.abs(d) <= BKM_SERIES_CUTOFF
+    if near.any():
+        dn = d[near]
+        out[near] = (1.0 + dn * dn / 3.0 + dn ** 4 / 5.0) / (0.5 * s[near])
+    return out
+
+
+def _logs(kind: EnsembleKind, *r):
+    """``np.log`` of each eigenvalue for BKM, once per eigenvalue; None otherwise."""
+    if kind is EnsembleKind.BKM:
+        return tuple(np.log(v) for v in r)
+    return (None,) * len(r)
 
 
 def _density3_vec(kind: EnsembleKind, r1, r2, r3):
@@ -208,7 +225,8 @@ def _density3_vec(kind: EnsembleKind, r1, r2, r3):
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = _mc_vec(kind, r1, r2) * _mc_vec(kind, r1, r3) * _mc_vec(kind, r2, r3)
+        l1, l2, l3 = _logs(kind, r1, r2, r3)
+        c = _mc_vec(kind, r1, r2, l1, l2) * _mc_vec(kind, r1, r3, l1, l3) * _mc_vec(kind, r2, r3, l2, l3)
         return v * c / np.sqrt(r1 * r2 * r3)
 
 
@@ -217,7 +235,8 @@ def _density_pair_vec(kind: EnsembleKind, big, small, kk: int):
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v
     with np.errstate(divide="ignore", invalid="ignore"):
-        return v * _mc_vec(kind, big, small) ** kk / np.sqrt(big * small)
+        lb, ls = _logs(kind, big, small)
+        return v * _mc_vec(kind, big, small, lb, ls) ** kk / np.sqrt(big * small)
 
 
 #: Power k in the flattening substitution small = u^k for rejection proposals.
@@ -228,35 +247,48 @@ _SUB_POWER = {
     EnsembleKind.BKM: 4,
 }
 
+#: Envelope tables: cells per axis of the proposal box (32 x 32 on the regular
+#: qutrit, 256 on an interval) and sub-grid intervals per cell and axis on
+#: which each cell's weight maximum is scanned.
+_TABLE_CELLS = {1: 256, 2: 32}
+_TABLE_SUBGRID = {1: 16, 2: 8}
 
-def _trisectrix_vec(phi):
-    return 1.0 / (2.0 * SQRT3 * np.cos(phi / 3.0))
+#: A cell's bound is this factor times its sub-grid maximum.
+_ENVELOPE_MARGIN = 1.05
+
+#: Rejection route of each sampled degeneracy type.
+_REJECTION_ROUTES = {(1, 1, 1): "reject_regular3", (1, 1): "reject_qubit",
+                     (2, 1): "reject_edge", (1, 2): "reject_edge"}
 
 
 def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
-    """Rejection weight for the regular qutrit stratum.
+    """Rejection weight for the regular qutrit stratum, and the spectra.
 
-    Proposals are uniform in (t, phi) on [0,1] x [0,pi] with the radius
-    substitution r = R(phi) (1 - t^4); on that ray the smallest eigenvalue is
-    exactly t^4/3, which keeps the weight bounded for all three ensembles and
-    avoids the cancellation of evaluating r3 near the boundary.
+    Proposals lie in (t, phi) on [0,1] x [0,pi] with the radius substitution
+    r = R(phi) (1 - t^4) of the polar chart; on that ray the smallest
+    eigenvalue is exactly t^4/3, which keeps the weight bounded for all
+    three ensembles and avoids the cancellation of evaluating r3 near the
+    boundary.  With s = 1 - t^4 and q = tan(phi/3)/sqrt3 in [0, 1] the two
+    larger eigenvalues are 1/3 + s/6 +- s q/2, and the area element
+    r dr dphi is (1 + 3 q^2) s t^3 / 3 dt dphi.
     """
-    R = _trisectrix_vec(phi)
-    r = R * (1.0 - t ** 4)
-    f = 2.0 * r / SQRT3
-    r1 = 1.0 / 3.0 - f * np.cos((phi + 2.0 * np.pi) / 3.0)
-    r2 = 1.0 / 3.0 - f * np.cos((phi + 4.0 * np.pi) / 3.0)
-    r3 = t ** 4 / 3.0
+    q = np.tan(phi / 3.0) / SQRT3
+    t3 = t * t * t
+    r3 = t3 * t / 3.0
+    s = 1.0 - 3.0 * r3
+    r1 = 1.0 / 3.0 + s / 6.0 + s * q / 2.0
+    r2 = 1.0 / 3.0 + s / 6.0 - s * q / 2.0
     bad = (r1 <= r2) | (r2 <= r3) | (t <= 0.0)
     r1s = np.where(bad, 0.5, r1)
     r2s = np.where(bad, 0.3, r2)
     r3s = np.where(bad, 0.2, r3)
-    val = _density3_vec(kind, r1s, r2s, r3s) * r * 4.0 * R * t ** 3
-    return np.where(bad, 0.0, val)
+    val = _density3_vec(kind, r1s, r2s, r3s) * (1.0 + 3.0 * q * q) * s * t3 / 3.0
+    total = r1 + r2 + r3
+    return np.where(bad, 0.0, val), (r1 / total, r2 / total, r3 / total)
 
 
 def _regular_weight_qubit(kind: EnsembleKind, u):
-    """Rejection weight for the qubit, radius-measure density in u-space.
+    """Rejection weight for the qubit, radius-measure density in u-space, and the spectra.
 
     The smaller eigenvalue is u^k with k the flattening power; the Bloch
     radius is then 1 - 2 u^k and the measure picks up 2 k u^(k-1).
@@ -269,11 +301,11 @@ def _regular_weight_qubit(kind: EnsembleKind, u):
     bigs = np.where(bad, 0.75, big)
     jac = 2.0 * k * u ** (k - 1) if k > 1 else np.ones_like(u) * 2.0
     val = _density_pair_vec(kind, bigs, smalls, 1) * jac
-    return np.where(bad, 0.0, val)
+    return np.where(bad, 0.0, val), (big, small)
 
 
 def _edge_weight_qutrit(kind: EnsembleKind, comp: tuple[int, int], u):
-    """Rejection weight on a degenerate qutrit edge, radius measure.
+    """Rejection weight on a degenerate qutrit edge, radius measure, and the spectra.
 
     The free coordinate is the smallest distinct eigenvalue y = u^k in
     (0, 1/3); composition (2,1) doubles the larger eigenvalue, (1,2) the
@@ -285,65 +317,77 @@ def _edge_weight_qutrit(kind: EnsembleKind, comp: tuple[int, int], u):
     if comp == (2, 1):
         big = (1.0 - y) / 2.0
         edge_factor = SQRT3 / 2.0
+        spectra = (big, big, y)
     else:
         big = 1.0 - 2.0 * y
         edge_factor = SQRT3
+        spectra = (big, y, y)
     bad = (y <= 0.0) | (y >= 1.0 / 3.0)
     ys = np.where(bad, 0.2, y)
     bigs = np.where(bad, 0.4, big)
     jac = k * u ** (k - 1) if k > 1 else np.ones_like(u)
     val = _density_pair_vec(kind, bigs, ys, 2) * edge_factor * jac
-    return np.where(bad, 0.0, val)
+    return np.where(bad, 0.0, val), spectra
 
 
-def _grid_supremum(weight: Callable[..., np.ndarray], bounds: list[tuple[float, float]],
-                   coarse: int, refinements: int = 3) -> float:
-    """Locate sup of a smooth weight by grid scan plus local refinement.
+def _proposal_box(kind: EnsembleKind, mult: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
+    """Proposal box of a rejection route: (t, phi) on the regular qutrit, u elsewhere."""
+    if mult == (1, 1, 1):
+        return ((0.0, 1.0), (0.0, math.pi))
+    top = 0.5 if mult == (1, 1) else 1.0 / 3.0
+    return ((0.0, top ** (1.0 / _SUB_POWER[kind])),)
 
-    Scans ~coarse^dim points, then repeatedly re-grids a shrinking window
-    around the running argmax.  The caller inflates the result (by 1.05)
-    to get a safe rejection envelope.
+
+def _proposal_weight(kind: EnsembleKind, mult: tuple[int, ...], coords):
+    """Rejection weight at proposal coordinates, and the spectrum columns they map to."""
+    if mult == (1, 1, 1):
+        return _regular_weight_qutrit(kind, *coords)
+    if mult == (1, 1):
+        return _regular_weight_qubit(kind, *coords)
+    return _edge_weight_qutrit(kind, mult, *coords)
+
+
+@lru_cache(maxsize=None)
+def _envelope_table(kind: EnsembleKind, mult: tuple[int, ...]) -> np.ndarray:
+    """Per-cell rejection bounds of a rejection route, flattened row-major (read-only).
+
+    The proposal box is split into equal cells; each cell's bound is
+    ``_ENVELOPE_MARGIN`` times the weight maximum on a sub-grid of the cell,
+    cell edges included.
     """
-    dim = len(bounds)
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
-    best = 0.0
-    center = None
-    span = highs - lows
-    for round_idx in range(refinements + 1):
-        n = coarse if round_idx == 0 else 41
-        axes = []
-        for d in range(dim):
-            if center is None:
-                lo, hi = lows[d], highs[d]
-            else:
-                half = span[d] / 2.0
-                lo = max(lows[d], center[d] - half)
-                hi = min(highs[d], center[d] + half)
-            axes.append(np.linspace(lo, hi, n + 2)[1:-1])
-        grids = np.meshgrid(*axes, indexing="ij")
-        vals = weight(*grids)
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        best = max(best, float(vals[idx]))
-        center = np.array([axes[d][idx[d]] for d in range(dim)])
-        span = span * (4.0 / (n - 1))
-    return best
+    box = _proposal_box(kind, mult)
+    cells, sub = _TABLE_CELLS[len(box)], _TABLE_SUBGRID[len(box)]
+    axes = [np.linspace(lo, hi, cells * sub + 1) for lo, hi in box]
+    w = _proposal_weight(kind, mult, np.meshgrid(*axes, indexing="ij"))[0]
+    for axis in range(len(box)):
+        w = np.moveaxis(w, axis, 0)
+        # each cell's sub intervals, then its far edge (shared with the next cell)
+        w = np.maximum(w[:-1].reshape(cells, sub, *w.shape[1:]).max(axis=1), w[sub::sub])
+        w = np.moveaxis(w, 0, axis)
+    table = _ENVELOPE_MARGIN * w.ravel()
+    table.flags.writeable = False
+    return table
 
 
 class SpectrumSampler:
     """Seeded sampler of eigenvalue spectra for one (ensemble, degeneracy).
 
     One instance owns one random generator; create one instance per worker,
-    with per-worker seeds derived by ``worker_seed``.  ``method="auto"``
-    picks a matrix-model construction when available (Hilbert-Schmidt and
-    Bures on simple spectra) and rejection sampling otherwise;
-    ``method="rejection"`` forces the rejection route, which is useful for
-    cross-validating the constructions.
+    with per-worker seeds derived by ``worker_seed``.  Every non-point
+    degeneracy is sampled by rejection from a piecewise-constant envelope
+    (``method="auto"`` or ``"rejection"``): the proposal box, (t, phi) on the
+    regular qutrit and the flattened small eigenvalue u elsewhere, is split
+    into equal cells (32 x 32, or 256), each bounded by 5 percent over the
+    weight maximum on a sub-grid of the cell.  A proposal picks a cell in
+    proportion to its bound, a point uniformly inside it, and is accepted
+    with probability weight / bound.  The table is built once per
+    (ensemble, degeneracy) on first use.  ``method="construction"`` selects
+    the matrix models instead (trace-normalized Ginibre for Hilbert-Schmidt,
+    the (I+U) G model for Bures, simple spectra only), which the tests keep
+    as independent oracles for the rejection route.
 
-    Rejection envelopes come from a grid scan of the proposal weight with
-    local refinement, inflated by 5 percent; a proposal exceeding the
-    envelope or an acceptance rate below ``MIN_ACCEPTANCE`` aborts with
-    ``SamplerFailureError``.
+    A proposal weight above its cell's bound, or an acceptance rate below
+    ``MIN_ACCEPTANCE``, aborts with ``SamplerFailureError``.
     """
 
     _CHUNK = 1 << 18
@@ -367,34 +411,19 @@ class SpectrumSampler:
         self._accepted = 0
 
         mult = deg.multiplicities
-        constructive = deg.is_regular and kind in (
-            EnsembleKind.HILBERT_SCHMIDT,
-            EnsembleKind.BURES,
-        )
-        if method == "construction" and not constructive:
+        if method == "construction" and not (
+            deg.is_regular and kind in (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES)
+        ):
             raise ValueError(f"no matrix-model construction for ({kind.label}, {mult})")
-        self._route: str
-        self._envelope = 0.0
+        self._envelope: np.ndarray | None = None
         if len(mult) == 1:
             self._route = "point"
-        elif constructive and method != "rejection":
+        elif method == "construction":
             self._route = "construction"
-        elif deg.is_regular and deg.n == 3:
-            self._route = "reject_regular3"
-            w = lambda t, phi: _regular_weight_qutrit(kind, t, phi)
-            self._envelope = 1.05 * _grid_supremum(w, [(0.0, 1.0), (0.0, math.pi)], coarse=100)
-        elif deg.is_regular and deg.n == 2:
-            self._route = "reject_qubit"
-            k = _SUB_POWER[kind]
-            self._umax = 0.5 ** (1.0 / k)
-            w = lambda u: _regular_weight_qubit(kind, u)
-            self._envelope = 1.05 * _grid_supremum(w, [(0.0, self._umax)], coarse=10_000)
-        elif mult in ((2, 1), (1, 2)) and deg.n == 3:
-            self._route = "reject_edge"
-            k = _SUB_POWER[kind]
-            self._umax = (1.0 / 3.0) ** (1.0 / k)
-            w = lambda u: _edge_weight_qutrit(kind, mult, u)
-            self._envelope = 1.05 * _grid_supremum(w, [(0.0, self._umax)], coarse=10_000)
+        elif mult in _REJECTION_ROUTES:
+            self._route = _REJECTION_ROUTES[mult]
+            self._box = _proposal_box(kind, mult)
+            self._envelope = _envelope_table(kind, mult).copy()
         else:
             raise ValueError(f"unsupported degeneracy type for sampling: {mult}")
 
@@ -414,9 +443,8 @@ class SpectrumSampler:
         done = 0
         while done < n:
             m = min(self._CHUNK, n - done)
-            block = self._sample_block(m)
-            out[done : done + block.shape[0]] = block[: m]
-            done += min(block.shape[0], m)
+            out[done : done + m] = self._sample_block(m)
+            done += m
         return out
 
     def sample_one(self) -> OrderedSpectrum:
@@ -432,11 +460,7 @@ class SpectrumSampler:
             if self.kind is EnsembleKind.HILBERT_SCHMIDT:
                 return self._ginibre_block(m)
             return self._bures_block(m)
-        if self._route == "reject_regular3":
-            return self._reject_block(m, self._draw_regular3)
-        if self._route == "reject_qubit":
-            return self._reject_block(m, self._draw_qubit)
-        return self._reject_block(m, self._draw_edge)
+        return self._reject_block(m)
 
     def _ginibre_block(self, m: int) -> np.ndarray:
         N = self.deg.n
@@ -459,12 +483,16 @@ class SpectrumSampler:
         ev /= ev.sum(axis=1, keepdims=True)
         return ev[:, ::-1]
 
-    def _reject_block(self, m: int, draw) -> np.ndarray:
-        N = self.deg.n
+    def _reject_block(self, m: int) -> np.ndarray:
+        """Exactly m accepted spectra, in proposal batches sized from the running acceptance."""
         rows: list[np.ndarray] = []
         got = 0
         while got < m:
-            block = draw(self._CHUNK)
+            rate = self.acceptance_rate
+            size = self._CHUNK
+            if rate > 0.0:  # 2 percent over the expected need, so one batch usually suffices
+                size = min(size, math.ceil(1.02 * (m - got) / rate) + 16)
+            block = self._draw(size)
             rows.append(block)
             got += block.shape[0]
             if self._proposed >= 1_000_000 and self.acceptance_rate < MIN_ACCEPTANCE:
@@ -474,56 +502,29 @@ class SpectrumSampler:
                 )
         return np.concatenate(rows, axis=0)[:m]
 
-    def _check_envelope(self, w: np.ndarray) -> None:
-        peak = float(w.max()) if w.size else 0.0
-        if peak > self._envelope:
+    def _draw(self, m: int) -> np.ndarray:
+        """Propose m points from the envelope table; return the accepted spectra."""
+        bound = self._envelope
+        cdf = np.cumsum(bound)
+        # (1 - U) * total lies in (0, total], so search-left skips empty cells
+        cell = np.searchsorted(cdf, (1.0 - self.rng.random(m)) * cdf[-1])
+        cells = _TABLE_CELLS[len(self._box)]
+        index = np.unravel_index(cell, (cells,) * len(self._box))
+        coords = [lo + (i + self.rng.random(m)) * ((hi - lo) / cells)
+                  for (lo, hi), i in zip(self._box, index)]
+        w, spectra = _proposal_weight(self.kind, self.deg.multiplicities, coords)
+        b = bound[cell]
+        over = w > b
+        if over.any():
+            i = int(np.argmax(np.where(over, w / b, 0.0)))
             raise SamplerFailureError(
-                f"proposal weight {peak:.3e} exceeded envelope {self._envelope:.3e} for "
-                f"({self.kind.label}, {self.deg.multiplicities}); envelope scan too coarse"
+                f"proposal weight {w[i]:.3e} exceeded its envelope cell bound {b[i]:.3e} for "
+                f"({self.kind.label}, {self.deg.multiplicities}); envelope table too coarse"
             )
-
-    def _draw_regular3(self, m: int) -> np.ndarray:
-        t = self.rng.uniform(0.0, 1.0, m)
-        phi = self.rng.uniform(0.0, math.pi, m)
-        w = _regular_weight_qutrit(self.kind, t, phi)
-        self._check_envelope(w)
-        keep = self.rng.uniform(0.0, self._envelope, m) < w
+        keep = self.rng.random(m) * b < w
         self._proposed += m
-        self._accepted += int(keep.sum())
-        ta, pa = t[keep], phi[keep]
-        R = _trisectrix_vec(pa)
-        r = R * (1.0 - ta ** 4)
-        f = 2.0 * r / SQRT3
-        r1 = 1.0 / 3.0 - f * np.cos((pa + 2.0 * np.pi) / 3.0)
-        r2 = 1.0 / 3.0 - f * np.cos((pa + 4.0 * np.pi) / 3.0)
-        r3 = ta ** 4 / 3.0
-        total = r1 + r2 + r3
-        return np.column_stack([r1 / total, r2 / total, r3 / total])
-
-    def _draw_qubit(self, m: int) -> np.ndarray:
-        u = self.rng.uniform(0.0, self._umax, m)
-        w = _regular_weight_qubit(self.kind, u)
-        self._check_envelope(w)
-        keep = self.rng.uniform(0.0, self._envelope, m) < w
-        self._proposed += m
-        self._accepted += int(keep.sum())
-        small = u[keep] ** _SUB_POWER[self.kind]
-        return np.column_stack([1.0 - small, small])
-
-    def _draw_edge(self, m: int) -> np.ndarray:
-        comp = self.deg.multiplicities
-        u = self.rng.uniform(0.0, self._umax, m)
-        w = _edge_weight_qutrit(self.kind, comp, u)
-        self._check_envelope(w)
-        keep = self.rng.uniform(0.0, self._envelope, m) < w
-        self._proposed += m
-        self._accepted += int(keep.sum())
-        y = u[keep] ** _SUB_POWER[self.kind]
-        if comp == (2, 1):
-            big = (1.0 - y) / 2.0
-            return np.column_stack([big, big, y])
-        big = 1.0 - 2.0 * y
-        return np.column_stack([big, y, y])
+        self._accepted += int(np.count_nonzero(keep))
+        return np.column_stack([c[keep] for c in spectra])
 
 
 def sample_spectrum(

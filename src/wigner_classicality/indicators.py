@@ -137,8 +137,8 @@ class IndicatorRequest:
         if self.method is Method.MONTE_CARLO:
             if not self.samples or self.samples < 1:
                 raise UnsupportedRequestError("Monte Carlo requests need a positive sample count")
-            if self.seed is None:
-                raise UnsupportedRequestError("Monte Carlo requests need a seed")
+            if self.seed is None or self.seed < 0:
+                raise UnsupportedRequestError("Monte Carlo requests need a nonnegative seed")
             if self.workers < 1:
                 raise UnsupportedRequestError("worker count must be positive")
 

@@ -212,6 +212,40 @@ class TestVerify:
         assert blobs[0] == blobs[1]
 
 
+class TestVerifyMonteCarlo:
+    """The nine ``mc_vs_quad`` checks, with every chunk's hit count forced to zero."""
+
+    @pytest.fixture
+    def chunk_seeds(self, monkeypatch):
+        from wigner_classicality import indicators
+
+        seeds = []
+
+        def no_hits(request, chunk, seed):
+            seeds.append(seed)
+            return 0
+
+        monkeypatch.setattr(indicators, "_mc_chunk_hits", no_hits)
+        return seeds
+
+    @staticmethod
+    def config(workers):
+        return cli.RunConfig(command="verify", ensembles=[cli.EnsembleKind.HILBERT_SCHMIDT],
+                             samples=50_000, workers=workers)
+
+    def test_zero_hits_fail_every_check(self, chunk_seeds):
+        checks = cli._mc_checks(self.config(2))
+        assert len(checks) == 9
+        assert [c["check"] for c in checks if c["pass"]] == []
+
+    def test_no_two_chunks_share_a_seed(self, chunk_seeds):
+        for workers in (1, 2, 3, 4):
+            chunk_seeds.clear()
+            cli._mc_checks(self.config(workers))
+            assert len(chunk_seeds) == 9 * workers
+            assert len(set(chunk_seeds)) == len(chunk_seeds)
+
+
 class TestComputationErrors:
     def test_convergence_error_maps_to_exit_3(self, monkeypatch):
         from wigner_classicality import indicators

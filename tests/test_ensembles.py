@@ -156,6 +156,12 @@ class TestSeeding:
         seeds = {worker_seed(123, i) for i in range(64)}
         assert len(seeds) == 64
 
+    def test_worker_seed_neighbours_differ(self):
+        # an XOR of master and index made these two equal
+        assert worker_seed(1235, 0) != worker_seed(1234, 1)
+        seeds = {worker_seed(m, i) for m in range(1230, 1240) for i in range(8)}
+        assert len(seeds) == 80
+
     def test_sampler_deterministic(self):
         for kind in ALL_KINDS:
             a = SpectrumSampler(kind, DegeneracyType((1, 1, 1)), seed=42).sample(500)
@@ -192,6 +198,20 @@ class TestSamplerStructure:
         with pytest.raises(ValueError):
             SpectrumSampler(EnsembleKind.BURES, DegeneracyType((1, 1, 1, 1)), seed=1)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult,route", [
+        ((1, 1), "reject_qubit"), ((1, 1, 1), "reject_regular3"),
+        ((2, 1), "reject_edge"), ((1, 2), "reject_edge"),
+    ])
+    def test_auto_is_rejection(self, kind, mult, route):
+        assert SpectrumSampler(kind, DegeneracyType(mult), seed=1)._route == route
+
+    def test_construction_is_explicit(self):
+        for kind in (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES):
+            for mult in ((1, 1), (1, 1, 1)):
+                sampler = SpectrumSampler(kind, DegeneracyType(mult), seed=1, method="construction")
+                assert sampler._route == "construction"
+
     def test_construction_unavailable_for_bkm(self):
         with pytest.raises(ValueError):
             SpectrumSampler(EnsembleKind.BKM, DegeneracyType((1, 1, 1)), seed=1, method="construction")
@@ -209,6 +229,28 @@ class TestSamplerFailure:
         sampler._envelope /= 1e6
         with pytest.raises(SamplerFailureError, match="envelope"):
             sampler.sample(100)
+
+    def test_one_cell_below_its_weight_raises(self):
+        sampler = SpectrumSampler(EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=5)
+        cell = int(np.argmax(sampler._envelope))
+        sampler._envelope[cell] /= 2.0  # below the cell's sub-grid maximum
+        with pytest.raises(SamplerFailureError, match="envelope cell bound"):
+            sampler.sample(200_000)
+
+    def test_envelope_table_is_not_shared(self):
+        a = SpectrumSampler(EnsembleKind.BKM, DegeneracyType((2, 1)), seed=5)
+        a._envelope /= 1e6
+        b = SpectrumSampler(EnsembleKind.BKM, DegeneracyType((2, 1)), seed=5)
+        assert b.sample(1000).shape == (1000, 3)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("mult", [(1, 1), (1, 1, 1), (2, 1), (1, 2)])
+def test_rejection_acceptance(kind, mult):
+    sampler = SpectrumSampler(kind, DegeneracyType(mult), seed=41)
+    sampler.sample(1_000_000)
+    assert sampler._proposed >= 1_000_000
+    assert sampler.acceptance_rate >= 0.7
 
 
 class TestQubitRadialMoment:
@@ -365,7 +407,9 @@ def test_chisquare_degenerate_edges(kind, comp):
 class TestConstructionVersusRejection:
     def test_hs_ginibre_matches_rejection(self):
         n = 100_000
-        a = SpectrumSampler(EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=31).sample(n)
+        a = SpectrumSampler(
+            EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=31, method="construction"
+        ).sample(n)
         b = SpectrumSampler(
             EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=32, method="rejection"
         ).sample(n)
@@ -373,7 +417,9 @@ class TestConstructionVersusRejection:
 
     def test_bures_construction_matches_rejection(self):
         n = 100_000
-        a = SpectrumSampler(EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=33).sample(n)
+        a = SpectrumSampler(
+            EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=33, method="construction"
+        ).sample(n)
         b = SpectrumSampler(
             EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=34, method="rejection"
         ).sample(n)

@@ -31,7 +31,7 @@ from wigner_classicality.indicators import (
     ratio_degenerate_to_regular,
 )
 from wigner_classicality.spectra import DegeneracyType, StratumLabel
-from wigner_classicality.wigner import classical_edge_bound_qutrit, sw_spectrum_qubit
+from wigner_classicality.wigner import classical_edge_bound_qutrit
 
 ZETA_MAX = math.pi / 3.0
 ALL_KINDS = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
@@ -350,14 +350,16 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("ensemble,route", [
         (EnsembleKind.BKM, "reject_qubit"),
-        (EnsembleKind.HILBERT_SCHMIDT, "construction"),
+        (EnsembleKind.HILBERT_SCHMIDT, "reject_regular3"),
     ])
     def test_chunk_hits_stream_in_blocks(self, monkeypatch, ensemble, route):
         block = SpectrumSampler._CHUNK
         n = 2 * block + 7
-        sampler = SpectrumSampler(ensemble, DegeneracyType((1, 1)), rng=np.random.default_rng(8))
+        stratum, zeta = (QUBIT_STRATUM, None) if route == "reject_qubit" else (REGULAR_QUTRIT, math.pi / 6)
+        sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=np.random.default_rng(8))
         assert sampler._route == route
-        kernel = sw_spectrum_qubit().as_array()[::-1]
+        req = self.mc_request(ensemble, stratum, zeta, n, 1)
+        kernel = ind._kernel_for(req).as_array()[::-1]
         expected = int(np.count_nonzero(sampler.sample(n) @ kernel >= 0.0))
 
         asked = []
@@ -368,7 +370,6 @@ class TestMonteCarlo:
             return sample(self, m)
 
         monkeypatch.setattr(SpectrumSampler, "sample", spy)
-        req = self.mc_request(ensemble, QUBIT_STRATUM, None, n, 1)
         assert ind._mc_chunk_hits(req, n, 8) == expected
         assert max(asked) <= block and sum(asked) == n
 

@@ -6,7 +6,7 @@ Schmidt, Bures, Bogoliubov-Kubo-Mori), per degeneracy stratum, and across
 the one-parameter family of qutrit phase-space kernels.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .spectra import (
     DegeneracyType,
@@ -30,13 +30,11 @@ from .wigner import (
 )
 from .ensembles import (
     EnsembleKind,
-    MorozovaChentsovFunction,
     SamplerFailureError,
     SpectrumSampler,
     joint_density,
     log_joint_density,
     mc_function,
-    sample_spectrum,
     worker_seed,
 )
 from .indicators import (
@@ -78,13 +76,11 @@ __all__ = [
     "sw_spectrum_qubit",
     "sw_spectrum_qutrit",
     "EnsembleKind",
-    "MorozovaChentsovFunction",
     "SamplerFailureError",
     "SpectrumSampler",
     "joint_density",
     "log_joint_density",
     "mc_function",
-    "sample_spectrum",
     "worker_seed",
     "DEGENERATE_QUTRIT",
     "QUBIT_STRATUM",

@@ -41,11 +41,10 @@ from .indicators import (
     QUBIT_STRATUM,
     REGULAR_QUTRIT,
     ConvergenceError,
-    IndicatorRequest,
     Method,
     UnsupportedRequestError,
     asymmetry,
-    compute_indicator,
+    indicator,
     minimize_q_over_zeta,
     ratio_degenerate_to_regular,
     stratum_spectra,
@@ -144,7 +143,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=1234)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--format", dest="fmt", choices=("csv", "svg", "both"), default="csv")
 
     for name, help_text, default_method in (
         ("curve", "indicator versus the moduli angle", "closed"),
@@ -156,6 +154,8 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         common(p, method_default=default_method)
+        if name in ("curve", "ratio"):
+            p.add_argument("--format", dest="fmt", choices=("csv", "svg", "both"), default="csv")
         if name == "sample":
             p.add_argument("--n", type=int, choices=(2, 3), default=3, help="Hilbert-space dimension")
 
@@ -187,7 +187,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         workers=args.workers,
         out=args.out,
-        fmt=args.fmt,
+        fmt=getattr(args, "fmt", "csv"),
         dimension=getattr(args, "n", 3),
     )
 
@@ -232,20 +232,6 @@ def _stratum_label(cfg: RunConfig):
     return DEGENERATE_QUTRIT
 
 
-def _indicator_at(cfg: RunConfig, ensemble: EnsembleKind, zeta: float):
-    req = IndicatorRequest(
-        ensemble=ensemble,
-        stratum=_stratum_label(cfg),
-        method=cfg.method,
-        zeta=zeta,
-        tolerance=cfg.tol,
-        samples=cfg.samples if cfg.method is Method.MONTE_CARLO else None,
-        seed=cfg.seed if cfg.method is Method.MONTE_CARLO else None,
-        workers=cfg.workers,
-    )
-    return compute_indicator(req)
-
-
 def _zetas(cfg: RunConfig) -> np.ndarray:
     a, b, n = cfg.zeta_grid
     return np.linspace(a, b, n)
@@ -260,19 +246,21 @@ def _run_curve(cfg: RunConfig) -> int:
         qs = []
         zetas = _zetas(cfg)
         for z in zetas:
-            res = _indicator_at(cfg, ensemble, float(z))
+            res = indicator(ensemble, _stratum_label(cfg), cfg.method, float(z), tolerance=cfg.tol,
+                            samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
             qs.append(res.q)
             rows.append([
                 _num(z), _num(res.q), res.method.value, _num(res.error_estimate),
                 ensemble.label, cfg.stratum, str(cfg.seed),
             ])
         series.append((ensemble.label, list(zetas), qs))
-    if csv_path is not None or cfg.fmt in ("csv", "both"):
+    if cfg.fmt in ("csv", "both"):
         _write_text(csv_path, _csv_text(cfg, header, rows))
     if svg_path is not None:
+        # a Monte Carlo cell with no classical draw reads 0, which a log axis cannot show
         svg = render_line_plot(
             series, title=f"classicality indicator ({cfg.stratum} stratum)",
-            xlabel="zeta", ylabel="Q", log_y=True,
+            xlabel="zeta", ylabel="Q", log_y=all(q > 0.0 for _, _, qs in series for q in qs),
         )
         _write_text(svg_path, f"<!-- {_provenance(cfg)[2:]} -->\n" + svg)
     return EXIT_OK
@@ -283,14 +271,8 @@ def _run_qubit(cfg: RunConfig) -> int:
     header = ["ensemble", "q", "method", "error_estimate", "seed"]
     rows = []
     for ensemble in cfg.ensembles:
-        req = IndicatorRequest(
-            ensemble=ensemble, stratum=QUBIT_STRATUM, method=cfg.method,
-            tolerance=cfg.tol,
-            samples=cfg.samples if cfg.method is Method.MONTE_CARLO else None,
-            seed=cfg.seed if cfg.method is Method.MONTE_CARLO else None,
-            workers=cfg.workers,
-        )
-        res = compute_indicator(req)
+        res = indicator(ensemble, QUBIT_STRATUM, cfg.method, tolerance=cfg.tol,
+                        samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
         rows.append([ensemble.label, _num(res.q), res.method.value, _num(res.error_estimate), str(cfg.seed)])
     _write_text(csv_path, _csv_text(cfg, header, rows))
     return EXIT_OK
@@ -307,13 +289,13 @@ def _run_ratio(cfg: RunConfig) -> int:
         for z in zetas:
             r = ratio_degenerate_to_regular(
                 ensemble, float(z), cfg.method, tolerance=cfg.tol,
-                samples=cfg.samples if cfg.method is Method.MONTE_CARLO else None,
-                seed=cfg.seed if cfg.method is Method.MONTE_CARLO else None,
+                samples=cfg.samples, seed=cfg.seed, workers=cfg.workers,
             )
             ratios.append(r)
             rows.append([_num(z), _num(r), ensemble.label, cfg.method.value, str(cfg.seed)])
         series.append((ensemble.label, list(zetas), ratios))
-    _write_text(csv_path, _csv_text(cfg, header, rows))
+    if cfg.fmt in ("csv", "both"):
+        _write_text(csv_path, _csv_text(cfg, header, rows))
     if svg_path is not None:
         svg = render_line_plot(series, title="degenerate / regular indicator ratio",
                                xlabel="zeta", ylabel="R", log_y=False)
@@ -383,24 +365,6 @@ def _check(name: str, expected: float, actual: float, tolerance: float) -> dict:
     }
 
 
-def _quad_q(ensemble: EnsembleKind, stratum, zeta: float | None) -> object:
-    req = IndicatorRequest(ensemble=ensemble, stratum=stratum, method=Method.QUADRATURE, zeta=zeta)
-    return compute_indicator(req)
-
-
-def _closed_q(ensemble: EnsembleKind, stratum, zeta: float | None) -> float:
-    req = IndicatorRequest(ensemble=ensemble, stratum=stratum, method=Method.CLOSED_FORM, zeta=zeta)
-    return compute_indicator(req).q
-
-
-def _mc_q(ensemble: EnsembleKind, stratum, zeta: float | None, samples: int, seed: int, workers: int) -> float:
-    req = IndicatorRequest(
-        ensemble=ensemble, stratum=stratum, method=Method.MONTE_CARLO, zeta=zeta,
-        samples=samples, seed=seed, workers=workers,
-    )
-    return compute_indicator(req).q
-
-
 #: Expected classical hits that a ``verify`` Monte Carlo check draws for at
 #: least: with 25, 4 sigma is 0.8 of the expected value, so zero hits fails.
 VERIFY_MIN_EXPECTED_HITS = 25
@@ -420,9 +384,10 @@ def _mc_checks(cfg: RunConfig) -> list[dict]:
     mc_cells += [(e, QUBIT_STRATUM, None) for e in all_kinds]
     checks = []
     for idx, (ensemble, stratum, z) in enumerate(mc_cells):
-        quad = _quad_q(ensemble, stratum, z).q
+        quad = indicator(ensemble, stratum, Method.QUADRATURE, z).q
         n = max(samples, math.ceil(VERIFY_MIN_EXPECTED_HITS / quad)) if quad > 0.0 else samples
-        mc = _mc_q(ensemble, stratum, z, n, worker_seed(cfg.seed, idx), cfg.workers)
+        mc = indicator(ensemble, stratum, Method.MONTE_CARLO, z, samples=n,
+                       seed=worker_seed(cfg.seed, idx), workers=cfg.workers).q
         sigma = math.sqrt(quad * (1.0 - quad) / n)
         tag = "qubit" if stratum.n == 2 else ("regular" if stratum is REGULAR_QUTRIT else "degenerate")
         checks.append(_check(f"mc_vs_quad[{ensemble.label},{tag}]", quad, mc, 4.0 * sigma))
@@ -437,13 +402,13 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
 
     # closed form versus quadrature
     for ensemble in all_kinds:
-        closed = _closed_q(ensemble, QUBIT_STRATUM, None)
-        quad = _quad_q(ensemble, QUBIT_STRATUM, None).q
+        closed = indicator(ensemble, QUBIT_STRATUM, Method.CLOSED_FORM).q
+        quad = indicator(ensemble, QUBIT_STRATUM, Method.QUADRATURE).q
         checks.append(_check(f"qubit_quad_vs_closed[{ensemble.label}]", closed, quad, tol * closed))
     for stratum, tag in ((REGULAR_QUTRIT, "regular"), (DEGENERATE_QUTRIT, "degenerate")):
         for z in zeta_probe:
-            closed = _closed_q(EnsembleKind.HILBERT_SCHMIDT, stratum, z)
-            quad = _quad_q(EnsembleKind.HILBERT_SCHMIDT, stratum, z).q
+            closed = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.CLOSED_FORM, z).q
+            quad = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.QUADRATURE, z).q
             checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", closed, quad, tol * closed))
 
     checks += _mc_checks(cfg)
@@ -451,14 +416,14 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     # Hilbert-Schmidt mirror symmetry of the closed forms
     for stratum, tag in ((REGULAR_QUTRIT, "regular"), (DEGENERATE_QUTRIT, "degenerate")):
         for delta in (0.05, 0.1, 0.15):
-            a = _closed_q(EnsembleKind.HILBERT_SCHMIDT, stratum, math.pi / 6.0 + delta)
-            b = _closed_q(EnsembleKind.HILBERT_SCHMIDT, stratum, math.pi / 6.0 - delta)
+            a = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.CLOSED_FORM, math.pi / 6.0 + delta).q
+            b = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.CLOSED_FORM, math.pi / 6.0 - delta).q
             checks.append(_check(f"hs_symmetry_{tag}[delta={delta}]", a, b, tol * a))
 
     # monotone ensembles break the mirror symmetry: asymmetry must exceed error
     for ensemble in (EnsembleKind.BURES, EnsembleKind.BKM):
-        r0 = _quad_q(ensemble, REGULAR_QUTRIT, 0.0)
-        r1 = _quad_q(ensemble, REGULAR_QUTRIT, ZETA_MAX)
+        r0 = indicator(ensemble, REGULAR_QUTRIT, Method.QUADRATURE, 0.0)
+        r1 = indicator(ensemble, REGULAR_QUTRIT, Method.QUADRATURE, ZETA_MAX)
         asym = r0.q - r1.q
         noise = 4.0 * (r0.error_estimate + r1.error_estimate)
         checks.append({
@@ -473,17 +438,17 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     # degenerate stratum: upper range, where the relation holds)
     violations_reg = 0
     for z in np.linspace(0.0, ZETA_MAX, 21):
-        q_hs = _closed_q(EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT, float(z))
-        q_b = _quad_q(EnsembleKind.BURES, REGULAR_QUTRIT, float(z)).q
-        q_k = _quad_q(EnsembleKind.BKM, REGULAR_QUTRIT, float(z)).q
+        q_hs = indicator(EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT, Method.CLOSED_FORM, float(z)).q
+        q_b = indicator(EnsembleKind.BURES, REGULAR_QUTRIT, Method.QUADRATURE, float(z)).q
+        q_k = indicator(EnsembleKind.BKM, REGULAR_QUTRIT, Method.QUADRATURE, float(z)).q
         if not q_hs > q_b > q_k:
             violations_reg += 1
     checks.append(_check("ensemble_ordering_regular[21pts]", 0, violations_reg, 0))
     violations_deg = 0
     for z in np.linspace(math.pi / 6.0, ZETA_MAX, 11):
-        q_hs = _closed_q(EnsembleKind.HILBERT_SCHMIDT, DEGENERATE_QUTRIT, float(z))
-        q_b = _quad_q(EnsembleKind.BURES, DEGENERATE_QUTRIT, float(z)).q
-        q_k = _quad_q(EnsembleKind.BKM, DEGENERATE_QUTRIT, float(z)).q
+        q_hs = indicator(EnsembleKind.HILBERT_SCHMIDT, DEGENERATE_QUTRIT, Method.CLOSED_FORM, float(z)).q
+        q_b = indicator(EnsembleKind.BURES, DEGENERATE_QUTRIT, Method.QUADRATURE, float(z)).q
+        q_k = indicator(EnsembleKind.BKM, DEGENERATE_QUTRIT, Method.QUADRATURE, float(z)).q
         if not q_hs > q_b > q_k:
             violations_deg += 1
     checks.append(_check("ensemble_ordering_degenerate[upper,11pts]", 0, violations_deg, 0))

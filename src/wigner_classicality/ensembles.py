@@ -18,14 +18,13 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .spectra import SQRT3, POLAR_RADIUS_MAX, DegeneracyType, OrderedSpectrum
+from .spectra import SQRT3, DegeneracyType
 
 #: Relative half-spread below which the BKM mean is evaluated by series.
 BKM_SERIES_CUTOFF = 1e-4
@@ -92,22 +91,6 @@ def mc_function(kind: EnsembleKind, x: float, y: float) -> float:
         m = 0.5 * (x + y)
         return (1.0 + d * d / 3.0 + d ** 4 / 5.0) / m
     return (math.log(x) - math.log(y)) / (x - y)
-
-
-@dataclass(frozen=True)
-class MorozovaChentsovFunction:
-    """Callable wrapper for the Morozova-Chentsov function of an ensemble."""
-
-    kind: EnsembleKind
-
-    def __call__(self, x: float, y: float) -> float:
-        return mc_function(self.kind, x, y)
-
-    @classmethod
-    def for_kind(cls, kind: EnsembleKind) -> "MorozovaChentsovFunction":
-        if kind is EnsembleKind.HILBERT_SCHMIDT:
-            raise ValueError("no Morozova-Chentsov function for the Hilbert-Schmidt ensemble")
-        return cls(kind)
 
 
 def log_joint_density(
@@ -239,6 +222,27 @@ def _density_pair_vec(kind: EnsembleKind, big, small, kk: int):
         return v * _mc_vec(kind, big, small, lb, ls) ** kk / np.sqrt(big * small)
 
 
+#: One-coordinate pieces, parametrised by their smallest distinct eigenvalue y:
+#: multiplicities -> (top of y, pair power k_i k_j, |dr/dy| of the polar radius).
+#: The qubit's Bloch radius is 1 - 2y; a degenerate qutrit edge has constant
+#: |dr/dy|, sqrt3/2 on the (2,1) edge and sqrt3 on the (1,2) edge.
+_LINES = {(1, 1): (0.5, 1, 2.0), (2, 1): (1.0 / 3.0, 2, SQRT3 / 2.0), (1, 2): (1.0 / 3.0, 2, SQRT3)}
+
+
+def _line_spectrum(mult: tuple[int, ...], y):
+    """Spectrum columns of a one-coordinate piece whose smallest distinct eigenvalue is y.
+
+    On the qubit the other eigenvalue is 1 - y; composition (2,1) of a
+    degenerate qutrit edge doubles the larger eigenvalue, (1,2) the smaller.
+    """
+    if mult == (1, 1):
+        return (1.0 - y, y)
+    if mult == (2, 1):
+        big = (1.0 - y) / 2.0
+        return (big, big, y)
+    return (1.0 - 2.0 * y, y, y)
+
+
 #: Power k in the flattening substitution small = u^k for rejection proposals.
 #: The inverse-sqrt edge singularity needs k=2; BKM's extra log factors need k=4.
 _SUB_POWER = {
@@ -287,46 +291,21 @@ def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
     return np.where(bad, 0.0, val), (r1 / total, r2 / total, r3 / total)
 
 
-def _regular_weight_qubit(kind: EnsembleKind, u):
-    """Rejection weight for the qubit, radius-measure density in u-space, and the spectra.
-
-    The smaller eigenvalue is u^k with k the flattening power; the Bloch
-    radius is then 1 - 2 u^k and the measure picks up 2 k u^(k-1).
-    """
-    k = _SUB_POWER[kind]
-    small = u ** k
-    big = 1.0 - small
-    bad = (small <= 0.0) | (small >= 0.5)
-    smalls = np.where(bad, 0.25, small)
-    bigs = np.where(bad, 0.75, big)
-    jac = 2.0 * k * u ** (k - 1) if k > 1 else np.ones_like(u) * 2.0
-    val = _density_pair_vec(kind, bigs, smalls, 1) * jac
-    return np.where(bad, 0.0, val), (big, small)
-
-
-def _edge_weight_qutrit(kind: EnsembleKind, comp: tuple[int, int], u):
-    """Rejection weight on a degenerate qutrit edge, radius measure, and the spectra.
+def _line_weight(kind: EnsembleKind, mult: tuple[int, ...], u):
+    """Rejection weight on the qubit or a degenerate qutrit edge, radius measure, and the spectra.
 
     The free coordinate is the smallest distinct eigenvalue y = u^k in
-    (0, 1/3); composition (2,1) doubles the larger eigenvalue, (1,2) the
-    smaller.  The radius measure contributes a constant edge factor
-    (sqrt3/2 or sqrt3) times the substitution jacobian.
+    (0, top) with k the flattening power; the radius measure contributes the
+    constant |dr/dy| of ``_LINES`` times the substitution jacobian k u^(k-1).
+    Masked proposals get weight 0, so they are never accepted.
     """
+    top, kk, drdy = _LINES[mult]
     k = _SUB_POWER[kind]
     y = u ** k
-    if comp == (2, 1):
-        big = (1.0 - y) / 2.0
-        edge_factor = SQRT3 / 2.0
-        spectra = (big, big, y)
-    else:
-        big = 1.0 - 2.0 * y
-        edge_factor = SQRT3
-        spectra = (big, y, y)
-    bad = (y <= 0.0) | (y >= 1.0 / 3.0)
-    ys = np.where(bad, 0.2, y)
-    bigs = np.where(bad, 0.4, big)
-    jac = k * u ** (k - 1) if k > 1 else np.ones_like(u)
-    val = _density_pair_vec(kind, bigs, ys, 2) * edge_factor * jac
+    bad = (y <= 0.0) | (y >= top)
+    spectra = _line_spectrum(mult, np.where(bad, top / 2.0, y))
+    jac = k * u ** (k - 1) if k > 1 else 1.0
+    val = _density_pair_vec(kind, spectra[0], spectra[-1], kk) * drdy * jac
     return np.where(bad, 0.0, val), spectra
 
 
@@ -334,17 +313,14 @@ def _proposal_box(kind: EnsembleKind, mult: tuple[int, ...]) -> tuple[tuple[floa
     """Proposal box of a rejection route: (t, phi) on the regular qutrit, u elsewhere."""
     if mult == (1, 1, 1):
         return ((0.0, 1.0), (0.0, math.pi))
-    top = 0.5 if mult == (1, 1) else 1.0 / 3.0
-    return ((0.0, top ** (1.0 / _SUB_POWER[kind])),)
+    return ((0.0, _LINES[mult][0] ** (1.0 / _SUB_POWER[kind])),)
 
 
 def _proposal_weight(kind: EnsembleKind, mult: tuple[int, ...], coords):
     """Rejection weight at proposal coordinates, and the spectrum columns they map to."""
     if mult == (1, 1, 1):
         return _regular_weight_qutrit(kind, *coords)
-    if mult == (1, 1):
-        return _regular_weight_qubit(kind, *coords)
-    return _edge_weight_qutrit(kind, mult, *coords)
+    return _line_weight(kind, mult, *coords)
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +351,7 @@ class SpectrumSampler:
     One instance owns one random generator; create one instance per worker,
     with per-worker seeds derived by ``worker_seed``.  Every non-point
     degeneracy is sampled by rejection from a piecewise-constant envelope
-    (``method="auto"`` or ``"rejection"``): the proposal box, (t, phi) on the
+    (``method="auto"``): the proposal box, (t, phi) on the
     regular qutrit and the flattened small eigenvalue u elsewhere, is split
     into equal cells (32 x 32, or 256), each bounded by 5 percent over the
     weight maximum on a sub-grid of the cell.  A proposal picks a cell in
@@ -402,7 +378,7 @@ class SpectrumSampler:
     ) -> None:
         if deg.n not in (2, 3):
             raise ValueError(f"samplers support N in {{2, 3}}, got N={deg.n}")
-        if method not in ("auto", "construction", "rejection"):
+        if method not in ("auto", "construction"):
             raise ValueError(f"unknown sampler method {method!r}")
         self.kind = kind
         self.deg = deg
@@ -446,9 +422,6 @@ class SpectrumSampler:
             out[done : done + m] = self._sample_block(m)
             done += m
         return out
-
-    def sample_one(self) -> OrderedSpectrum:
-        return OrderedSpectrum(tuple(self.sample(1)[0]))
 
     # -- internals ---------------------------------------------------------
 
@@ -526,12 +499,3 @@ class SpectrumSampler:
         self._accepted += int(np.count_nonzero(keep))
         return np.column_stack([c[keep] for c in spectra])
 
-
-def sample_spectrum(
-    kind: EnsembleKind,
-    deg: DegeneracyType,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> OrderedSpectrum:
-    """Draw a single spectrum; see ``SpectrumSampler`` for batches."""
-    return SpectrumSampler(kind, deg, seed=seed, rng=rng).sample_one()

@@ -33,10 +33,12 @@ from .wigner import (
     sw_spectrum_qutrit,
 )
 from .ensembles import (
+    _LINES,
     EnsembleKind,
     SpectrumSampler,
     _density3_vec,
     _density_pair_vec,
+    _line_spectrum,
     worker_seed,
 )
 
@@ -386,24 +388,22 @@ def _regular_pieces(kind: EnsembleKind, zeta: float | None):
             ("regular numerator cut", _regular_piece(kind, rstar, rmax, cut), 2))
 
 
-_EDGE_RADIUS_FACTOR = {(2, 1): SQRT3 / 2.0, (1, 2): SQRT3}
+def _line_piece(kind: EnsembleKind, mult: tuple[int, int], y_low: float):
+    """Integrand over the smallest distinct eigenvalue y in [y_low, top] of a line piece.
 
-
-def _edge_piece(kind: EnsembleKind, comp: tuple[int, int], y_low: float):
-    """Edge integrand over the lone eigenvalue y in [y_low, 1/3].
-
-    The smallest distinct eigenvalue y is descending in the polar radius, and
-    classical regions have y above a cutoff, so numerators and full-edge
-    denominators (y_low = 0, where y = u/3 is exact) share this integrand.
-    The radius measure contributes the constant edge factor |dr/dy|.
+    The pieces are the qubit and the two degenerate qutrit edges, with the
+    geometry of ``ensembles._LINES``.  y is descending in the polar radius,
+    and classical regions have y above a cutoff, so numerators and
+    denominators (y_low = 0, where y = top u keeps its relative accuracy)
+    share this integrand.  The radius measure contributes the constant |dr/dy|.
     """
-    span = 1.0 / 3.0 - y_low
-    scale = _EDGE_RADIUS_FACTOR[comp] * span
+    top, kk, drdy = _LINES[mult]
+    span = top - y_low
+    scale = drdy * span
 
     def f(u, v):
         y = y_low + span * u
-        big = (1.0 - y) / 2.0 if comp == (2, 1) else 1.0 - 2.0 * y
-        return _density_pair_vec(kind, big, y, 2) * scale
+        return _density_pair_vec(kind, _line_spectrum(mult, y)[0], y, kk) * scale
     return f
 
 
@@ -430,26 +430,15 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
 def _edge_pieces(kind: EnsembleKind, zeta: float | None):
     role = "denominator" if zeta is None else "numerator"
     return tuple((f"edge ({comp[0]},{comp[1]}) {role}",
-                  _edge_piece(kind, comp, 0.0 if zeta is None else _edge_classical_cutoff(comp, zeta)), 1)
+                  _line_piece(kind, comp, 0.0 if zeta is None else _edge_classical_cutoff(comp, zeta)), 1)
                  for comp in _EDGE_COMPOSITIONS)
-
-
-def _qubit_piece(kind: EnsembleKind, upper: float):
-    """Qubit integrand over the Bloch radius r in [0, upper].
-
-    The small eigenvalue (1 - r)/2 is exact where it vanishes (r = upper = 1).
-    """
-    def f(u, v):
-        small = (1.0 - upper) / 2.0 + upper * v / 2.0
-        return _density_pair_vec(kind, 1.0 - small, small, 1) * upper
-    return f
 
 
 @lru_cache(maxsize=None)
 def _denominator(kind: EnsembleKind, skind: str, tol: float) -> tuple[tuple[float, float], ...]:
     """Per-piece (value, error) of a stratum's full integral; no kernel dependence."""
     if skind == "qubit":
-        pieces = (("qubit denominator", _qubit_piece(kind, 1.0), 1),)
+        pieces = (("qubit denominator", _line_piece(kind, (1, 1), 0.0), 1),)
     elif skind == "regular":
         pieces = _regular_pieces(kind, None)
     else:
@@ -479,7 +468,8 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
         return IndicatorResult(q=1.0, method=Method.QUADRATURE, error_estimate=0.0, request=request)
     if request.stratum.n == 2:
         skind = "qubit"
-        numerator = (("qubit numerator", _qubit_piece(kind, 1.0 / SQRT3), 1),)
+        # classical where the Bloch radius is at most 1/sqrt3
+        numerator = (("qubit numerator", _line_piece(kind, (1, 1), (1.0 - 1.0 / SQRT3) / 2.0), 1),)
     elif skind == "regular":
         numerator = _regular_pieces(kind, request.zeta)
     else:
@@ -558,7 +548,8 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     The sample budget is split into ``workers`` chunks with seeds derived by
     ``worker_seed``; chunk hit counts are integers, so the total is
     deterministic for a fixed (seed, workers) pair regardless of execution
-    order.  At most ``os.cpu_count()`` threads run the chunks.  The error
+    order.  Only the nonempty chunks, at most ``samples`` of them, are
+    seeded, and at most ``os.cpu_count()`` threads run them.  The error
     estimate is the binomial standard error ``sqrt(q (1 - q) / n)``; when no
     classical state is seen the estimate falls back to the one-sided 95
     percent bound 3/n (rule of three).
@@ -569,14 +560,13 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     request.validate()
     if request.method is not Method.MONTE_CARLO:
         raise UnsupportedRequestError("q_monte_carlo requires a Monte Carlo request")
-    n = int(request.samples)
-    workers = int(request.workers)
-    base = n // workers
-    sizes = [base + (1 if i < n % workers else 0) for i in range(workers)]
-    seeds = [worker_seed(request.seed, i) for i in range(workers)]
-    tasks = [(sz, sd) for sz, sd in zip(sizes, seeds) if sz > 0]
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    n, workers = int(request.samples), int(request.workers)
+    base, extra = divmod(n, workers)
+    # chunks from index n on would be empty, so none of them is seeded or run
+    tasks = [(base + (1 if i < extra else 0), worker_seed(request.seed, i))
+             for i in range(min(workers, n))]
+    if len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
             hit_counts = list(pool.map(lambda t: _mc_chunk_hits(request, t[0], t[1]), tasks))
     else:
         hit_counts = [_mc_chunk_hits(request, sz, sd) for sz, sd in tasks]
@@ -604,21 +594,20 @@ def compute_indicator(request: IndicatorRequest) -> IndicatorResult:
     return q_monte_carlo(request)
 
 
-def _evaluator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
-               tolerance: float | None, samples: int | None, seed: int | None,
-               workers: int = 1):
-    def q_of(zeta: float) -> float:
-        req = IndicatorRequest(
-            ensemble=ensemble, stratum=stratum, method=method,
-            zeta=zeta if stratum.n == 3 else None,
-            tolerance=tolerance,
-            samples=samples if method is Method.MONTE_CARLO else None,
-            seed=seed if method is Method.MONTE_CARLO else None,
-            workers=workers,
-        )
-        return compute_indicator(req).q
+def indicator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
+              zeta: float | None = None, *, tolerance: float | None = None,
+              samples: int | None = None, seed: int | None = None,
+              workers: int = 1) -> IndicatorResult:
+    """Indicator of one (ensemble, stratum, zeta) cell by ``method``.
 
-    return q_of
+    ``samples`` and ``seed`` are kept only for Monte Carlo, so one set of
+    options serves every method.
+    """
+    mc = method is Method.MONTE_CARLO
+    return compute_indicator(IndicatorRequest(
+        ensemble=ensemble, stratum=stratum, method=method, zeta=zeta, tolerance=tolerance,
+        samples=samples if mc else None, seed=seed if mc else None, workers=workers,
+    ))
 
 
 def minimize_q_over_zeta(
@@ -639,7 +628,11 @@ def minimize_q_over_zeta(
     """
     if stratum.n != 3:
         raise UnsupportedRequestError("moduli minimization applies to qutrit strata")
-    q_of = _evaluator(ensemble, stratum, method, tolerance, samples, seed)
+
+    def q_of(zeta: float) -> float:
+        return indicator(ensemble, stratum, method, zeta, tolerance=tolerance,
+                         samples=samples, seed=seed).q
+
     grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
     values = [q_of(z) for z in grid]
     i = int(np.argmin(values))
@@ -676,8 +669,9 @@ def asymmetry(
     """
     if stratum.n != 3:
         raise UnsupportedRequestError("asymmetry applies to qutrit strata")
-    q_of = _evaluator(ensemble, stratum, method, tolerance, samples, seed)
-    return q_of(0.0) - q_of(ZETA_MAX)
+    q0, q1 = (indicator(ensemble, stratum, method, z, tolerance=tolerance,
+                        samples=samples, seed=seed).q for z in (0.0, ZETA_MAX))
+    return q0 - q1
 
 
 def ratio_degenerate_to_regular(
@@ -687,14 +681,16 @@ def ratio_degenerate_to_regular(
     tolerance: float | None = None,
     samples: int | None = None,
     seed: int | None = None,
+    workers: int = 1,
 ) -> float:
     """Ratio of the degenerate-stratum indicator to the regular one.
 
     Values above 1 mean degenerate (more symmetric) states are more likely
     classical than regular ones at the same kernel angle.
     """
-    q_deg = _evaluator(ensemble, DEGENERATE_QUTRIT, method, tolerance, samples, seed)(zeta)
-    q_reg = _evaluator(ensemble, REGULAR_QUTRIT, method, tolerance, samples, seed)(zeta)
+    q_deg, q_reg = (indicator(ensemble, stratum, method, zeta, tolerance=tolerance,
+                              samples=samples, seed=seed, workers=workers).q
+                    for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
     if q_reg < 1e-300:
         raise OverflowError(f"regular indicator too small to divide by: {q_reg!r}")
     return q_deg / q_reg

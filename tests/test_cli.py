@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wigner_classicality import cli
+from wigner_classicality.indicators import DEGENERATE_QUTRIT, REGULAR_QUTRIT, Method, indicator
 
 
 def read_csv(path):
@@ -114,6 +115,43 @@ class TestRatio:
         ratios = [float(r[1]) for r in rows]
         assert ratios[0] == pytest.approx(8.0, rel=1e-10)
         assert min(ratios) >= 1.0
+
+    def test_mc_ratio_uses_workers(self, tmp_path):
+        out = tmp_path / "r"
+        rc = cli.main(["ratio", "--ensemble", "hs", "--method", "mc", "--samples", "20000",
+                       "--seed", "5", "--workers", "2", "--zeta-grid", "0:1:2", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out.with_suffix(".csv"))
+        assert len(rows) == 2
+        for row in rows:
+            q_deg, q_reg = (indicator(cli.EnsembleKind.HILBERT_SCHMIDT, stratum, Method.MONTE_CARLO,
+                                      float(row[0]), samples=20000, seed=5, workers=2).q
+                            for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
+            assert float(row[1]) == q_deg / q_reg
+
+
+class TestFormat:
+    @pytest.mark.parametrize("command", ["qubit", "table1", "sample", "verify"])
+    def test_rejected_without_a_plot(self, tmp_path, command):
+        assert cli.main([command, "--format", "svg", "--out", str(tmp_path / "x")]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ratio_svg_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = cli.main(["ratio", "--method", "closed", "--zeta-grid", "0:1:3",
+                       "--format", "svg", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["r.svg"]
+
+    def test_zero_mc_value_plots_on_linear_axis(self, tmp_path):
+        out = tmp_path / "c"
+        rc = cli.main(["curve", "--ensemble", "bkm", "--method", "mc", "--samples", "1000",
+                       "--format", "both", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out.with_suffix(".csv"))
+        assert min(float(row[1]) for row in rows) == 0.0
+        assert "polyline" in out.with_suffix(".svg").read_text()
 
 
 class TestTable1:
@@ -254,7 +292,5 @@ class TestComputationErrors:
             raise indicators.ConvergenceError("forced")
 
         monkeypatch.setattr(indicators, "q_quadrature", boom)
-        monkeypatch.setattr(cli, "compute_indicator", lambda req: (_ for _ in ()).throw(
-            indicators.ConvergenceError("forced")))
         rc = cli.main(["curve", "--method", "quad", "--zeta-grid", "0:1:3"])
         assert rc == 3

@@ -16,13 +16,11 @@ from scipy.stats import chisquare, ks_2samp
 from wigner_classicality.spectra import SQRT3, DegeneracyType
 from wigner_classicality.ensembles import (
     EnsembleKind,
-    MorozovaChentsovFunction,
     SamplerFailureError,
     SpectrumSampler,
     joint_density,
     log_joint_density,
     mc_function,
-    sample_spectrum,
     worker_seed,
     _density3_vec,
     _density_pair_vec,
@@ -71,12 +69,6 @@ class TestMorozovaChentsov:
             mc_function(EnsembleKind.BKM, 0.5, 0.0)
         with pytest.raises(ValueError):
             mc_function(EnsembleKind.HILBERT_SCHMIDT, 0.5, 0.5)
-
-    def test_wrapper(self):
-        c = MorozovaChentsovFunction.for_kind(EnsembleKind.BURES)
-        assert c(0.5, 0.25) == pytest.approx(8.0 / 3.0, rel=1e-15)
-        with pytest.raises(ValueError):
-            MorozovaChentsovFunction.for_kind(EnsembleKind.HILBERT_SCHMIDT)
 
 
 class TestJointDensity:
@@ -167,10 +159,6 @@ class TestSeeding:
             a = SpectrumSampler(kind, DegeneracyType((1, 1, 1)), seed=42).sample(500)
             b = SpectrumSampler(kind, DegeneracyType((1, 1, 1)), seed=42).sample(500)
             assert np.array_equal(a, b)
-
-    def test_sample_spectrum_single(self):
-        s = sample_spectrum(EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=7)
-        assert s.n == 3
 
 
 class TestSamplerStructure:
@@ -411,7 +399,7 @@ class TestConstructionVersusRejection:
             EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=31, method="construction"
         ).sample(n)
         b = SpectrumSampler(
-            EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=32, method="rejection"
+            EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=32
         ).sample(n)
         assert ks_2samp(a[:, 0], b[:, 0]).pvalue >= ALPHA
 
@@ -421,7 +409,7 @@ class TestConstructionVersusRejection:
             EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=33, method="construction"
         ).sample(n)
         b = SpectrumSampler(
-            EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=34, method="rejection"
+            EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=34
         ).sample(n)
         assert ks_2samp(a[:, 0], b[:, 0]).pvalue >= ALPHA
 

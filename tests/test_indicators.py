@@ -323,7 +323,9 @@ class TestMonteCarlo:
         sigma = math.sqrt(ref * (1 - ref) / 200_000)
         assert abs(res.q - ref) <= 4.0 * sigma
 
-    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """Run chunks serially as if on 2 cores; returns the requested pool sizes."""
         pools = []
 
         class SerialPool:
@@ -341,12 +343,31 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(ind, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(ind.os, "cpu_count", lambda: 2)
+        return pools
+
+    def test_thread_pool_capped_at_cpu_count(self, serial_pool):
         req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, 640, 9, workers=64)
         res = q_monte_carlo(req)
-        assert pools == [2]
+        assert serial_pool == [2]
         # chunks and their seeds still follow the requested worker count
         hits = sum(ind._mc_chunk_hits(req, 10, worker_seed(9, i)) for i in range(64))
         assert res.q == hits / 640
+
+    def test_empty_chunks_are_not_seeded(self, monkeypatch, serial_pool):
+        seeded = []
+
+        def counting_seed(master, index):
+            seeded.append(index)
+            return worker_seed(master, index)
+
+        monkeypatch.setattr(ind, "worker_seed", counting_seed)
+        huge = q_monte_carlo(self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None,
+                                             10, 9, workers=10 ** 6))
+        assert seeded == list(range(10))
+        assert serial_pool == [2]
+        ten = q_monte_carlo(self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None,
+                                            10, 9, workers=10))
+        assert huge.q == ten.q
 
     @pytest.mark.parametrize("ensemble,route", [
         (EnsembleKind.BKM, "reject_qubit"),

@@ -3,9 +3,7 @@
 Shows the samplers' rejection routes (a per-cell envelope table over the
 proposal box, with the acceptance rate each reaches), the degeneracy
 structure of the edge strata, and the classical fraction at the symmetric
-kernel angle zeta = pi/6.  The matrix-model constructions (Ginibre for
-Hilbert-Schmidt, (I+U)G for Bures) stay available with
-``method="construction"``.
+kernel angle zeta = pi/6.
 """
 
 import math

@@ -19,6 +19,7 @@ header line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -128,37 +129,54 @@ def _parse_zeta_grid(text: str) -> tuple[float, float, int]:
     return max(a, 0.0), min(b, ZETA_MAX), n
 
 
+#: Each option's argparse settings.
+_OPTIONS = {
+    "--ensemble": dict(choices=_ENSEMBLE_CHOICES, default="hs"),
+    "--stratum": dict(choices=_STRATUM_CHOICES, default="regular"),
+    "--zeta-grid": dict(default=f"0:{ZETA_MAX!r}:61", metavar="A:B:N"),
+    "--method": dict(choices=[m.value for m in Method]),
+    "--tol": dict(type=float, default=None, help="quadrature/comparison tolerance"),
+    "--samples": dict(type=int, default=1_000_000),
+    "--seed": dict(type=int, default=1234),
+    "--workers": dict(type=int, default=1),
+    "--out": dict(default=None, metavar="PATH"),
+    "--format": dict(dest="fmt", choices=("csv", "svg", "both"), default="csv"),
+    "--n": dict(type=int, choices=(2, 3), default=3, help="Hilbert-space dimension"),
+}
+
+#: Options of the commands that compute indicator cells by any method.
+_CELL_OPTIONS = ("--ensemble", "--method", "--tol", "--samples", "--seed", "--workers", "--out")
+
+#: Subcommand -> (help, default method, the options it reads).  An option a
+#: command does not read is rejected, and its value is recorded at its default.
+_COMMANDS = {
+    "curve": ("indicator versus the moduli angle", "closed",
+              _CELL_OPTIONS + ("--stratum", "--zeta-grid", "--format")),
+    "table1": ("minima, minimizers and asymmetries for all ensembles", "quad", ("--tol", "--out")),
+    "qubit": ("the three qubit indicators", "closed", _CELL_OPTIONS),
+    "ratio": ("degenerate-to-regular indicator ratio", "closed",
+              _CELL_OPTIONS + ("--zeta-grid", "--format")),
+    "sample": ("draw eigenvalue spectra", "mc",
+               ("--ensemble", "--stratum", "--samples", "--seed", "--out", "--n")),
+    "verify": ("cross-method consistency suite", "quad",
+               ("--tol", "--samples", "--seed", "--workers", "--out")),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog=TOOL, description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: _Parser, *, method_default: str = "closed") -> None:
-        p.add_argument("--ensemble", choices=_ENSEMBLE_CHOICES, default="hs")
-        p.add_argument("--stratum", choices=_STRATUM_CHOICES, default="regular")
-        p.add_argument("--zeta-grid", default=f"0:{ZETA_MAX!r}:61", metavar="A:B:N")
-        p.add_argument("--method", choices=[m.value for m in Method], default=method_default)
-        p.add_argument("--tol", type=float, default=None, help="quadrature/comparison tolerance")
-        p.add_argument("--samples", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=1234)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out", default=None, metavar="PATH")
-
-    for name, help_text, default_method in (
-        ("curve", "indicator versus the moduli angle", "closed"),
-        ("table1", "minima, minimizers and asymmetries for all ensembles", "quad"),
-        ("qubit", "the three qubit indicators", "closed"),
-        ("ratio", "degenerate-to-regular indicator ratio", "closed"),
-        ("sample", "draw eigenvalue spectra", "mc"),
-        ("verify", "cross-method consistency suite", "quad"),
-    ):
+    for name, (help_text, method, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        common(p, method_default=default_method)
-        if name in ("curve", "ratio"):
-            p.add_argument("--format", dest="fmt", choices=("csv", "svg", "both"), default="csv")
-        if name == "sample":
-            p.add_argument("--n", type=int, choices=(2, 3), default=3, help="Hilbert-space dimension")
-
+        for flag, spec in _OPTIONS.items():
+            spec = dict(spec, default=method) if flag == "--method" else spec
+            if name == "sample" and flag == "--ensemble":
+                spec = dict(spec, choices=_ENSEMBLE_CHOICES[:-1])  # one ensemble per draw
+            if flag in flags:
+                p.add_argument(flag, **spec)
+            else:
+                p.set_defaults(**{spec.get("dest", flag[2:].replace("-", "_")): spec["default"]})
     return parser
 
 
@@ -187,8 +205,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         workers=args.workers,
         out=args.out,
-        fmt=getattr(args, "fmt", "csv"),
-        dimension=getattr(args, "n", 3),
+        fmt=args.fmt,
+        dimension=args.n,
     )
 
 
@@ -212,11 +230,18 @@ def _out_paths(cfg: RunConfig) -> tuple[str | None, str | None]:
     return (base + ".csv" if want_csv else None, base + ".svg" if want_svg else None)
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at ``path`` opened for writing, or standard output."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _output(path) as fh:
         fh.write(text)
 
 
@@ -344,10 +369,11 @@ def _run_sample(cfg: RunConfig) -> int:
     else:
         raise _CliError("degenerate-stratum sampling is defined for the qutrit")
     rng = np.random.default_rng(cfg.seed)
-    eigs = np.concatenate(list(stratum_spectra(cfg.ensembles[0], stratum, cfg.samples, rng)))
-    header = [f"r{i + 1}" for i in range(n_dim)]
-    rows = [[_num(v) for v in row] for row in eigs]
-    _write_text(csv_path, _csv_text(cfg, header, rows))
+    with _output(csv_path) as fh:
+        fh.write(_csv_text(cfg, [f"r{i + 1}" for i in range(n_dim)], []))
+        # one block's rows at a time, so memory does not grow with --samples
+        for block in stratum_spectra(cfg.ensembles[0], stratum, cfg.samples, rng):
+            fh.write("".join(",".join(map(_num, row)) + "\n" for row in block))
     return EXIT_OK
 
 

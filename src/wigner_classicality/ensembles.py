@@ -5,9 +5,7 @@ ensembles (Bures and Bogoliubov-Kubo-Mori).  For each degeneracy type the
 module provides the unnormalized joint density of the distinct eigenvalues
 on the constraint surface ``sum k_i r_i = 1``, and a seeded sampler whose
 output follows that density: vectorized rejection sampling from a per-cell
-envelope table on every stratum, with the matrix-model constructions
-(trace-normalized Ginibre for Hilbert-Schmidt, the (I+U) G construction for
-Bures) kept as an explicitly selected alternative.
+envelope table on every stratum.
 
 Every density is a proportionality only.  Classicality indicators are ratios
 of integrals of one fixed density, so normalization constants cancel; when a
@@ -265,16 +263,18 @@ _REJECTION_ROUTES = {(1, 1, 1): "reject_regular3", (1, 1): "reject_qubit",
                      (2, 1): "reject_edge", (1, 2): "reject_edge"}
 
 
-def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
-    """Rejection weight for the regular qutrit stratum, and the spectra.
+def _regular_chart(t, phi):
+    """Spectrum columns and area element of the regular qutrit stratum in (t, phi).
 
-    Proposals lie in (t, phi) on [0,1] x [0,pi] with the radius substitution
-    r = R(phi) (1 - t^4) of the polar chart; on that ray the smallest
-    eigenvalue is exactly t^4/3, which keeps the weight bounded for all
-    three ensembles and avoids the cancellation of evaluating r3 near the
-    boundary.  With s = 1 - t^4 and q = tan(phi/3)/sqrt3 in [0, 1] the two
-    larger eigenvalues are 1/3 + s/6 +- s q/2, and the area element
-    r dr dphi is (1 + 3 q^2) s t^3 / 3 dt dphi.
+    The chart covers [0,1] x [0,pi] with the radius substitution
+    r = R(phi) (1 - t^4) of the polar chart, R the trisectrix boundary; on
+    that ray the smallest eigenvalue is exactly t^4/3, which keeps the
+    weight bounded for all three ensembles and avoids the cancellation of
+    evaluating r3 near the boundary.  With s = 1 - t^4 and
+    q = tan(phi/3)/sqrt3 in [0, 1] the two larger eigenvalues are
+    1/3 + s/6 +- s q/2, and the area element r dr dphi is
+    (1 + 3 q^2) s t^3 / 3 dt dphi.  Quadrature and the rejection sampler
+    share this chart.
     """
     q = np.tan(phi / 3.0) / SQRT3
     t3 = t * t * t
@@ -282,11 +282,21 @@ def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
     s = 1.0 - 3.0 * r3
     r1 = 1.0 / 3.0 + s / 6.0 + s * q / 2.0
     r2 = 1.0 / 3.0 + s / 6.0 - s * q / 2.0
+    return (r1, r2, r3), (1.0 + 3.0 * q * q) * s * t3 / 3.0
+
+
+def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
+    """Rejection weight for the regular qutrit stratum in the chart ``_regular_chart``, and the spectra.
+
+    Proposals off the open ordered simplex get weight 0; the spectra are
+    renormalised to sum to one.
+    """
+    (r1, r2, r3), area = _regular_chart(t, phi)
     bad = (r1 <= r2) | (r2 <= r3) | (t <= 0.0)
     r1s = np.where(bad, 0.5, r1)
     r2s = np.where(bad, 0.3, r2)
     r3s = np.where(bad, 0.2, r3)
-    val = _density3_vec(kind, r1s, r2s, r3s) * (1.0 + 3.0 * q * q) * s * t3 / 3.0
+    val = _density3_vec(kind, r1s, r2s, r3s) * area
     total = r1 + r2 + r3
     return np.where(bad, 0.0, val), (r1 / total, r2 / total, r3 / total)
 
@@ -350,17 +360,14 @@ class SpectrumSampler:
 
     One instance owns one random generator; create one instance per worker,
     with per-worker seeds derived by ``worker_seed``.  Every non-point
-    degeneracy is sampled by rejection from a piecewise-constant envelope
-    (``method="auto"``): the proposal box, (t, phi) on the
-    regular qutrit and the flattened small eigenvalue u elsewhere, is split
-    into equal cells (32 x 32, or 256), each bounded by 5 percent over the
-    weight maximum on a sub-grid of the cell.  A proposal picks a cell in
+    degeneracy is sampled by rejection from a piecewise-constant envelope:
+    the proposal box, (t, phi) on the regular qutrit and the flattened small
+    eigenvalue u elsewhere, is split into equal cells (32 x 32, or 256),
+    each bounded by 5 percent over the weight maximum on a sub-grid of the
+    cell.  A proposal picks a cell in
     proportion to its bound, a point uniformly inside it, and is accepted
     with probability weight / bound.  The table is built once per
-    (ensemble, degeneracy) on first use.  ``method="construction"`` selects
-    the matrix models instead (trace-normalized Ginibre for Hilbert-Schmidt,
-    the (I+U) G model for Bures, simple spectra only), which the tests keep
-    as independent oracles for the rejection route.
+    (ensemble, degeneracy) on first use.
 
     A proposal weight above its cell's bound, or an acceptance rate below
     ``MIN_ACCEPTANCE``, aborts with ``SamplerFailureError``.
@@ -374,12 +381,9 @@ class SpectrumSampler:
         deg: DegeneracyType,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
-        method: str = "auto",
     ) -> None:
         if deg.n not in (2, 3):
             raise ValueError(f"samplers support N in {{2, 3}}, got N={deg.n}")
-        if method not in ("auto", "construction"):
-            raise ValueError(f"unknown sampler method {method!r}")
         self.kind = kind
         self.deg = deg
         self.rng = rng if rng is not None else np.random.default_rng(seed)
@@ -387,15 +391,9 @@ class SpectrumSampler:
         self._accepted = 0
 
         mult = deg.multiplicities
-        if method == "construction" and not (
-            deg.is_regular and kind in (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES)
-        ):
-            raise ValueError(f"no matrix-model construction for ({kind.label}, {mult})")
         self._envelope: np.ndarray | None = None
         if len(mult) == 1:
             self._route = "point"
-        elif method == "construction":
-            self._route = "construction"
         elif mult in _REJECTION_ROUTES:
             self._route = _REJECTION_ROUTES[mult]
             self._box = _proposal_box(kind, mult)
@@ -405,7 +403,7 @@ class SpectrumSampler:
 
     @property
     def acceptance_rate(self) -> float:
-        """Observed rejection-sampling acceptance rate so far (1.0 for constructions)."""
+        """Observed rejection-sampling acceptance rate so far (1.0 before any proposal)."""
         if self._proposed == 0:
             return 1.0
         return self._accepted / self._proposed
@@ -429,32 +427,7 @@ class SpectrumSampler:
         if self._route == "point":
             N = self.deg.n
             return np.full((m, N), 1.0 / N)
-        if self._route == "construction":
-            if self.kind is EnsembleKind.HILBERT_SCHMIDT:
-                return self._ginibre_block(m)
-            return self._bures_block(m)
         return self._reject_block(m)
-
-    def _ginibre_block(self, m: int) -> np.ndarray:
-        N = self.deg.n
-        G = self.rng.standard_normal((m, N, N)) + 1j * self.rng.standard_normal((m, N, N))
-        W = G @ np.conj(np.swapaxes(G, 1, 2))
-        ev = np.linalg.eigvalsh(W)
-        ev /= ev.sum(axis=1, keepdims=True)
-        return ev[:, ::-1]
-
-    def _bures_block(self, m: int) -> np.ndarray:
-        N = self.deg.n
-        G = self.rng.standard_normal((m, N, N)) + 1j * self.rng.standard_normal((m, N, N))
-        Z = (self.rng.standard_normal((m, N, N)) + 1j * self.rng.standard_normal((m, N, N))) / math.sqrt(2.0)
-        Q, R = np.linalg.qr(Z)
-        diag = np.einsum("nii->ni", R)
-        U = Q * (diag / np.abs(diag))[:, None, :]
-        A = (np.eye(N) + U) @ G
-        W = A @ np.conj(np.swapaxes(A, 1, 2))
-        ev = np.linalg.eigvalsh(W)
-        ev /= ev.sum(axis=1, keepdims=True)
-        return ev[:, ::-1]
 
     def _reject_block(self, m: int) -> np.ndarray:
         """Exactly m accepted spectra, in proposal batches sized from the running acceptance."""

@@ -39,6 +39,7 @@ from .ensembles import (
     _density3_vec,
     _density_pair_vec,
     _line_spectrum,
+    _regular_chart,
     worker_seed,
 )
 
@@ -333,59 +334,39 @@ def _integrate(pieces, tol: float) -> list[tuple[float, float]]:
     return out
 
 
-def _regular_piece(kind: EnsembleKind, a: float, b: float, bounds):
-    """Regular-qutrit integrand over ``a <= r1 <= b``, r3 <= r2 <= top(r1).
+def _regular_piece(kind: EnsembleKind, zeta: float | None):
+    """Regular-qutrit integrand in the chart ``ensembles._regular_chart``.
 
-    ``bounds(r1, e1, d1)``, with ``e1 = r1 - a`` and ``d1 = b - r1`` taken
-    from the rule's exact distances, gives ``(top, gap)``: the upper limit of
-    r2 and the value of r3 there.  The r2 interval then has length
-    ``(top - gap) / 2``, and r3 = gap + length * v2 keeps its relative
-    accuracy on the face r3 = 0 and at the corner (1/2, 1/2, 0).
+    phi = pi u1, and t runs from the classical cutoff ``t_c(phi, zeta)`` to 1
+    for a numerator, from 0 for the denominator (zeta None).  The two
+    integrals share the chart, so its area element cancels in the ratio.
     """
     def f(u1, v1, u2, v2):
-        e1, d1 = (b - a) * u1, (b - a) * v1
-        r1 = a + e1
-        top, gap = bounds(r1, e1, d1)
-        width = (top - gap) / 2.0
-        return _density3_vec(kind, r1, top - width * v2, gap + width * v2) * (width * (b - a))
+        phi = math.pi * u1
+        t_c = 0.0 if zeta is None else _regular_classical_cutoff(phi, zeta)
+        span = 1.0 - t_c
+        spectra, area = _regular_chart(t_c + span * u2, phi)
+        return _density3_vec(kind, *spectra) * (area * (math.pi * span))
     return f
 
 
-def _strip(b: float):
-    """Bounds of the full strip r2 <= r1 for r1 <= b <= 1/2: r3 = 1 - 2 r1 on top."""
-    edge = max(1.0 - 2.0 * b, 0.0)
-    return lambda r1, e1, d1: (r1, edge + 2.0 * d1)
+def _regular_classical_cutoff(phi, zeta: float):
+    """Smallest classical t at angle phi of the regular chart.
 
-
-def _regular_pieces(kind: EnsembleKind, zeta: float | None):
-    """Denominator pieces (zeta None) or classical-region pieces of the regular stratum.
-
-    In (r1, r2) coordinates the classical region is the half-plane
-    ``r1 pi3 + r2 pi2 + r3 pi1 >= 0`` intersected with the ordered simplex.
-    Its boundary line r2 = cut(r1) leaves the edge r2 = r1 at ``rstar`` and
-    meets the edge r2 = r3 at ``rmax``; r3 on it grows linearly from
-    1 - 2 rstar.  For a degenerate kernel (pi1 = pi2, zeta = 0) the cut is
-    the vertical line r1 = pi1/(pi1-pi3).
+    The cone ``4 sqrt3 r cos(phi/3 + zeta - pi/3) <= 1`` is r <= rho R(phi)
+    in the chart's r = R(phi) (1 - t^4), so t_c^4 = 1 - rho with
+    rho = cos(phi/3) / (2 cos(phi/3 + zeta - pi/3)).  1 - rho is written
+    without cancellation as
+    ``[cos(phi/3)(sqrt3 sin zeta - 2 sin^2(zeta/2)) + 2 sin(phi/3) sin(pi/3 - zeta)]
+    / (2 cos(phi/3 + zeta - pi/3))``: both terms are nonnegative on
+    [0, pi] x [0, pi/3], so rho <= 1, and t_c reaches 0 only at
+    phi = zeta = 0, an endpoint singularity that tanh-sinh absorbs.
     """
-    if zeta is None:
-        return (("regular denominator r1 < 1/2", _regular_piece(kind, 1.0 / 3.0, 0.5, _strip(0.5)), 2),
-                ("regular denominator r1 > 1/2",
-                 _regular_piece(kind, 0.5, 1.0, lambda r1, e1, d1: (d1, 0.0)), 2))
-    p1, p2, p3 = sw_spectrum_qutrit(zeta).values
-    if p1 - p2 < 1e-12:
-        r1_cut = p1 / (p1 - p3)
-        return (("regular numerator strip", _regular_piece(kind, 1.0 / 3.0, r1_cut, _strip(r1_cut)), 2),)
-    rstar = p1 / (3.0 * p1 - 1.0)
-    rmax = (1.0 - p3) / (1.0 - 3.0 * p3)
-    edge = max(1.0 - 2.0 * rstar, 0.0)
-    slope = (p2 - p3) / (p1 - p2)
-
-    def cut(r1, e1, d1):
-        gap = edge + e1 * slope
-        return 1.0 - r1 - gap, gap
-
-    return (("regular numerator strip", _regular_piece(kind, 1.0 / 3.0, rstar, _strip(rstar)), 2),
-            ("regular numerator cut", _regular_piece(kind, rstar, rmax, cut), 2))
+    a = phi / 3.0
+    half = math.sin(zeta / 2.0)
+    gap = (np.cos(a) * (SQRT3 * math.sin(zeta) - 2.0 * half * half)
+           + 2.0 * np.sin(a) * math.sin(math.pi / 3.0 - zeta))
+    return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + zeta - math.pi / 3.0))))
 
 
 def _line_piece(kind: EnsembleKind, mult: tuple[int, int], y_low: float):
@@ -440,7 +421,7 @@ def _denominator(kind: EnsembleKind, skind: str, tol: float) -> tuple[tuple[floa
     if skind == "qubit":
         pieces = (("qubit denominator", _line_piece(kind, (1, 1), 0.0), 1),)
     elif skind == "regular":
-        pieces = _regular_pieces(kind, None)
+        pieces = (("regular denominator", _regular_piece(kind, None), 2),)
     else:
         pieces = _edge_pieces(kind, None)
     return tuple(_integrate(pieces, tol))
@@ -471,7 +452,7 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
         # classical where the Bloch radius is at most 1/sqrt3
         numerator = (("qubit numerator", _line_piece(kind, (1, 1), (1.0 - 1.0 / SQRT3) / 2.0), 1),)
     elif skind == "regular":
-        numerator = _regular_pieces(kind, request.zeta)
+        numerator = (("regular numerator", _regular_piece(kind, request.zeta), 2),)
     else:
         numerator = _edge_pieces(kind, request.zeta)
     try:

@@ -1,14 +1,23 @@
 """Tests for the command-line interface: exit codes, file formats, determinism."""
 
+import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from wigner_classicality import cli
-from wigner_classicality.indicators import DEGENERATE_QUTRIT, REGULAR_QUTRIT, Method, indicator
+from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler
+from wigner_classicality.indicators import (
+    DEGENERATE_QUTRIT,
+    REGULAR_QUTRIT,
+    Method,
+    indicator,
+    stratum_spectra,
+)
 
 
 def read_csv(path):
@@ -136,6 +145,32 @@ class TestFormat:
         assert cli.main([command, "--format", "svg", "--out", str(tmp_path / "x")]) == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("table1", "--ensemble", "bures"), ("table1", "--stratum", "regular"),
+        ("table1", "--zeta-grid", "0:1:3"), ("table1", "--method", "mc"),
+        ("table1", "--samples", "10"), ("table1", "--seed", "1"), ("table1", "--workers", "1"),
+        ("qubit", "--stratum", "regular"), ("qubit", "--zeta-grid", "0:1:3"),
+        ("ratio", "--stratum", "regular"),
+        ("sample", "--zeta-grid", "0:1:3"), ("sample", "--method", "mc"),
+        ("sample", "--tol", "1e-6"), ("sample", "--workers", "2"),
+        ("verify", "--ensemble", "bures"), ("verify", "--stratum", "regular"),
+        ("verify", "--zeta-grid", "0:1:3"), ("verify", "--method", "quad"),
+    ])
+    def test_rejects_a_flag_the_command_ignores(self, tmp_path, command, flag, value):
+        assert cli.main([command, flag, value, "--out", str(tmp_path / "x")]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sample_draws_one_ensemble(self, tmp_path):
+        assert cli.main(["sample", "--ensemble", "all", "--out", str(tmp_path / "x")]) == 1
+
+    def test_dropped_flags_recorded_at_their_defaults(self, tmp_path):
+        out = tmp_path / "s"
+        assert cli.main(["sample", "--samples", "3", "--out", str(out)]) == 0
+        first = out.with_suffix(".csv").read_text().splitlines()[0]
+        assert first.endswith(
+            f"command=sample ensemble=hs stratum=regular zeta_grid=0:{math.pi / 3:.17g}:61 "
+            "method=mc tol=None samples=3 seed=1234 workers=1 format=csv")
+
     def test_ratio_svg_writes_no_csv(self, tmp_path, capsys):
         out = tmp_path / "r"
         rc = cli.main(["ratio", "--method", "closed", "--zeta-grid", "0:1:3",
@@ -206,6 +241,37 @@ class TestSample:
         doubled_bottom = np.isclose(eigs[:, 1], eigs[:, 2]).sum()
         assert doubled_top + doubled_bottom == 300
         assert doubled_top > 0 and doubled_bottom > 0
+
+    def test_writes_one_block_at_a_time(self, monkeypatch):
+        # with 16-row blocks, no more than one block's rows are ever formatted
+        # and unwritten, and the bytes equal the whole draw formatted at once
+        monkeypatch.setattr(SpectrumSampler, "_CHUNK", 16)
+        count = {"values": 0, "lines": 0, "pending": 0}
+        num = cli._num
+
+        def counting_num(x):
+            count["values"] += 1
+            count["pending"] = max(count["pending"], count["values"] // 3 - (count["lines"] - 2))
+            return num(x)
+
+        class Spy(io.StringIO):
+            def write(self, text):
+                count["lines"] += text.count("\n")
+                return super().write(text)
+
+        spy = Spy()
+        monkeypatch.setattr(cli, "_num", counting_num)
+        monkeypatch.setattr(sys, "stdout", spy)
+        assert cli.main(["sample", "--ensemble", "bures", "--stratum", "degenerate",
+                         "--samples", "100", "--seed", "5"]) == 0
+        assert count["values"] == 300 and count["lines"] == 102
+        assert 0 < count["pending"] <= 16
+
+        blocks = list(stratum_spectra(EnsembleKind.BURES, DEGENERATE_QUTRIT, 100,
+                                      np.random.default_rng(5)))
+        assert len(blocks) >= 100 // 16
+        rows = [",".join(num(v) for v in row) for row in np.concatenate(blocks)]
+        assert spy.getvalue().splitlines()[1:] == ["r1,r2,r3"] + rows
 
     def test_deterministic(self, tmp_path):
         args = ["sample", "--ensemble", "bkm", "--samples", "100", "--seed", "11"]

@@ -2,7 +2,7 @@
 
 The distributional tests pin the samplers against the quadrature-normalized
 densities (chi-square on a 50-bin marginal grid at the 0.001 level) and the
-matrix-model constructions against the rejection route (two-sample KS).
+matrix models of ``matrix_models`` against the rejection route (two-sample KS).
 """
 
 import math
@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import chisquare, ks_2samp
+
+from matrix_models import bures_spectra, ginibre_spectra
 
 from wigner_classicality.spectra import SQRT3, DegeneracyType
 from wigner_classicality.ensembles import (
@@ -193,16 +195,6 @@ class TestSamplerStructure:
     ])
     def test_auto_is_rejection(self, kind, mult, route):
         assert SpectrumSampler(kind, DegeneracyType(mult), seed=1)._route == route
-
-    def test_construction_is_explicit(self):
-        for kind in (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES):
-            for mult in ((1, 1), (1, 1, 1)):
-                sampler = SpectrumSampler(kind, DegeneracyType(mult), seed=1, method="construction")
-                assert sampler._route == "construction"
-
-    def test_construction_unavailable_for_bkm(self):
-        with pytest.raises(ValueError):
-            SpectrumSampler(EnsembleKind.BKM, DegeneracyType((1, 1, 1)), seed=1, method="construction")
 
 
 class TestSamplerFailure:
@@ -395,9 +387,7 @@ def test_chisquare_degenerate_edges(kind, comp):
 class TestConstructionVersusRejection:
     def test_hs_ginibre_matches_rejection(self):
         n = 100_000
-        a = SpectrumSampler(
-            EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=31, method="construction"
-        ).sample(n)
+        a = ginibre_spectra(np.random.default_rng(31), n)
         b = SpectrumSampler(
             EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1, 1)), seed=32
         ).sample(n)
@@ -405,9 +395,7 @@ class TestConstructionVersusRejection:
 
     def test_bures_construction_matches_rejection(self):
         n = 100_000
-        a = SpectrumSampler(
-            EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=33, method="construction"
-        ).sample(n)
+        a = bures_spectra(np.random.default_rng(33), n)
         b = SpectrumSampler(
             EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=34
         ).sample(n)

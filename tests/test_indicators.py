@@ -10,7 +10,7 @@ import pytest
 
 import wigner_classicality
 import wigner_classicality.indicators as ind
-from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler, worker_seed
+from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler, _regular_chart, worker_seed
 from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
     QUBIT_STRATUM,
@@ -30,8 +30,19 @@ from wigner_classicality.indicators import (
     q_qubit_closed_form,
     ratio_degenerate_to_regular,
 )
-from wigner_classicality.spectra import DegeneracyType, StratumLabel
-from wigner_classicality.wigner import classical_edge_bound_qutrit
+from wigner_classicality.spectra import (
+    DegeneracyType,
+    OrderedSpectrum,
+    PolarPoint,
+    StratumLabel,
+    trisectrix_boundary,
+)
+from wigner_classicality.wigner import (
+    classical_cone_regular_qutrit,
+    classical_edge_bound_qutrit,
+    dual_pairing,
+    sw_spectrum_qutrit,
+)
 
 ZETA_MAX = math.pi / 3.0
 ALL_KINDS = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
@@ -119,7 +130,8 @@ class TestQuadrature:
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(ind, "MAX_QUAD_EVALS", 40)
         ind._denominator.cache_clear()
-        with pytest.raises(ConvergenceError, match=r"^bkm regular stratum at zeta=0\.4: regular numerator strip "):
+        with pytest.raises(ConvergenceError,
+                           match=r"^bkm regular stratum at zeta=0\.4: regular numerator did not converge "):
             q_quadrature(quad_request(EnsembleKind.BKM, REGULAR_QUTRIT, 0.4))
         ind._denominator.cache_clear()
 
@@ -202,6 +214,27 @@ class TestDegenerateEdgeCutoff:
             radius = classical_edge_bound_qutrit(float(zeta), phi)
             expected = 1.0 / 3.0 - per_radius * radius / math.sqrt(3.0)
             assert ind._edge_classical_cutoff(comp, float(zeta)) == pytest.approx(expected, abs=1e-15)
+
+
+class TestRegularClassicalCutoff:
+    @pytest.mark.parametrize("zeta", [0.0, 0.2, math.pi / 6, 0.8, ZETA_MAX])
+    def test_cutoff_is_the_cone_boundary(self, zeta):
+        # chart points a relative 1e-9 above t_c are classical and those
+        # below are not, by the analytic cone and by the spectral pairing;
+        # t_c = 0 only at phi = zeta = 0, which has no point below
+        phis = np.linspace(0.0, math.pi, 25)
+        t_c = ind._regular_classical_cutoff(phis, zeta)
+        assert np.count_nonzero(t_c > 0.0) == (24 if zeta == 0.0 else 25)
+        kernel = sw_spectrum_qutrit(zeta)
+        for factor, classical in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+            ts = t_c * factor
+            spectra, _ = _regular_chart(ts, phis)
+            for phi, t, row in zip(phis, ts, np.column_stack(spectra)):
+                if t == 0.0:
+                    continue
+                point = PolarPoint(trisectrix_boundary(phi) * (1.0 - t ** 4), phi)
+                assert classical_cone_regular_qutrit(zeta, point) is classical
+                assert (dual_pairing(OrderedSpectrum(tuple(row)), kernel) >= 0.0) is classical
 
 
 class TestQuadratureAccuracy:

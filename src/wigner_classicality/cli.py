@@ -28,13 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .spectra import PolarPoint, polar_to_spectrum, trisectrix_boundary
+from .spectra import _polar_to_spectrum, _trisectrix_radius
 from .wigner import (
     ZETA_MAX,
-    classical_cone_regular_qutrit,
-    dual_pairing,
-    is_classical,
-    sw_spectrum_qutrit,
+    _classical_cone_regular_qutrit,
+    _dual_pairing,
+    _is_classical,
+    _sw_spectrum_qutrit,
 )
 from .ensembles import EnsembleKind, SamplerFailureError, worker_seed
 from .indicators import (
@@ -404,7 +404,7 @@ def _mc_checks(cfg: RunConfig) -> list[dict]:
     ``idx`` is seeded with ``worker_seed(seed, idx)``, so no two cells or
     chunks share a stream.
     """
-    samples = min(cfg.samples, 200_000) if cfg.samples else 200_000
+    samples = min(cfg.samples, 200_000)
     all_kinds = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
     mc_cells = [(e, s, math.pi / 6.0) for e in all_kinds for s in (REGULAR_QUTRIT, DEGENERATE_QUTRIT)]
     mc_cells += [(e, QUBIT_STRATUM, None) for e in all_kinds]
@@ -479,22 +479,40 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
             violations_deg += 1
     checks.append(_check("ensemble_ordering_degenerate[upper,11pts]", 0, violations_deg, 0))
 
-    # analytic cone versus spectral pairing
-    rng = np.random.default_rng(cfg.seed)
-    mismatches = 0
-    for _ in range(100_000):
-        phi = float(rng.uniform(0.0, math.pi))
-        r = float(rng.uniform(0.0, trisectrix_boundary(phi)))
-        z = float(rng.uniform(0.0, ZETA_MAX))
-        point = PolarPoint(r, phi)
-        kernel = sw_spectrum_qutrit(z)
-        spectrum = polar_to_spectrum(point)
-        if abs(dual_pairing(spectrum, kernel)) < 1e-12:
-            continue
-        if classical_cone_regular_qutrit(z, point) != is_classical(spectrum, kernel):
-            mismatches += 1
-    checks.append(_check("cone_oracle_equivalence[1e5]", 0, mismatches, 0))
+    checks.append(_cone_check(cfg))
     return checks
+
+
+#: Random points of the ``verify`` cone check.
+CONE_POINTS = 100_000
+
+
+def _cone_points(seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` random (phi, r, zeta): phi in [0, pi), r in [0, R(phi)), zeta in [0, pi/3).
+
+    One ``random((n, 3))`` draw from ``default_rng(seed)``.  Row i holds the
+    three numbers that step i of a loop of ``uniform(0, pi)``,
+    ``uniform(0, R(phi))``, ``uniform(0, pi/3)`` calls draws, and
+    ``uniform(0, b)`` returns ``b * u``, so the points are those of that loop
+    bit for bit.
+    """
+    u = np.random.default_rng(seed).random((n, 3))
+    phi = math.pi * u[:, 0]
+    return phi, _trisectrix_radius(phi) * u[:, 1], ZETA_MAX * u[:, 2]
+
+
+def _cone_check(cfg: RunConfig) -> dict:
+    """Analytic cone versus spectral pairing on ``CONE_POINTS`` random points.
+
+    Points whose pairing lies within 1e-12 of zero sit on the boundary and
+    are skipped; the check counts the other points where the two disagree.
+    """
+    phi, r, zeta = _cone_points(cfg.seed, CONE_POINTS)
+    kernels = _sw_spectrum_qutrit(zeta)
+    spectra = _polar_to_spectrum(r, phi)
+    off_boundary = np.abs(_dual_pairing(spectra, kernels)) >= 1e-12
+    disagree = _classical_cone_regular_qutrit(zeta, r, phi) != _is_classical(spectra, kernels)
+    return _check("cone_oracle_equivalence[1e5]", 0, int(np.count_nonzero(disagree & off_boundary)), 0)
 
 
 def _run_verify(cfg: RunConfig) -> int:

@@ -29,6 +29,7 @@ from .spectra import SQRT3, DegeneracyType, StratumLabel
 from .wigner import (
     ZETA_MAX,
     SWKernelSpectrum,
+    _is_classical,
     sw_spectrum_qubit,
     sw_spectrum_qutrit,
 )
@@ -517,9 +518,9 @@ def _mc_chunk_hits(request: IndicatorRequest, chunk: int, seed: int) -> int:
     """Classical-state count among ``chunk`` seeded draws."""
     if _stratum_kind(request.stratum) == "point":
         return chunk
-    pi_asc = _kernel_for(request).as_array()[::-1]
+    kernel = _kernel_for(request).as_array()
     rng = np.random.default_rng(seed)
-    return sum(int(np.count_nonzero(block @ pi_asc >= 0.0))
+    return sum(int(np.count_nonzero(_is_classical(block, kernel)))
                for block in stratum_spectra(request.ensemble, request.stratum, chunk, rng))
 
 

@@ -5,6 +5,13 @@ purposes, by the ordered simplex of density-matrix eigenvalues together with
 its stratification by eigenvalue degeneracy.  This module provides those
 domain types and, for N=3, the polar chart that maps the ordered simplex onto
 the region of the upper half-plane bounded by the Maclaurin trisectrix.
+
+The chart's formulas are written once, as functions that take the math
+namespace ``xp`` (``math`` for floats, ``numpy`` for arrays).  The public
+scalar API evaluates them on floats inside the validating dataclasses; the
+private array twins (``_polar_points``, ``_ordered_spectra``,
+``_polar_to_spectrum``) evaluate them on arrays and repeat the dataclasses'
+checks in vectorised form, raising the same ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,6 +37,12 @@ RENORM_TOL = 1e-9
 ORDER_TOL = 1e-12
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def _reject(bad: np.ndarray, message) -> None:
+    """Raise ``ValueError(message(i))`` for the first index ``i`` where ``bad`` holds."""
+    if bad.any():
+        raise ValueError(message(int(np.argmax(bad))))
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,33 @@ class OrderedSpectrum:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
+
+
+def _ordered_spectra(values) -> np.ndarray:
+    """Array twin of ``OrderedSpectrum``: its checks on every row of an (n, N) array.
+
+    Returns a new array whose rows are clamped and renormalised as the
+    dataclass would store them; rows are summed in floating point where the
+    dataclass uses ``math.fsum``, which matters only within an ulp or two of
+    the tolerances.
+    """
+    vals = np.array(values, dtype=float, ndmin=2)
+    if vals.shape[1] < 1:
+        raise ValueError("spectrum must have at least one eigenvalue")
+
+    def row(i):
+        return tuple(vals[i].tolist())
+
+    _reject(~np.isfinite(vals).all(axis=1), lambda i: f"spectrum entries must be finite, got {row(i)}")
+    _reject((np.diff(vals, axis=1) > ORDER_TOL).any(axis=1), lambda i: f"spectrum not descending: {row(i)}")
+    _reject(vals[:, -1] < -ORDER_TOL, lambda i: f"negative eigenvalue in spectrum: {row(i)}")
+    np.maximum(vals, 0.0, out=vals)
+    total = vals.sum(axis=1)
+    _reject(np.abs(total - 1.0) > RENORM_TOL,
+            lambda i: f"eigenvalues sum to {float(total[i])!r}, expected 1 within {RENORM_TOL}")
+    drift = np.abs(total - 1.0) > TRACE_TOL
+    vals[drift] /= total[drift, None]
+    return vals
 
 
 @dataclass(frozen=True)
@@ -197,11 +237,38 @@ class PolarPoint:
         if phi < -ORDER_TOL or phi > math.pi + ORDER_TOL:
             raise ValueError(f"angle out of range [0, pi]: {phi}")
         phi = min(max(phi, 0.0), math.pi)
-        # 2*sqrt3*r*cos(phi/3) <= 1 is the trisectrix bound, written without division
-        if r > 0.0 and 2.0 * SQRT3 * r * math.cos(phi / 3.0) > 1.0 + 1e-9:
+        if _outside_trisectrix(r, phi, math):
             raise ValueError(f"point outside trisectrix region: r={r}, phi={phi}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "phi", phi)
+
+
+def _outside_trisectrix(r, phi, xp):
+    """The bound 2 sqrt3 r cos(phi/3) <= 1, written without division, broken beyond 1e-9."""
+    return (r > 0.0) & (2.0 * SQRT3 * r * xp.cos(phi / 3.0) > 1.0 + 1e-9)
+
+
+def _polar_points(r, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of ``PolarPoint``: its checks on 1-D arrays (or scalars) of radii and angles.
+
+    Returns the broadcast float arrays (r, phi), with phi clamped to [0, pi].
+    """
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float).ravel(), np.asarray(phi, dtype=float).ravel())
+    _reject(~(np.isfinite(r) & np.isfinite(phi)),
+            lambda i: f"polar point must be finite: r={float(r[i])}, phi={float(phi[i])}")
+    _reject((r < 0.0) | (r > POLAR_RADIUS_MAX + ORDER_TOL),
+            lambda i: f"radius out of range [0, 1/sqrt3]: {float(r[i])}")
+    _reject((phi < -ORDER_TOL) | (phi > math.pi + ORDER_TOL),
+            lambda i: f"angle out of range [0, pi]: {float(phi[i])}")
+    phi = np.clip(phi, 0.0, math.pi)
+    _reject(_outside_trisectrix(r, phi, np),
+            lambda i: f"point outside trisectrix region: r={float(r[i])}, phi={float(phi[i])}")
+    return r, phi
+
+
+def _trisectrix_radius(phi, xp=np):
+    """``1 / (2 sqrt3 cos(phi/3))`` for floats (``xp=math``) or arrays (``xp=numpy``)."""
+    return 1.0 / (2.0 * SQRT3 * xp.cos(phi / 3.0))
 
 
 def trisectrix_boundary(phi: float) -> float:
@@ -212,7 +279,25 @@ def trisectrix_boundary(phi: float) -> float:
     phi = float(phi)
     if phi < 0.0 or phi > math.pi + ORDER_TOL:
         raise ValueError(f"angle out of range [0, pi]: {phi}")
-    return 1.0 / (2.0 * SQRT3 * math.cos(phi / 3.0))
+    return _trisectrix_radius(phi, math)
+
+
+def _polar_columns(r, phi, xp=np):
+    """The polar chart: eigenvalues (r1, r2, r3) at (r, phi), floats or arrays by ``xp``."""
+    f = 2.0 * r / SQRT3
+    return (1.0 / 3.0 - f * xp.cos((phi + 2.0 * math.pi) / 3.0),
+            1.0 / 3.0 - f * xp.cos((phi + 4.0 * math.pi) / 3.0),
+            1.0 / 3.0 - f * xp.cos(phi / 3.0))
+
+
+def _polar_to_spectrum(r, phi) -> np.ndarray:
+    """Array twin of ``polar_to_spectrum``: the (n, 3) spectra of the points (r, phi).
+
+    Validates the points as ``PolarPoint`` does and the rows as
+    ``OrderedSpectrum`` does.
+    """
+    r, phi = _polar_points(r, phi)
+    return _ordered_spectra(np.stack(_polar_columns(r, phi, np), axis=1))
 
 
 def polar_to_spectrum(point: PolarPoint) -> OrderedSpectrum:
@@ -221,12 +306,7 @@ def polar_to_spectrum(point: PolarPoint) -> OrderedSpectrum:
     The three eigenvalues are ``1/3 - (2r/sqrt3) cos((phi + 2 pi m)/3)`` for
     m = 1, 2, 0; on the whole region they come out descending.
     """
-    r, phi = point.r, point.phi
-    f = 2.0 * r / SQRT3
-    r1 = 1.0 / 3.0 - f * math.cos((phi + 2.0 * math.pi) / 3.0)
-    r2 = 1.0 / 3.0 - f * math.cos((phi + 4.0 * math.pi) / 3.0)
-    r3 = 1.0 / 3.0 - f * math.cos(phi / 3.0)
-    return OrderedSpectrum((r1, r2, r3))
+    return OrderedSpectrum(_polar_columns(point.r, point.phi, math))
 
 
 def spectrum_to_polar(spectrum: OrderedSpectrum) -> PolarPoint:

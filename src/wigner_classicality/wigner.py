@@ -7,6 +7,11 @@ qubit the solution is unique; for a qutrit it is a one-parameter family
 labeled by an angle ``zeta`` in [0, pi/3].  Whether a state's Wigner function
 is everywhere nonnegative is decided purely spectrally: pair the descending
 state spectrum with the ascending kernel spectrum and check the sign.
+
+As in ``spectra``, each formula is written once for floats or arrays by the
+math namespace ``xp``; the private array twins (``_sw_spectrum_qutrit``,
+``_dual_pairing``, ``_is_classical``, ``_classical_cone_regular_qutrit``)
+repeat the validating dataclasses' checks in vectorised form.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SQRT3, OrderedSpectrum, PolarPoint
+from .spectra import SQRT3, OrderedSpectrum, PolarPoint, _polar_points, _reject
 
 ZETA_MAX = math.pi / 3.0
 
@@ -39,6 +44,14 @@ class ModuliParameter:
         if not math.isfinite(z) or z < 0.0 or z > ZETA_MAX + 1e-15:
             raise ValueError(f"moduli parameter out of range [0, pi/3]: {z}")
         object.__setattr__(self, "zeta", min(z, ZETA_MAX))
+
+
+def _zetas(zeta) -> np.ndarray:
+    """Array twin of ``ModuliParameter``: its check on a 1-D array (or scalar) of angles, clamped to pi/3."""
+    z = np.asarray(zeta, dtype=float).ravel()
+    _reject(~np.isfinite(z) | (z < 0.0) | (z > ZETA_MAX + 1e-15),
+            lambda i: f"moduli parameter out of range [0, pi/3]: {float(z[i])}")
+    return np.minimum(z, ZETA_MAX)
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,31 @@ class SWKernelSpectrum:
         return np.asarray(self.values, dtype=float)
 
 
+def _kernel_spectra(values) -> np.ndarray:
+    """Array twin of ``SWKernelSpectrum``: its checks on every row of an (n, N) array.
+
+    Rows are summed in floating point where the dataclass uses
+    ``math.fsum``, which matters only within an ulp or two of the tolerances.
+    """
+    vals = np.array(values, dtype=float, ndmin=2)
+    n = vals.shape[1]
+    if n < 2:
+        raise ValueError("kernel spectrum needs at least two eigenvalues")
+
+    def row(i):
+        return tuple(vals[i].tolist())
+
+    _reject((vals[:, 1:] > vals[:, :-1] + 1e-12).any(axis=1),
+            lambda i: f"kernel spectrum not descending: {row(i)}")
+    trace = vals.sum(axis=1)
+    _reject(np.abs(trace - 1.0) > KERNEL_TRACE_TOL,
+            lambda i: f"kernel trace must be 1, got {float(trace[i])!r}")
+    trace_sq = (vals * vals).sum(axis=1)
+    _reject(np.abs(trace_sq - n) > KERNEL_TRACE_SQ_TOL,
+            lambda i: f"kernel trace-square must be {n}, got {float(trace_sq[i])!r}")
+    return vals
+
+
 def sw_spectrum_qubit() -> SWKernelSpectrum:
     """The unique qubit kernel spectrum, ((1 + sqrt3)/2, (1 - sqrt3)/2)."""
     return SWKernelSpectrum(((1.0 + SQRT3) / 2.0, (1.0 - SQRT3) / 2.0))
@@ -82,6 +120,17 @@ def _zeta_value(zeta: float | ModuliParameter) -> float:
     if isinstance(zeta, ModuliParameter):
         return zeta.zeta
     return ModuliParameter(float(zeta)).zeta
+
+
+def _kernel_columns(z, xp=np):
+    """Qutrit kernel eigenvalues (pi_1, pi_2, pi_3) at angle z, floats or arrays by ``xp``."""
+    mu3, mu8 = xp.sin(z), xp.cos(z)
+    pi1 = 1.0 / 3.0 + (2.0 / SQRT3) * mu3 + (2.0 / 3.0) * mu8
+    pi2 = 1.0 / 3.0 - (2.0 / SQRT3) * mu3 + (2.0 / 3.0) * mu8
+    pi3 = 1.0 / 3.0 - (4.0 / 3.0) * mu8
+    # renormalize trace exactly to absorb the last-bit rounding of sin/cos
+    shift = (1.0 - (pi1 + pi2 + pi3)) / 3.0
+    return pi1 + shift, pi2 + shift, pi3 + shift
 
 
 def sw_spectrum_qutrit(zeta: float | ModuliParameter) -> SWKernelSpectrum:
@@ -95,14 +144,31 @@ def sw_spectrum_qutrit(zeta: float | ModuliParameter) -> SWKernelSpectrum:
 
     which is descending on the whole range [0, pi/3].
     """
-    z = _zeta_value(zeta)
-    mu3, mu8 = math.sin(z), math.cos(z)
-    pi1 = 1.0 / 3.0 + (2.0 / SQRT3) * mu3 + (2.0 / 3.0) * mu8
-    pi2 = 1.0 / 3.0 - (2.0 / SQRT3) * mu3 + (2.0 / 3.0) * mu8
-    pi3 = 1.0 / 3.0 - (4.0 / 3.0) * mu8
-    # renormalize trace exactly to absorb the last-bit rounding of sin/cos
-    shift = (1.0 - (pi1 + pi2 + pi3)) / 3.0
-    return SWKernelSpectrum((pi1 + shift, pi2 + shift, pi3 + shift))
+    return SWKernelSpectrum(_kernel_columns(_zeta_value(zeta), math))
+
+
+def _sw_spectrum_qutrit(zeta) -> np.ndarray:
+    """Array twin of ``sw_spectrum_qutrit``: (n, 3) kernel spectra, one row per angle."""
+    return _kernel_spectra(np.stack(_kernel_columns(_zetas(zeta), np), axis=1))
+
+
+def _dual_pairing(spectra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Array twin of ``dual_pairing`` on the rows of an (n, N) array of descending spectra.
+
+    ``kernel`` is one descending kernel spectrum, shape (N,), or one per
+    row, shape (n, N).  The product with one kernel is ``spectra @
+    kernel[::-1]``; Monte Carlo hit counts depend on that exact arithmetic.
+    """
+    if spectra.shape[-1] != kernel.shape[-1]:
+        raise ValueError(f"dimension mismatch: spectrum N={spectra.shape[-1]}, kernel N={kernel.shape[-1]}")
+    if kernel.ndim == 1:
+        return spectra @ kernel[::-1]
+    return np.einsum("ij,ij->i", spectra, kernel[:, ::-1])
+
+
+def _is_classical(spectra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Array twin of ``is_classical``: nonnegative pairing, row by row."""
+    return _dual_pairing(spectra, kernel) >= 0.0
 
 
 def dual_pairing(spectrum: OrderedSpectrum, kernel: SWKernelSpectrum) -> float:
@@ -110,7 +176,9 @@ def dual_pairing(spectrum: OrderedSpectrum, kernel: SWKernelSpectrum) -> float:
 
     Returns ``r_1 pi_N + r_2 pi_(N-1) + ... + r_N pi_1``, the minimum of the
     Wigner function over the state's unitary orbit (up to normalization); the
-    state is classical exactly when this is nonnegative.
+    state is classical exactly when this is nonnegative.  The sum is
+    correctly rounded (``math.fsum``); the array twin ``_dual_pairing`` is a
+    matrix product, which may differ from it in the last bits.
     """
     if spectrum.n != kernel.n:
         raise ValueError(f"dimension mismatch: spectrum N={spectrum.n}, kernel N={kernel.n}")
@@ -126,20 +194,32 @@ def is_classical(spectrum: OrderedSpectrum, kernel: SWKernelSpectrum) -> bool:
     return dual_pairing(spectrum, kernel) >= 0.0
 
 
+def _cone_classical(z, r, phi, xp=np):
+    """The analytic cone test at angle z and polar (r, phi), floats or arrays by ``xp``."""
+    return 4.0 * SQRT3 * r * xp.cos(phi / 3.0 + z - math.pi / 3.0) <= 1.0
+
+
 def classical_cone_regular_qutrit(zeta: float | ModuliParameter, point: PolarPoint) -> bool:
     """Analytic form of the qutrit classicality test in polar coordinates.
 
     A point of the regular stratum is classical iff
 
-        cos(phi/3 + zeta - pi/3) <= 1 / (4 sqrt3 r),
+        4 sqrt3 r cos(phi/3 + zeta - pi/3) <= 1,
 
     trivially true at the center r=0.  Agrees everywhere with the spectral
     pairing test; both are exposed so each can serve as the other's oracle.
     """
-    z = _zeta_value(zeta)
-    if point.r == 0.0:
-        return True
-    return 4.0 * SQRT3 * point.r * math.cos(point.phi / 3.0 + z - math.pi / 3.0) <= 1.0
+    return _cone_classical(_zeta_value(zeta), point.r, point.phi, math)
+
+
+def _classical_cone_regular_qutrit(zeta, r, phi) -> np.ndarray:
+    """Array twin of ``classical_cone_regular_qutrit`` at angles ``zeta`` and points (r, phi).
+
+    Validates the angles as ``ModuliParameter`` does and the points as
+    ``PolarPoint`` does; the arguments broadcast against each other.
+    """
+    r, phi = _polar_points(r, phi)
+    return _cone_classical(_zetas(zeta), r, phi, np)
 
 
 def classical_edge_bound_qutrit(zeta: float | ModuliParameter, edge_phi: float) -> float:
@@ -163,8 +243,10 @@ def classical_edge_bound_qutrit(zeta: float | ModuliParameter, edge_phi: float) 
     """
     z = _zeta_value(zeta)
     if abs(edge_phi) <= 1e-12:
+        # 2 cos(z - pi/3) = cos z + sqrt3 sin z, with no rounding of pi/3:
+        # exactly 1 at z = 0, where the whole edge is classical
         cap = 1.0 / (2.0 * SQRT3)
-        return min(cap, 1.0 / (4.0 * SQRT3 * math.cos(z - math.pi / 3.0)))
+        return min(cap, 1.0 / (2.0 * SQRT3 * (math.cos(z) + SQRT3 * math.sin(z))))
     if abs(edge_phi - math.pi) <= 1e-12:
         cap = 1.0 / SQRT3
         return min(cap, 1.0 / (4.0 * SQRT3 * math.cos(z)))

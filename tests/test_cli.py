@@ -11,6 +11,7 @@ import pytest
 
 from wigner_classicality import cli
 from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler
+from wigner_classicality.spectra import trisectrix_boundary
 from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
     REGULAR_QUTRIT,
@@ -314,6 +315,34 @@ class TestVerify:
             cli.main(["verify", "--samples", "50000", "--seed", "77", "--out", str(out)])
             blobs.append((tmp_path / f"{name}.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestVerifyConeCheck:
+    """``cone_oracle_equivalence[1e5]``, which runs on arrays."""
+
+    def test_points_are_the_scalar_stream(self):
+        phi, r, zeta = cli._cone_points(1234, cli.CONE_POINTS)
+        rng = np.random.default_rng(1234)
+        scalar = []
+        for _ in range(10_000):
+            p = float(rng.uniform(0.0, math.pi))
+            scalar.append((p, float(rng.uniform(0.0, trisectrix_boundary(p))),
+                           float(rng.uniform(0.0, cli.ZETA_MAX))))
+        assert list(zip(phi[:10_000].tolist(), r[:10_000].tolist(), zeta[:10_000].tolist())) == scalar
+
+    def test_shifted_cone_fails_only_this_check(self, tmp_path, monkeypatch):
+        true_cone = cli._classical_cone_regular_qutrit
+
+        def shifted(zeta, r, phi):
+            return true_cone(np.minimum(np.asarray(zeta) + 0.05, cli.ZETA_MAX), r, phi)
+
+        monkeypatch.setattr(cli, "_classical_cone_regular_qutrit", shifted)
+        rc = cli.main(["verify", "--samples", "50000", "--out", str(tmp_path / "report")])
+        assert rc == 4
+        report = json.loads((tmp_path / "report.json").read_text())
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert [c["check"] for c in failed] == ["cone_oracle_equivalence[1e5]"]
+        assert failed[0]["actual"] > 0
 
 
 class TestVerifyMonteCarlo:

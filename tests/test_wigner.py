@@ -149,8 +149,8 @@ class TestEdgeBounds:
         assert bp == pytest.approx(expected, rel=1e-15)
 
     def test_cap_at_zero_angle(self):
-        # at zeta=0 the whole phi=0 edge is classical
-        assert classical_edge_bound_qutrit(0.0, 0.0) == pytest.approx(1 / (2 * SQRT3), rel=1e-15)
+        # at zeta=0 the whole phi=0 edge is classical, up to its last bit
+        assert classical_edge_bound_qutrit(0.0, 0.0) == 1 / (2 * SQRT3)
 
     def test_bound_matches_pairing_on_edges(self):
         rng = np.random.default_rng(4)

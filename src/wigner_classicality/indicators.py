@@ -284,38 +284,26 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, v, w
 
 
-def _tanh_sinh(piece: str, f, dim: int, tol: float, budget: int) -> tuple[float, float, int]:
-    """Integral of ``f`` over the unit interval (dim 1) or square (dim 2).
+def _tanh_sinh(piece: str, f, tol: float, budget: int) -> tuple[float, float, int]:
+    """Integral of ``f`` over the unit interval.
 
-    ``f(u1, v1)`` or ``f(u1, v1, u2, v2)`` evaluates the integrand, Jacobian
-    included, at nodes given by their distances from both ends of each unit
-    interval; in two dimensions ``u1, v1`` arrive as columns and the result is
-    a (rows x columns) array.  Levels are added until the step-halving
-    difference ``|I_h - I_{h/2}|`` is at most ``tol |I_{h/2}|``; it is
-    returned as the error estimate, with ``I_{h/2}`` and the evaluation count.
-    Only the new nodes of each level are evaluated.  Raises
-    ``ConvergenceError`` rather than spend more than ``budget`` evaluations.
+    ``f(u, v)`` evaluates the integrand, Jacobian included, at nodes given by
+    their distances from both ends of the interval.  Levels are added until
+    the step-halving difference ``|I_h - I_{h/2}|`` is at most
+    ``tol |I_{h/2}|``; it is returned as the error estimate, with
+    ``I_{h/2}`` and the evaluation count.  Only the new nodes of each level
+    are evaluated.  Raises ``ConvergenceError`` rather than spend more than
+    ``budget`` evaluations.
     """
     used, total, last, rel = 0, 0.0, None, math.nan
-    seen = (np.empty(0),) * 3  # (u, v, w) of every node so far, for the 2D cross terms
     level = 0
     while True:
         u, v, w = _ts_level(level)
-        cost = u.size if dim == 1 else u.size * (u.size + 2 * seen[0].size)
-        if used + cost > budget:
-            raise ConvergenceError(
-                f"{piece} did not converge in {used} evaluations (the next level needs {cost} "
-                f"more, budget {budget}): last |dI|/I = {rel:.2e} against tolerance {tol:.1e}"
-            )
-        used += cost
-        if dim == 1:
-            total += float(w @ f(u, v))
-        else:
-            # old rows x new columns, then new rows x all columns
-            total += float(seen[2] @ f(seen[0][:, None], seen[1][:, None], u, v) @ w)
-            seen = tuple(np.concatenate(p) for p in zip(seen, (u, v, w)))
-            total += float(w @ f(u[:, None], v[:, None], seen[0], seen[1]) @ seen[2])
-        value = total * (_TS_STEP / 2 ** level) ** dim
+        if used + u.size > budget:
+            raise _budget_error(piece, used, u.size, budget, rel, tol)
+        used += u.size
+        total += float(w @ f(u, v))
+        value = total * (_TS_STEP / 2 ** level)
         if last is not None:
             err = abs(value - last)
             rel = err / abs(value) if value else 0.0
@@ -325,30 +313,99 @@ def _tanh_sinh(piece: str, f, dim: int, tol: float, budget: int) -> tuple[float,
         level += 1
 
 
+def _budget_error(piece: str, used: int, cost: int, budget: int, rel: float, tol: float):
+    return ConvergenceError(f"{piece} did not converge in {used} evaluations (the next level needs "
+                            f"{cost} more, budget {budget}): last |dI|/I = {rel:.2e} against "
+                            f"tolerance {tol:.1e}")
+
+
 def _integrate(pieces, tol: float) -> list[tuple[float, float]]:
-    """(value, error) of each (label, integrand, dim) piece on one shared budget."""
+    """(value, error) of each (label, integrand) piece on one shared budget."""
     out, used = [], 0
-    for piece, f, dim in pieces:
-        value, err, evals = _tanh_sinh(piece, f, dim, tol, MAX_QUAD_EVALS - used)
+    for piece, f in pieces:
+        value, err, evals = _tanh_sinh(piece, f, tol, MAX_QUAD_EVALS - used)
         used += evals
         out.append((value, err))
     return out
 
 
-def _regular_piece(kind: EnsembleKind, zeta: float | None):
-    """Regular-qutrit integrand in the chart ``ensembles._regular_chart``.
+#: Chebyshev degree of the fit of the regular-stratum weight along one ray.
+_RAY_DEGREE = 128
 
-    phi = pi u1, and t runs from the classical cutoff ``t_c(phi, zeta)`` to 1
-    for a numerator, from 0 for the denominator (zeta None).  The two
-    integrals share the chart, so its area element cancels in the ratio.
+
+@lru_cache(maxsize=None)
+def _regular_table(kind: EnsembleKind, level: int):
+    """Ray table of the regular stratum at the phi nodes new at tanh-sinh ``level`` (read-only).
+
+    Along the ray phi = pi u of ``ensembles._regular_chart`` the weight
+    (density times area element) is fitted in x = t^(1/4), which turns the
+    BKM face singularity t log^2 t into x^7 log^2 x: one Chebyshev series of
+    degree ``_RAY_DEGREE`` on [0, 1] through the weight at the Chebyshev
+    points, its coefficients ``c`` by a DCT-I (the real FFT of the even
+    extension).  In the angle theta of 2x - 1 = cos(theta), the cumulative
+    ``G(t) = int_t^1 weight dt`` is ``sum_{k>=1} b_k sin^2(k theta / 2)``,
+    which vanishes at t = 1 term by term and is ``sum_{k odd} b_k`` at t = 0.
+    Returns the nodes' u and weights, the rows of ``b``, and the w-weighted
+    sums over the nodes of G(0), of the truncation bound |c_{n-1}| + |c_n|
+    and of sum_k |b_k|.
     """
-    def f(u1, v1, u2, v2):
-        phi = math.pi * u1
-        t_c = 0.0 if zeta is None else _regular_classical_cutoff(phi, zeta)
-        span = 1.0 - t_c
-        spectra, area = _regular_chart(t_c + span * u2, phi)
-        return _density3_vec(kind, *spectra) * (area * (math.pi * span))
-    return f
+    u, _, w = _ts_level(level)
+    n = _RAY_DEGREE
+    # x_j = (1 + cos(pi j / n)) / 2 for j < n; the weight is 0 at x_n = 0
+    x = np.sin(np.arange(n, 0, -1) * (math.pi / (2 * n))) ** 2
+    spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
+    g = np.zeros((u.size, n + 1))
+    g[:, :n] = _density3_vec(kind, *spectra) * (area * 4.0 * x ** 3)
+    c = np.fft.rfft(np.concatenate([g, g[:, n - 1:0:-1]], axis=1), axis=1).real / n
+    c[:, n] *= 0.5  # c_0 stays doubled, as the antiderivative wants it
+    # b_k = (c_{k-1} - c_{k+1}) / 2k: the antiderivative in 2x - 1, whose
+    # factor 1/2 of dx = dy / 2 cancels the 2 of 1 - cos = 2 sin^2
+    b = (c[:, :n + 1] - np.pad(c[:, 2:], ((0, 0), (0, 2)))) / (2.0 * np.arange(1, n + 2))
+    sums = np.array([w @ b[:, ::2].sum(axis=1), w @ (np.abs(c[:, n - 1]) + np.abs(c[:, n])),
+                     w @ np.abs(b).sum(axis=1)])
+    for a in (b, sums):
+        a.flags.writeable = False
+    return u, w, b, sums
+
+
+def _regular_integrals(kind: EnsembleKind, zeta: float, tol: float) -> tuple[tuple[float, float], ...]:
+    """(value, error) of the regular stratum's numerator and denominator.
+
+    Both are tanh-sinh sums over phi of the ray cumulatives of
+    ``_regular_table``, at t_c(phi, zeta) for the numerator and at t = 0 for
+    the denominator, over the same levels.  Levels are added until both
+    step-halving differences are within ``tol``, or within rounding; each
+    error is that difference plus the node sums of the fits' truncation
+    bound and of the rounding term eps sum_k |b_k|.  A cell charges the
+    budget with the density evaluations of every level it reads, built now
+    or cached, so nothing depends on call order.
+    """
+    k = np.arange(1, _RAY_DEGREE + 2)
+    used, level, totals, last = 0, 0, np.zeros(4), None
+    rel, ok = (math.nan, math.nan), (False, False)
+    while True:
+        cost = _ts_level(level)[0].size * (_RAY_DEGREE + 1)
+        if used + cost > MAX_QUAD_EVALS:
+            i = ok.index(False)
+            raise _budget_error(f"regular {('numerator', 'denominator')[i]}", used, cost,
+                                MAX_QUAD_EVALS, rel[i], tol)
+        used += cost
+        u, w, b, sums = _regular_table(kind, level)
+        # theta / 2 = arccos(sqrt(x)) = arccos(t^(1/8))
+        half = np.arccos(np.sqrt(np.sqrt(np.sqrt(_regular_classical_cutoff(math.pi * u, zeta)))))
+        totals[0] += w @ np.sum(b * np.sin(np.outer(half, k)) ** 2, axis=1)
+        totals[1:] += sums
+        num, den, tail, rounding = (float(v) * math.pi * _TS_STEP / 2 ** level for v in totals)
+        rounding *= np.finfo(float).eps
+        if last is not None:
+            diffs = (abs(num - last[0]), abs(den - last[1]))
+            rel = tuple(d / v if v else 0.0 for d, v in zip(diffs, (num, den)))
+            ok = tuple(d <= max(max(tol, _TS_ROUNDING) * v, rounding)
+                       for d, v in zip(diffs, (num, den)))
+            if all(ok):
+                return (num, diffs[0] + tail + rounding), (den, diffs[1] + tail + rounding)
+        last = (num, den)
+        level += 1
 
 
 def _regular_classical_cutoff(phi, zeta: float):
@@ -412,17 +469,15 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
 def _edge_pieces(kind: EnsembleKind, zeta: float | None):
     role = "denominator" if zeta is None else "numerator"
     return tuple((f"edge ({comp[0]},{comp[1]}) {role}",
-                  _line_piece(kind, comp, 0.0 if zeta is None else _edge_classical_cutoff(comp, zeta)), 1)
+                  _line_piece(kind, comp, 0.0 if zeta is None else _edge_classical_cutoff(comp, zeta)))
                  for comp in _EDGE_COMPOSITIONS)
 
 
 @lru_cache(maxsize=None)
 def _denominator(kind: EnsembleKind, skind: str, tol: float) -> tuple[tuple[float, float], ...]:
-    """Per-piece (value, error) of a stratum's full integral; no kernel dependence."""
+    """Per-piece (value, error) of a line stratum's full integral; no kernel dependence."""
     if skind == "qubit":
-        pieces = (("qubit denominator", _line_piece(kind, (1, 1), 0.0), 1),)
-    elif skind == "regular":
-        pieces = (("regular denominator", _regular_piece(kind, None), 2),)
+        pieces = (("qubit denominator", _line_piece(kind, (1, 1), 0.0)),)
     else:
         pieces = _edge_pieces(kind, None)
     return tuple(_integrate(pieces, tol))
@@ -432,13 +487,16 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     """Indicator by tanh-sinh quadrature of the joint eigenvalue density.
 
     The value is the ratio of the classical-region integral to the full
-    stratum integral, each a sum of pieces on which the density is smooth
-    inside; denominators are cached per (ensemble, stratum, tolerance) since
-    they carry no kernel dependence.  Each piece is refined until its
-    step-halving difference is within the relative tolerance, and the error
-    estimate is those differences propagated through the ratio.  Spending
-    more than ``MAX_QUAD_EVALS`` evaluations on the numerator, or on the
-    denominator, raises ``ConvergenceError`` naming the cell and the piece.
+    stratum integral.  On the qubit and the degenerate stratum each is a sum
+    of line pieces on which the density is smooth inside; their denominators
+    are cached per (ensemble, stratum, tolerance) since they carry no kernel
+    dependence.  The regular stratum sums the ray table of
+    ``_regular_table`` (see ``_regular_integrals``).  Each integral is
+    refined until its step-halving difference is within the relative
+    tolerance, and the error estimate is the integrals' errors propagated
+    through the ratio.  Spending more than ``MAX_QUAD_EVALS`` evaluations on
+    a numerator, or on a denominator, raises ``ConvergenceError`` naming the
+    cell and the piece.
     """
     request.validate()
     if request.method is not Method.QUADRATURE:
@@ -451,14 +509,14 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     if request.stratum.n == 2:
         skind = "qubit"
         # classical where the Bloch radius is at most 1/sqrt3
-        numerator = (("qubit numerator", _line_piece(kind, (1, 1), (1.0 - 1.0 / SQRT3) / 2.0), 1),)
-    elif skind == "regular":
-        numerator = (("regular numerator", _regular_piece(kind, request.zeta), 2),)
-    else:
+        numerator = (("qubit numerator", _line_piece(kind, (1, 1), (1.0 - 1.0 / SQRT3) / 2.0)),)
+    elif skind == "degenerate":
         numerator = _edge_pieces(kind, request.zeta)
     try:
-        nums = _integrate(numerator, tol)
-        dens = _denominator(kind, skind, tol)
+        if skind == "regular":
+            nums, dens = ((p,) for p in _regular_integrals(kind, request.zeta, tol))
+        else:
+            nums, dens = _integrate(numerator, tol), _denominator(kind, skind, tol)
     except ConvergenceError as exc:
         where = "" if request.zeta is None else f" at zeta={request.zeta!r}"
         raise ConvergenceError(f"{kind.label} {skind} stratum{where}: {exc}") from None

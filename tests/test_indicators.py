@@ -135,15 +135,34 @@ class TestQuadrature:
             q_quadrature(quad_request(EnsembleKind.BKM, REGULAR_QUTRIT, 0.4))
         ind._denominator.cache_clear()
 
+    def test_regular_cell_does_not_depend_on_cached_levels(self, monkeypatch):
+        # a cell charges its budget for every ray-table level it reads, so
+        # levels cached by a tighter cell change neither its value, nor its
+        # error estimate, nor where its budget runs out
+        request = quad_request(EnsembleKind.BKM, REGULAR_QUTRIT, 0.4)
+        ind._regular_table.cache_clear()
+        cold = q_quadrature(request)
+        levels = ind._regular_table.cache_info().currsize
+        q_quadrature(quad_request(EnsembleKind.BKM, REGULAR_QUTRIT, 0.4, tol=1e-12))
+        assert ind._regular_table.cache_info().currsize > levels
+        warm = q_quadrature(request)
+        assert (warm.q, warm.error_estimate) == (cold.q, cold.error_estimate)
+        monkeypatch.setattr(ind, "MAX_QUAD_EVALS", 40)
+        with pytest.raises(ConvergenceError,
+                           match=r"^bkm regular stratum at zeta=0\.4: regular numerator did not converge "
+                                 r"in 0 evaluations \(the next level needs 2451 more, budget 40\)"):
+            q_quadrature(request)
+
     @pytest.mark.parametrize("ensemble", [EnsembleKind.BURES, EnsembleKind.BKM])
-    @pytest.mark.parametrize("zeta", [0.0, 0.4, math.pi / 6, ZETA_MAX])
+    @pytest.mark.parametrize("zeta", [1e-3, 0.0, 0.4, math.pi / 6, ZETA_MAX])
     def test_monotone_regular_polar_oracle(self, ensemble, zeta):
         # independent route: the polar chart turns the 2D simplex integrals
         # into iterated integrals over (radius, angle) with jacobian
         # proportional to the radius; the classical region is radially cut at
         # 1/(4 sqrt3 cos(phi/3 + zeta - pi/3)) and the full region at the
         # trisectrix, with the boundary singularity flattened by radius
-        # substitution r = R (1 - t^k)
+        # substitution r = R (1 - t^k); at zeta = 1e-3 the classical cut
+        # reaches t_c < 0.3 near phi = 0, where BKM's t log^2 t face sits
         from scipy.integrate import quad as scipy_quad
         from wigner_classicality.ensembles import joint_density
         from wigner_classicality.spectra import DegeneracyType
@@ -247,6 +266,21 @@ class TestQuadratureAccuracy:
     def test_regular_minimum_matches_high_precision_reference(self, ensemble, zeta, reference):
         res = q_quadrature(quad_request(ensemble, REGULAR_QUTRIT, zeta))
         assert res.q == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("grid", [
+        # the cold and warm angle grids of the benchmark's curves
+        np.linspace(0.0, ZETA_MAX, 61),
+        np.linspace(math.pi / 360.0, ZETA_MAX - math.pi / 360.0, 60),
+    ], ids=["cold61", "warm60"])
+    def test_hs_regular_tight_tolerance_matches_closed_form(self, grid):
+        # the numerator is a thin sliver near t = 1, summed from one series
+        # per ray that is anchored at t = 1
+        for zeta in grid:
+            res = q_quadrature(quad_request(EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT,
+                                            float(zeta), tol=1e-12))
+            ref = q_hs_qutrit_regular_closed_form(float(zeta)).q
+            assert res.q == pytest.approx(ref, rel=1e-12)
+            assert res.error_estimate >= abs(res.q - ref)
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     @pytest.mark.parametrize("stratum,zeta", [

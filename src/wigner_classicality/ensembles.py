@@ -258,6 +258,9 @@ _TABLE_SUBGRID = {1: 16, 2: 8}
 #: A cell's bound is this factor times its sub-grid maximum.
 _ENVELOPE_MARGIN = 1.05
 
+#: Buckets per envelope cell in the guide table of ``_cell_lookup``.
+_GUIDE_PER_CELL = 4
+
 #: Rejection route of each sampled degeneracy type.
 _REJECTION_ROUTES = {(1, 1, 1): "reject_regular3", (1, 1): "reject_qubit",
                      (2, 1): "reject_edge", (1, 2): "reject_edge"}
@@ -355,6 +358,34 @@ def _envelope_table(kind: EnsembleKind, mult: tuple[int, ...]) -> np.ndarray:
     return table
 
 
+def _cell_lookup(cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, x)`` for a nondecreasing ``cdf``, by a guide table.
+
+    The guide table of Chen and Asau (1974) splits (0, cdf[-1]] into
+    ``_GUIDE_PER_CELL`` equal buckets per entry and stores, for each bucket,
+    the first entry above its lower edge.  Each x starts at its bucket's
+    entry, steps up while ``cdf[i] < x`` and down while ``cdf[i - 1] >= x``.
+    Those steps reach search-left's index from any start, so rounding at the
+    bucket edges cannot change a result; the guide only makes the expected
+    number of steps O(1).
+    """
+    buckets = _GUIDE_PER_CELL * cdf.size
+    scale = buckets / cdf[-1]
+    guide = np.searchsorted(cdf, np.arange(buckets) / scale, side="right")
+    above = np.append(cdf, np.inf)  # above[i] = cdf[i]
+    below = np.concatenate(([-np.inf], cdf))  # below[i] = cdf[i - 1]
+    i = guide.take(np.clip(x * scale, 0, buckets - 1).astype(np.intp))
+    up = np.flatnonzero(above.take(i) < x)
+    while up.size:
+        i[up] += 1
+        up = up[above.take(i[up]) < x[up]]
+    down = np.flatnonzero(below.take(i) >= x)
+    while down.size:
+        i[down] -= 1
+        down = down[below.take(i[down]) >= x[down]]
+    return i
+
+
 class SpectrumSampler:
     """Seeded sampler of eigenvalue spectra for one (ensemble, degeneracy).
 
@@ -365,15 +396,21 @@ class SpectrumSampler:
     eigenvalue u elsewhere, is split into equal cells (32 x 32, or 256),
     each bounded by 5 percent over the weight maximum on a sub-grid of the
     cell.  A proposal picks a cell in
-    proportion to its bound, a point uniformly inside it, and is accepted
-    with probability weight / bound.  The table is built once per
-    (ensemble, degeneracy) on first use.
+    proportion to its bound (looked up in a guide table, ``_cell_lookup``),
+    a point uniformly inside it, and is accepted with probability
+    weight / bound.  The table is built once per (ensemble, degeneracy) on
+    first use; each instance draws from its own copy, ``_envelope``.
+    Proposals come in batches of up to ``_CHUNK``, whose weights are
+    evaluated in tiles of ``_TILE`` rows.
 
     A proposal weight above its cell's bound, or an acceptance rate below
     ``MIN_ACCEPTANCE``, aborts with ``SamplerFailureError``.
     """
 
     _CHUNK = 1 << 18
+    #: Rows per weight evaluation in ``_draw``: the weight's temporaries of
+    #: one tile stay in cache, where those of a whole batch would not.
+    _TILE = 1 << 14
 
     def __init__(
         self,
@@ -449,26 +486,43 @@ class SpectrumSampler:
         return np.concatenate(rows, axis=0)[:m]
 
     def _draw(self, m: int) -> np.ndarray:
-        """Propose m points from the envelope table; return the accepted spectra."""
+        """Propose m points from the envelope table; return the accepted spectra.
+
+        The uniforms are drawn for the whole batch, in a fixed order (the
+        cells, each coordinate, the acceptance), so the stream and every
+        output bit do not depend on ``_TILE``; only the weight and the
+        acceptance test run tile by tile.  Every proposal's weight is checked
+        against its cell's bound before anything is accepted.
+        """
         bound = self._envelope
         cdf = np.cumsum(bound)
         # (1 - U) * total lies in (0, total], so search-left skips empty cells
-        cell = np.searchsorted(cdf, (1.0 - self.rng.random(m)) * cdf[-1])
+        cell = _cell_lookup(cdf, (1.0 - self.rng.random(m)) * cdf[-1])
         cells = _TABLE_CELLS[len(self._box)]
         index = np.unravel_index(cell, (cells,) * len(self._box))
         coords = [lo + (i + self.rng.random(m)) * ((hi - lo) / cells)
                   for (lo, hi), i in zip(self._box, index)]
-        w, spectra = _proposal_weight(self.kind, self.deg.multiplicities, coords)
         b = bound[cell]
-        over = w > b
-        if over.any():
-            i = int(np.argmax(np.where(over, w / b, 0.0)))
+        threshold = self.rng.random(m) * b
+        rows, worst = [], None
+        for start in range(0, m, self._TILE):
+            part = slice(start, start + self._TILE)
+            w, spectra = _proposal_weight(self.kind, self.deg.multiplicities, [c[part] for c in coords])
+            bp = b[part]
+            over = w > bp
+            if over.any():  # the batch's worst offender is named, in whichever tile it lies
+                ratio = np.where(over, w / bp, 0.0)
+                i = int(np.argmax(ratio))
+                if worst is None or ratio[i] > worst[0]:
+                    worst = (ratio[i], w[i], bp[i])
+            keep = threshold[part] < w
+            rows.append(np.column_stack([c[keep] for c in spectra]))
+        if worst is not None:
             raise SamplerFailureError(
-                f"proposal weight {w[i]:.3e} exceeded its envelope cell bound {b[i]:.3e} for "
+                f"proposal weight {worst[1]:.3e} exceeded its envelope cell bound {worst[2]:.3e} for "
                 f"({self.kind.label}, {self.deg.multiplicities}); envelope table too coarse"
             )
-        keep = self.rng.random(m) * b < w
+        block = np.concatenate(rows)
         self._proposed += m
-        self._accepted += int(np.count_nonzero(keep))
-        return np.column_stack([c[keep] for c in spectra])
-
+        self._accepted += block.shape[0]
+        return block

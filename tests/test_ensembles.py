@@ -24,11 +24,16 @@ from wigner_classicality.ensembles import (
     log_joint_density,
     mc_function,
     worker_seed,
+    _TABLE_CELLS,
+    _cell_lookup,
     _density3_vec,
     _density_pair_vec,
+    _envelope_table,
+    _proposal_weight,
 )
 
 ALL_KINDS = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
+ALL_MULTS = ((1, 1), (1, 1, 1), (2, 1), (1, 2))
 SUB_POWER = {EnsembleKind.HILBERT_SCHMIDT: 1, EnsembleKind.BURES: 2, EnsembleKind.BKM: 4}
 
 
@@ -222,6 +227,107 @@ class TestSamplerFailure:
         a._envelope /= 1e6
         b = SpectrumSampler(EnsembleKind.BKM, DegeneracyType((2, 1)), seed=5)
         assert b.sample(1000).shape == (1000, 3)
+
+
+class _ReferenceSampler(SpectrumSampler):
+    """The proposal loop of version 0.2.4: one binary search and one whole-batch weight."""
+
+    def _draw(self, m: int) -> np.ndarray:
+        bound = self._envelope
+        cdf = np.cumsum(bound)
+        cell = np.searchsorted(cdf, (1.0 - self.rng.random(m)) * cdf[-1])
+        cells = _TABLE_CELLS[len(self._box)]
+        index = np.unravel_index(cell, (cells,) * len(self._box))
+        coords = [lo + (i + self.rng.random(m)) * ((hi - lo) / cells)
+                  for (lo, hi), i in zip(self._box, index)]
+        w, spectra = _proposal_weight(self.kind, self.deg.multiplicities, coords)
+        b = bound[cell]
+        over = w > b
+        if over.any():
+            i = int(np.argmax(np.where(over, w / b, 0.0)))
+            raise SamplerFailureError(
+                f"proposal weight {w[i]:.3e} exceeded its envelope cell bound {b[i]:.3e} for "
+                f"({self.kind.label}, {self.deg.multiplicities}); envelope table too coarse"
+            )
+        keep = self.rng.random(m) * b < w
+        self._proposed += m
+        self._accepted += int(np.count_nonzero(keep))
+        return np.column_stack([c[keep] for c in spectra])
+
+
+def _assert_lookup_exact(cdf: np.ndarray, x: np.ndarray) -> None:
+    assert np.array_equal(_cell_lookup(cdf, x), np.searchsorted(cdf, x))
+
+
+def _edge_points(cdf: np.ndarray) -> np.ndarray:
+    """Every cdf entry, its two floating-point neighbours and the total."""
+    return np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf), cdf[-1:]])
+
+
+class TestCellLookup:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", ALL_MULTS)
+    def test_matches_binary_search_on_envelope_tables(self, kind, mult):
+        cdf = np.cumsum(_envelope_table(kind, mult))
+        x = (1.0 - np.random.default_rng(3).random(100_000)) * cdf[-1]
+        _assert_lookup_exact(cdf, x)
+        _assert_lookup_exact(cdf, _edge_points(cdf))
+
+    def test_skips_runs_of_empty_cells(self):
+        bound = np.random.default_rng(4).random(300)
+        empty = np.zeros(300, dtype=bool)
+        for lo, hi in ((0, 1), (10, 40), (41, 42), (100, 160), (290, 300)):
+            empty[lo:hi] = True
+        bound[empty] = 0.0
+        cdf = np.cumsum(bound)
+        x = (1.0 - np.random.default_rng(5).random(100_000)) * cdf[-1]
+        _assert_lookup_exact(cdf, x)
+        _assert_lookup_exact(cdf, _edge_points(cdf))
+        inside = _edge_points(cdf)
+        inside = inside[(inside > 0.0) & (inside <= cdf[-1])]
+        assert not empty[_cell_lookup(cdf, np.concatenate([x, inside]))].any()
+
+
+class TestProposalLoop:
+    """The guide-table lookup and the weight tiles leave every output bit of 0.2.4."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", ALL_MULTS)
+    def test_same_stream_as_whole_batch_loop(self, kind, mult):
+        new = SpectrumSampler(kind, DegeneracyType(mult), seed=17)
+        old = _ReferenceSampler(kind, DegeneracyType(mult), seed=17)
+        assert np.array_equal(new.sample(300_000), old.sample(300_000))
+        assert (new._proposed, new._accepted) == (old._proposed, old._accepted)
+
+    @pytest.mark.parametrize("tile", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", ALL_MULTS)
+    def test_tile_size_does_not_change_output(self, monkeypatch, tile, kind, mult):
+        expected = _ReferenceSampler(kind, DegeneracyType(mult), seed=23).sample(5000)
+        monkeypatch.setattr(SpectrumSampler, "_TILE", tile)
+        assert np.array_equal(SpectrumSampler(kind, DegeneracyType(mult), seed=23).sample(5000), expected)
+
+    def test_overflow_names_the_batch_worst_offender(self, monkeypatch):
+        messages = []
+        monkeypatch.setattr(SpectrumSampler, "_TILE", 1000)
+        for cls in (SpectrumSampler, _ReferenceSampler):
+            sampler = cls(EnsembleKind.BURES, DegeneracyType((1, 1, 1)), seed=5)
+            sampler._envelope *= np.random.default_rng(6).uniform(0.93, 0.95, sampler._envelope.size)
+            with pytest.raises(SamplerFailureError, match="envelope cell bound") as err:
+                sampler.sample(200_000)
+            assert sampler._proposed == 0
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_lookup_follows_the_current_envelope(self):
+        # hs qubit: u = y on (0, 1/2) in 256 cells, and the smaller eigenvalue is y itself
+        sampler = SpectrumSampler(EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1)), seed=8)
+        width = 0.5 / 256
+        sampler._envelope[100:150] = 0.0
+        y = sampler.sample(50_000)[:, 1]
+        assert not np.any((y > 100 * width + 1e-12) & (y < 150 * width - 1e-12))
+        assert np.any((y > 90 * width) & (y < 100 * width))
+        assert np.any((y > 150 * width) & (y < 160 * width))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

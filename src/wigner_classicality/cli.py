@@ -462,22 +462,18 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
 
     # ensemble ordering hs > bures > bkm (regular stratum: whole moduli range;
     # degenerate stratum: upper range, where the relation holds)
-    violations_reg = 0
-    for z in np.linspace(0.0, ZETA_MAX, 21):
-        q_hs = indicator(EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT, Method.CLOSED_FORM, float(z)).q
-        q_b = indicator(EnsembleKind.BURES, REGULAR_QUTRIT, Method.QUADRATURE, float(z)).q
-        q_k = indicator(EnsembleKind.BKM, REGULAR_QUTRIT, Method.QUADRATURE, float(z)).q
-        if not q_hs > q_b > q_k:
-            violations_reg += 1
-    checks.append(_check("ensemble_ordering_regular[21pts]", 0, violations_reg, 0))
-    violations_deg = 0
-    for z in np.linspace(math.pi / 6.0, ZETA_MAX, 11):
-        q_hs = indicator(EnsembleKind.HILBERT_SCHMIDT, DEGENERATE_QUTRIT, Method.CLOSED_FORM, float(z)).q
-        q_b = indicator(EnsembleKind.BURES, DEGENERATE_QUTRIT, Method.QUADRATURE, float(z)).q
-        q_k = indicator(EnsembleKind.BKM, DEGENERATE_QUTRIT, Method.QUADRATURE, float(z)).q
-        if not q_hs > q_b > q_k:
-            violations_deg += 1
-    checks.append(_check("ensemble_ordering_degenerate[upper,11pts]", 0, violations_deg, 0))
+    ordered = ((EnsembleKind.HILBERT_SCHMIDT, Method.CLOSED_FORM),
+               (EnsembleKind.BURES, Method.QUADRATURE), (EnsembleKind.BKM, Method.QUADRATURE))
+    for stratum, grid, name in (
+            (REGULAR_QUTRIT, np.linspace(0.0, ZETA_MAX, 21), "ensemble_ordering_regular[21pts]"),
+            (DEGENERATE_QUTRIT, np.linspace(math.pi / 6.0, ZETA_MAX, 11),
+             "ensemble_ordering_degenerate[upper,11pts]")):
+        violations = 0
+        for z in grid:
+            q_hs, q_b, q_k = (indicator(kind, stratum, method, float(z)).q for kind, method in ordered)
+            if not q_hs > q_b > q_k:
+                violations += 1
+        checks.append(_check(name, 0, violations, 0))
 
     checks.append(_cone_check(cfg))
     return checks

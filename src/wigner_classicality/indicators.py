@@ -6,7 +6,9 @@ expressed through the joint eigenvalue density.  Three independent methods
 are provided and cross-validated against each other:
 
 * closed forms (qubit, all ensembles; qutrit, Hilbert-Schmidt only),
-* tanh-sinh quadrature over the eigenvalue simplex,
+* quadrature from Chebyshev fits of the density along rays of the
+  eigenvalue simplex, summed over a tanh-sinh rule in the rays' angle on
+  the regular qutrit stratum,
 * seeded Monte Carlo over the ensemble samplers.
 
 On top of these sit the moduli-space utilities: minimization of the
@@ -56,8 +58,9 @@ DEFAULT_TOLERANCE = {
 }
 DEFAULT_SAMPLES = 1_000_000
 
-#: Density evaluations allowed for an indicator's numerator, and for its
-#: denominator, before declaring non-convergence.
+#: Density evaluations that a regular-stratum cell may charge for the phi
+#: levels it reads before declaring non-convergence.  Qubit and degenerate
+#: cells read one fixed fit per line piece and charge nothing.
 MAX_QUAD_EVALS = 1_000_000
 
 #: Moduli-scan layout: coarse grid then golden-section refinement.
@@ -98,10 +101,10 @@ class IndicatorRequest:
     """Full description of one indicator computation.
 
     ``zeta`` must be given for qutrit strata and omitted for the qubit;
-    quadrature requests carry a relative ``tolerance``, Monte Carlo requests
-    a ``samples`` count and ``seed`` (``workers`` splits the sampling into
-    independently seeded chunks; results are deterministic for a fixed
-    (seed, workers) pair).
+    quadrature requests carry a relative ``tolerance`` (read on the regular
+    qutrit stratum only), Monte Carlo requests a ``samples`` count and
+    ``seed`` (``workers`` splits the sampling into independently seeded
+    chunks; results are deterministic for a fixed (seed, workers) pair).
     """
 
     ensemble: EnsembleKind
@@ -238,21 +241,19 @@ def _closed_form(ensemble: EnsembleKind, stratum: StratumLabel, zeta: float | No
         return IndicatorResult(q=1.0, method=Method.CLOSED_FORM, error_estimate=0.0, request=req)
     if stratum.n == 2:
         return q_qubit_closed_form(ensemble)
-    if ensemble is not EnsembleKind.HILBERT_SCHMIDT:
-        raise UnsupportedRequestError(f"no closed form for ({ensemble.label}, N=3)")
     if kind == "regular":
         return q_hs_qutrit_regular_closed_form(zeta)
     return q_hs_qutrit_degenerate_closed_form(zeta)
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh quadrature
+# quadrature: Chebyshev ray fits, and tanh-sinh in phi on the regular stratum
 # ---------------------------------------------------------------------------
 
-#: Tanh-sinh rule on [0, 1]: step of the first level, and the truncation
-#: |t| <= _TS_TMAX.  The inverse-sqrt face singularity of the monotone
-#: densities leaves a tail of about sqrt(d) beyond a last node at distance d
-#: from the end: ~5e-12 at |t| = 3.5, below 1e-30 at |t| = 4.5.
+#: Tanh-sinh rule in u = phi / pi on [0, 1]: step of the first level, and the
+#: truncation |t| <= _TS_TMAX.  The face singularity in the chart's t is
+#: absorbed by the ray fits, not by this rule; beyond |t| = 4.5 the nodes lie
+#: within 5e-62 of the ends of the phi range.
 _TS_STEP = 0.5
 _TS_TMAX = 4.5
 
@@ -261,13 +262,12 @@ _TS_ROUNDING = 1e-14
 
 
 @lru_cache(maxsize=None)
-def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the tanh-sinh rule on [0, 1] that are new at ``level``.
 
     Level 0 has step ``_TS_STEP``; each further level halves the step and
-    adds the nodes at its odd multiples.  Returns ``(u, v, w)``: each node's
-    distance from the lower end and from the upper end, both exact to
-    rounding (no ``1 - u`` cancellation), and its weight without the step.
+    adds the nodes at its odd multiples.  Returns ``(u, w)``: each node's
+    distance from the lower end and its weight without the step.
     """
     h = _TS_STEP / 2 ** level
     n = round(_TS_TMAX / h)
@@ -279,58 +279,46 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = 1.0 / (1.0 + np.exp(-s))
     v = 1.0 / (1.0 + np.exp(s))
     w = math.pi * np.cosh(t) * u * v
-    for a in (u, v, w):
+    for a in (u, w):
         a.flags.writeable = False
-    return u, v, w
+    return u, w
 
 
-def _tanh_sinh(piece: str, f, tol: float, budget: int) -> tuple[float, float, int]:
-    """Integral of ``f`` over the unit interval.
-
-    ``f(u, v)`` evaluates the integrand, Jacobian included, at nodes given by
-    their distances from both ends of the interval.  Levels are added until
-    the step-halving difference ``|I_h - I_{h/2}|`` is at most
-    ``tol |I_{h/2}|``; it is returned as the error estimate, with
-    ``I_{h/2}`` and the evaluation count.  Only the new nodes of each level
-    are evaluated.  Raises ``ConvergenceError`` rather than spend more than
-    ``budget`` evaluations.
-    """
-    used, total, last, rel = 0, 0.0, None, math.nan
-    level = 0
-    while True:
-        u, v, w = _ts_level(level)
-        if used + u.size > budget:
-            raise _budget_error(piece, used, u.size, budget, rel, tol)
-        used += u.size
-        total += float(w @ f(u, v))
-        value = total * (_TS_STEP / 2 ** level)
-        if last is not None:
-            err = abs(value - last)
-            rel = err / abs(value) if value else 0.0
-            if err <= max(tol, _TS_ROUNDING) * abs(value):
-                return value, err, used
-        last = value
-        level += 1
-
-
-def _budget_error(piece: str, used: int, cost: int, budget: int, rel: float, tol: float):
-    return ConvergenceError(f"{piece} did not converge in {used} evaluations (the next level needs "
-                            f"{cost} more, budget {budget}): last |dI|/I = {rel:.2e} against "
-                            f"tolerance {tol:.1e}")
-
-
-def _integrate(pieces, tol: float) -> list[tuple[float, float]]:
-    """(value, error) of each (label, integrand) piece on one shared budget."""
-    out, used = [], 0
-    for piece, f in pieces:
-        value, err, evals = _tanh_sinh(piece, f, tol, MAX_QUAD_EVALS - used)
-        used += evals
-        out.append((value, err))
-    return out
-
-
-#: Chebyshev degree of the fit of the regular-stratum weight along one ray.
+#: Chebyshev degree of the fit of a weight along one ray, and the fit's
+#: points x_j = (1 + cos(pi j / n)) / 2 in x = t^(1/4) for j < n; every
+#: weight is 0 at the last point x_n = 0.
 _RAY_DEGREE = 128
+_RAY_X = np.sin(np.arange(_RAY_DEGREE, 0, -1) * (math.pi / (2 * _RAY_DEGREE))) ** 2
+_RAY_X.flags.writeable = False
+
+
+def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulative Chebyshev coefficients of weight rows given at ``_RAY_X``.
+
+    Each row of ``g`` is a weight times dt/dx = 4 x^3, so that it integrates
+    in x.  Its Chebyshev series of degree ``_RAY_DEGREE`` on [0, 1] has
+    coefficients ``c`` by a DCT-I (the real FFT of the even extension).  In
+    the angle theta of 2x - 1 = cos(theta), the cumulative
+    ``G(t) = int_t^1 weight dt`` is ``sum_{k>=1} b_k sin^2(k theta / 2)``,
+    which vanishes at t = 1 term by term and is ``sum_{k odd} b_k`` at
+    t = 0.  Returns the rows of ``b``, and per row the truncation bound
+    |c_{n-1}| + |c_n| and sum_k |b_k|.
+    """
+    n = _RAY_DEGREE
+    g = np.pad(g, ((0, 0), (0, 1)))
+    c = np.fft.rfft(np.concatenate([g, g[:, n - 1:0:-1]], axis=1), axis=1).real / n
+    c[:, n] *= 0.5  # c_0 stays doubled, as the antiderivative wants it
+    # b_k = (c_{k-1} - c_{k+1}) / 2k: the antiderivative in 2x - 1, whose
+    # factor 1/2 of dx = dy / 2 cancels the 2 of 1 - cos = 2 sin^2
+    b = (c[:, :n + 1] - np.pad(c[:, 2:], ((0, 0), (0, 2)))) / (2.0 * np.arange(1, n + 2))
+    return b, np.abs(c[:, n - 1]) + np.abs(c[:, n]), np.abs(b).sum(axis=1)
+
+
+def _ray_cumulative(b: np.ndarray, t) -> np.ndarray:
+    """G(t) of each row of ``b`` from ``_ray_fit``, at that row's t."""
+    # theta / 2 = arccos(sqrt(x)) = arccos(t^(1/8))
+    half = np.arccos(np.sqrt(np.sqrt(np.sqrt(t))))
+    return np.sum(b * np.sin(np.outer(half, np.arange(1, _RAY_DEGREE + 2))) ** 2, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -338,31 +326,17 @@ def _regular_table(kind: EnsembleKind, level: int):
     """Ray table of the regular stratum at the phi nodes new at tanh-sinh ``level`` (read-only).
 
     Along the ray phi = pi u of ``ensembles._regular_chart`` the weight
-    (density times area element) is fitted in x = t^(1/4), which turns the
-    BKM face singularity t log^2 t into x^7 log^2 x: one Chebyshev series of
-    degree ``_RAY_DEGREE`` on [0, 1] through the weight at the Chebyshev
-    points, its coefficients ``c`` by a DCT-I (the real FFT of the even
-    extension).  In the angle theta of 2x - 1 = cos(theta), the cumulative
-    ``G(t) = int_t^1 weight dt`` is ``sum_{k>=1} b_k sin^2(k theta / 2)``,
-    which vanishes at t = 1 term by term and is ``sum_{k odd} b_k`` at t = 0.
+    (density times area element) is fitted by ``_ray_fit`` in x = t^(1/4),
+    which turns the BKM face singularity t log^2 t into x^7 log^2 x.
     Returns the nodes' u and weights, the rows of ``b``, and the w-weighted
-    sums over the nodes of G(0), of the truncation bound |c_{n-1}| + |c_n|
-    and of sum_k |b_k|.
+    sums over the nodes of G(0), of the truncation bound and of
+    sum_k |b_k|.
     """
-    u, _, w = _ts_level(level)
-    n = _RAY_DEGREE
-    # x_j = (1 + cos(pi j / n)) / 2 for j < n; the weight is 0 at x_n = 0
-    x = np.sin(np.arange(n, 0, -1) * (math.pi / (2 * n))) ** 2
+    u, w = _ts_level(level)
+    x = _RAY_X
     spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
-    g = np.zeros((u.size, n + 1))
-    g[:, :n] = _density3_vec(kind, *spectra) * (area * 4.0 * x ** 3)
-    c = np.fft.rfft(np.concatenate([g, g[:, n - 1:0:-1]], axis=1), axis=1).real / n
-    c[:, n] *= 0.5  # c_0 stays doubled, as the antiderivative wants it
-    # b_k = (c_{k-1} - c_{k+1}) / 2k: the antiderivative in 2x - 1, whose
-    # factor 1/2 of dx = dy / 2 cancels the 2 of 1 - cos = 2 sin^2
-    b = (c[:, :n + 1] - np.pad(c[:, 2:], ((0, 0), (0, 2)))) / (2.0 * np.arange(1, n + 2))
-    sums = np.array([w @ b[:, ::2].sum(axis=1), w @ (np.abs(c[:, n - 1]) + np.abs(c[:, n])),
-                     w @ np.abs(b).sum(axis=1)])
+    b, tail, size = _ray_fit(_density3_vec(kind, *spectra) * (area * 4.0 * x ** 3))
+    sums = np.array([w @ b[:, ::2].sum(axis=1), w @ tail, w @ size])
     for a in (b, sums):
         a.flags.writeable = False
     return u, w, b, sums
@@ -377,23 +351,24 @@ def _regular_integrals(kind: EnsembleKind, zeta: float, tol: float) -> tuple[tup
     step-halving differences are within ``tol``, or within rounding; each
     error is that difference plus the node sums of the fits' truncation
     bound and of the rounding term eps sum_k |b_k|.  A cell charges the
-    budget with the density evaluations of every level it reads, built now
-    or cached, so nothing depends on call order.
+    budget ``MAX_QUAD_EVALS`` with the density evaluations of every level it
+    reads, built now or cached, so nothing depends on call order; past it,
+    ``ConvergenceError`` names the cell and the integral.
     """
-    k = np.arange(1, _RAY_DEGREE + 2)
     used, level, totals, last = 0, 0, np.zeros(4), None
     rel, ok = (math.nan, math.nan), (False, False)
     while True:
         cost = _ts_level(level)[0].size * (_RAY_DEGREE + 1)
         if used + cost > MAX_QUAD_EVALS:
             i = ok.index(False)
-            raise _budget_error(f"regular {('numerator', 'denominator')[i]}", used, cost,
-                                MAX_QUAD_EVALS, rel[i], tol)
+            raise ConvergenceError(
+                f"{kind.label} regular stratum at zeta={zeta!r}: regular "
+                f"{('numerator', 'denominator')[i]} did not converge in {used} evaluations (the "
+                f"next level needs {cost} more, budget {MAX_QUAD_EVALS}): last |dI|/I = "
+                f"{rel[i]:.2e} against tolerance {tol:.1e}")
         used += cost
         u, w, b, sums = _regular_table(kind, level)
-        # theta / 2 = arccos(sqrt(x)) = arccos(t^(1/8))
-        half = np.arccos(np.sqrt(np.sqrt(np.sqrt(_regular_classical_cutoff(math.pi * u, zeta)))))
-        totals[0] += w @ np.sum(b * np.sin(np.outer(half, k)) ** 2, axis=1)
+        totals[0] += w @ _ray_cumulative(b, _regular_classical_cutoff(math.pi * u, zeta))
         totals[1:] += sums
         num, den, tail, rounding = (float(v) * math.pi * _TS_STEP / 2 ** level for v in totals)
         rounding *= np.finfo(float).eps
@@ -427,23 +402,24 @@ def _regular_classical_cutoff(phi, zeta: float):
     return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + zeta - math.pi / 3.0))))
 
 
-def _line_piece(kind: EnsembleKind, mult: tuple[int, int], y_low: float):
-    """Integrand over the smallest distinct eigenvalue y in [y_low, top] of a line piece.
+@lru_cache(maxsize=None)
+def _line_table(kind: EnsembleKind, mult: tuple[int, int]):
+    """One-row ray table of a line piece (read-only).
 
     The pieces are the qubit and the two degenerate qutrit edges, with the
-    geometry of ``ensembles._LINES``.  y is descending in the polar radius,
-    and classical regions have y above a cutoff, so numerators and
-    denominators (y_low = 0, where y = top u keeps its relative accuracy)
-    share this integrand.  The radius measure contributes the constant |dr/dy|.
+    geometry of ``ensembles._LINES``.  Along y = top t^4, which matches the
+    regular chart's r3 = t^4 / 3 on the edges, the weight is the density
+    times the constant |dr/dy| times dy/dt; it is fitted by ``_ray_fit``.
+    Returns the row of ``b``, G(0), and the fit's error term: the
+    truncation bound plus eps sum_k |b_k|.
     """
     top, kk, drdy = _LINES[mult]
-    span = top - y_low
-    scale = drdy * span
-
-    def f(u, v):
-        y = y_low + span * u
-        return _density_pair_vec(kind, _line_spectrum(mult, y)[0], y, kk) * scale
-    return f
+    t = _RAY_X ** 4
+    y = top * t ** 4
+    weight = _density_pair_vec(kind, _line_spectrum(mult, y)[0], y, kk) * (drdy * 4.0 * top * t ** 3)
+    b, tail, size = _ray_fit((weight * (4.0 * _RAY_X ** 3))[None, :])
+    b.flags.writeable = False
+    return b, float(b[0, ::2].sum()), float(tail[0] + np.finfo(float).eps * size[0])
 
 
 def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
@@ -466,63 +442,53 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
     return 1.0 / 3.0 - 1.0 / (12.0 * math.cos(zeta))
 
 
-def _edge_pieces(kind: EnsembleKind, zeta: float | None):
-    role = "denominator" if zeta is None else "numerator"
-    return tuple((f"edge ({comp[0]},{comp[1]}) {role}",
-                  _line_piece(kind, comp, 0.0 if zeta is None else _edge_classical_cutoff(comp, zeta)))
-                 for comp in _EDGE_COMPOSITIONS)
+def _line_integrals(kind: EnsembleKind, zeta: float | None) -> tuple[tuple[float, float], ...]:
+    """(value, error) of the numerator and denominator of a qubit (``zeta`` None) or degenerate cell.
 
-
-@lru_cache(maxsize=None)
-def _denominator(kind: EnsembleKind, skind: str, tol: float) -> tuple[tuple[float, float], ...]:
-    """Per-piece (value, error) of a line stratum's full integral; no kernel dependence."""
-    if skind == "qubit":
-        pieces = (("qubit denominator", _line_piece(kind, (1, 1), 0.0)),)
+    Classical regions have y above a cutoff y_c, so each piece contributes
+    G(t_c) with t_c = (y_c / top)^(1/4) to the numerator and G(0) to the
+    denominator.  Both errors are the pieces' fit error terms.
+    """
+    if zeta is None:
+        # classical where the Bloch radius is at most 1/sqrt3
+        cuts = (((1, 1), (1.0 - 1.0 / SQRT3) / 2.0),)
     else:
-        pieces = _edge_pieces(kind, None)
-    return tuple(_integrate(pieces, tol))
+        cuts = tuple((comp, _edge_classical_cutoff(comp, zeta)) for comp in _EDGE_COMPOSITIONS)
+    num = den = err = 0.0
+    for mult, y_c in cuts:
+        b, g0, fit_err = _line_table(kind, mult)
+        num += float(_ray_cumulative(b, (y_c / _LINES[mult][0]) ** 0.25)[0])
+        den += g0
+        err += fit_err
+    return (num, err), (den, err)
 
 
 def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
-    """Indicator by tanh-sinh quadrature of the joint eigenvalue density.
+    """Indicator by quadrature of the joint eigenvalue density.
 
     The value is the ratio of the classical-region integral to the full
-    stratum integral.  On the qubit and the degenerate stratum each is a sum
-    of line pieces on which the density is smooth inside; their denominators
-    are cached per (ensemble, stratum, tolerance) since they carry no kernel
-    dependence.  The regular stratum sums the ray table of
-    ``_regular_table`` (see ``_regular_integrals``).  Each integral is
-    refined until its step-halving difference is within the relative
-    tolerance, and the error estimate is the integrals' errors propagated
-    through the ratio.  Spending more than ``MAX_QUAD_EVALS`` evaluations on
-    a numerator, or on a denominator, raises ``ConvergenceError`` naming the
-    cell and the piece.
+    stratum integral.  Each is a sum of ray cumulatives G(t) of Chebyshev
+    fits along rays of the chart (see ``_ray_fit``).  The qubit is one ray
+    and the degenerate stratum one ray per edge (``_line_integrals``); the
+    fit is fixed, so these cells do not read the tolerance.  The regular
+    stratum sums the ray table of ``_regular_table`` over tanh-sinh phi
+    levels, which are refined until the step-halving differences are
+    within the relative tolerance (``_regular_integrals``); spending more
+    than ``MAX_QUAD_EVALS`` evaluations raises ``ConvergenceError``.  The
+    error estimate is the integrals' errors propagated through the ratio.
     """
     request.validate()
     if request.method is not Method.QUADRATURE:
         raise UnsupportedRequestError("q_quadrature requires a quadrature request")
     kind = request.ensemble
-    tol = request.tolerance if request.tolerance is not None else DEFAULT_TOLERANCE[kind]
     skind = _stratum_kind(request.stratum)
     if skind == "point":
         return IndicatorResult(q=1.0, method=Method.QUADRATURE, error_estimate=0.0, request=request)
-    if request.stratum.n == 2:
-        skind = "qubit"
-        # classical where the Bloch radius is at most 1/sqrt3
-        numerator = (("qubit numerator", _line_piece(kind, (1, 1), (1.0 - 1.0 / SQRT3) / 2.0)),)
-    elif skind == "degenerate":
-        numerator = _edge_pieces(kind, request.zeta)
-    try:
-        if skind == "regular":
-            nums, dens = ((p,) for p in _regular_integrals(kind, request.zeta, tol))
-        else:
-            nums, dens = _integrate(numerator, tol), _denominator(kind, skind, tol)
-    except ConvergenceError as exc:
-        where = "" if request.zeta is None else f" at zeta={request.zeta!r}"
-        raise ConvergenceError(f"{kind.label} {skind} stratum{where}: {exc}") from None
-
-    num, num_err = (math.fsum(p) for p in zip(*nums))
-    den, den_err = (math.fsum(p) for p in zip(*dens))
+    if request.stratum.n == 2 or skind == "degenerate":
+        (num, num_err), (den, den_err) = _line_integrals(kind, request.zeta)
+    else:
+        tol = request.tolerance if request.tolerance is not None else DEFAULT_TOLERANCE[kind]
+        (num, num_err), (den, den_err) = _regular_integrals(kind, request.zeta, tol)
     if den <= 0.0 or not math.isfinite(den):
         raise ConvergenceError(f"degenerate denominator integral: {den!r}")
     q = num / den
@@ -542,8 +508,8 @@ def _kernel_for(request: IndicatorRequest) -> SWKernelSpectrum:
 
 
 def _edge_mix_weight(kind: EnsembleKind) -> float:
-    """Probability that a degenerate-stratum draw lies on the (2,1) edge."""
-    (z0, _), (zp, _) = _denominator(kind, "degenerate", 1e-10)
+    """Probability that a degenerate-stratum draw lies on the (2,1) edge, from the edges' G(0)."""
+    z0, zp = (_line_table(kind, comp)[1] for comp in _EDGE_COMPOSITIONS)
     return z0 / (z0 + zp)
 
 

@@ -106,7 +106,9 @@ class TestQuadrature:
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_qubit_matches_closed(self, ensemble):
         res = q_quadrature(quad_request(ensemble, QUBIT_STRATUM, tol=1e-8))
-        assert res.q == pytest.approx(QUBIT_REFERENCE[ensemble], rel=1e-8)
+        ref = q_qubit_closed_form(ensemble).q
+        assert res.q == pytest.approx(ref, rel=1e-12)
+        assert res.error_estimate >= abs(res.q - ref)
 
     @pytest.mark.parametrize("zeta", np.linspace(0.0, ZETA_MAX, 7))
     def test_hs_regular_matches_closed(self, zeta):
@@ -129,11 +131,9 @@ class TestQuadrature:
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(ind, "MAX_QUAD_EVALS", 40)
-        ind._denominator.cache_clear()
         with pytest.raises(ConvergenceError,
                            match=r"^bkm regular stratum at zeta=0\.4: regular numerator did not converge "):
             q_quadrature(quad_request(EnsembleKind.BKM, REGULAR_QUTRIT, 0.4))
-        ind._denominator.cache_clear()
 
     def test_regular_cell_does_not_depend_on_cached_levels(self, monkeypatch):
         # a cell charges its budget for every ray-table level it reads, so
@@ -152,6 +152,20 @@ class TestQuadrature:
                            match=r"^bkm regular stratum at zeta=0\.4: regular numerator did not converge "
                                  r"in 0 evaluations \(the next level needs 2451 more, budget 40\)"):
             q_quadrature(request)
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_degenerate_cell_ignores_tolerance_and_cache(self, ensemble):
+        # a line cell reads one fixed fit per edge: no tolerance, no
+        # refinement, and no dependence on what the table cache holds
+        def cell(tol):
+            res = q_quadrature(quad_request(ensemble, DEGENERATE_QUTRIT, 0.4, tol=tol))
+            return res.q, res.error_estimate
+
+        loose = cell(1e-6)
+        assert cell(1e-12) == loose
+        ind._line_table.cache_clear()
+        assert cell(1e-12) == loose
+        assert cell(1e-6) == loose
 
     @pytest.mark.parametrize("ensemble", [EnsembleKind.BURES, EnsembleKind.BKM])
     @pytest.mark.parametrize("zeta", [1e-3, 0.0, 0.4, math.pi / 6, ZETA_MAX])
@@ -204,6 +218,35 @@ class TestQuadrature:
         # both edges carry density proportional to r^4, so the (2,1) edge mass
         # relative to the whole stratum is (1/2)^5 / (1 + (1/2)^5) = 1/33
         assert ind._edge_mix_weight(EnsembleKind.HILBERT_SCHMIDT) == pytest.approx(1.0 / 33.0, rel=1e-9)
+
+    @pytest.mark.parametrize("ensemble", [EnsembleKind.BURES, EnsembleKind.BKM])
+    def test_degenerate_edge_mixture_weight_monotone(self, ensemble):
+        # the documented edge densities written out by hand, with no package
+        # code: an edge is parametrised by its lone eigenvalue y in [0, 1/3],
+        # with spectrum (b, b, y), b = (1 - y)/2 and |d spectrum/dy| =
+        # sqrt(3/2) on the (2,1) edge, and (b, y, y), b = 1 - 2y and
+        # sqrt(6) on the (1,2) edge; both have pair power 2, so the density is
+        # (b - y)^4 c(b, y)^2 / sqrt(b y) with c = 2/(b + y) (Bures) or
+        # (ln b - ln y)/(b - y) (BKM); y = u^2 removes the 1/sqrt(y)
+        import mpmath as mp
+
+        def c(b, y):
+            if ensemble is EnsembleKind.BURES:
+                return 2 / (b + y)
+            return (mp.log(b) - mp.log(y)) / (b - y)
+
+        def mass(big, jac):
+            def f(u):
+                y = u * u
+                b = big(y)
+                return (b - y) ** 4 * c(b, y) ** 2 / mp.sqrt(b * y) * jac * 2 * u
+            return mp.quad(f, [0, mp.sqrt(mp.mpf(1) / 3)])
+
+        with mp.workdps(30):
+            z21 = mass(lambda y: (1 - y) / 2, mp.sqrt(mp.mpf(3) / 2))
+            z12 = mass(lambda y: 1 - 2 * y, mp.sqrt(6))
+            expected = float(z21 / (z21 + z12))
+        assert ind._edge_mix_weight(ensemble) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDegenerateEdgeCutoff:
@@ -272,13 +315,17 @@ class TestQuadratureAccuracy:
         np.linspace(0.0, ZETA_MAX, 61),
         np.linspace(math.pi / 360.0, ZETA_MAX - math.pi / 360.0, 60),
     ], ids=["cold61", "warm60"])
-    def test_hs_regular_tight_tolerance_matches_closed_form(self, grid):
+    @pytest.mark.parametrize("stratum,closed", [
+        (REGULAR_QUTRIT, q_hs_qutrit_regular_closed_form),
+        (DEGENERATE_QUTRIT, q_hs_qutrit_degenerate_closed_form),
+    ], ids=["regular", "degenerate"])
+    def test_hs_tight_tolerance_matches_closed_form(self, stratum, closed, grid):
         # the numerator is a thin sliver near t = 1, summed from one series
         # per ray that is anchored at t = 1
         for zeta in grid:
-            res = q_quadrature(quad_request(EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT,
+            res = q_quadrature(quad_request(EnsembleKind.HILBERT_SCHMIDT, stratum,
                                             float(zeta), tol=1e-12))
-            ref = q_hs_qutrit_regular_closed_form(float(zeta)).q
+            ref = closed(float(zeta)).q
             assert res.q == pytest.approx(ref, rel=1e-12)
             assert res.error_estimate >= abs(res.q - ref)
 

@@ -135,7 +135,7 @@ _OPTIONS = {
     "--stratum": dict(choices=_STRATUM_CHOICES, default="regular"),
     "--zeta-grid": dict(default=f"0:{ZETA_MAX!r}:61", metavar="A:B:N"),
     "--method": dict(choices=[m.value for m in Method]),
-    "--tol": dict(type=float, default=None, help="quadrature/comparison tolerance"),
+    "--tol": dict(type=float, default=None, help="verify comparison tolerance"),
     "--samples": dict(type=int, default=1_000_000),
     "--seed": dict(type=int, default=1234),
     "--workers": dict(type=int, default=1),
@@ -145,14 +145,14 @@ _OPTIONS = {
 }
 
 #: Options of the commands that compute indicator cells by any method.
-_CELL_OPTIONS = ("--ensemble", "--method", "--tol", "--samples", "--seed", "--workers", "--out")
+_CELL_OPTIONS = ("--ensemble", "--method", "--samples", "--seed", "--workers", "--out")
 
 #: Subcommand -> (help, default method, the options it reads).  An option a
 #: command does not read is rejected, and its value is recorded at its default.
 _COMMANDS = {
     "curve": ("indicator versus the moduli angle", "closed",
               _CELL_OPTIONS + ("--stratum", "--zeta-grid", "--format")),
-    "table1": ("minima, minimizers and asymmetries for all ensembles", "quad", ("--tol", "--out")),
+    "table1": ("minima, minimizers and asymmetries for all ensembles", "quad", ("--out",)),
     "qubit": ("the three qubit indicators", "closed", _CELL_OPTIONS),
     "ratio": ("degenerate-to-regular indicator ratio", "closed",
               _CELL_OPTIONS + ("--zeta-grid", "--format")),
@@ -271,7 +271,7 @@ def _run_curve(cfg: RunConfig) -> int:
         qs = []
         zetas = _zetas(cfg)
         for z in zetas:
-            res = indicator(ensemble, _stratum_label(cfg), cfg.method, float(z), tolerance=cfg.tol,
+            res = indicator(ensemble, _stratum_label(cfg), cfg.method, float(z),
                             samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
             qs.append(res.q)
             rows.append([
@@ -296,7 +296,7 @@ def _run_qubit(cfg: RunConfig) -> int:
     header = ["ensemble", "q", "method", "error_estimate", "seed"]
     rows = []
     for ensemble in cfg.ensembles:
-        res = indicator(ensemble, QUBIT_STRATUM, cfg.method, tolerance=cfg.tol,
+        res = indicator(ensemble, QUBIT_STRATUM, cfg.method,
                         samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
         rows.append([ensemble.label, _num(res.q), res.method.value, _num(res.error_estimate), str(cfg.seed)])
     _write_text(csv_path, _csv_text(cfg, header, rows))
@@ -313,7 +313,7 @@ def _run_ratio(cfg: RunConfig) -> int:
         ratios = []
         for z in zetas:
             r = ratio_degenerate_to_regular(
-                ensemble, float(z), cfg.method, tolerance=cfg.tol,
+                ensemble, float(z), cfg.method,
                 samples=cfg.samples, seed=cfg.seed, workers=cfg.workers,
             )
             ratios.append(r)
@@ -340,10 +340,8 @@ def _run_table1(cfg: RunConfig) -> int:
     lines = []
     for ensemble in (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BKM, EnsembleKind.BURES):
         method = Method.CLOSED_FORM if ensemble is EnsembleKind.HILBERT_SCHMIDT else Method.QUADRATURE
-        zeta_min, q_min = minimize_q_over_zeta(
-            ensemble, REGULAR_QUTRIT, method, tolerance=cfg.tol,
-        )
-        asym = asymmetry(ensemble, REGULAR_QUTRIT, method, tolerance=cfg.tol)
+        zeta_min, q_min = minimize_q_over_zeta(ensemble, REGULAR_QUTRIT, method)
+        asym = asymmetry(ensemble, REGULAR_QUTRIT, method)
         rows.append([ensemble.label, _num(q_min), _num(zeta_min), _num(asym)])
         ref_q, ref_z, ref_a = REFERENCE_MINIMA[ensemble.label]
         dq = abs(q_min - ref_q) / ref_q

@@ -7,8 +7,9 @@ are provided and cross-validated against each other:
 
 * closed forms (qubit, all ensembles; qutrit, Hilbert-Schmidt only),
 * quadrature from Chebyshev fits of the density along rays of the
-  eigenvalue simplex, summed over a tanh-sinh rule in the rays' angle on
-  the regular qutrit stratum,
+  eigenvalue simplex, summed over one fixed tanh-sinh rule in the rays'
+  angle on the regular qutrit stratum; it has fixed accuracy and no
+  tolerance,
 * seeded Monte Carlo over the ensemble samplers.
 
 On top of these sit the moduli-space utilities: minimization of the
@@ -50,18 +51,7 @@ QUBIT_STRATUM = StratumLabel.for_partition((1, 1))
 REGULAR_QUTRIT = StratumLabel.for_partition((1, 1, 1))
 DEGENERATE_QUTRIT = StratumLabel.for_partition((2, 1))
 
-#: Default relative quadrature tolerances; the monotone densities are costlier.
-DEFAULT_TOLERANCE = {
-    EnsembleKind.HILBERT_SCHMIDT: 1e-8,
-    EnsembleKind.BURES: 1e-6,
-    EnsembleKind.BKM: 1e-6,
-}
 DEFAULT_SAMPLES = 1_000_000
-
-#: Density evaluations that a regular-stratum cell may charge for the phi
-#: levels it reads before declaring non-convergence.  Qubit and degenerate
-#: cells read one fixed fit per line piece and charge nothing.
-MAX_QUAD_EVALS = 1_000_000
 
 #: Moduli-scan layout: coarse grid then golden-section refinement.
 MINIMIZER_GRID_POINTS = 61
@@ -93,25 +83,24 @@ class UnsupportedRequestError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance in budget."""
+    """Quadrature gave a nonpositive or non-finite denominator integral."""
 
 
 @dataclass(frozen=True)
 class IndicatorRequest:
     """Full description of one indicator computation.
 
-    ``zeta`` must be given for qutrit strata and omitted for the qubit;
-    quadrature requests carry a relative ``tolerance`` (read on the regular
-    qutrit stratum only), Monte Carlo requests a ``samples`` count and
-    ``seed`` (``workers`` splits the sampling into independently seeded
-    chunks; results are deterministic for a fixed (seed, workers) pair).
+    ``zeta`` must be given for qutrit strata and omitted for the qubit.
+    Quadrature has fixed accuracy and takes no options; Monte Carlo requests
+    carry a ``samples`` count and ``seed`` (``workers`` splits the sampling
+    into independently seeded chunks; results are deterministic for a fixed
+    (seed, workers) pair).
     """
 
     ensemble: EnsembleKind
     stratum: StratumLabel
     method: Method
     zeta: float | None = None
-    tolerance: float | None = None
     samples: int | None = None
     seed: int | None = None
     workers: int = 1
@@ -138,9 +127,6 @@ class IndicatorRequest:
                 raise UnsupportedRequestError(
                     f"no closed form for ({self.ensemble.label}, N={n}); use quadrature"
                 )
-        if self.method is Method.QUADRATURE:
-            if self.tolerance is not None and not 0.0 < self.tolerance < 1.0:
-                raise UnsupportedRequestError(f"bad quadrature tolerance {self.tolerance}")
         if self.method is Method.MONTE_CARLO:
             if not self.samples or self.samples < 1:
                 raise UnsupportedRequestError("Monte Carlo requests need a positive sample count")
@@ -250,38 +236,12 @@ def _closed_form(ensemble: EnsembleKind, stratum: StratumLabel, zeta: float | No
 # quadrature: Chebyshev ray fits, and tanh-sinh in phi on the regular stratum
 # ---------------------------------------------------------------------------
 
-#: Tanh-sinh rule in u = phi / pi on [0, 1]: step of the first level, and the
-#: truncation |t| <= _TS_TMAX.  The face singularity in the chart's t is
-#: absorbed by the ray fits, not by this rule; beyond |t| = 4.5 the nodes lie
-#: within 5e-62 of the ends of the phi range.
-_TS_STEP = 0.5
-_TS_TMAX = 4.5
-
-#: Step-halving differences below this relative size are rounding in the sums.
-_TS_ROUNDING = 1e-14
-
-
-@lru_cache(maxsize=None)
-def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the tanh-sinh rule on [0, 1] that are new at ``level``.
-
-    Level 0 has step ``_TS_STEP``; each further level halves the step and
-    adds the nodes at its odd multiples.  Returns ``(u, w)``: each node's
-    distance from the lower end and its weight without the step.
-    """
-    h = _TS_STEP / 2 ** level
-    n = round(_TS_TMAX / h)
-    j = np.arange(-n, n + 1)
-    if level:
-        j = j[j % 2 == 1]
-    t = j * h
-    s = math.pi * np.sinh(t)
-    u = 1.0 / (1.0 + np.exp(-s))
-    v = 1.0 / (1.0 + np.exp(s))
-    w = math.pi * np.cosh(t) * u * v
-    for a in (u, w):
-        a.flags.writeable = False
-    return u, w
+#: Tanh-sinh rule in u = phi / pi on [0, 1]: nodes t = j h for |j| <= _TS_NODES
+#: at step h = _TS_STEP, so |t| <= 4.5.  The face singularity in the chart's t
+#: is absorbed by the ray fits, not by this rule; beyond |t| = 4.5 the nodes
+#: lie within 5e-62 of the ends of the phi range.
+_TS_STEP = 1.0 / 16.0
+_TS_NODES = 72
 
 
 #: Chebyshev degree of the fit of a weight along one ray, and the fit's
@@ -322,65 +282,50 @@ def _ray_cumulative(b: np.ndarray, t) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _regular_table(kind: EnsembleKind, level: int):
-    """Ray table of the regular stratum at the phi nodes new at tanh-sinh ``level`` (read-only).
+def _regular_table(kind: EnsembleKind):
+    """Ray table of the regular stratum at the phi nodes of the tanh-sinh rule (read-only).
 
     Along the ray phi = pi u of ``ensembles._regular_chart`` the weight
     (density times area element) is fitted by ``_ray_fit`` in x = t^(1/4),
     which turns the BKM face singularity t log^2 t into x^7 log^2 x.
-    Returns the nodes' u and weights, the rows of ``b``, and the w-weighted
-    sums over the nodes of G(0), of the truncation bound and of
-    sum_k |b_k|.
+    Returns the nodes' u; the rows ``rules`` of node weights (step included)
+    of the rule at step h and of its even-j sub-rule at step 2h; the rows of
+    ``b``; the two rules' sums of G(0); and the fits' error term, the
+    rule's sum of the truncation bound plus eps sum_k |b_k|.
     """
-    u, w = _ts_level(level)
+    t = np.arange(-_TS_NODES, _TS_NODES + 1) * _TS_STEP
+    s = math.pi * np.sinh(t)
+    u = 1.0 / (1.0 + np.exp(-s))
+    v = 1.0 / (1.0 + np.exp(s))
+    w = math.pi * np.cosh(t) * u * v
+    # phi = pi u, so d phi = pi du; j = -_TS_NODES is even
+    rules = np.zeros((2, t.size))
+    rules[0] = w * (math.pi * _TS_STEP)
+    rules[1, ::2] = w[::2] * (2.0 * math.pi * _TS_STEP)
     x = _RAY_X
     spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
     b, tail, size = _ray_fit(_density3_vec(kind, *spectra) * (area * 4.0 * x ** 3))
-    sums = np.array([w @ b[:, ::2].sum(axis=1), w @ tail, w @ size])
-    for a in (b, sums):
+    den = rules @ b[:, ::2].sum(axis=1)
+    fit_err = float(rules[0] @ (tail + np.finfo(float).eps * size))
+    for a in (u, rules, b, den):
         a.flags.writeable = False
-    return u, w, b, sums
+    return u, rules, b, den, fit_err
 
 
-def _regular_integrals(kind: EnsembleKind, zeta: float, tol: float) -> tuple[tuple[float, float], ...]:
+def _regular_integrals(kind: EnsembleKind, zeta: float) -> tuple[tuple[float, float], ...]:
     """(value, error) of the regular stratum's numerator and denominator.
 
     Both are tanh-sinh sums over phi of the ray cumulatives of
-    ``_regular_table``, at t_c(phi, zeta) for the numerator and at t = 0 for
-    the denominator, over the same levels.  Levels are added until both
-    step-halving differences are within ``tol``, or within rounding; each
-    error is that difference plus the node sums of the fits' truncation
-    bound and of the rounding term eps sum_k |b_k|.  A cell charges the
-    budget ``MAX_QUAD_EVALS`` with the density evaluations of every level it
-    reads, built now or cached, so nothing depends on call order; past it,
-    ``ConvergenceError`` names the cell and the integral.
+    ``_regular_table``, at t_c(phi, zeta) for the numerator and at t = 0
+    for the denominator.  Each value is the rule at step h; its error is
+    the difference from the sub-rule at step 2h, plus the fits' error term.
+    That difference measures the coarser rule, so it bounds the finer
+    rule's error by a wide margin (tanh-sinh converges double
+    exponentially in 1/h).
     """
-    used, level, totals, last = 0, 0, np.zeros(4), None
-    rel, ok = (math.nan, math.nan), (False, False)
-    while True:
-        cost = _ts_level(level)[0].size * (_RAY_DEGREE + 1)
-        if used + cost > MAX_QUAD_EVALS:
-            i = ok.index(False)
-            raise ConvergenceError(
-                f"{kind.label} regular stratum at zeta={zeta!r}: regular "
-                f"{('numerator', 'denominator')[i]} did not converge in {used} evaluations (the "
-                f"next level needs {cost} more, budget {MAX_QUAD_EVALS}): last |dI|/I = "
-                f"{rel[i]:.2e} against tolerance {tol:.1e}")
-        used += cost
-        u, w, b, sums = _regular_table(kind, level)
-        totals[0] += w @ _ray_cumulative(b, _regular_classical_cutoff(math.pi * u, zeta))
-        totals[1:] += sums
-        num, den, tail, rounding = (float(v) * math.pi * _TS_STEP / 2 ** level for v in totals)
-        rounding *= np.finfo(float).eps
-        if last is not None:
-            diffs = (abs(num - last[0]), abs(den - last[1]))
-            rel = tuple(d / v if v else 0.0 for d, v in zip(diffs, (num, den)))
-            ok = tuple(d <= max(max(tol, _TS_ROUNDING) * v, rounding)
-                       for d, v in zip(diffs, (num, den)))
-            if all(ok):
-                return (num, diffs[0] + tail + rounding), (den, diffs[1] + tail + rounding)
-        last = (num, den)
-        level += 1
+    u, rules, b, den, fit_err = _regular_table(kind)
+    num = rules @ _ray_cumulative(b, _regular_classical_cutoff(math.pi * u, zeta))
+    return tuple((float(fine), abs(float(fine - coarse)) + fit_err) for fine, coarse in (num, den))
 
 
 def _regular_classical_cutoff(phi, zeta: float):
@@ -469,13 +414,12 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     The value is the ratio of the classical-region integral to the full
     stratum integral.  Each is a sum of ray cumulatives G(t) of Chebyshev
     fits along rays of the chart (see ``_ray_fit``).  The qubit is one ray
-    and the degenerate stratum one ray per edge (``_line_integrals``); the
-    fit is fixed, so these cells do not read the tolerance.  The regular
-    stratum sums the ray table of ``_regular_table`` over tanh-sinh phi
-    levels, which are refined until the step-halving differences are
-    within the relative tolerance (``_regular_integrals``); spending more
-    than ``MAX_QUAD_EVALS`` evaluations raises ``ConvergenceError``.  The
-    error estimate is the integrals' errors propagated through the ratio.
+    and the degenerate stratum one ray per edge (``_line_integrals``).  The
+    regular stratum sums the 145 rays of ``_regular_table`` with a fixed
+    tanh-sinh rule in phi (``_regular_integrals``).  Nothing is refined, so
+    every cell has the same fixed accuracy.  The error estimate is the
+    integrals' errors propagated through the ratio; a nonpositive
+    denominator raises ``ConvergenceError``.
     """
     request.validate()
     if request.method is not Method.QUADRATURE:
@@ -487,8 +431,7 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     if request.stratum.n == 2 or skind == "degenerate":
         (num, num_err), (den, den_err) = _line_integrals(kind, request.zeta)
     else:
-        tol = request.tolerance if request.tolerance is not None else DEFAULT_TOLERANCE[kind]
-        (num, num_err), (den, den_err) = _regular_integrals(kind, request.zeta, tol)
+        (num, num_err), (den, den_err) = _regular_integrals(kind, request.zeta)
     if den <= 0.0 or not math.isfinite(den):
         raise ConvergenceError(f"degenerate denominator integral: {den!r}")
     q = num / den
@@ -601,7 +544,7 @@ def compute_indicator(request: IndicatorRequest) -> IndicatorResult:
 
 
 def indicator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
-              zeta: float | None = None, *, tolerance: float | None = None,
+              zeta: float | None = None, *,
               samples: int | None = None, seed: int | None = None,
               workers: int = 1) -> IndicatorResult:
     """Indicator of one (ensemble, stratum, zeta) cell by ``method``.
@@ -611,7 +554,7 @@ def indicator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
     """
     mc = method is Method.MONTE_CARLO
     return compute_indicator(IndicatorRequest(
-        ensemble=ensemble, stratum=stratum, method=method, zeta=zeta, tolerance=tolerance,
+        ensemble=ensemble, stratum=stratum, method=method, zeta=zeta,
         samples=samples if mc else None, seed=seed if mc else None, workers=workers,
     ))
 
@@ -620,7 +563,6 @@ def minimize_q_over_zeta(
     ensemble: EnsembleKind,
     stratum: StratumLabel,
     method: Method = Method.QUADRATURE,
-    tolerance: float | None = None,
     samples: int | None = None,
     seed: int | None = None,
 ) -> tuple[float, float]:
@@ -636,8 +578,7 @@ def minimize_q_over_zeta(
         raise UnsupportedRequestError("moduli minimization applies to qutrit strata")
 
     def q_of(zeta: float) -> float:
-        return indicator(ensemble, stratum, method, zeta, tolerance=tolerance,
-                         samples=samples, seed=seed).q
+        return indicator(ensemble, stratum, method, zeta, samples=samples, seed=seed).q
 
     grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
     values = [q_of(z) for z in grid]
@@ -664,7 +605,6 @@ def asymmetry(
     ensemble: EnsembleKind,
     stratum: StratumLabel,
     method: Method = Method.QUADRATURE,
-    tolerance: float | None = None,
     samples: int | None = None,
     seed: int | None = None,
 ) -> float:
@@ -675,8 +615,8 @@ def asymmetry(
     """
     if stratum.n != 3:
         raise UnsupportedRequestError("asymmetry applies to qutrit strata")
-    q0, q1 = (indicator(ensemble, stratum, method, z, tolerance=tolerance,
-                        samples=samples, seed=seed).q for z in (0.0, ZETA_MAX))
+    q0, q1 = (indicator(ensemble, stratum, method, z, samples=samples, seed=seed).q
+              for z in (0.0, ZETA_MAX))
     return q0 - q1
 
 
@@ -684,7 +624,6 @@ def ratio_degenerate_to_regular(
     ensemble: EnsembleKind,
     zeta: float,
     method: Method = Method.QUADRATURE,
-    tolerance: float | None = None,
     samples: int | None = None,
     seed: int | None = None,
     workers: int = 1,
@@ -694,8 +633,8 @@ def ratio_degenerate_to_regular(
     Values above 1 mean degenerate (more symmetric) states are more likely
     classical than regular ones at the same kernel angle.
     """
-    q_deg, q_reg = (indicator(ensemble, stratum, method, zeta, tolerance=tolerance,
-                              samples=samples, seed=seed, workers=workers).q
+    q_deg, q_reg = (indicator(ensemble, stratum, method, zeta, samples=samples, seed=seed,
+                              workers=workers).q
                     for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
     if q_reg < 1e-300:
         raise OverflowError(f"regular indicator too small to divide by: {q_reg!r}")

@@ -150,6 +150,8 @@ class TestFormat:
         ("table1", "--ensemble", "bures"), ("table1", "--stratum", "regular"),
         ("table1", "--zeta-grid", "0:1:3"), ("table1", "--method", "mc"),
         ("table1", "--samples", "10"), ("table1", "--seed", "1"), ("table1", "--workers", "1"),
+        ("curve", "--tol", "1e-6"), ("table1", "--tol", "1e-6"), ("qubit", "--tol", "1e-6"),
+        ("ratio", "--tol", "1e-6"),
         ("qubit", "--stratum", "regular"), ("qubit", "--zeta-grid", "0:1:3"),
         ("ratio", "--stratum", "regular"),
         ("sample", "--zeta-grid", "0:1:3"), ("sample", "--method", "mc"),

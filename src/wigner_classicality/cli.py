@@ -30,13 +30,14 @@ import numpy as np
 from . import __version__
 from .spectra import _polar_to_spectrum, _trisectrix_radius
 from .wigner import (
+    BOUNDARY_TOL,
     ZETA_MAX,
     _classical_cone_regular_qutrit,
     _dual_pairing,
     _is_classical,
     _sw_spectrum_qutrit,
 )
-from .ensembles import EnsembleKind, SamplerFailureError, worker_seed
+from .ensembles import EnsembleKind, SamplerFailureError, stratum_spectra, worker_seed
 from .indicators import (
     DEGENERATE_QUTRIT,
     QUBIT_STRATUM,
@@ -48,7 +49,6 @@ from .indicators import (
     indicator,
     minimize_q_over_zeta,
     ratio_degenerate_to_regular,
-    stratum_spectra,
 )
 from .svgplot import render_line_plot
 
@@ -498,13 +498,14 @@ def _cone_points(seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _cone_check(cfg: RunConfig) -> dict:
     """Analytic cone versus spectral pairing on ``CONE_POINTS`` random points.
 
-    Points whose pairing lies within 1e-12 of zero sit on the boundary and
-    are skipped; the check counts the other points where the two disagree.
+    Points whose pairing lies within ``BOUNDARY_TOL`` of zero sit on the
+    boundary and are skipped; the check counts the other points where the
+    two disagree.
     """
     phi, r, zeta = _cone_points(cfg.seed, CONE_POINTS)
     kernels = _sw_spectrum_qutrit(zeta)
     spectra = _polar_to_spectrum(r, phi)
-    off_boundary = np.abs(_dual_pairing(spectra, kernels)) >= 1e-12
+    off_boundary = np.abs(_dual_pairing(spectra, kernels)) >= BOUNDARY_TOL
     disagree = _classical_cone_regular_qutrit(zeta, r, phi) != _is_classical(spectra, kernels)
     return _check("cone_oracle_equivalence[1e5]", 0, int(np.count_nonzero(disagree & off_boundary)), 0)
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import SQRT3, DegeneracyType
+from .spectra import SQRT3, DegeneracyType, StratumLabel
 
 #: Relative half-spread below which the BKM mean is evaluated by series.
 BKM_SERIES_CUTOFF = 1e-4
@@ -226,28 +226,25 @@ def _density_pair_vec(kind: EnsembleKind, big, small, kk: int):
 #: |dr/dy|, sqrt3/2 on the (2,1) edge and sqrt3 on the (1,2) edge.
 _LINES = {(1, 1): (0.5, 1, 2.0), (2, 1): (1.0 / 3.0, 2, SQRT3 / 2.0), (1, 2): (1.0 / 3.0, 2, SQRT3)}
 
+#: The degenerate qutrit stratum decomposes into these two edge pieces.
+_EDGES = ((2, 1), (1, 2))
 
-def _line_spectrum(mult: tuple[int, ...], y):
+
+def _line_spectrum(mult: tuple, y, edge=None):
     """Spectrum columns of a one-coordinate piece whose smallest distinct eigenvalue is y.
 
-    On the qubit the other eigenvalue is 1 - y; composition (2,1) of a
-    degenerate qutrit edge doubles the larger eigenvalue, (1,2) the smaller.
+    On the qubit the other eigenvalue is 1 - y.  On the degenerate qutrit
+    edge ``_EDGES[e]`` the larger eigenvalue is (1 - (1 + e) y) / (2 - e),
+    doubled on (2,1) (e = 0) and lone on (1,2) (e = 1).  With ``mult`` =
+    ``_EDGES``, point i lies on the edge ``_EDGES[edge[i]]``; blends with
+    weights 0 and 1 are exact, and faster than ``np.where`` on a random mask.
     """
     if mult == (1, 1):
         return (1.0 - y, y)
-    if mult == (2, 1):
-        big = (1.0 - y) / 2.0
-        return (big, big, y)
-    return (1.0 - 2.0 * y, y, y)
+    e = edge if mult == _EDGES else _EDGES.index(mult)
+    big = (1.0 - (1.0 + e) * y) / (2.0 - e)
+    return (big, big * (1.0 - e) + y * e, y)
 
-
-#: Power k in the flattening substitution small = u^k for rejection proposals.
-#: The inverse-sqrt edge singularity needs k=2; BKM's extra log factors need k=4.
-_SUB_POWER = {
-    EnsembleKind.HILBERT_SCHMIDT: 1,
-    EnsembleKind.BURES: 2,
-    EnsembleKind.BKM: 4,
-}
 
 #: Envelope tables: cells per axis of the proposal box (32 x 32 on the regular
 #: qutrit, 256 on an interval) and sub-grid intervals per cell and axis on
@@ -304,36 +301,42 @@ def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
     return np.where(bad, 0.0, val), (r1 / total, r2 / total, r3 / total)
 
 
-def _line_weight(kind: EnsembleKind, mult: tuple[int, ...], u):
-    """Rejection weight on the qubit or a degenerate qutrit edge, radius measure, and the spectra.
+def _line_weight(kind: EnsembleKind, mult: tuple, t, edge=None):
+    """Weight of a line piece in the chart y = top t^4, t in (0, 1), and the spectra.
 
-    The free coordinate is the smallest distinct eigenvalue y = u^k in
-    (0, top) with k the flattening power; the radius measure contributes the
-    constant |dr/dy| of ``_LINES`` times the substitution jacobian k u^(k-1).
-    Masked proposals get weight 0, so they are never accepted.
+    The line pieces are the qubit and the two degenerate qutrit edges, with
+    the geometry of ``_LINES``; y is their smallest distinct eigenvalue, and
+    on an edge the chart matches the regular chart's r3 = t^4 / 3.  The
+    weight is the density times |dr/dy| times dy/dt = 4 top t^3; quadrature
+    fits it and the samplers draw from it.  Points with y outside (0, top)
+    get weight 0, so they are never accepted.  With ``mult`` = ``_EDGES``,
+    point i lies on the edge ``_EDGES[edge[i]]``: the edges share top and
+    pair power, so one pass weighs both.
     """
-    top, kk, drdy = _LINES[mult]
-    k = _SUB_POWER[kind]
-    y = u ** k
+    top, kk, drdy = _LINES[mult[0] if mult == _EDGES else mult]
+    if mult == _EDGES:  # |dr/dy| doubles on (1,2)
+        drdy = drdy * (1.0 + edge)
+    y = top * t ** 4
     bad = (y <= 0.0) | (y >= top)
-    spectra = _line_spectrum(mult, np.where(bad, top / 2.0, y))
-    jac = k * u ** (k - 1) if k > 1 else 1.0
-    val = _density_pair_vec(kind, spectra[0], spectra[-1], kk) * drdy * jac
+    spectra = _line_spectrum(mult, np.where(bad, top / 2.0, y), edge)
+    val = _density_pair_vec(kind, spectra[0], spectra[-1], kk) * (drdy * 4.0 * top * t ** 3)
     return np.where(bad, 0.0, val), spectra
 
 
-def _proposal_box(kind: EnsembleKind, mult: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
-    """Proposal box of a rejection route: (t, phi) on the regular qutrit, u elsewhere."""
-    if mult == (1, 1, 1):
-        return ((0.0, 1.0), (0.0, math.pi))
-    return ((0.0, _LINES[mult][0] ** (1.0 / _SUB_POWER[kind])),)
+def _proposal_box(mult: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
+    """Proposal box of a rejection route: (t, phi) on the regular qutrit, t on a line piece."""
+    return ((0.0, 1.0), (0.0, math.pi)) if mult == (1, 1, 1) else ((0.0, 1.0),)
 
 
-def _proposal_weight(kind: EnsembleKind, mult: tuple[int, ...], coords):
-    """Rejection weight at proposal coordinates, and the spectrum columns they map to."""
-    if mult == (1, 1, 1):
+def _proposal_weight(kind: EnsembleKind, pieces: tuple, coords):
+    """Rejection weight at proposal coordinates, and the spectrum columns they map to.
+
+    A sampler draws from one piece, or from both degenerate edges
+    ``_EDGES``, whose coordinates end with each proposal's edge index.
+    """
+    if pieces == ((1, 1, 1),):
         return _regular_weight_qutrit(kind, *coords)
-    return _line_weight(kind, mult, *coords)
+    return _line_weight(kind, pieces[0] if len(pieces) == 1 else pieces, *coords)
 
 
 @lru_cache(maxsize=None)
@@ -344,10 +347,10 @@ def _envelope_table(kind: EnsembleKind, mult: tuple[int, ...]) -> np.ndarray:
     ``_ENVELOPE_MARGIN`` times the weight maximum on a sub-grid of the cell,
     cell edges included.
     """
-    box = _proposal_box(kind, mult)
+    box = _proposal_box(mult)
     cells, sub = _TABLE_CELLS[len(box)], _TABLE_SUBGRID[len(box)]
     axes = [np.linspace(lo, hi, cells * sub + 1) for lo, hi in box]
-    w = _proposal_weight(kind, mult, np.meshgrid(*axes, indexing="ij"))[0]
+    w = _proposal_weight(kind, (mult,), np.meshgrid(*axes, indexing="ij"))[0]
     for axis in range(len(box)):
         w = np.moveaxis(w, axis, 0)
         # each cell's sub intervals, then its far edge (shared with the next cell)
@@ -392,16 +395,21 @@ class SpectrumSampler:
     One instance owns one random generator; create one instance per worker,
     with per-worker seeds derived by ``worker_seed``.  Every non-point
     degeneracy is sampled by rejection from a piecewise-constant envelope:
-    the proposal box, (t, phi) on the regular qutrit and the flattened small
-    eigenvalue u elsewhere, is split into equal cells (32 x 32, or 256),
-    each bounded by 5 percent over the weight maximum on a sub-grid of the
-    cell.  A proposal picks a cell in
+    the proposal box, (t, phi) on the regular qutrit and t of the line
+    chart y = top t^4 elsewhere (``_line_weight``), is split into equal
+    cells (32 x 32, or 256), each bounded by 5 percent over the weight
+    maximum on a sub-grid of the cell.  A proposal picks a cell in
     proportion to its bound (looked up in a guide table, ``_cell_lookup``),
     a point uniformly inside it, and is accepted with probability
     weight / bound.  The table is built once per (ensemble, degeneracy) on
     first use; each instance draws from its own copy, ``_envelope``.
     Proposals come in batches of up to ``_CHUNK``, whose weights are
     evaluated in tiles of ``_TILE`` rows.
+
+    ``stratum_spectra`` draws the degenerate qutrit stratum from one
+    sampler over both edges (``_cover``): its envelope is the two edges'
+    tables end to end, so a proposal picks a cell of either edge in
+    proportion to its bound, and each edge is drawn with its own mass.
 
     A proposal weight above its cell's bound, or an acceptance rate below
     ``MIN_ACCEPTANCE``, aborts with ``SamplerFailureError``.
@@ -433,10 +441,15 @@ class SpectrumSampler:
             self._route = "point"
         elif mult in _REJECTION_ROUTES:
             self._route = _REJECTION_ROUTES[mult]
-            self._box = _proposal_box(kind, mult)
-            self._envelope = _envelope_table(kind, mult).copy()
+            self._box = _proposal_box(mult)
+            self._cover((mult,))
         else:
             raise ValueError(f"unsupported degeneracy type for sampling: {mult}")
+
+    def _cover(self, pieces: tuple) -> None:
+        """Draw from the union of ``pieces``, which share the proposal box, with their tables end to end."""
+        self._pieces = pieces
+        self._envelope = np.concatenate([_envelope_table(self.kind, mult) for mult in pieces])
 
     @property
     def acceptance_rate(self) -> float:
@@ -499,15 +512,18 @@ class SpectrumSampler:
         # (1 - U) * total lies in (0, total], so search-left skips empty cells
         cell = _cell_lookup(cdf, (1.0 - self.rng.random(m)) * cdf[-1])
         cells = _TABLE_CELLS[len(self._box)]
-        index = np.unravel_index(cell, (cells,) * len(self._box))
+        # a union's table runs piece by piece; its proposals end with their piece
+        lead = (len(self._pieces),) if len(self._pieces) > 1 else ()
+        index = np.unravel_index(cell, lead + (cells,) * len(self._box))
         coords = [lo + (i + self.rng.random(m)) * ((hi - lo) / cells)
-                  for (lo, hi), i in zip(self._box, index)]
+                  for (lo, hi), i in zip(self._box, index[len(lead):])]
+        coords += index[:len(lead)]
         b = bound[cell]
         threshold = self.rng.random(m) * b
         rows, worst = [], None
         for start in range(0, m, self._TILE):
             part = slice(start, start + self._TILE)
-            w, spectra = _proposal_weight(self.kind, self.deg.multiplicities, [c[part] for c in coords])
+            w, spectra = _proposal_weight(self.kind, self._pieces, [c[part] for c in coords])
             bp = b[part]
             over = w > bp
             if over.any():  # the batch's worst offender is named, in whichever tile it lies
@@ -526,3 +542,22 @@ class SpectrumSampler:
         self._proposed += m
         self._accepted += block.shape[0]
         return block
+
+
+def stratum_spectra(ensemble: EnsembleKind, stratum: StratumLabel, n: int,
+                    rng: np.random.Generator):
+    """Yield ``n`` spectra of a regular or degenerate stratum, in blocks.
+
+    Blocks hold at most ``SpectrumSampler._CHUNK`` rows, so memory does not
+    grow with ``n``; one ``sample(n)`` call draws the same blocks from the
+    generator in the same order, so the spectra do not depend on the
+    blocking.  The degenerate qutrit stratum is drawn by one sampler over
+    both edges ``_EDGES``, which gives each edge its true share of the
+    stratum's mass.
+    """
+    sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=rng)
+    if stratum.degeneracy.multiplicities == _EDGES[0]:
+        sampler._cover(_EDGES)
+    chunk = SpectrumSampler._CHUNK
+    for done in range(0, n, chunk):
+        yield sampler.sample(min(chunk, n - done))

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectra import SQRT3, DegeneracyType, StratumLabel
+from .spectra import SQRT3, StratumLabel
 from .wigner import (
     ZETA_MAX,
     SWKernelSpectrum,
@@ -37,13 +37,13 @@ from .wigner import (
     sw_spectrum_qutrit,
 )
 from .ensembles import (
+    _EDGES,
     _LINES,
     EnsembleKind,
-    SpectrumSampler,
     _density3_vec,
-    _density_pair_vec,
-    _line_spectrum,
+    _line_weight,
     _regular_chart,
+    stratum_spectra,
     worker_seed,
 )
 
@@ -51,17 +51,11 @@ QUBIT_STRATUM = StratumLabel.for_partition((1, 1))
 REGULAR_QUTRIT = StratumLabel.for_partition((1, 1, 1))
 DEGENERATE_QUTRIT = StratumLabel.for_partition((2, 1))
 
-DEFAULT_SAMPLES = 1_000_000
-
 #: Moduli-scan layout: coarse grid then golden-section refinement.
 MINIMIZER_GRID_POINTS = 61
 MINIMIZER_RESOLUTION = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: The degenerate qutrit stratum decomposes into these two edge pieces.
-_EDGE_COMPOSITIONS = ((2, 1), (1, 2))
-
 
 
 class Method(Enum):
@@ -351,17 +345,13 @@ def _regular_classical_cutoff(phi, zeta: float):
 def _line_table(kind: EnsembleKind, mult: tuple[int, int]):
     """One-row ray table of a line piece (read-only).
 
-    The pieces are the qubit and the two degenerate qutrit edges, with the
-    geometry of ``ensembles._LINES``.  Along y = top t^4, which matches the
-    regular chart's r3 = t^4 / 3 on the edges, the weight is the density
-    times the constant |dr/dy| times dy/dt; it is fitted by ``_ray_fit``.
-    Returns the row of ``b``, G(0), and the fit's error term: the
-    truncation bound plus eps sum_k |b_k|.
+    The pieces are the qubit and the two degenerate qutrit edges.  The
+    weight of ``ensembles._line_weight`` along its chart y = top t^4, the
+    chart that the samplers draw from, is fitted by ``_ray_fit``.  Returns
+    the row of ``b``, G(0), and the fit's error term: the truncation bound
+    plus eps sum_k |b_k|.
     """
-    top, kk, drdy = _LINES[mult]
-    t = _RAY_X ** 4
-    y = top * t ** 4
-    weight = _density_pair_vec(kind, _line_spectrum(mult, y)[0], y, kk) * (drdy * 4.0 * top * t ** 3)
+    weight = _line_weight(kind, mult, _RAY_X ** 4)[0]
     b, tail, size = _ray_fit((weight * (4.0 * _RAY_X ** 3))[None, :])
     b.flags.writeable = False
     return b, float(b[0, ::2].sum()), float(tail[0] + np.finfo(float).eps * size[0])
@@ -398,7 +388,7 @@ def _line_integrals(kind: EnsembleKind, zeta: float | None) -> tuple[tuple[float
         # classical where the Bloch radius is at most 1/sqrt3
         cuts = (((1, 1), (1.0 - 1.0 / SQRT3) / 2.0),)
     else:
-        cuts = tuple((comp, _edge_classical_cutoff(comp, zeta)) for comp in _EDGE_COMPOSITIONS)
+        cuts = tuple((comp, _edge_classical_cutoff(comp, zeta)) for comp in _EDGES)
     num = den = err = 0.0
     for mult, y_c in cuts:
         b, g0, fit_err = _line_table(kind, mult)
@@ -450,37 +440,6 @@ def _kernel_for(request: IndicatorRequest) -> SWKernelSpectrum:
     return sw_spectrum_qutrit(request.zeta)
 
 
-def _edge_mix_weight(kind: EnsembleKind) -> float:
-    """Probability that a degenerate-stratum draw lies on the (2,1) edge, from the edges' G(0)."""
-    z0, zp = (_line_table(kind, comp)[1] for comp in _EDGE_COMPOSITIONS)
-    return z0 / (z0 + zp)
-
-
-def stratum_spectra(ensemble: EnsembleKind, stratum: StratumLabel, n: int,
-                    rng: np.random.Generator):
-    """Yield ``n`` spectra of a regular or degenerate stratum, in blocks.
-
-    Blocks hold at most ``SpectrumSampler._CHUNK`` rows, so memory does not
-    grow with ``n``; one ``sample(n)`` call draws the same blocks from the
-    generator in the same order, so the spectra do not depend on the
-    blocking.  Degenerate-stratum draws are split binomially between the two
-    edge pieces, with weights given by the quadrature partition functions of
-    the edges, and each edge has its own sampler.
-    """
-    if _stratum_kind(stratum) == "degenerate":
-        n0 = int(rng.binomial(n, _edge_mix_weight(ensemble)))
-        parts = ((DegeneracyType((2, 1)), n0), (DegeneracyType((1, 2)), n - n0))
-    else:
-        parts = ((DegeneracyType((1,) * stratum.n), n),)
-    chunk = SpectrumSampler._CHUNK
-    for deg, count in parts:
-        if count == 0:
-            continue
-        sampler = SpectrumSampler(ensemble, deg, rng=rng)
-        for done in range(0, count, chunk):
-            yield sampler.sample(min(chunk, count - done))
-
-
 def _mc_chunk_hits(request: IndicatorRequest, chunk: int, seed: int) -> int:
     """Classical-state count among ``chunk`` seeded draws."""
     if _stratum_kind(request.stratum) == "point":
@@ -503,8 +462,9 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     classical state is seen the estimate falls back to the one-sided 95
     percent bound 3/n (rule of three).
 
-    Degenerate-stratum draws mix the two edge pieces as ``stratum_spectra``
-    describes.
+    The draws come from ``stratum_spectra``: on the degenerate stratum one
+    sampler over both edges, so each edge's share of the draws follows its
+    own mass, not quadrature's.
     """
     request.validate()
     if request.method is not Method.MONTE_CARLO:

@@ -4,21 +4,31 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import sys
 
 import numpy as np
 import pytest
 
+import wigner_classicality
 from wigner_classicality import cli
-from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler
+from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler, stratum_spectra
 from wigner_classicality.spectra import trisectrix_boundary
 from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
     REGULAR_QUTRIT,
     Method,
     indicator,
-    stratum_spectra,
 )
+
+
+def test_version_matches_pyproject():
+    # the version a report and every CSV header print is the one the package is built with
+    pyproject = pathlib.Path(wigner_classicality.__file__).resolve().parents[2] / "pyproject.toml"
+    found = re.search(r'^version\s*=\s*"([^"]+)"', pyproject.read_text(encoding="utf-8"), re.MULTILINE)
+    assert found is not None
+    assert found.group(1) == wigner_classicality.__version__
 
 
 def read_csv(path):

@@ -23,7 +23,9 @@ from wigner_classicality.ensembles import (
     joint_density,
     log_joint_density,
     mc_function,
+    stratum_spectra,
     worker_seed,
+    _EDGES,
     _TABLE_CELLS,
     _cell_lookup,
     _density3_vec,
@@ -31,6 +33,7 @@ from wigner_classicality.ensembles import (
     _envelope_table,
     _proposal_weight,
 )
+from wigner_classicality.indicators import DEGENERATE_QUTRIT
 
 ALL_KINDS = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
 ALL_MULTS = ((1, 1), (1, 1, 1), (2, 1), (1, 2))
@@ -237,10 +240,12 @@ class _ReferenceSampler(SpectrumSampler):
         cdf = np.cumsum(bound)
         cell = np.searchsorted(cdf, (1.0 - self.rng.random(m)) * cdf[-1])
         cells = _TABLE_CELLS[len(self._box)]
-        index = np.unravel_index(cell, (cells,) * len(self._box))
+        lead = (len(self._pieces),) if len(self._pieces) > 1 else ()
+        index = np.unravel_index(cell, lead + (cells,) * len(self._box))
         coords = [lo + (i + self.rng.random(m)) * ((hi - lo) / cells)
-                  for (lo, hi), i in zip(self._box, index)]
-        w, spectra = _proposal_weight(self.kind, self.deg.multiplicities, coords)
+                  for (lo, hi), i in zip(self._box, index[len(lead):])]
+        coords += index[:len(lead)]
+        w, spectra = _proposal_weight(self.kind, self._pieces, coords)
         b = bound[cell]
         over = w > b
         if over.any():
@@ -253,6 +258,15 @@ class _ReferenceSampler(SpectrumSampler):
         self._proposed += m
         self._accepted += int(np.count_nonzero(keep))
         return np.column_stack([c[keep] for c in spectra])
+
+
+def _sampler(cls, kind: EnsembleKind, mult: tuple, seed: int) -> SpectrumSampler:
+    """A ``cls`` sampler of one piece, or with ``mult`` = ``_EDGES`` one over both edges."""
+    if mult != _EDGES:
+        return cls(kind, DegeneracyType(mult), seed=seed)
+    sampler = cls(kind, DegeneracyType(_EDGES[0]), seed=seed)
+    sampler._cover(_EDGES)
+    return sampler
 
 
 def _assert_lookup_exact(cdf: np.ndarray, x: np.ndarray) -> None:
@@ -292,20 +306,20 @@ class TestProposalLoop:
     """The guide-table lookup and the weight tiles leave every output bit of 0.2.4."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("mult", ALL_MULTS)
+    @pytest.mark.parametrize("mult", ALL_MULTS + (_EDGES,))
     def test_same_stream_as_whole_batch_loop(self, kind, mult):
-        new = SpectrumSampler(kind, DegeneracyType(mult), seed=17)
-        old = _ReferenceSampler(kind, DegeneracyType(mult), seed=17)
+        new = _sampler(SpectrumSampler, kind, mult, seed=17)
+        old = _sampler(_ReferenceSampler, kind, mult, seed=17)
         assert np.array_equal(new.sample(300_000), old.sample(300_000))
         assert (new._proposed, new._accepted) == (old._proposed, old._accepted)
 
     @pytest.mark.parametrize("tile", [1, 7, 1 << 18])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("mult", ALL_MULTS)
+    @pytest.mark.parametrize("mult", ALL_MULTS + (_EDGES,))
     def test_tile_size_does_not_change_output(self, monkeypatch, tile, kind, mult):
-        expected = _ReferenceSampler(kind, DegeneracyType(mult), seed=23).sample(5000)
+        expected = _sampler(_ReferenceSampler, kind, mult, seed=23).sample(5000)
         monkeypatch.setattr(SpectrumSampler, "_TILE", tile)
-        assert np.array_equal(SpectrumSampler(kind, DegeneracyType(mult), seed=23).sample(5000), expected)
+        assert np.array_equal(_sampler(SpectrumSampler, kind, mult, seed=23).sample(5000), expected)
 
     def test_overflow_names_the_batch_worst_offender(self, monkeypatch):
         messages = []
@@ -320,14 +334,18 @@ class TestProposalLoop:
         assert messages[0] == messages[1]
 
     def test_lookup_follows_the_current_envelope(self):
-        # hs qubit: u = y on (0, 1/2) in 256 cells, and the smaller eigenvalue is y itself
+        # hs qubit: cell i of 256 covers t in [i, i + 1] / 256 of the chart
+        # y = t^4 / 2, and the smaller eigenvalue is y itself
         sampler = SpectrumSampler(EnsembleKind.HILBERT_SCHMIDT, DegeneracyType((1, 1)), seed=8)
-        width = 0.5 / 256
+
+        def y_at(i):
+            return 0.5 * (i / 256) ** 4
+
         sampler._envelope[100:150] = 0.0
         y = sampler.sample(50_000)[:, 1]
-        assert not np.any((y > 100 * width + 1e-12) & (y < 150 * width - 1e-12))
-        assert np.any((y > 90 * width) & (y < 100 * width))
-        assert np.any((y > 150 * width) & (y < 160 * width))
+        assert not np.any((y > y_at(100) + 1e-12) & (y < y_at(150) - 1e-12))
+        assert np.any((y > y_at(90)) & (y < y_at(100)))
+        assert np.any((y > y_at(150)) & (y < y_at(160)))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -484,6 +502,19 @@ def test_chisquare_regular_qutrit(kind):
 def test_chisquare_degenerate_edges(kind, comp):
     eigs = SpectrumSampler(kind, DegeneracyType(comp), seed=2026).sample(N_CHI)
     y = eigs[:, 2]
+    edges = np.linspace(0.0, 1.0 / 3.0, N_BINS + 1)
+    counts, _ = np.histogram(y, bins=edges)
+    probs = _edge_bin_probs(kind, comp, edges)
+    assert _merged_pvalue(counts, probs) >= ALPHA
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("comp", [(2, 1), (1, 2)])
+def test_chisquare_degenerate_union(kind, comp):
+    # the degenerate stratum's one sampler over both edges, conditioned on each edge
+    eigs = np.concatenate(list(stratum_spectra(kind, DEGENERATE_QUTRIT, N_CHI, np.random.default_rng(2026))))
+    doubled = (0, 1) if comp == (2, 1) else (1, 2)
+    y = eigs[eigs[:, doubled[0]] == eigs[:, doubled[1]], 2]
     edges = np.linspace(0.0, 1.0 / 3.0, N_BINS + 1)
     counts, _ = np.histogram(y, bins=edges)
     probs = _edge_bin_probs(kind, comp, edges)

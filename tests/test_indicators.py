@@ -10,7 +10,14 @@ import pytest
 
 import wigner_classicality
 import wigner_classicality.indicators as ind
-from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler, _regular_chart, worker_seed
+from wigner_classicality.ensembles import (
+    _EDGES,
+    EnsembleKind,
+    SpectrumSampler,
+    _regular_chart,
+    stratum_spectra,
+    worker_seed,
+)
 from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
     QUBIT_STRATUM,
@@ -223,36 +230,61 @@ class TestQuadrature:
     def test_degenerate_edge_mixture_weight_hs(self):
         # both edges carry density proportional to r^4, so the (2,1) edge mass
         # relative to the whole stratum is (1/2)^5 / (1 + (1/2)^5) = 1/33
-        assert ind._edge_mix_weight(EnsembleKind.HILBERT_SCHMIDT) == pytest.approx(1.0 / 33.0, rel=1e-9)
+        assert _quadrature_edge_split(EnsembleKind.HILBERT_SCHMIDT) == pytest.approx(1.0 / 33.0, rel=1e-9)
 
     @pytest.mark.parametrize("ensemble", [EnsembleKind.BURES, EnsembleKind.BKM])
     def test_degenerate_edge_mixture_weight_monotone(self, ensemble):
-        # the documented edge densities written out by hand, with no package
-        # code: an edge is parametrised by its lone eigenvalue y in [0, 1/3],
-        # with spectrum (b, b, y), b = (1 - y)/2 and |d spectrum/dy| =
-        # sqrt(3/2) on the (2,1) edge, and (b, y, y), b = 1 - 2y and
-        # sqrt(6) on the (1,2) edge; both have pair power 2, so the density is
-        # (b - y)^4 c(b, y)^2 / sqrt(b y) with c = 2/(b + y) (Bures) or
-        # (ln b - ln y)/(b - y) (BKM); y = u^2 removes the 1/sqrt(y)
-        import mpmath as mp
+        assert _quadrature_edge_split(ensemble) == pytest.approx(_monotone_edge_share(ensemble), rel=1e-12)
 
-        def c(b, y):
-            if ensemble is EnsembleKind.BURES:
-                return 2 / (b + y)
-            return (mp.log(b) - mp.log(y)) / (b - y)
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_degenerate_draws_split_by_edge_mass(self, ensemble):
+        # one sampler over both edges draws each edge with its own mass, read
+        # from no partition function: the (2,1) share of 1e6 draws (rows with
+        # r1 == r2) matches the references above to 4 sigma (sigma <= 3.4e-4)
+        n = 1_000_000
+        blocks = stratum_spectra(ensemble, DEGENERATE_QUTRIT, n, np.random.default_rng(2026))
+        eigs = np.concatenate(list(blocks))
+        share = np.count_nonzero(eigs[:, 0] == eigs[:, 1]) / n
+        expected = (1.0 / 33.0 if ensemble is EnsembleKind.HILBERT_SCHMIDT
+                    else _monotone_edge_share(ensemble))
+        assert abs(share - expected) <= 4.0 * math.sqrt(expected * (1.0 - expected) / n)
 
-        def mass(big, jac):
-            def f(u):
-                y = u * u
-                b = big(y)
-                return (b - y) ** 4 * c(b, y) ** 2 / mp.sqrt(b * y) * jac * 2 * u
-            return mp.quad(f, [0, mp.sqrt(mp.mpf(1) / 3)])
 
-        with mp.workdps(30):
-            z21 = mass(lambda y: (1 - y) / 2, mp.sqrt(mp.mpf(3) / 2))
-            z12 = mass(lambda y: 1 - 2 * y, mp.sqrt(6))
-            expected = float(z21 / (z21 + z12))
-        assert ind._edge_mix_weight(ensemble) == pytest.approx(expected, rel=1e-12)
+def _quadrature_edge_split(ensemble: EnsembleKind) -> float:
+    """The (2,1) edge's share of the degenerate stratum in quadrature, G0_21 / (G0_21 + G0_12)."""
+    g21, g12 = (ind._line_table(ensemble, comp)[1] for comp in _EDGES)
+    return g21 / (g21 + g12)
+
+
+def _monotone_edge_share(ensemble: EnsembleKind) -> float:
+    """The (2,1) edge's share of the degenerate stratum's mass, in mpmath.
+
+    The documented edge densities written out by hand, with no package
+    code: an edge is parametrised by its lone eigenvalue y in [0, 1/3],
+    with spectrum (b, b, y), b = (1 - y)/2 and |d spectrum/dy| = sqrt(3/2)
+    on the (2,1) edge, and (b, y, y), b = 1 - 2y and sqrt(6) on the (1,2)
+    edge; both have pair power 2, so the density is
+    (b - y)^4 c(b, y)^2 / sqrt(b y) with c = 2/(b + y) (Bures) or
+    (ln b - ln y)/(b - y) (BKM); y = u^2 removes the 1/sqrt(y).
+    """
+    import mpmath as mp
+
+    def c(b, y):
+        if ensemble is EnsembleKind.BURES:
+            return 2 / (b + y)
+        return (mp.log(b) - mp.log(y)) / (b - y)
+
+    def mass(big, jac):
+        def f(u):
+            y = u * u
+            b = big(y)
+            return (b - y) ** 4 * c(b, y) ** 2 / mp.sqrt(b * y) * jac * 2 * u
+        return mp.quad(f, [0, mp.sqrt(mp.mpf(1) / 3)])
+
+    with mp.workdps(30):
+        z21 = mass(lambda y: (1 - y) / 2, mp.sqrt(mp.mpf(3) / 2))
+        z12 = mass(lambda y: 1 - 2 * y, mp.sqrt(6))
+        return float(z21 / (z21 + z12))
 
 
 class TestDegenerateEdgeCutoff:

@@ -246,7 +246,46 @@ _RAY_X = np.sin(np.arange(_RAY_DEGREE, 0, -1) * (math.pi / (2 * _RAY_DEGREE))) *
 _RAY_X.flags.writeable = False
 
 
-def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ray_node_table() -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points x_j and the matrix that takes a fit's ``b`` to G / (1 - x) there.
+
+    With N = n + 1, the points are x_j = sin^2(pi j / 2N), j = 0..N, from
+    x_0 = 0 up to x_N = 1.  At x_j the angle of 2x - 1 = cos(theta) has
+    theta / 2 = pi (N - j) / 2N, and the matrix is
+    ``sin^2(k theta / 2) / sin^2(theta / 2)`` for k = 1..N, with its limit
+    k^2 at x_N = 1.  Every entry is a ratio of values sin^2(pi m / 2N) with
+    m in 0..N, k (N - j) being reduced exactly, taken in long double, so
+    that 0 and 1 come out exact.
+    """
+    n1 = _RAY_DEGREE + 1  # N
+    pi = np.arccos(np.longdouble(-1.0))
+    sin2 = np.sin(np.arange(n1 + 1, dtype=np.longdouble) * (pi / (2 * n1))) ** 2
+    m = np.outer(np.arange(1, n1 + 1), np.arange(n1, 0, -1)) % (2 * n1)
+    matrix = np.empty((n1, n1 + 1))
+    matrix[:, :-1] = sin2[np.minimum(m, 2 * n1 - m)] / sin2[n1:0:-1]
+    matrix[:, -1] = np.arange(1, n1 + 1) ** 2
+    nodes = sin2.astype(float)
+    for a in (nodes, matrix):
+        a.flags.writeable = False
+    return nodes, matrix
+
+
+#: The cumulative G of a fit has degree n + 1 in x and vanishes at x = 1, so
+#: it is G(x) = (1 - x) h(x) with h of degree n.  A fit is kept as h at the
+#: Chebyshev points ``_RAY_NODES``, which a matrix product gives from ``b``;
+#: h(0) = G(0) is the first.  h is read by the barycentric formula with
+#: weights (-1)^j, halved at both ends.  The factor 1 - x keeps G accurate
+#: relative to its size near t = 1, where the classical part of a ray lies
+#: when the indicator is small.  The rounding term of a fit is
+#: eps sum_k |b_k| times the points' Lebesgue bound 1 + (2/pi) ln(n + 2).
+_RAY_NODES, _RAY_MATRIX = _ray_node_table()
+_RAY_WEIGHTS = np.resize([1.0, -1.0], _RAY_DEGREE + 2)
+_RAY_WEIGHTS[[0, -1]] *= 0.5
+_RAY_WEIGHTS.flags.writeable = False
+_RAY_ROUNDING = np.finfo(float).eps * (1.0 + 2.0 / math.pi * math.log(_RAY_DEGREE + 2))
+
+
+def _ray_coefficients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative Chebyshev coefficients of weight rows given at ``_RAY_X``.
 
     Each row of ``g`` is a weight times dt/dx = 4 x^3, so that it integrates
@@ -255,8 +294,8 @@ def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the angle theta of 2x - 1 = cos(theta), the cumulative
     ``G(t) = int_t^1 weight dt`` is ``sum_{k>=1} b_k sin^2(k theta / 2)``,
     which vanishes at t = 1 term by term and is ``sum_{k odd} b_k`` at
-    t = 0.  Returns the rows of ``b``, and per row the truncation bound
-    |c_{n-1}| + |c_n| and sum_k |b_k|.
+    t = 0.  Returns the rows of ``b`` and per row the truncation bound
+    |c_{n-1}| + |c_n|.
     """
     n = _RAY_DEGREE
     g = np.pad(g, ((0, 0), (0, 1)))
@@ -265,14 +304,42 @@ def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # b_k = (c_{k-1} - c_{k+1}) / 2k: the antiderivative in 2x - 1, whose
     # factor 1/2 of dx = dy / 2 cancels the 2 of 1 - cos = 2 sin^2
     b = (c[:, :n + 1] - np.pad(c[:, 2:], ((0, 0), (0, 2)))) / (2.0 * np.arange(1, n + 2))
-    return b, np.abs(c[:, n - 1]) + np.abs(c[:, n]), np.abs(b).sum(axis=1)
+    return b, np.abs(c[:, n - 1]) + np.abs(c[:, n])
 
 
-def _ray_cumulative(b: np.ndarray, t) -> np.ndarray:
-    """G(t) of each row of ``b`` from ``_ray_fit``, at that row's t."""
-    # theta / 2 = arccos(sqrt(x)) = arccos(t^(1/8))
-    half = np.arccos(np.sqrt(np.sqrt(np.sqrt(t))))
-    return np.sum(b * np.sin(np.outer(half, np.arange(1, _RAY_DEGREE + 2))) ** 2, axis=1)
+def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ray fits of weight rows given at ``_RAY_X``, for ``_ray_cumulative``.
+
+    Returns the rows of h = G / (1 - x) at ``_RAY_NODES``, the product of
+    the ``b`` of ``_ray_coefficients`` with ``_RAY_MATRIX``, and per row the
+    fit's error term: the truncation bound plus the rounding term
+    ``_RAY_ROUNDING`` sum_k |b_k|.
+    """
+    b, tail = _ray_coefficients(g)
+    # summed from the highest k down, so that the small terms of the decaying
+    # b_k come first, which leaves each value as accurate as a long double
+    # sum; and by einsum, not a BLAS product, which would wake BLAS worker
+    # threads that then spin and slow the Monte Carlo threads of the process
+    h = np.einsum("ik,kj->ij", b[:, ::-1], _RAY_MATRIX[::-1])
+    return h, tail + _RAY_ROUNDING * np.abs(b).sum(axis=1)
+
+
+def _ray_cumulative(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """G(t) of each row of ``h`` from ``_ray_fit``, at that row's t.
+
+    The barycentric formula ``(1 - x) sum_j q_j h_j / sum_j q_j`` with
+    q_j = w_j / (x - x_j) at x = t^(1/4) is stable at Chebyshev points and
+    takes no trigonometry.  A row whose x falls on a point, as at t = 0 and
+    t = 1, reads that point's value.
+    """
+    x = np.sqrt(np.sqrt(t))
+    d = np.subtract.outer(x, _RAY_NODES)
+    # the first point at or above x is x itself where x falls on a point
+    on = _RAY_NODES[np.searchsorted(_RAY_NODES[:-1], x)] == x
+    if on.any():  # q_j = w_j on the point and 0 elsewhere
+        d[on] = np.where(d[on] == 0.0, 1.0, np.inf)
+    q = np.divide(_RAY_WEIGHTS, d, out=d)
+    return (1.0 - x) * np.einsum("ij,ij->i", q, h) / q.sum(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -284,8 +351,9 @@ def _regular_table(kind: EnsembleKind):
     which turns the BKM face singularity t log^2 t into x^7 log^2 x.
     Returns the nodes' u; the rows ``rules`` of node weights (step included)
     of the rule at step h and of its even-j sub-rule at step 2h; the rows of
-    ``b``; the two rules' sums of G(0); and the fits' error term, the
-    rule's sum of the truncation bound plus eps sum_k |b_k|.
+    h = G / (1 - x) at the Chebyshev points ``_RAY_NODES``; the two rules'
+    sums of G(0); and the fits' error term, the rule's sum of each ray's
+    truncation bound plus its rounding term.
     """
     t = np.arange(-_TS_NODES, _TS_NODES + 1) * _TS_STEP
     s = math.pi * np.sinh(t)
@@ -298,12 +366,11 @@ def _regular_table(kind: EnsembleKind):
     rules[1, ::2] = w[::2] * (2.0 * math.pi * _TS_STEP)
     x = _RAY_X
     spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
-    b, tail, size = _ray_fit(_density3_vec(kind, *spectra) * (area * 4.0 * x ** 3))
-    den = rules @ b[:, ::2].sum(axis=1)
-    fit_err = float(rules[0] @ (tail + np.finfo(float).eps * size))
-    for a in (u, rules, b, den):
+    h, err = _ray_fit(_density3_vec(kind, *spectra) * (area * 4.0 * x ** 3))
+    den = rules @ h[:, 0]
+    for a in (u, rules, h, den):
         a.flags.writeable = False
-    return u, rules, b, den, fit_err
+    return u, rules, h, den, float(rules[0] @ err)
 
 
 def _regular_integrals(kind: EnsembleKind, zeta: float) -> tuple[tuple[float, float], ...]:
@@ -317,8 +384,8 @@ def _regular_integrals(kind: EnsembleKind, zeta: float) -> tuple[tuple[float, fl
     rule's error by a wide margin (tanh-sinh converges double
     exponentially in 1/h).
     """
-    u, rules, b, den, fit_err = _regular_table(kind)
-    num = rules @ _ray_cumulative(b, _regular_classical_cutoff(math.pi * u, zeta))
+    u, rules, h, den, fit_err = _regular_table(kind)
+    num = rules @ _ray_cumulative(h, _regular_classical_cutoff(math.pi * u, zeta))
     return tuple((float(fine), abs(float(fine - coarse)) + fit_err) for fine, coarse in (num, den))
 
 
@@ -342,19 +409,20 @@ def _regular_classical_cutoff(phi, zeta: float):
 
 
 @lru_cache(maxsize=None)
-def _line_table(kind: EnsembleKind, mult: tuple[int, int]):
-    """One-row ray table of a line piece (read-only).
+def _line_table(kind: EnsembleKind, pieces: tuple[tuple[int, int], ...]):
+    """Ray table of line pieces, one row per piece (read-only).
 
-    The pieces are the qubit and the two degenerate qutrit edges.  The
-    weight of ``ensembles._line_weight`` along its chart y = top t^4, the
-    chart that the samplers draw from, is fitted by ``_ray_fit``.  Returns
-    the row of ``b``, G(0), and the fit's error term: the truncation bound
-    plus eps sum_k |b_k|.
+    The pieces are the qubit, ``((1, 1),)``, or the two degenerate qutrit
+    edges, ``_EDGES``.  The weight of ``ensembles._line_weight`` along its
+    chart y = top t^4, the chart that the samplers draw from, is fitted by
+    ``_ray_fit``.  Returns the rows of h = G / (1 - x) at the Chebyshev
+    points ``_RAY_NODES``, whose first column is G(0), and the fits' summed
+    error terms.
     """
-    weight = _line_weight(kind, mult, _RAY_X ** 4)[0]
-    b, tail, size = _ray_fit((weight * (4.0 * _RAY_X ** 3))[None, :])
-    b.flags.writeable = False
-    return b, float(b[0, ::2].sum()), float(tail[0] + np.finfo(float).eps * size[0])
+    weights = np.array([_line_weight(kind, mult, _RAY_X ** 4)[0] for mult in pieces])
+    h, err = _ray_fit(weights * (4.0 * _RAY_X ** 3))
+    h.flags.writeable = False
+    return h, float(err.sum())
 
 
 def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
@@ -382,20 +450,19 @@ def _line_integrals(kind: EnsembleKind, zeta: float | None) -> tuple[tuple[float
 
     Classical regions have y above a cutoff y_c, so each piece contributes
     G(t_c) with t_c = (y_c / top)^(1/4) to the numerator and G(0) to the
-    denominator.  Both errors are the pieces' fit error terms.
+    denominator; one evaluation reads every piece.  Both errors are the
+    pieces' fit error terms.
     """
     if zeta is None:
         # classical where the Bloch radius is at most 1/sqrt3
-        cuts = (((1, 1), (1.0 - 1.0 / SQRT3) / 2.0),)
+        pieces, y_c = ((1, 1),), np.array([(1.0 - 1.0 / SQRT3) / 2.0])
     else:
-        cuts = tuple((comp, _edge_classical_cutoff(comp, zeta)) for comp in _EDGES)
-    num = den = err = 0.0
-    for mult, y_c in cuts:
-        b, g0, fit_err = _line_table(kind, mult)
-        num += float(_ray_cumulative(b, (y_c / _LINES[mult][0]) ** 0.25)[0])
-        den += g0
-        err += fit_err
-    return (num, err), (den, err)
+        pieces = _EDGES
+        y_c = np.array([_edge_classical_cutoff(comp, zeta) for comp in _EDGES])
+    h, err = _line_table(kind, pieces)
+    top = _LINES[pieces[0]][0]  # the two edges share theirs
+    num = float(_ray_cumulative(h, (y_c / top) ** 0.25).sum())
+    return (num, err), (float(h[:, 0].sum()), err)
 
 
 def q_quadrature(request: IndicatorRequest) -> IndicatorResult:

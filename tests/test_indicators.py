@@ -12,8 +12,11 @@ import wigner_classicality
 import wigner_classicality.indicators as ind
 from wigner_classicality.ensembles import (
     _EDGES,
+    _LINES,
     EnsembleKind,
     SpectrumSampler,
+    _density3_vec,
+    _line_weight,
     _regular_chart,
     stratum_spectra,
     worker_seed,
@@ -136,7 +139,7 @@ class TestQuadrature:
     def test_qubit_matches_closed(self, ensemble):
         res = q_quadrature(quad_request(ensemble, QUBIT_STRATUM))
         ref = q_qubit_closed_form(ensemble).q
-        assert res.q == pytest.approx(ref, rel=1e-12)
+        assert res.q == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert res.error_estimate >= abs(res.q - ref)
 
     @pytest.mark.parametrize("zeta", np.linspace(0.0, ZETA_MAX, 7))
@@ -234,7 +237,7 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("ensemble", [EnsembleKind.BURES, EnsembleKind.BKM])
     def test_degenerate_edge_mixture_weight_monotone(self, ensemble):
-        assert _quadrature_edge_split(ensemble) == pytest.approx(_monotone_edge_share(ensemble), rel=1e-12)
+        assert _quadrature_edge_split(ensemble) == pytest.approx(_monotone_edge_share(ensemble), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_degenerate_draws_split_by_edge_mass(self, ensemble):
@@ -252,7 +255,7 @@ class TestQuadrature:
 
 def _quadrature_edge_split(ensemble: EnsembleKind) -> float:
     """The (2,1) edge's share of the degenerate stratum in quadrature, G0_21 / (G0_21 + G0_12)."""
-    g21, g12 = (ind._line_table(ensemble, comp)[1] for comp in _EDGES)
+    g21, g12 = ind._line_table(ensemble, _EDGES)[0][:, 0]
     return g21 / (g21 + g12)
 
 
@@ -316,6 +319,106 @@ class TestDegenerateEdgeCutoff:
             assert ind._edge_classical_cutoff(comp, float(zeta)) == pytest.approx(expected, abs=1e-15)
 
 
+def _series_cumulative(b, t) -> float:
+    """sum_k b_k sin^2(k theta / 2) at 2 t^(1/4) - 1 = cos(theta), in 30-digit mpmath.
+
+    sin^2(k theta / 2) = (1 - T_k(y)) / 2 with y = cos(theta), and the
+    Chebyshev polynomials T_k come from their three-term recurrence.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        y = 2 * mp.sqrt(mp.sqrt(mp.mpf(float(t)))) - 1
+        prev, cur, total = mp.mpf(1), y, mp.mpf(0)
+        for bk in b:
+            total += mp.mpf(float(bk)) * (1 - cur)
+            prev, cur = cur, 2 * y * cur - prev
+        return total / 2
+
+
+class TestRayFitRounding:
+    # Each ray's G as read by _ray_cumulative against an mpmath sum of the
+    # same ray's own series: the difference is the read's rounding alone,
+    # and must lie within the rounding term eps sum_k |b_k| times the
+    # Lebesgue bound 1 + (2/pi) ln(n + 2) of the n + 2 Chebyshev points.
+    ZETAS = (0.0, 0.3, math.pi / 6, 0.8, ZETA_MAX)
+
+    @staticmethod
+    def rounding_terms(b):
+        lebesgue = 1.0 + 2.0 / math.pi * math.log(ind._RAY_DEGREE + 2)
+        return np.finfo(float).eps * lebesgue * np.abs(b).sum(axis=1)
+
+    def assert_within_rounding(self, h, b, t):
+        got = ind._ray_cumulative(h, t)
+        bound = self.rounding_terms(b)
+        for row, (value, limit) in enumerate(zip(got, bound)):
+            error = abs(float(value - _series_cumulative(b[row], t[row])))
+            assert error <= limit, (row, float(t[row]), error / limit)
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_regular_rays(self, ensemble):
+        u, _, h, _, _ = ind._regular_table(ensemble)
+        x = ind._RAY_X
+        spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
+        rows = _density3_vec(ensemble, *spectra) * (area * 4.0 * x ** 3)
+        b, _ = ind._ray_coefficients(rows)
+        assert np.array_equal(ind._ray_fit(rows)[0], h)  # the table's own rays
+        for zeta in self.ZETAS:
+            self.assert_within_rounding(h, b, ind._regular_classical_cutoff(math.pi * u, zeta))
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_line_pieces(self, ensemble):
+        x = ind._RAY_X
+        qubit_cut = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
+        for pieces, cuts in [(((1, 1),), [[qubit_cut]]),
+                             (_EDGES, [[ind._edge_classical_cutoff(comp, zeta) for comp in _EDGES]
+                                       for zeta in self.ZETAS])]:
+            h, _ = ind._line_table(ensemble, pieces)
+            rows = np.array([_line_weight(ensemble, mult, x ** 4)[0] for mult in pieces]) * (4.0 * x ** 3)
+            b, _ = ind._ray_coefficients(rows)
+            assert np.array_equal(ind._ray_fit(rows)[0], h)
+            for y_c in cuts:
+                self.assert_within_rounding(h, b, (np.array(y_c) / _LINES[pieces[0]][0]) ** 0.25)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRayCumulativeNodes:
+    # x = t^(1/4) on a Chebyshev point divides by zero in the barycentric
+    # formula unless the point's value is read instead
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_ends_read_exact_values(self, ensemble):
+        h = ind._regular_table(ensemble)[2]
+        rows = np.ones(len(h))
+        assert np.array_equal(ind._ray_cumulative(h, 0.0 * rows), h[:, 0])  # G(0)
+        assert np.array_equal(ind._ray_cumulative(h, rows), np.zeros(len(h)))
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_one_ulp_off_a_point_is_continuous(self, ensemble):
+        # t next to x_j^4 puts x within a few ulps of x_j, where G moves by
+        # the weight times that distance: far below 1e-12 of the largest h
+        h = ind._regular_table(ensemble)[2]
+        scale = np.abs(h).max()
+        for j, xj in enumerate(ind._RAY_NODES):
+            on_point = xj ** 4
+            for t in (np.nextafter(on_point, 0.0), on_point, min(np.nextafter(on_point, 2.0), 1.0)):
+                got = ind._ray_cumulative(h, np.full(len(h), t))
+                assert np.all(np.isfinite(got))
+                assert np.allclose(got, (1.0 - xj) * h[:, j], rtol=0.0, atol=1e-12 * scale), (j, t)
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_degenerate_zeta0_cell_reads_the_x0_point(self, ensemble):
+        # at zeta = 0 the (2,1) edge is wholly classical: y_c = 0, so its
+        # t = 0 reads G(0) exactly from the x = 0 point (the cell's value is
+        # checked against its reference in TestQuadratureAccuracy)
+        h, _ = ind._line_table(ensemble, _EDGES)
+        (num, _), (den, _) = ind._line_integrals(ensemble, 0.0)
+        t_12 = (ind._edge_classical_cutoff((1, 2), 0.0) / _LINES[(1, 2)][0]) ** 0.25
+        edges = ind._ray_cumulative(h, np.array([0.0, t_12]))
+        assert edges[0] == h[0, 0]
+        assert num == float(edges.sum()) and den == float(h[:, 0].sum())
+
+
 class TestRegularClassicalCutoff:
     @pytest.mark.parametrize("zeta", [0.0, 0.2, math.pi / 6, 0.8, ZETA_MAX])
     def test_cutoff_is_the_cone_boundary(self, zeta):
@@ -362,7 +465,7 @@ class TestQuadratureAccuracy:
         for zeta in grid:
             res = q_quadrature(quad_request(EnsembleKind.HILBERT_SCHMIDT, stratum, float(zeta)))
             ref = closed(float(zeta)).q
-            assert res.q == pytest.approx(ref, rel=1e-12)
+            assert res.q == pytest.approx(ref, rel=1e-12, abs=0.0)
             assert res.error_estimate >= abs(res.q - ref)
 
     @pytest.mark.parametrize("ensemble,stratum,zeta,reference", [
@@ -376,9 +479,10 @@ class TestQuadratureAccuracy:
         *[(kind, REGULAR_QUTRIT, zeta, ref) for (kind, zeta), ref in REGULAR_REFERENCE.items()],
     ])
     def test_error_estimate_covers_independent_reference(self, ensemble, stratum, zeta, reference):
-        # closed forms and high-precision integrals, none computed by quadrature
+        # closed forms and high-precision integrals, none computed by quadrature;
+        # abs=0.0 drops approx's default absolute 1e-12, which is 1e-7 of Q near 1e-5
         res = q_quadrature(quad_request(ensemble, stratum, zeta))
-        assert res.q == pytest.approx(reference, rel=1e-12)
+        assert res.q == pytest.approx(reference, rel=1e-12, abs=0.0)
         assert res.error_estimate >= abs(res.q - reference)
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)

@@ -361,23 +361,30 @@ def _envelope_table(kind: EnsembleKind, mult: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _cell_lookup(cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, x)`` for a nondecreasing ``cdf``, by a guide table.
+def _guide_table(cdf: np.ndarray) -> tuple:
+    """The guide table of Chen and Asau (1974) for a nondecreasing ``cdf``, read by ``_cell_lookup``.
 
-    The guide table of Chen and Asau (1974) splits (0, cdf[-1]] into
-    ``_GUIDE_PER_CELL`` equal buckets per entry and stores, for each bucket,
-    the first entry above its lower edge.  Each x starts at its bucket's
-    entry, steps up while ``cdf[i] < x`` and down while ``cdf[i - 1] >= x``.
-    Those steps reach search-left's index from any start, so rounding at the
-    bucket edges cannot change a result; the guide only makes the expected
-    number of steps O(1).
+    It splits (0, cdf[-1]] into ``_GUIDE_PER_CELL`` equal buckets per entry
+    and stores, for each bucket, the first entry above its lower edge.
     """
     buckets = _GUIDE_PER_CELL * cdf.size
     scale = buckets / cdf[-1]
     guide = np.searchsorted(cdf, np.arange(buckets) / scale, side="right")
     above = np.append(cdf, np.inf)  # above[i] = cdf[i]
     below = np.concatenate(([-np.inf], cdf))  # below[i] = cdf[i - 1]
-    i = guide.take(np.clip(x * scale, 0, buckets - 1).astype(np.intp))
+    return guide, scale, above, below
+
+
+def _cell_lookup(table: tuple, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, x)`` for ``table = _guide_table(cdf)``.
+
+    Each x starts at its bucket's entry, steps up while ``cdf[i] < x`` and
+    down while ``cdf[i - 1] >= x``.  Those steps reach search-left's index
+    from any start, so rounding at the bucket edges cannot change a result;
+    the guide only makes the expected number of steps O(1).
+    """
+    guide, scale, above, below = table
+    i = guide.take(np.clip(x * scale, 0, guide.size - 1).astype(np.intp))
     up = np.flatnonzero(above.take(i) < x)
     while up.size:
         i[up] += 1
@@ -403,8 +410,9 @@ class SpectrumSampler:
     a point uniformly inside it, and is accepted with probability
     weight / bound.  The table is built once per (ensemble, degeneracy) on
     first use; each instance draws from its own copy, ``_envelope``.
-    Proposals come in batches of up to ``_CHUNK``, whose weights are
-    evaluated in tiles of ``_TILE`` rows.
+    Proposals come in batches of up to ``_CHUNK``: one generator call draws
+    a batch's uniforms, and every other step runs on tiles of ``_TILE``
+    rows.
 
     ``stratum_spectra`` draws the degenerate qutrit stratum from one
     sampler over both edges (``_cover``): its envelope is the two edges'
@@ -416,8 +424,8 @@ class SpectrumSampler:
     """
 
     _CHUNK = 1 << 18
-    #: Rows per weight evaluation in ``_draw``: the weight's temporaries of
-    #: one tile stay in cache, where those of a whole batch would not.
+    #: Rows per tile in ``_draw``: the temporaries of one tile stay in cache,
+    #: where those of a whole batch would not, and the heap reuses them.
     _TILE = 1 << 14
 
     def __init__(
@@ -501,38 +509,41 @@ class SpectrumSampler:
     def _draw(self, m: int) -> np.ndarray:
         """Propose m points from the envelope table; return the accepted spectra.
 
-        The uniforms are drawn for the whole batch, in a fixed order (the
-        cells, each coordinate, the acceptance), so the stream and every
-        output bit do not depend on ``_TILE``; only the weight and the
-        acceptance test run tile by tile.  Every proposal's weight is checked
-        against its cell's bound before anything is accepted.
+        One generator call draws the batch's uniforms, row by row in stream
+        order: the cells, each coordinate, the acceptance.  So the stream and
+        every output bit do not depend on ``_TILE``.  Everything else, from
+        the cell lookup to the accepted rows, runs tile by tile, so no other
+        array spans the batch.  Every proposal's weight is checked against
+        its cell's bound before anything is accepted.
         """
         bound = self._envelope
         cdf = np.cumsum(bound)
-        # (1 - U) * total lies in (0, total], so search-left skips empty cells
-        cell = _cell_lookup(cdf, (1.0 - self.rng.random(m)) * cdf[-1])
+        table = _guide_table(cdf)
         cells = _TABLE_CELLS[len(self._box)]
         # a union's table runs piece by piece; its proposals end with their piece
         lead = (len(self._pieces),) if len(self._pieces) > 1 else ()
-        index = np.unravel_index(cell, lead + (cells,) * len(self._box))
-        coords = [lo + (i + self.rng.random(m)) * ((hi - lo) / cells)
-                  for (lo, hi), i in zip(self._box, index[len(lead):])]
-        coords += index[:len(lead)]
-        b = bound[cell]
-        threshold = self.rng.random(m) * b
+        shape = lead + (cells,) * len(self._box)
+        uniforms = self.rng.random((len(self._box) + 2, m))
         rows, worst = [], None
         for start in range(0, m, self._TILE):
-            part = slice(start, start + self._TILE)
-            w, spectra = _proposal_weight(self.kind, self._pieces, [c[part] for c in coords])
-            bp = b[part]
-            over = w > bp
+            u = uniforms[:, start:start + self._TILE]
+            # (1 - U) * total lies in (0, total], so search-left skips empty cells
+            cell = _cell_lookup(table, (1.0 - u[0]) * cdf[-1])
+            index = np.unravel_index(cell, shape)
+            coords = [lo + (i + v) * ((hi - lo) / cells)
+                      for (lo, hi), i, v in zip(self._box, index[len(lead):], u[1:-1])]
+            coords += index[:len(lead)]
+            w, spectra = _proposal_weight(self.kind, self._pieces, coords)
+            b = bound.take(cell)
+            over = w > b
             if over.any():  # the batch's worst offender is named, in whichever tile it lies
-                ratio = np.where(over, w / bp, 0.0)
+                ratio = np.where(over, w / b, 0.0)
                 i = int(np.argmax(ratio))
                 if worst is None or ratio[i] > worst[0]:
-                    worst = (ratio[i], w[i], bp[i])
-            keep = threshold[part] < w
-            rows.append(np.column_stack([c[keep] for c in spectra]))
+                    worst = (ratio[i], w[i], b[i])
+            b *= u[-1]  # the acceptance threshold
+            keep = np.flatnonzero(b < w)
+            rows.append(np.column_stack([c.take(keep) for c in spectra]))
         if worst is not None:
             raise SamplerFailureError(
                 f"proposal weight {worst[1]:.3e} exceeded its envelope cell bound {worst[2]:.3e} for "

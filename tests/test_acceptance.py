@@ -142,7 +142,7 @@ def test_criterion_4_table1_reproduction():
     report(4, "table of minima and asymmetries", ok, "; ".join(details) + f"; {elapsed:.1f}s")
 
     assert abs(zeta_hs - math.pi / 6) <= 1e-6
-    assert q_hs == pytest.approx(21.0 / 31104.0, rel=1e-10)
+    assert q_hs == pytest.approx(21.0 / 31104.0, rel=1e-10, abs=0)
     assert asym_hs == 0.0
     for ensemble, (q_min, zeta_min, asym) in results.items():
         q_ref, z_ref, a_ref = TABLE1_REFERENCE[ensemble]

@@ -52,7 +52,7 @@ class TestCurve:
         assert len(rows) == 61
         mid = rows[30]
         assert float(mid[0]) == pytest.approx(math.pi / 6, rel=1e-12)
-        assert float(mid[1]) == pytest.approx(21.0 / 31104.0, rel=1e-12)
+        assert float(mid[1]) == pytest.approx(21.0 / 31104.0, rel=1e-12, abs=0)
         assert mid[4] == "hs" and mid[5] == "regular"
 
     def test_number_format_17_digits(self, tmp_path):

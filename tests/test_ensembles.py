@@ -6,6 +6,7 @@ matrix models of ``matrix_models`` against the rejection route (two-sample KS).
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from wigner_classicality.ensembles import (
     _density3_vec,
     _density_pair_vec,
     _envelope_table,
+    _guide_table,
     _proposal_weight,
 )
 from wigner_classicality.indicators import DEGENERATE_QUTRIT
@@ -85,7 +87,7 @@ class TestJointDensity:
     def test_hs_regular_value(self):
         deg = DegeneracyType((1, 1, 1))
         val = joint_density(EnsembleKind.HILBERT_SCHMIDT, deg, (1 / 2, 1 / 3, 1 / 6))
-        assert val == pytest.approx(1.0 / 11664.0, rel=1e-12)
+        assert val == pytest.approx(1.0 / 11664.0, rel=1e-12, abs=0)
 
     def test_coincident_is_exact_zero(self):
         deg = DegeneracyType((1, 1, 1))
@@ -270,7 +272,7 @@ def _sampler(cls, kind: EnsembleKind, mult: tuple, seed: int) -> SpectrumSampler
 
 
 def _assert_lookup_exact(cdf: np.ndarray, x: np.ndarray) -> None:
-    assert np.array_equal(_cell_lookup(cdf, x), np.searchsorted(cdf, x))
+    assert np.array_equal(_cell_lookup(_guide_table(cdf), x), np.searchsorted(cdf, x))
 
 
 def _edge_points(cdf: np.ndarray) -> np.ndarray:
@@ -299,7 +301,7 @@ class TestCellLookup:
         _assert_lookup_exact(cdf, _edge_points(cdf))
         inside = _edge_points(cdf)
         inside = inside[(inside > 0.0) & (inside <= cdf[-1])]
-        assert not empty[_cell_lookup(cdf, np.concatenate([x, inside]))].any()
+        assert not empty[_cell_lookup(_guide_table(cdf), np.concatenate([x, inside]))].any()
 
 
 class TestProposalLoop:
@@ -346,6 +348,24 @@ class TestProposalLoop:
         assert not np.any((y > y_at(100) + 1e-12) & (y < y_at(150) - 1e-12))
         assert np.any((y > y_at(90)) & (y < y_at(100)))
         assert np.any((y > y_at(150)) & (y < y_at(160)))
+
+
+class TestDrawMemory:
+    """A batch holds its uniforms and its accepted rows; every other array spans one tile."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", [(1, 1, 1), (1, 1), _EDGES], ids=["regular", "qubit", "edges"])
+    def test_batch_peak_is_uniforms_and_rows(self, kind, mult):
+        sampler = _sampler(SpectrumSampler, kind, mult, seed=31)
+        m = 1 << 18
+        tracemalloc.start()
+        try:
+            block = sampler._draw(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        uniforms = (len(sampler._box) + 2) * 8 * m
+        assert peak < uniforms + 2 * block.nbytes + (4 << 20)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -673,7 +673,7 @@ class TestModuliUtilities:
             EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT, Method.CLOSED_FORM
         )
         assert abs(zeta_min - math.pi / 6) <= 1e-6
-        assert q_min == pytest.approx(21.0 / 31104.0, rel=1e-10)
+        assert q_min == pytest.approx(21.0 / 31104.0, rel=1e-10, abs=0)
 
     def test_minimize_hs_degenerate_closed(self):
         zeta_min, q_min = minimize_q_over_zeta(

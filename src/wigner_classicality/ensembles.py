@@ -412,7 +412,9 @@ class SpectrumSampler:
     first use; each instance draws from its own copy, ``_envelope``.
     Proposals come in batches of up to ``_CHUNK``: one generator call draws
     a batch's uniforms, and every other step runs on tiles of ``_TILE``
-    rows.
+    rows.  The accepted spectra form one stream of tiles, ``_tiles``, as
+    columns: ``sample`` writes them into its rows, and Monte Carlo counts
+    hits on them without building a row.
 
     ``stratum_spectra`` draws the degenerate qutrit stratum from one
     sampler over both edges (``_cover``): its envelope is the two edges'
@@ -470,51 +472,57 @@ class SpectrumSampler:
         """Draw n spectra; rows are descending eigenvalues summing to one."""
         if n < 0:
             raise ValueError("sample count must be nonnegative")
-        N = self.deg.n
-        out = np.empty((n, N))
+        out = np.empty((n, self.deg.n))
         done = 0
-        while done < n:
-            m = min(self._CHUNK, n - done)
-            out[done : done + m] = self._sample_block(m)
-            done += m
+        for columns in self._tiles(n):
+            k = len(columns[0])
+            for j, column in enumerate(columns):
+                out[done : done + k, j] = column
+            done += k
         return out
 
     # -- internals ---------------------------------------------------------
 
-    def _sample_block(self, m: int) -> np.ndarray:
-        if self._route == "point":
-            N = self.deg.n
-            return np.full((m, N), 1.0 / N)
-        return self._reject_block(m)
+    def _tiles(self, n: int):
+        """Yield each tile's accepted spectra as columns: exactly n rows in stream order.
 
-    def _reject_block(self, m: int) -> np.ndarray:
-        """Exactly m accepted spectra, in proposal batches sized from the running acceptance."""
-        rows: list[np.ndarray] = []
-        got = 0
-        while got < m:
-            rate = self.acceptance_rate
-            size = self._CHUNK
-            if rate > 0.0:  # 2 percent over the expected need, so one batch usually suffices
-                size = min(size, math.ceil(1.02 * (m - got) / rate) + 16)
-            block = self._draw(size)
-            rows.append(block)
-            got += block.shape[0]
-            if self._proposed >= 1_000_000 and self.acceptance_rate < MIN_ACCEPTANCE:
-                raise SamplerFailureError(
-                    f"acceptance rate {self.acceptance_rate:.2e} below {MIN_ACCEPTANCE} for "
-                    f"({self.kind.label}, {self.deg.multiplicities}) after {self._proposed} proposals"
-                )
-        return np.concatenate(rows, axis=0)[:m]
+        Rows come in blocks of ``_CHUNK``.  A block's proposals come in
+        batches sized from the running acceptance, and the rows that its
+        last batch accepts past the block's end are dropped.  A batch's
+        tiles are yielded only after the whole batch has passed its checks,
+        so a failing batch yields nothing.
+        """
+        for done in range(0, n, self._CHUNK):
+            m = min(self._CHUNK, n - done)
+            if self._route == "point":
+                yield (np.full(m, 1.0 / self.deg.n),) * self.deg.n
+                continue
+            while m > 0:
+                rate = self.acceptance_rate
+                size = self._CHUNK
+                if rate > 0.0:  # 2 percent over the expected need, so one batch usually suffices
+                    size = min(size, math.ceil(1.02 * m / rate) + 16)
+                tiles = self._draw(size)
+                if self._proposed >= 1_000_000 and self.acceptance_rate < MIN_ACCEPTANCE:
+                    raise SamplerFailureError(
+                        f"acceptance rate {self.acceptance_rate:.2e} below {MIN_ACCEPTANCE} for "
+                        f"({self.kind.label}, {self.deg.multiplicities}) after {self._proposed} proposals"
+                    )
+                for columns in tiles:
+                    k = min(len(columns[0]), m)
+                    if k:
+                        yield tuple(c[:k] for c in columns)
+                    m -= k
 
-    def _draw(self, m: int) -> np.ndarray:
-        """Propose m points from the envelope table; return the accepted spectra.
+    def _draw(self, m: int) -> list[tuple[np.ndarray, ...]]:
+        """Propose m points from the envelope table; return each tile's accepted spectrum columns.
 
         One generator call draws the batch's uniforms, row by row in stream
         order: the cells, each coordinate, the acceptance.  So the stream and
         every output bit do not depend on ``_TILE``.  Everything else, from
-        the cell lookup to the accepted rows, runs tile by tile, so no other
-        array spans the batch.  Every proposal's weight is checked against
-        its cell's bound before anything is accepted.
+        the cell lookup to the accepted columns, runs tile by tile, so no
+        other array spans the batch.  Every proposal's weight is checked
+        against its cell's bound before anything is returned.
         """
         bound = self._envelope
         cdf = np.cumsum(bound)
@@ -524,7 +532,7 @@ class SpectrumSampler:
         lead = (len(self._pieces),) if len(self._pieces) > 1 else ()
         shape = lead + (cells,) * len(self._box)
         uniforms = self.rng.random((len(self._box) + 2, m))
-        rows, worst = [], None
+        tiles, worst = [], None
         for start in range(0, m, self._TILE):
             u = uniforms[:, start:start + self._TILE]
             # (1 - U) * total lies in (0, total], so search-left skips empty cells
@@ -543,16 +551,24 @@ class SpectrumSampler:
                     worst = (ratio[i], w[i], b[i])
             b *= u[-1]  # the acceptance threshold
             keep = np.flatnonzero(b < w)
-            rows.append(np.column_stack([c.take(keep) for c in spectra]))
+            tiles.append(tuple(c.take(keep) for c in spectra))
         if worst is not None:
             raise SamplerFailureError(
                 f"proposal weight {worst[1]:.3e} exceeded its envelope cell bound {worst[2]:.3e} for "
                 f"({self.kind.label}, {self.deg.multiplicities}); envelope table too coarse"
             )
-        block = np.concatenate(rows)
         self._proposed += m
-        self._accepted += block.shape[0]
-        return block
+        self._accepted += sum(len(columns[0]) for columns in tiles)
+        return tiles
+
+
+def _stratum_sampler(ensemble: EnsembleKind, stratum: StratumLabel,
+                     rng: np.random.Generator) -> SpectrumSampler:
+    """A stratum's sampler; the degenerate qutrit's draws both edges ``_EDGES`` from one envelope."""
+    sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=rng)
+    if stratum.degeneracy.multiplicities == _EDGES[0]:
+        sampler._cover(_EDGES)
+    return sampler
 
 
 def stratum_spectra(ensemble: EnsembleKind, stratum: StratumLabel, n: int,
@@ -560,15 +576,11 @@ def stratum_spectra(ensemble: EnsembleKind, stratum: StratumLabel, n: int,
     """Yield ``n`` spectra of a regular or degenerate stratum, in blocks.
 
     Blocks hold at most ``SpectrumSampler._CHUNK`` rows, so memory does not
-    grow with ``n``; one ``sample(n)`` call draws the same blocks from the
-    generator in the same order, so the spectra do not depend on the
-    blocking.  The degenerate qutrit stratum is drawn by one sampler over
-    both edges ``_EDGES``, which gives each edge its true share of the
-    stratum's mass.
+    grow with ``n``; each is one ``sample`` call, which writes the sampler's
+    accepted tiles into its rows.  The blocks follow those of ``_tiles``, so
+    the spectra do not depend on the blocking.
     """
-    sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=rng)
-    if stratum.degeneracy.multiplicities == _EDGES[0]:
-        sampler._cover(_EDGES)
+    sampler = _stratum_sampler(ensemble, stratum, rng)
     chunk = SpectrumSampler._CHUNK
     for done in range(0, n, chunk):
         yield sampler.sample(min(chunk, n - done))

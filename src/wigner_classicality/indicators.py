@@ -43,7 +43,7 @@ from .ensembles import (
     _density3_vec,
     _line_weight,
     _regular_chart,
-    stratum_spectra,
+    _stratum_sampler,
     worker_seed,
 )
 
@@ -512,9 +512,8 @@ def _mc_chunk_hits(request: IndicatorRequest, chunk: int, seed: int) -> int:
     if _stratum_kind(request.stratum) == "point":
         return chunk
     kernel = _kernel_for(request).as_array()
-    rng = np.random.default_rng(seed)
-    return sum(int(np.count_nonzero(_is_classical(block, kernel)))
-               for block in stratum_spectra(request.ensemble, request.stratum, chunk, rng))
+    sampler = _stratum_sampler(request.ensemble, request.stratum, np.random.default_rng(seed))
+    return sum(int(np.count_nonzero(_is_classical(columns, kernel))) for columns in sampler._tiles(chunk))
 
 
 def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
@@ -529,9 +528,10 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     classical state is seen the estimate falls back to the one-sided 95
     percent bound 3/n (rule of three).
 
-    The draws come from ``stratum_spectra``: on the degenerate stratum one
-    sampler over both edges, so each edge's share of the draws follows its
-    own mass, not quadrature's.
+    The draws are those of ``stratum_spectra``: on the degenerate stratum
+    one sampler over both edges, so each edge's share of the draws follows
+    its own mass, not quadrature's.  Hits are counted on the sampler's
+    accepted tiles, as columns, so no spectrum row is built.
     """
     request.validate()
     if request.method is not Method.MONTE_CARLO:

@@ -152,22 +152,28 @@ def _sw_spectrum_qutrit(zeta) -> np.ndarray:
     return _kernel_spectra(np.stack(_kernel_columns(_zetas(zeta), np), axis=1))
 
 
-def _dual_pairing(spectra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Array twin of ``dual_pairing`` on the rows of an (n, N) array of descending spectra.
+def _dual_pairing(spectra, kernel: np.ndarray) -> np.ndarray:
+    """Array twin of ``dual_pairing`` on many descending spectra.
 
-    ``kernel`` is one descending kernel spectrum, shape (N,), or one per
-    row, shape (n, N).  The product with one kernel is ``spectra @
-    kernel[::-1]``; Monte Carlo hit counts depend on that exact arithmetic.
+    ``spectra`` is an (n, N) array of rows or a sequence of its N columns,
+    and ``kernel`` one descending kernel spectrum, shape (N,), or one per
+    row, shape (n, N).  The pairing is summed from the left,
+    ``(s_1 k_N + s_2 k_(N-1)) + ...``, one column at a time, so no BLAS
+    routine runs and Monte Carlo hit counts depend on this arithmetic
+    alone, not on the BLAS build.
     """
-    if spectra.shape[-1] != kernel.shape[-1]:
-        raise ValueError(f"dimension mismatch: spectrum N={spectra.shape[-1]}, kernel N={kernel.shape[-1]}")
-    if kernel.ndim == 1:
-        return spectra @ kernel[::-1]
-    return np.einsum("ij,ij->i", spectra, kernel[:, ::-1])
+    columns = spectra.T if isinstance(spectra, np.ndarray) else spectra
+    if len(columns) != kernel.shape[-1]:
+        raise ValueError(f"dimension mismatch: spectrum N={len(columns)}, kernel N={kernel.shape[-1]}")
+    ascending = kernel.T[::-1]  # scalars for one kernel, columns for one per row
+    total = columns[0] * ascending[0]
+    for column, k in zip(columns[1:], ascending[1:]):
+        total += column * k
+    return total
 
 
-def _is_classical(spectra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Array twin of ``is_classical``: nonnegative pairing, row by row."""
+def _is_classical(spectra, kernel: np.ndarray) -> np.ndarray:
+    """Array twin of ``is_classical``: nonnegative pairing, spectrum by spectrum (see ``_dual_pairing``)."""
     return _dual_pairing(spectra, kernel) >= 0.0
 
 
@@ -177,8 +183,9 @@ def dual_pairing(spectrum: OrderedSpectrum, kernel: SWKernelSpectrum) -> float:
     Returns ``r_1 pi_N + r_2 pi_(N-1) + ... + r_N pi_1``, the minimum of the
     Wigner function over the state's unitary orbit (up to normalization); the
     state is classical exactly when this is nonnegative.  The sum is
-    correctly rounded (``math.fsum``); the array twin ``_dual_pairing`` is a
-    matrix product, which may differ from it in the last bits.
+    correctly rounded (``math.fsum``); the array twin ``_dual_pairing`` sums
+    from the left in floating point, which may differ from it in the last
+    bits.
     """
     if spectrum.n != kernel.n:
         raise ValueError(f"dimension mismatch: spectrum N={spectrum.n}, kernel N={kernel.n}")

@@ -98,7 +98,7 @@ def test_criterion_2_hs_regular_grid():
     report(2, "hs regular quadrature vs closed (21 pts)", ok,
            f"max rel dev {max_dev:.2e}, {elapsed:.2f}s")
     assert max_dev <= 1e-6
-    assert midpoint == pytest.approx(21.0 / 31104.0, rel=1e-14)
+    assert midpoint == pytest.approx(21.0 / 31104.0, rel=1e-14, abs=0.0)
     assert elapsed < 10.0
 
 

@@ -210,7 +210,7 @@ class TestTable1:
         _, rows = read_csv(out.with_suffix(".csv"))
         table = {row[0]: (float(row[1]), float(row[2]), float(row[3])) for row in rows}
         q, z, a = table["hs"]
-        assert q == pytest.approx(21.0 / 31104.0, rel=1e-9)
+        assert q == pytest.approx(21.0 / 31104.0, rel=1e-9, abs=0.0)
         assert z == pytest.approx(math.pi / 6, abs=1e-6)
         assert a == 0.0
         for name in ("bures", "bkm"):

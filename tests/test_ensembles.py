@@ -16,7 +16,10 @@ from scipy.stats import chisquare, ks_2samp
 
 from matrix_models import bures_spectra, ginibre_spectra
 
+import wigner_classicality.ensembles as ensembles
+import wigner_classicality.indicators as indicators
 from wigner_classicality.spectra import SQRT3, DegeneracyType
+from wigner_classicality.wigner import _is_classical, sw_spectrum_qubit, sw_spectrum_qutrit
 from wigner_classicality.ensembles import (
     EnsembleKind,
     SamplerFailureError,
@@ -35,7 +38,14 @@ from wigner_classicality.ensembles import (
     _guide_table,
     _proposal_weight,
 )
-from wigner_classicality.indicators import DEGENERATE_QUTRIT
+from wigner_classicality.indicators import (
+    DEGENERATE_QUTRIT,
+    QUBIT_STRATUM,
+    REGULAR_QUTRIT,
+    IndicatorRequest,
+    Method,
+    _mc_chunk_hits,
+)
 
 ALL_KINDS = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
 ALL_MULTS = ((1, 1), (1, 1, 1), (2, 1), (1, 2))
@@ -235,9 +245,9 @@ class TestSamplerFailure:
 
 
 class _ReferenceSampler(SpectrumSampler):
-    """The proposal loop of version 0.2.4: one binary search and one whole-batch weight."""
+    """The proposal loop of version 0.2.4: one binary search and one whole-batch weight, one tile."""
 
-    def _draw(self, m: int) -> np.ndarray:
+    def _draw(self, m: int) -> list[tuple[np.ndarray, ...]]:
         bound = self._envelope
         cdf = np.cumsum(bound)
         cell = np.searchsorted(cdf, (1.0 - self.rng.random(m)) * cdf[-1])
@@ -259,7 +269,7 @@ class _ReferenceSampler(SpectrumSampler):
         keep = self.rng.random(m) * b < w
         self._proposed += m
         self._accepted += int(np.count_nonzero(keep))
-        return np.column_stack([c[keep] for c in spectra])
+        return [tuple(c[keep] for c in spectra)]
 
 
 def _sampler(cls, kind: EnsembleKind, mult: tuple, seed: int) -> SpectrumSampler:
@@ -334,6 +344,16 @@ class TestProposalLoop:
             assert sampler._proposed == 0
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+        # the same batch fails a Monte Carlo hit count before any of its tiles is paired
+        table = ensembles._envelope_table
+        scale = np.random.default_rng(6).uniform(0.93, 0.95, table(EnsembleKind.BURES, (1, 1, 1)).size)
+        monkeypatch.setattr(ensembles, "_envelope_table", lambda kind, mult: table(kind, mult) * scale)
+        paired = []
+        monkeypatch.setattr(indicators, "_is_classical", lambda columns, kernel: paired.append(columns))
+        with pytest.raises(SamplerFailureError, match="envelope cell bound") as err:
+            _mc_chunk_hits(_mc_request(EnsembleKind.BURES, REGULAR_QUTRIT), 200_000, 5)
+        assert str(err.value) == messages[0]
+        assert paired == []
 
     def test_lookup_follows_the_current_envelope(self):
         # hs qubit: cell i of 256 covers t in [i, i + 1] / 256 of the chart
@@ -350,22 +370,91 @@ class TestProposalLoop:
         assert np.any((y > y_at(150)) & (y < y_at(160)))
 
 
+def _nbytes(tiles) -> int:
+    """Bytes of the accepted spectrum columns of a batch, as ``_draw`` returns them."""
+    return sum(column.nbytes for columns in tiles for column in columns)
+
+
+def _traced_peak(call) -> int:
+    """The ``tracemalloc`` peak of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDrawMemory:
-    """A batch holds its uniforms and its accepted rows; every other array spans one tile."""
+    """A batch holds its uniforms and its accepted columns; every other array spans one tile."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("mult", [(1, 1, 1), (1, 1), _EDGES], ids=["regular", "qubit", "edges"])
     def test_batch_peak_is_uniforms_and_rows(self, kind, mult):
         sampler = _sampler(SpectrumSampler, kind, mult, seed=31)
         m = 1 << 18
-        tracemalloc.start()
-        try:
-            block = sampler._draw(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tiles = []
+        peak = _traced_peak(lambda: tiles.extend(sampler._draw(m)))
         uniforms = (len(sampler._box) + 2) * 8 * m
-        assert peak < uniforms + 2 * block.nbytes + (4 << 20)
+        assert peak < uniforms + 2 * _nbytes(tiles) + (4 << 20)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", [(1, 1, 1), (1, 1), _EDGES], ids=["regular", "qubit", "edges"])
+    def test_chunk_hit_count_holds_one_batch(self, kind, mult):
+        m = 1 << 18
+        # a chunk's first batch proposes m points, since no acceptance is known yet
+        sampler = _sampler(SpectrumSampler, kind, mult, seed=31)
+        accepted = _nbytes(sampler._draw(m))
+        request = _mc_request(kind, _STRATA[mult])
+        peak = _traced_peak(lambda: _mc_chunk_hits(request, m, 31))
+        uniforms = (len(sampler._box) + 2) * 8 * m
+        assert peak < uniforms + accepted + (4 << 20)
+
+
+#: The stratum whose Monte Carlo cells draw from each ``_sampler`` route.
+_STRATA = {(1, 1): QUBIT_STRATUM, (1, 1, 1): REGULAR_QUTRIT, _EDGES: DEGENERATE_QUTRIT}
+
+
+def _mc_request(kind: EnsembleKind, stratum) -> IndicatorRequest:
+    """A Monte Carlo request at zeta = 0 on a qutrit stratum, where the classical share is largest."""
+    return IndicatorRequest(ensemble=kind, stratum=stratum, method=Method.MONTE_CARLO,
+                            zeta=None if stratum.n == 2 else 0.0, samples=1, seed=0)
+
+
+class TestTileStream:
+    """Monte Carlo counts hits on the accepted tiles that ``sample`` and ``stratum_spectra`` write as rows."""
+
+    @pytest.mark.parametrize("tile,chunk", [(None, None), (1, 256), (7, 256)])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", [(1, 1), (1, 1, 1), _EDGES], ids=["qubit", "regular", "edges"])
+    def test_hit_count_matches_rows(self, monkeypatch, tile, chunk, kind, mult):
+        # a tile of 1 or 7 rows runs each batch in many Python steps, so it
+        # runs with a smaller block to keep every count below
+        if tile is not None:
+            monkeypatch.setattr(SpectrumSampler, "_TILE", tile)
+            monkeypatch.setattr(SpectrumSampler, "_CHUNK", chunk)
+        samplers = []
+        tiles = SpectrumSampler._tiles
+
+        def spy(self, n):
+            samplers.append(self)
+            return tiles(self, n)
+
+        monkeypatch.setattr(SpectrumSampler, "_tiles", spy)
+        stratum = _STRATA[mult]
+        kernel = (sw_spectrum_qubit() if stratum.n == 2 else sw_spectrum_qutrit(0.0)).as_array()
+        t, c = SpectrumSampler._TILE, SpectrumSampler._CHUNK
+        for n in (0, 1, t - 1, t + 1, c + 1, 2 * c + 7):
+            samplers.clear()
+            hits = _mc_chunk_hits(_mc_request(kind, stratum), n, 43)
+            rows = np.concatenate([np.empty((0, stratum.n))]
+                                  + list(stratum_spectra(kind, stratum, n, np.random.default_rng(43))))
+            reference = _sampler(_ReferenceSampler, kind, mult, seed=43)
+            assert np.array_equal(rows, reference.sample(n))
+            assert hits == np.count_nonzero(_is_classical(rows, kernel))
+            # the hit count's sampler comes first, then those of the rows
+            assert samplers[0] not in samplers[1:]
+            assert {(s._proposed, s._accepted) for s in samplers} == {(reference._proposed, reference._accepted)}
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

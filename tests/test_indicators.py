@@ -47,6 +47,7 @@ from wigner_classicality.spectra import (
     trisectrix_boundary,
 )
 from wigner_classicality.wigner import (
+    _is_classical,
     classical_cone_regular_qutrit,
     classical_edge_bound_qutrit,
     dual_pairing,
@@ -102,30 +103,30 @@ class TestClosedForms:
 
     def test_qubit_hs_exact(self):
         assert q_qubit_closed_form(EnsembleKind.HILBERT_SCHMIDT).q == pytest.approx(
-            1.0 / (3.0 * math.sqrt(3.0)), rel=1e-15
+            1.0 / (3.0 * math.sqrt(3.0)), rel=1e-15, abs=0.0
         )
 
     def test_regular_values(self):
-        assert q_hs_qutrit_regular_closed_form(math.pi / 6).q == pytest.approx(21.0 / 31104.0, rel=1e-14)
-        assert q_hs_qutrit_regular_closed_form(0.0).q == pytest.approx(1.0 / 256.0, rel=1e-13)
-        assert q_hs_qutrit_regular_closed_form(ZETA_MAX).q == pytest.approx(1.0 / 256.0, rel=1e-13)
+        assert q_hs_qutrit_regular_closed_form(math.pi / 6).q == pytest.approx(21.0 / 31104.0, rel=1e-14, abs=0.0)
+        assert q_hs_qutrit_regular_closed_form(0.0).q == pytest.approx(1.0 / 256.0, rel=1e-13, abs=0.0)
+        assert q_hs_qutrit_regular_closed_form(ZETA_MAX).q == pytest.approx(1.0 / 256.0, rel=1e-13, abs=0.0)
 
     def test_degenerate_values(self):
-        assert q_hs_qutrit_degenerate_closed_form(0.0).q == pytest.approx(1.0 / 32.0, rel=1e-13)
+        assert q_hs_qutrit_degenerate_closed_form(0.0).q == pytest.approx(1.0 / 32.0, rel=1e-13, abs=0.0)
         expected_mid = 2.0 * (2.0 / math.sqrt(3.0)) ** 5 / 1056.0
-        assert q_hs_qutrit_degenerate_closed_form(math.pi / 6).q == pytest.approx(expected_mid, rel=1e-13)
+        assert q_hs_qutrit_degenerate_closed_form(math.pi / 6).q == pytest.approx(expected_mid, rel=1e-13, abs=0.0)
 
     def test_degenerate_mirror_symmetry(self):
         for delta in (0.05, 0.1, 0.15, math.pi / 6):
             a = q_hs_qutrit_degenerate_closed_form(math.pi / 6 + delta).q
             b = q_hs_qutrit_degenerate_closed_form(math.pi / 6 - delta).q
-            assert a == pytest.approx(b, rel=5e-15)
+            assert a == pytest.approx(b, rel=5e-15, abs=0.0)
 
     def test_regular_mirror_symmetry(self):
         for delta in (0.05, 0.1, 0.15, math.pi / 6):
             a = q_hs_qutrit_regular_closed_form(math.pi / 6 + delta).q
             b = q_hs_qutrit_regular_closed_form(math.pi / 6 - delta).q
-            assert a == pytest.approx(b, rel=5e-15)
+            assert a == pytest.approx(b, rel=5e-15, abs=0.0)
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -646,19 +647,25 @@ class TestMonteCarlo:
         sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=np.random.default_rng(8))
         assert sampler._route == route
         req = self.mc_request(ensemble, stratum, zeta, n, 1)
-        kernel = ind._kernel_for(req).as_array()[::-1]
-        expected = int(np.count_nonzero(sampler.sample(n) @ kernel >= 0.0))
+        kernel = ind._kernel_for(req).as_array()
+        expected = int(np.count_nonzero(_is_classical(sampler.sample(n), kernel)))
 
-        asked = []
-        sample = SpectrumSampler.sample
+        batches, rows = [], []
+        draw, tiles = SpectrumSampler._draw, SpectrumSampler._tiles
 
-        def spy(self, m):
-            asked.append(m)
-            return sample(self, m)
+        def draw_spy(self, m):
+            batches.append(m)
+            return draw(self, m)
 
-        monkeypatch.setattr(SpectrumSampler, "sample", spy)
+        def tiles_spy(self, m):
+            for columns in tiles(self, m):
+                rows.append(len(columns[0]))
+                yield columns
+
+        monkeypatch.setattr(SpectrumSampler, "_draw", draw_spy)
+        monkeypatch.setattr(SpectrumSampler, "_tiles", tiles_spy)
         assert ind._mc_chunk_hits(req, n, 8) == expected
-        assert max(asked) <= block and sum(asked) == n
+        assert max(batches) <= block and max(rows) <= SpectrumSampler._TILE and sum(rows) == n
 
     def test_point_stratum_all_classical(self):
         stratum = StratumLabel.for_partition((2,))

@@ -86,8 +86,8 @@ def test_twins_match_scalar_api(batch):
         kernel = sw_spectrum_qutrit(zi)
         assert spectra[i].tolist() == list(spectrum.values)
         assert kernels[i].tolist() == list(kernel.values)
-        # the scalar pairing is correctly rounded, the twin's is a dot product
-        # of three terms: they differ by at most a few ulps of 1
+        # the scalar pairing is correctly rounded, the twin's a left-to-right
+        # sum of three terms: they differ by at most a few ulps of 1
         pairing = dual_pairing(spectrum, kernel)
         assert pairings[i] == pytest.approx(pairing, rel=0.0, abs=1e-15)
         if abs(pairing) >= 1e-12:
@@ -100,9 +100,14 @@ def test_one_kernel_pairs_as_monte_carlo_does(batch, zeta):
     r, phi, _ = _columns(batch)
     spectra = _polar_to_spectrum(r, phi)
     kernel = sw_spectrum_qutrit(zeta).as_array()
-    assert np.array_equal(_is_classical(spectra, kernel), spectra @ kernel[::-1] >= 0.0)
+    k1, k2, k3 = kernel.tolist()
+    # Monte Carlo's hit counts rest on this arithmetic, summed from the left
+    expected = [(s1 * k3 + s2 * k2) + s3 * k1 for s1, s2, s3 in spectra.tolist()]
+    assert _dual_pairing(spectra, kernel).tolist() == expected
+    assert _dual_pairing(tuple(np.ascontiguousarray(spectra.T)), kernel).tolist() == expected
+    assert _is_classical(spectra, kernel).tolist() == [p >= 0.0 for p in expected]
     rows = _dual_pairing(spectra, np.broadcast_to(kernel, spectra.shape))
-    assert np.allclose(rows, _dual_pairing(spectra, kernel), rtol=0.0, atol=1e-15)
+    assert rows.tolist() == expected
 
 
 @given(BATCHES)

@@ -184,9 +184,10 @@ def _mc_vec(kind: EnsembleKind, x, y, lx, ly):
     if kind is EnsembleKind.BURES:
         return 2.0 / (x + y)
     s = np.asarray(x + y)
-    d = np.asarray((x - y) / s)
+    diff = x - y
+    d = np.asarray(diff / s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray((lx - ly) / (x - y))
+        out = np.asarray((lx - ly) / diff)
     near = np.abs(d) <= BKM_SERIES_CUTOFF
     if near.any():
         dn = d[near]
@@ -280,9 +281,10 @@ def _regular_chart(t, phi):
     t3 = t * t * t
     r3 = t3 * t / 3.0
     s = 1.0 - 3.0 * r3
-    r1 = 1.0 / 3.0 + s / 6.0 + s * q / 2.0
-    r2 = 1.0 / 3.0 + s / 6.0 - s * q / 2.0
-    return (r1, r2, r3), (1.0 + 3.0 * q * q) * s * t3 / 3.0
+    # 1/3 + s/6 +- s q/2 summed left to right, as written above
+    a = 1.0 / 3.0 + s / 6.0
+    b = s * q / 2.0
+    return (a + b, a - b, r3), (1.0 + 3.0 * q * q) * s * t3 / 3.0
 
 
 def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
@@ -366,6 +368,7 @@ def _guide_table(cdf: np.ndarray) -> tuple:
 
     It splits (0, cdf[-1]] into ``_GUIDE_PER_CELL`` equal buckets per entry
     and stores, for each bucket, the first entry above its lower edge.
+    ``above`` is ``cdf`` then inf, ``below`` is -inf then ``cdf``.
     """
     buckets = _GUIDE_PER_CELL * cdf.size
     scale = buckets / cdf[-1]
@@ -378,22 +381,30 @@ def _guide_table(cdf: np.ndarray) -> tuple:
 def _cell_lookup(table: tuple, x: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cdf, x)`` for ``table = _guide_table(cdf)``.
 
-    Each x starts at its bucket's entry, steps up while ``cdf[i] < x`` and
-    down while ``cdf[i - 1] >= x``.  Those steps reach search-left's index
-    from any start, so rounding at the bucket edges cannot change a result;
-    the guide only makes the expected number of steps O(1).
+    Each x starts at its bucket's entry and takes at most one step, up if
+    ``cdf[i] < x``, else down if ``cdf[i - 1] >= x``.  The few x that a
+    crowded bucket leaves further off get search-left's index from
+    ``np.searchsorted(above, x)``, not from a step loop as long as the
+    farthest of them.  So rounding at the bucket edges cannot change a result.
     """
     guide, scale, above, below = table
     i = guide.take(np.clip(x * scale, 0, guide.size - 1).astype(np.intp))
     up = np.flatnonzero(above.take(i) < x)
-    while up.size:
-        i[up] += 1
-        up = up[above.take(i[up]) < x[up]]
+    i[up] += 1  # now cdf[i - 1] < x, so no step down follows
     down = np.flatnonzero(below.take(i) >= x)
-    while down.size:
-        i[down] -= 1
-        down = down[below.take(i[down]) >= x[down]]
+    i[down] -= 1
+    rest = np.concatenate((up[above.take(i[up]) < x[up]], down[below.take(i[down]) >= x[down]]))
+    if rest.size:
+        i[rest] = np.searchsorted(above, x.take(rest))
     return i
+
+
+@lru_cache(maxsize=None)
+def _cell_origins(shape: tuple[int, ...]) -> np.ndarray:
+    """Row k: ``np.unravel_index(cells, shape)[k]`` for all cells, as exact floats (read-only)."""
+    origins = np.array(np.unravel_index(np.arange(math.prod(shape)), shape), dtype=float)
+    origins.flags.writeable = False
+    return origins
 
 
 class SpectrumSampler:
@@ -407,9 +418,10 @@ class SpectrumSampler:
     cells (32 x 32, or 256), each bounded by 5 percent over the weight
     maximum on a sub-grid of the cell.  A proposal picks a cell in
     proportion to its bound (looked up in a guide table, ``_cell_lookup``),
-    a point uniformly inside it, and is accepted with probability
-    weight / bound.  The table is built once per (ensemble, degeneracy) on
-    first use; each instance draws from its own copy, ``_envelope``.
+    a point uniformly inside it from the cell's origins (``_cell_origins``),
+    and is accepted with probability weight / bound.  The table is built
+    once per (ensemble, degeneracy) on first use; each instance draws from
+    its own copy, ``_envelope``, whose cdf and guide table each batch builds.
     Proposals come in batches of up to ``_CHUNK``: one generator call draws
     a batch's uniforms, and every other step runs on tiles of ``_TILE``
     rows.  The accepted spectra form one stream of tiles, ``_tiles``, as
@@ -530,14 +542,14 @@ class SpectrumSampler:
         cells = _TABLE_CELLS[len(self._box)]
         # a union's table runs piece by piece; its proposals end with their piece
         lead = (len(self._pieces),) if len(self._pieces) > 1 else ()
-        shape = lead + (cells,) * len(self._box)
+        origins = _cell_origins(lead + (cells,) * len(self._box))
         uniforms = self.rng.random((len(self._box) + 2, m))
         tiles, worst = [], None
         for start in range(0, m, self._TILE):
             u = uniforms[:, start:start + self._TILE]
             # (1 - U) * total lies in (0, total], so search-left skips empty cells
             cell = _cell_lookup(table, (1.0 - u[0]) * cdf[-1])
-            index = np.unravel_index(cell, shape)
+            index = [o.take(cell) for o in origins]
             coords = [lo + (i + v) * ((hi - lo) / cells)
                       for (lo, hi), i, v in zip(self._box, index[len(lead):], u[1:-1])]
             coords += index[:len(lead)]

@@ -523,7 +523,9 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     ``worker_seed``; chunk hit counts are integers, so the total is
     deterministic for a fixed (seed, workers) pair regardless of execution
     order.  Only the nonempty chunks, at most ``samples`` of them, are
-    seeded, and at most ``os.cpu_count()`` threads run them.  The error
+    seeded.  At most ``os.cpu_count()`` threads run them, each summing the
+    hits of one run of consecutive chunks and seeding each chunk as it
+    reaches it, so memory does not grow with ``workers``.  The error
     estimate is the binomial standard error ``sqrt(q (1 - q) / n)``; when no
     classical state is seen the estimate falls back to the one-sided 95
     percent bound 3/n (rule of three).
@@ -539,14 +541,19 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     n, workers = int(request.samples), int(request.workers)
     base, extra = divmod(n, workers)
     # chunks from index n on would be empty, so none of them is seeded or run
-    tasks = [(base + (1 if i < extra else 0), worker_seed(request.seed, i))
-             for i in range(min(workers, n))]
-    if len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
-            hit_counts = list(pool.map(lambda t: _mc_chunk_hits(request, t[0], t[1]), tasks))
+    chunks = min(workers, n)
+    threads = min(chunks, os.cpu_count() or 1)
+
+    def share(j: int) -> int:
+        """Hits of thread j's run of chunks; chunk i draws base + (i < extra) points."""
+        return sum(_mc_chunk_hits(request, base + (1 if i < extra else 0), worker_seed(request.seed, i))
+                   for i in range(j * chunks // threads, (j + 1) * chunks // threads))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            hits = sum(pool.map(share, range(threads)))
     else:
-        hit_counts = [_mc_chunk_hits(request, sz, sd) for sz, sd in tasks]
-    hits = sum(hit_counts)
+        hits = share(0)
     q = hits / n
     if hits == 0:
         err = 3.0 / n

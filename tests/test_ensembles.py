@@ -272,6 +272,53 @@ class _ReferenceSampler(SpectrumSampler):
         return [tuple(c[keep] for c in spectra)]
 
 
+def _mc_vec_028(kind: EnsembleKind, x, y, lx, ly):
+    """``ensembles._mc_vec`` of version 0.2.8."""
+    if kind is EnsembleKind.BURES:
+        return 2.0 / (x + y)
+    s = np.asarray(x + y)
+    d = np.asarray((x - y) / s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray((lx - ly) / (x - y))
+    near = np.abs(d) <= ensembles.BKM_SERIES_CUTOFF
+    if near.any():
+        dn = d[near]
+        out[near] = (1.0 + dn * dn / 3.0 + dn ** 4 / 5.0) / (0.5 * s[near])
+    return out
+
+
+def _density3_vec_028(kind: EnsembleKind, r1, r2, r3):
+    """``ensembles._density3_vec`` of version 0.2.8."""
+    v = ((r1 - r2) * (r1 - r3) * (r2 - r3)) ** 2
+    if kind is EnsembleKind.HILBERT_SCHMIDT:
+        return v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1, l2, l3 = ensembles._logs(kind, r1, r2, r3)
+        c = _mc_vec_028(kind, r1, r2, l1, l2) * _mc_vec_028(kind, r1, r3, l1, l3) * _mc_vec_028(kind, r2, r3, l2, l3)
+        return v * c / np.sqrt(r1 * r2 * r3)
+
+
+def _density_pair_vec_028(kind: EnsembleKind, big, small, kk: int):
+    """``ensembles._density_pair_vec`` of version 0.2.8."""
+    v = (big - small) ** (2 * kk)
+    if kind is EnsembleKind.HILBERT_SCHMIDT:
+        return v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb, ls = ensembles._logs(kind, big, small)
+        return v * _mc_vec_028(kind, big, small, lb, ls) ** kk / np.sqrt(big * small)
+
+
+def _regular_chart_028(t, phi):
+    """``ensembles._regular_chart`` of version 0.2.8."""
+    q = np.tan(phi / 3.0) / SQRT3
+    t3 = t * t * t
+    r3 = t3 * t / 3.0
+    s = 1.0 - 3.0 * r3
+    r1 = 1.0 / 3.0 + s / 6.0 + s * q / 2.0
+    r2 = 1.0 / 3.0 + s / 6.0 - s * q / 2.0
+    return (r1, r2, r3), (1.0 + 3.0 * q * q) * s * t3 / 3.0
+
+
 def _sampler(cls, kind: EnsembleKind, mult: tuple, seed: int) -> SpectrumSampler:
     """A ``cls`` sampler of one piece, or with ``mult`` = ``_EDGES`` one over both edges."""
     if mult != _EDGES:
@@ -312,6 +359,66 @@ class TestCellLookup:
         inside = _edge_points(cdf)
         inside = inside[(inside > 0.0) & (inside <= cdf[-1])]
         assert not empty[_cell_lookup(_guide_table(cdf), np.concatenate([x, inside]))].any()
+
+    def test_resolves_a_crowded_bucket(self):
+        # 100 tiny positive bounds put 100 cells into one guide bucket, so a
+        # proposal there can lie far more than one step from its bucket's entry
+        bound = np.random.default_rng(6).random(300)
+        bound[100:200] = 1e-9
+        cdf = np.cumsum(bound)
+        guide, scale = _guide_table(cdf)[:2]
+        bucket = math.floor(cdf[100] * scale)
+        assert math.floor(cdf[199] * scale) == bucket
+        u = np.random.default_rng(7).random((2, SpectrumSampler._TILE // 2))
+        x = np.concatenate([(bucket + u[0]) / scale, cdf[99] + u[1] * (cdf[199] - cdf[99])])
+        expected = np.searchsorted(cdf, x)
+        assert np.max(np.abs(expected - guide[bucket])) > 50
+        _assert_lookup_exact(cdf, x)
+        _assert_lookup_exact(cdf, _edge_points(cdf))
+
+
+class TestWeightBits:
+    """The chart and the densities keep the bits of 0.2.8.
+
+    ``_ReferenceSampler`` shares the package's weight, so only this pins it.
+    """
+
+    @staticmethod
+    def _box_points():
+        """1e5 random points of the box, its edges, and points near t = 1 and phi = 0.
+
+        Near t = 1 and phi = 0 the eigenvalues nearly coincide, where the
+        BKM series branch of ``_mc_vec`` runs.
+        """
+        t, phi = np.random.default_rng(12).random((2, 100_000))
+        phi *= math.pi
+        edge_t, edge_phi = np.linspace(0.0, 1.0, 65), np.linspace(0.0, math.pi, 65)
+        ones, near = np.ones(65), np.logspace(-9.0, -3.0, 65)
+        t = np.concatenate([t, 0.0 * ones, ones, edge_t, edge_t, 1.0 - near, edge_t])
+        phi = np.concatenate([phi, edge_phi, edge_phi, 0.0 * ones, math.pi * ones, edge_phi, near])
+        return t, phi
+
+    @staticmethod
+    def _weights(kind: EnsembleKind, t, phi):
+        spectra, area = ensembles._regular_chart(t, phi)
+        out = [*spectra, area, ensembles._density3_vec(kind, *spectra)]
+        w, spectra = ensembles._regular_weight_qutrit(kind, t, phi)
+        out += [w, *spectra]
+        for mult, (top, kk, _) in ensembles._LINES.items():
+            big, *_, small = ensembles._line_spectrum(mult, top * t ** 4)
+            out.append(ensembles._density_pair_vec(kind, big, small, kk))
+        return out
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_weights_match_the_028_kernels(self, monkeypatch, kind):
+        t, phi = self._box_points()
+        new = self._weights(kind, t, phi)
+        for name, kernel in (("_regular_chart", _regular_chart_028), ("_mc_vec", _mc_vec_028),
+                             ("_density3_vec", _density3_vec_028), ("_density_pair_vec", _density_pair_vec_028)):
+            monkeypatch.setattr(ensembles, name, kernel)
+        old = self._weights(kind, t, phi)
+        for a, b in zip(new, old, strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 class TestProposalLoop:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -45,10 +46,11 @@ from .indicators import (
     ConvergenceError,
     Method,
     UnsupportedRequestError,
+    _degenerate_to_regular_ratios,
     asymmetry,
     indicator,
+    indicators,
     minimize_q_over_zeta,
-    ratio_degenerate_to_regular,
 )
 from .svgplot import render_line_plot
 
@@ -163,6 +165,7 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog=TOOL, description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
@@ -267,18 +270,13 @@ def _run_curve(cfg: RunConfig) -> int:
     header = ["zeta", "q", "method", "error_estimate", "ensemble", "stratum", "seed"]
     rows = []
     series = []
+    zetas = _zetas(cfg)
     for ensemble in cfg.ensembles:
-        qs = []
-        zetas = _zetas(cfg)
-        for z in zetas:
-            res = indicator(ensemble, _stratum_label(cfg), cfg.method, float(z),
-                            samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
-            qs.append(res.q)
-            rows.append([
-                _num(z), _num(res.q), res.method.value, _num(res.error_estimate),
-                ensemble.label, cfg.stratum, str(cfg.seed),
-            ])
-        series.append((ensemble.label, list(zetas), qs))
+        results = indicators(ensemble, _stratum_label(cfg), cfg.method, zetas,
+                             samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
+        rows.extend([_num(z), _num(res.q), res.method.value, _num(res.error_estimate),
+                     ensemble.label, cfg.stratum, str(cfg.seed)] for z, res in zip(zetas, results))
+        series.append((ensemble.label, list(zetas), [res.q for res in results]))
     if cfg.fmt in ("csv", "both"):
         _write_text(csv_path, _csv_text(cfg, header, rows))
     if svg_path is not None:
@@ -308,16 +306,12 @@ def _run_ratio(cfg: RunConfig) -> int:
     header = ["zeta", "ratio", "ensemble", "method", "seed"]
     rows = []
     series = []
+    zetas = _zetas(cfg)
     for ensemble in cfg.ensembles:
-        zetas = _zetas(cfg)
-        ratios = []
-        for z in zetas:
-            r = ratio_degenerate_to_regular(
-                ensemble, float(z), cfg.method,
-                samples=cfg.samples, seed=cfg.seed, workers=cfg.workers,
-            )
-            ratios.append(r)
-            rows.append([_num(z), _num(r), ensemble.label, cfg.method.value, str(cfg.seed)])
+        ratios = _degenerate_to_regular_ratios(ensemble, zetas, cfg.method,
+                                               cfg.samples, cfg.seed, cfg.workers)
+        rows.extend([_num(z), _num(r), ensemble.label, cfg.method.value, str(cfg.seed)]
+                    for z, r in zip(zetas, ratios))
         series.append((ensemble.label, list(zetas), ratios))
     if cfg.fmt in ("csv", "both"):
         _write_text(csv_path, _csv_text(cfg, header, rows))
@@ -430,10 +424,10 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         quad = indicator(ensemble, QUBIT_STRATUM, Method.QUADRATURE).q
         checks.append(_check(f"qubit_quad_vs_closed[{ensemble.label}]", closed, quad, tol * closed))
     for stratum, tag in ((REGULAR_QUTRIT, "regular"), (DEGENERATE_QUTRIT, "degenerate")):
-        for z in zeta_probe:
-            closed = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.CLOSED_FORM, z).q
-            quad = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.QUADRATURE, z).q
-            checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", closed, quad, tol * closed))
+        closed, quad = (indicators(EnsembleKind.HILBERT_SCHMIDT, stratum, method, zeta_probe)
+                        for method in (Method.CLOSED_FORM, Method.QUADRATURE))
+        for z, c, q in zip(zeta_probe, closed, quad):
+            checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", c.q, q.q, tol * c.q))
 
     checks += _mc_checks(cfg)
 
@@ -446,8 +440,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
 
     # monotone ensembles break the mirror symmetry: asymmetry must exceed error
     for ensemble in (EnsembleKind.BURES, EnsembleKind.BKM):
-        r0 = indicator(ensemble, REGULAR_QUTRIT, Method.QUADRATURE, 0.0)
-        r1 = indicator(ensemble, REGULAR_QUTRIT, Method.QUADRATURE, ZETA_MAX)
+        r0, r1 = indicators(ensemble, REGULAR_QUTRIT, Method.QUADRATURE, (0.0, ZETA_MAX))
         asym = r0.q - r1.q
         noise = 4.0 * (r0.error_estimate + r1.error_estimate)
         checks.append({
@@ -466,11 +459,8 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
             (REGULAR_QUTRIT, np.linspace(0.0, ZETA_MAX, 21), "ensemble_ordering_regular[21pts]"),
             (DEGENERATE_QUTRIT, np.linspace(math.pi / 6.0, ZETA_MAX, 11),
              "ensemble_ordering_degenerate[upper,11pts]")):
-        violations = 0
-        for z in grid:
-            q_hs, q_b, q_k = (indicator(kind, stratum, method, float(z)).q for kind, method in ordered)
-            if not q_hs > q_b > q_k:
-                violations += 1
+        curves = ([r.q for r in indicators(kind, stratum, method, grid)] for kind, method in ordered)
+        violations = sum(not q_hs > q_b > q_k for q_hs, q_b, q_k in zip(*curves))
         checks.append(_check(name, 0, violations, 0))
 
     checks.append(_cone_check(cfg))

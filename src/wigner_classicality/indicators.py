@@ -327,10 +327,13 @@ def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ray_cumulative(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     """G(t) of each row of ``h`` from ``_ray_fit``, at that row's t.
 
-    The barycentric formula ``(1 - x) sum_j q_j h_j / sum_j q_j`` with
-    q_j = w_j / (x - x_j) at x = t^(1/4) is stable at Chebyshev points and
-    takes no trigonometry.  A row whose x falls on a point, as at t = 0 and
-    t = 1, reads that point's value.
+    ``t`` has one entry per row on its last axis, and any leading axes (one
+    per angle of a block, say) broadcast against the rows; each read's
+    arithmetic is the same whatever the leading axes.  The barycentric
+    formula ``(1 - x) sum_j q_j h_j / sum_j q_j`` with q_j = w_j / (x - x_j)
+    at x = t^(1/4) is stable at Chebyshev points and takes no trigonometry.
+    A read whose x falls on a point, as at t = 0 and t = 1, gives that
+    point's value.
     """
     x = np.sqrt(np.sqrt(t))
     d = np.subtract.outer(x, _RAY_NODES)
@@ -339,7 +342,19 @@ def _ray_cumulative(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     if on.any():  # q_j = w_j on the point and 0 elsewhere
         d[on] = np.where(d[on] == 0.0, 1.0, np.inf)
     q = np.divide(_RAY_WEIGHTS, d, out=d)
-    return (1.0 - x) * np.einsum("ij,ij->i", q, h) / q.sum(axis=1)
+    return (1.0 - x) * np.einsum("...ij,ij->...i", q, h) / q.sum(axis=-1)
+
+
+#: A ray of the regular table whose G(0) weighs at most this share of the
+#: denominator in the fine rule is dropped: G is nonincreasing in t, so no
+#: read of it can move a digit.
+_ROW_MASS_FLOOR = 1e-26
+
+#: Angles per block of ``_quadrature_block``: a block's (angle, ray, point)
+#: work array in ``_ray_cumulative`` is 8 x 90 x 130 doubles (0.75 MB) on
+#: the largest table, so it stays in cache; a whole 61-angle grid at once
+#: would take 5.7 MB.
+_ZETA_BLOCK = 8
 
 
 @lru_cache(maxsize=None)
@@ -349,11 +364,16 @@ def _regular_table(kind: EnsembleKind):
     Along the ray phi = pi u of ``ensembles._regular_chart`` the weight
     (density times area element) is fitted by ``_ray_fit`` in x = t^(1/4),
     which turns the BKM face singularity t log^2 t into x^7 log^2 x.
-    Returns the nodes' u; the rows ``rules`` of node weights (step included)
-    of the rule at step h and of its even-j sub-rule at step 2h; the rows of
+    Of the 145 rays, those whose fine-rule mass ``rules[0] * G(0)`` is at
+    most ``_ROW_MASS_FLOOR`` of the denominator are dropped, which keeps
+    84, 89 and 90 rays for HS, Bures and BKM.  Returns the kept rays' u; the
+    rows ``rules`` of their node weights (step included) in the rule at
+    step h and in its even-j sub-rule at step 2h; the rows of
     h = G / (1 - x) at the Chebyshev points ``_RAY_NODES``; the two rules'
-    sums of G(0); and the fits' error term, the rule's sum of each ray's
-    truncation bound plus its rounding term.
+    sums of G(0) over all 145 rays; and the error term: the fine rule's sum
+    of every ray's truncation bound and rounding term, plus both rules'
+    mass of the dropped rays, which bounds what dropping them can change
+    in any sum or rule difference.
     """
     t = np.arange(-_TS_NODES, _TS_NODES + 1) * _TS_STEP
     s = math.pi * np.sinh(t)
@@ -368,29 +388,39 @@ def _regular_table(kind: EnsembleKind):
     spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
     h, err = _ray_fit(_density3_vec(kind, *spectra) * (area * 4.0 * x ** 3))
     den = rules @ h[:, 0]
+    keep = rules[0] * h[:, 0] > _ROW_MASS_FLOOR * den[0]
+    dropped = float(rules.sum(axis=0)[~keep] @ h[~keep, 0])
+    fit_err = float(rules[0] @ err) + dropped
+    # C order, as the full rows were: BLAS sums the other order differently
+    u, rules, h = u[keep], np.ascontiguousarray(rules[:, keep]), h[keep]
     for a in (u, rules, h, den):
         a.flags.writeable = False
-    return u, rules, h, den, float(rules[0] @ err)
+    return u, rules, h, den, fit_err
 
 
-def _regular_integrals(kind: EnsembleKind, zeta: float) -> tuple[tuple[float, float], ...]:
-    """(value, error) of the regular stratum's numerator and denominator.
+def _regular_integrals(kind: EnsembleKind, zetas: np.ndarray):
+    """(value, error) of the regular stratum's numerators at a block of angles, and of its denominator.
 
     Both are tanh-sinh sums over phi of the ray cumulatives of
-    ``_regular_table``, at t_c(phi, zeta) for the numerator and at t = 0
-    for the denominator.  Each value is the rule at step h; its error is
-    the difference from the sub-rule at step 2h, plus the fits' error term.
+    ``_regular_table``, at t_c(phi, zeta) for the numerators, read for the
+    whole block ``zetas`` in one ``_ray_cumulative`` call, and at t = 0 for
+    the denominator.  Each value is the rule at step h; its error is the
+    difference from the sub-rule at step 2h, plus the table's error term.
     That difference measures the coarser rule, so it bounds the finer
     rule's error by a wide margin (tanh-sinh converges double
-    exponentially in 1/h).
+    exponentially in 1/h).  Returns the numerators and their errors as
+    arrays over the block, then the denominator and its error.
     """
     u, rules, h, den, fit_err = _regular_table(kind)
-    num = rules @ _ray_cumulative(h, _regular_classical_cutoff(math.pi * u, zeta))
-    return tuple((float(fine), abs(float(fine - coarse)) + fit_err) for fine, coarse in (num, den))
+    g = _ray_cumulative(h, _regular_classical_cutoff(math.pi * u, zetas))
+    # one product per angle: a product over the whole block sums in another
+    # order and moves last bits
+    fine, coarse = np.array([rules @ row for row in g]).T
+    return (fine, np.abs(fine - coarse) + fit_err), (float(den[0]), abs(float(den[0] - den[1])) + fit_err)
 
 
-def _regular_classical_cutoff(phi, zeta: float):
-    """Smallest classical t at angle phi of the regular chart.
+def _regular_classical_cutoff(phi, zeta):
+    """Smallest classical t at angle phi of the regular chart, for one angle zeta or a 1-D block.
 
     The cone ``4 sqrt3 r cos(phi/3 + zeta - pi/3) <= 1`` is r <= rho R(phi)
     in the chart's r = R(phi) (1 - t^4), so t_c^4 = 1 - rho with
@@ -399,13 +429,19 @@ def _regular_classical_cutoff(phi, zeta: float):
     ``[cos(phi/3)(sqrt3 sin zeta - 2 sin^2(zeta/2)) + 2 sin(phi/3) sin(pi/3 - zeta)]
     / (2 cos(phi/3 + zeta - pi/3))``: both terms are nonnegative on
     [0, pi] x [0, pi/3], so rho <= 1, and t_c reaches 0 only at
-    phi = zeta = 0, an endpoint singularity that tanh-sinh absorbs.
+    phi = zeta = 0, an endpoint singularity that tanh-sinh absorbs.  A block
+    of angles gives one row of t_c per angle; the factors of zeta alone are
+    taken by ``math``, one angle at a time.
     """
     a = phi / 3.0
-    half = math.sin(zeta / 2.0)
-    gap = (np.cos(a) * (SQRT3 * math.sin(zeta) - 2.0 * half * half)
-           + 2.0 * np.sin(a) * math.sin(math.pi / 3.0 - zeta))
-    return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + zeta - math.pi / 3.0))))
+    fold, lift = [], []
+    for v in np.ravel(zeta).tolist():
+        half = math.sin(v / 2.0)
+        fold.append(SQRT3 * math.sin(v) - 2.0 * half * half)
+        lift.append(math.sin(math.pi / 3.0 - v))
+    z = np.reshape(zeta, (*np.shape(zeta), 1))
+    gap = np.cos(a) * np.reshape(fold, z.shape) + 2.0 * np.sin(a) * np.reshape(lift, z.shape)
+    return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + z - math.pi / 3.0))))
 
 
 @lru_cache(maxsize=None)
@@ -445,24 +481,56 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
     return 1.0 / 3.0 - 1.0 / (12.0 * math.cos(zeta))
 
 
-def _line_integrals(kind: EnsembleKind, zeta: float | None) -> tuple[tuple[float, float], ...]:
-    """(value, error) of the numerator and denominator of a qubit (``zeta`` None) or degenerate cell.
+def _line_integrals(kind: EnsembleKind, zeta):
+    """(value, error) of the numerators and the denominator of qubit (``zeta`` None) or degenerate cells.
 
     Classical regions have y above a cutoff y_c, so each piece contributes
     G(t_c) with t_c = (y_c / top)^(1/4) to the numerator and G(0) to the
-    denominator; one evaluation reads every piece.  Both errors are the
-    pieces' fit error terms.
+    denominator; one evaluation reads every piece at every angle of
+    ``zeta``, one angle or a 1-D block, and the numerators have its shape.
+    All errors are the pieces' fit error terms.
     """
     if zeta is None:
         # classical where the Bloch radius is at most 1/sqrt3
         pieces, y_c = ((1, 1),), np.array([(1.0 - 1.0 / SQRT3) / 2.0])
     else:
         pieces = _EDGES
-        y_c = np.array([_edge_classical_cutoff(comp, zeta) for comp in _EDGES])
+        y_c = np.reshape([[_edge_classical_cutoff(comp, z) for comp in _EDGES]
+                          for z in np.ravel(zeta).tolist()], (*np.shape(zeta), len(_EDGES)))
     h, err = _line_table(kind, pieces)
     top = _LINES[pieces[0]][0]  # the two edges share theirs
-    num = float(_ray_cumulative(h, (y_c / top) ** 0.25).sum())
+    num = _ray_cumulative(h, (y_c / top) ** 0.25).sum(axis=-1)
     return (num, err), (float(h[:, 0].sum()), err)
+
+
+def _quadrature_block(requests: list[IndicatorRequest]) -> list[IndicatorResult]:
+    """Quadrature results of validated requests that differ only in zeta, one pass for all.
+
+    Each cell's value and error are those of the same request alone: the
+    block shares the tables and the array calls, and no arithmetic of one
+    cell depends on another.
+    """
+    first = requests[0]
+    kind, skind = first.ensemble, _stratum_kind(first.stratum)
+    if skind == "point":
+        return [IndicatorResult(q=1.0, method=Method.QUADRATURE, error_estimate=0.0, request=r)
+                for r in requests]
+    if first.stratum.n == 2:
+        (num, num_err), (den, den_err) = _line_integrals(kind, None)
+    elif skind == "degenerate":
+        (num, num_err), (den, den_err) = _line_integrals(kind, [r.zeta for r in requests])
+    else:
+        (num, num_err), (den, den_err) = _regular_integrals(kind, np.array([r.zeta for r in requests]))
+    if den <= 0.0 or not math.isfinite(den):
+        raise ConvergenceError(f"degenerate denominator integral: {den!r}")
+    results = []
+    nums, num_errs = (np.broadcast_to(a, len(requests)).tolist() for a in (num, num_err))
+    for request, n, n_err in zip(requests, nums, num_errs):
+        q = n / den
+        err = abs(q) * (n_err / n if n > 0.0 else 0.0) + abs(q) * den_err / den
+        results.append(IndicatorResult(q=min(max(q, 0.0), 1.0), method=Method.QUADRATURE,
+                                       error_estimate=err, request=request))
+    return results
 
 
 def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
@@ -472,29 +540,19 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     stratum integral.  Each is a sum of ray cumulatives G(t) of Chebyshev
     fits along rays of the chart (see ``_ray_fit``).  The qubit is one ray
     and the degenerate stratum one ray per edge (``_line_integrals``).  The
-    regular stratum sums the 145 rays of ``_regular_table`` with a fixed
-    tanh-sinh rule in phi (``_regular_integrals``).  Nothing is refined, so
-    every cell has the same fixed accuracy.  The error estimate is the
-    integrals' errors propagated through the ratio; a nonpositive
-    denominator raises ``ConvergenceError``.
+    regular stratum sums the rays of ``_regular_table`` that carry mass,
+    84 to 90 of its 145, with a fixed tanh-sinh rule in phi
+    (``_regular_integrals``).  Nothing is refined, so every cell has the
+    same fixed accuracy.  The error estimate is the integrals' errors
+    propagated through the ratio; a nonpositive denominator raises
+    ``ConvergenceError``.  The cell is a block of one of
+    ``_quadrature_block``, which ``indicators`` runs over whole grids of
+    angles with the same result per cell.
     """
     request.validate()
     if request.method is not Method.QUADRATURE:
         raise UnsupportedRequestError("q_quadrature requires a quadrature request")
-    kind = request.ensemble
-    skind = _stratum_kind(request.stratum)
-    if skind == "point":
-        return IndicatorResult(q=1.0, method=Method.QUADRATURE, error_estimate=0.0, request=request)
-    if request.stratum.n == 2 or skind == "degenerate":
-        (num, num_err), (den, den_err) = _line_integrals(kind, request.zeta)
-    else:
-        (num, num_err), (den, den_err) = _regular_integrals(kind, request.zeta)
-    if den <= 0.0 or not math.isfinite(den):
-        raise ConvergenceError(f"degenerate denominator integral: {den!r}")
-    q = num / den
-    err = abs(q) * (num_err / num if num > 0.0 else 0.0) + abs(q) * den_err / den
-    q = min(max(q, 0.0), 1.0)
-    return IndicatorResult(q=q, method=Method.QUADRATURE, error_estimate=err, request=request)
+    return _quadrature_block([request])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +651,27 @@ def indicator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
     ))
 
 
+def indicators(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
+               zetas, *, samples: int | None = None, seed: int | None = None,
+               workers: int = 1) -> list[IndicatorResult]:
+    """Indicators of one (ensemble, stratum) at each angle of ``zetas``, in order.
+
+    Quadrature reads the angles ``_ZETA_BLOCK`` at a time, one pass of
+    ``_quadrature_block`` per block; every result is bit for bit that of
+    ``indicator`` at its angle alone.  Other methods run ``indicator`` at
+    each angle.  A qubit takes ``zetas = [None]``.
+    """
+    if method is not Method.QUADRATURE:
+        return [indicator(ensemble, stratum, method, z, samples=samples, seed=seed, workers=workers)
+                for z in zetas]
+    requests = [IndicatorRequest(ensemble=ensemble, stratum=stratum, method=method, zeta=z, workers=workers)
+                for z in zetas]
+    for request in requests:
+        request.validate()
+    return [result for i in range(0, len(requests), _ZETA_BLOCK)
+            for result in _quadrature_block(requests[i:i + _ZETA_BLOCK])]
+
+
 def minimize_q_over_zeta(
     ensemble: EnsembleKind,
     stratum: StratumLabel,
@@ -602,8 +681,9 @@ def minimize_q_over_zeta(
 ) -> tuple[float, float]:
     """Minimize the indicator over the moduli angle.
 
-    A 61-point scan over [0, pi/3] brackets the grid minimum, then
-    golden-section search refines the bracket to a zeta resolution of 1e-6.
+    A 61-point scan over [0, pi/3] (one ``indicators`` call) brackets the
+    grid minimum, then golden-section search refines the bracket to a zeta
+    resolution of 1e-6, one cell per step.
 
     Returns:
         (zeta_min, q_min).
@@ -615,7 +695,7 @@ def minimize_q_over_zeta(
         return indicator(ensemble, stratum, method, zeta, samples=samples, seed=seed).q
 
     grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
-    values = [q_of(z) for z in grid]
+    values = [r.q for r in indicators(ensemble, stratum, method, grid, samples=samples, seed=seed)]
     i = int(np.argmin(values))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
@@ -649,8 +729,8 @@ def asymmetry(
     """
     if stratum.n != 3:
         raise UnsupportedRequestError("asymmetry applies to qutrit strata")
-    q0, q1 = (indicator(ensemble, stratum, method, z, samples=samples, seed=seed).q
-              for z in (0.0, ZETA_MAX))
+    q0, q1 = (r.q for r in indicators(ensemble, stratum, method, (0.0, ZETA_MAX),
+                                      samples=samples, seed=seed))
     return q0 - q1
 
 
@@ -667,9 +747,16 @@ def ratio_degenerate_to_regular(
     Values above 1 mean degenerate (more symmetric) states are more likely
     classical than regular ones at the same kernel angle.
     """
-    q_deg, q_reg = (indicator(ensemble, stratum, method, zeta, samples=samples, seed=seed,
-                              workers=workers).q
+    return _degenerate_to_regular_ratios(ensemble, [zeta], method, samples, seed, workers)[0]
+
+
+def _degenerate_to_regular_ratios(ensemble: EnsembleKind, zetas, method: Method,
+                                  samples: int | None, seed: int | None, workers: int) -> list[float]:
+    """``ratio_degenerate_to_regular`` at each angle of ``zetas``, from one ``indicators`` call per stratum."""
+    q_deg, q_reg = ([r.q for r in indicators(ensemble, stratum, method, zetas,
+                                             samples=samples, seed=seed, workers=workers)]
                     for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
-    if q_reg < 1e-300:
-        raise OverflowError(f"regular indicator too small to divide by: {q_reg!r}")
-    return q_deg / q_reg
+    for q in q_reg:
+        if q < 1e-300:
+            raise OverflowError(f"regular indicator too small to divide by: {q!r}")
+    return [d / r for d, r in zip(q_deg, q_reg)]

@@ -391,13 +391,28 @@ class TestVerifyMonteCarlo:
             assert len(set(chunk_seeds)) == len(chunk_seeds)
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # the parser is built once per process, and no call's options reach the next
+        assert cli._build_parser() is cli._build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["curve", "--seed", "7", "--ensemble", "bkm", "--method", "quad",
+                         "--zeta-grid", "0:1:2", "--out", str(first)]) == 0
+        assert cli.main(["curve", "--zeta-grid", "0:1:2", "--out", str(second)]) == 0
+        header = open(second.with_suffix(".csv"), encoding="utf-8").readline()
+        assert "ensemble=hs " in header and "method=closed " in header and "seed=1234 " in header
+        assert cli.main(["curve", "--samples", "0"]) == cli.EXIT_CONFIG
+        assert cli.main(["curve", "--zeta-grid", "0:1:2", "--out", str(second)]) == 0
+
+
 class TestComputationErrors:
     def test_convergence_error_maps_to_exit_3(self, monkeypatch):
         from wigner_classicality import indicators
 
-        def boom(request):
+        def boom(requests):
             raise indicators.ConvergenceError("forced")
 
-        monkeypatch.setattr(indicators, "q_quadrature", boom)
+        # every quadrature cell, alone or in a block of a grid, runs here
+        monkeypatch.setattr(indicators, "_quadrature_block", boom)
         rc = cli.main(["curve", "--method", "quad", "--zeta-grid", "0:1:3"])
         assert rc == 3

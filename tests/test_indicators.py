@@ -1,5 +1,6 @@
 """Tests for the indicator computations and moduli-space utilities."""
 
+import functools
 import math
 import os
 import subprocess
@@ -441,6 +442,156 @@ class TestRegularClassicalCutoff:
                 assert classical_cone_regular_qutrit(zeta, point) is classical
                 assert (dual_pairing(OrderedSpectrum(tuple(row)), kernel) >= 0.0) is classical
 
+def _ray_cumulative_028(h, t):
+    """``indicators._ray_cumulative`` of version 0.2.8 (one t per row)."""
+    x = np.sqrt(np.sqrt(t))
+    d = np.subtract.outer(x, ind._RAY_NODES)
+    on = ind._RAY_NODES[np.searchsorted(ind._RAY_NODES[:-1], x)] == x
+    if on.any():
+        d[on] = np.where(d[on] == 0.0, 1.0, np.inf)
+    q = np.divide(ind._RAY_WEIGHTS, d, out=d)
+    return (1.0 - x) * np.einsum("ij,ij->i", q, h) / q.sum(axis=1)
+
+
+def _regular_classical_cutoff_028(phi, zeta):
+    """``indicators._regular_classical_cutoff`` of version 0.2.8 (one zeta)."""
+    a = phi / 3.0
+    half = math.sin(zeta / 2.0)
+    gap = (np.cos(a) * (math.sqrt(3.0) * math.sin(zeta) - 2.0 * half * half)
+           + 2.0 * np.sin(a) * math.sin(math.pi / 3.0 - zeta))
+    return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + zeta - math.pi / 3.0))))
+
+
+@functools.lru_cache(maxsize=None)
+def _regular_table_028(kind: EnsembleKind):
+    """``indicators._regular_table`` of version 0.2.8: all 145 rays."""
+    t = np.arange(-ind._TS_NODES, ind._TS_NODES + 1) * ind._TS_STEP
+    s = math.pi * np.sinh(t)
+    u = 1.0 / (1.0 + np.exp(-s))
+    v = 1.0 / (1.0 + np.exp(s))
+    w = math.pi * np.cosh(t) * u * v
+    rules = np.zeros((2, t.size))
+    rules[0] = w * (math.pi * ind._TS_STEP)
+    rules[1, ::2] = w[::2] * (2.0 * math.pi * ind._TS_STEP)
+    x = ind._RAY_X
+    spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
+    h, err = ind._ray_fit(_density3_vec(kind, *spectra) * (area * 4.0 * x ** 3))
+    return u, rules, h, rules @ h[:, 0], float(rules[0] @ err)
+
+
+def _regular_integrals_028(kind: EnsembleKind, zeta: float):
+    """``indicators._regular_integrals`` of version 0.2.8 (one zeta)."""
+    u, rules, h, den, fit_err = _regular_table_028(kind)
+    num = rules @ _ray_cumulative_028(h, _regular_classical_cutoff_028(math.pi * u, zeta))
+    return tuple((float(fine), abs(float(fine - coarse)) + fit_err) for fine, coarse in (num, den))
+
+
+def _regular_cell_028(request: IndicatorRequest) -> IndicatorResult:
+    """``q_quadrature`` of version 0.2.8 on the regular stratum."""
+    (num, num_err), (den, den_err) = _regular_integrals_028(request.ensemble, request.zeta)
+    q = num / den
+    err = abs(q) * (num_err / num if num > 0.0 else 0.0) + abs(q) * den_err / den
+    return IndicatorResult(q=min(max(q, 0.0), 1.0), method=Method.QUADRATURE, error_estimate=err,
+                           request=request)
+
+
+#: The benchmark's cold and warm curve grids: 61 angles, then 60 half a step off.
+FIGURE_GRIDS = (np.linspace(0.0, ZETA_MAX, 61),
+                np.linspace(math.pi / 360.0, ZETA_MAX - math.pi / 360.0, 60))
+
+
+class TestPrunedTableBits:
+    """The pruned ray table keeps every q bit of 0.2.8's 145 rays, and no error estimate shrinks.
+
+    0.2.8's table and integrals are copied above, as ``test_ensembles``
+    copies the 0.2.8 kernels.
+    """
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_figure_grids(self, ensemble):
+        grid = np.concatenate(FIGURE_GRIDS)
+        for new in ind.indicators(ensemble, REGULAR_QUTRIT, Method.QUADRATURE, grid):
+            old = _regular_cell_028(new.request)
+            assert new.q.hex() == old.q.hex(), new.request.zeta
+            # the dropped rays' mass is added to the error term
+            assert new.error_estimate >= old.error_estimate, new.request.zeta
+            assert new.error_estimate <= old.error_estimate * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_minima(self, monkeypatch, ensemble):
+        new = minimize_q_over_zeta(ensemble, REGULAR_QUTRIT, Method.QUADRATURE)
+        monkeypatch.setattr(ind, "_quadrature_block", lambda requests: [_regular_cell_028(r) for r in requests])
+        old = minimize_q_over_zeta(ensemble, REGULAR_QUTRIT, Method.QUADRATURE)
+        assert [v.hex() for v in new] == [v.hex() for v in old]
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_kept_rays(self, ensemble):
+        # every dropped ray weighs at most 1e-26 of the denominator, every kept one more
+        u, rules, h, den, fit_err = ind._regular_table(ensemble)
+        u_all, rules_all, h_all, den_all, fit_err_all = _regular_table_028(ensemble)
+        kept = np.isin(u_all, u)
+        assert np.count_nonzero(kept) == {EnsembleKind.HILBERT_SCHMIDT: 84, EnsembleKind.BURES: 89,
+                                          EnsembleKind.BKM: 90}[ensemble]
+        assert np.array_equal(h, h_all[kept]) and np.array_equal(rules, rules_all[:, kept])
+        mass = rules_all[0] * h_all[:, 0] / den_all[0]
+        assert mass[~kept].max() <= ind._ROW_MASS_FLOOR < mass[kept].min()
+        assert np.array_equal(den, den_all)
+        dropped = rules_all.sum(axis=0)[~kept] @ h_all[~kept, 0]
+        assert fit_err == fit_err_all + dropped and dropped < 2e-26 * den[0]
+
+
+class TestQuadratureBlocks:
+    """A cell of a grid is bit for bit the cell alone: a block shares tables and array calls, no arithmetic."""
+
+    STEP = ZETA_MAX / 60
+
+    @pytest.mark.parametrize("grid", [
+        [0.0], [ZETA_MAX], *(np.linspace(0.0, ZETA_MAX, n) for n in (7, 8, 9, 61)),
+        np.linspace(STEP / 2, ZETA_MAX - STEP / 2, 60),
+    ], ids=["zero", "top", "7", "8", "9", "61", "shifted60"])
+    @pytest.mark.parametrize("stratum", [REGULAR_QUTRIT, DEGENERATE_QUTRIT], ids=["regular", "degenerate"])
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_cell_does_not_depend_on_its_block(self, ensemble, stratum, grid):
+        results = ind.indicators(ensemble, stratum, Method.QUADRATURE, grid)
+        assert len(results) == len(grid)
+        for zeta, res in zip(grid, results):
+            alone = q_quadrature(quad_request(ensemble, stratum, float(zeta)))
+            assert res.request == alone.request
+            assert (res.q.hex(), res.error_estimate.hex()) == (alone.q.hex(), alone.error_estimate.hex())
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_qubit_is_a_block_of_one(self, ensemble):
+        (res,) = ind.indicators(ensemble, QUBIT_STRATUM, Method.QUADRATURE, [None])
+        assert res == q_quadrature(quad_request(ensemble, QUBIT_STRATUM))
+
+    def test_other_methods_run_cell_by_cell(self):
+        grid = np.linspace(0.0, ZETA_MAX, 5)
+        closed = ind.indicators(EnsembleKind.HILBERT_SCHMIDT, DEGENERATE_QUTRIT, Method.CLOSED_FORM, grid)
+        assert [r.q for r in closed] == [q_hs_qutrit_degenerate_closed_form(float(z)).q for z in grid]
+        mc = ind.indicators(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO, grid[:2],
+                            samples=2000, seed=5, workers=2)
+        assert mc == [ind.indicator(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO, float(z),
+                                    samples=2000, seed=5, workers=2) for z in grid[:2]]
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+        # a 61-angle BKM curve holds one block's (angle, ray, point) array at a
+        # time, 0.75 MB; the whole grid at once holds 5.7 MB arrays and fails
+        grid = np.linspace(0.0, ZETA_MAX, 61)
+
+        def peak(zetas):
+            tracemalloc.start()
+            try:
+                ind.indicators(EnsembleKind.BKM, REGULAR_QUTRIT, Method.QUADRATURE, zetas)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ind._regular_table(EnsembleKind.BKM)  # built outside the compared peaks
+        single = peak(grid[:1])
+        assert peak(grid) - single < 2 << 20
+        monkeypatch.setattr(ind, "_ZETA_BLOCK", len(grid))
+        assert peak(grid) - single > 2 << 20
+
 
 class TestQuadratureAccuracy:
     @pytest.mark.parametrize("ensemble,zeta,reference", [
@@ -452,11 +603,7 @@ class TestQuadratureAccuracy:
         res = q_quadrature(quad_request(ensemble, REGULAR_QUTRIT, zeta))
         assert res.q == pytest.approx(reference, rel=1e-9)
 
-    @pytest.mark.parametrize("grid", [
-        # the cold and warm angle grids of the benchmark's curves
-        np.linspace(0.0, ZETA_MAX, 61),
-        np.linspace(math.pi / 360.0, ZETA_MAX - math.pi / 360.0, 60),
-    ], ids=["cold61", "warm60"])
+    @pytest.mark.parametrize("grid", FIGURE_GRIDS, ids=["cold61", "warm60"])
     @pytest.mark.parametrize("stratum,closed", [
         (REGULAR_QUTRIT, q_hs_qutrit_regular_closed_form),
         (DEGENERATE_QUTRIT, q_hs_qutrit_degenerate_closed_form),

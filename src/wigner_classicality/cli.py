@@ -271,9 +271,9 @@ def _run_curve(cfg: RunConfig) -> int:
     rows = []
     series = []
     zetas = _zetas(cfg)
-    for ensemble in cfg.ensembles:
-        results = indicators(ensemble, _stratum_label(cfg), cfg.method, zetas,
-                             samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
+    curves = indicators(cfg.ensembles, _stratum_label(cfg), cfg.method, zetas,
+                        samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
+    for ensemble, results in zip(cfg.ensembles, curves):
         rows.extend([_num(z), _num(res.q), res.method.value, _num(res.error_estimate),
                      ensemble.label, cfg.stratum, str(cfg.seed)] for z, res in zip(zetas, results))
         series.append((ensemble.label, list(zetas), [res.q for res in results]))
@@ -293,9 +293,9 @@ def _run_qubit(cfg: RunConfig) -> int:
     csv_path, _ = _out_paths(cfg)
     header = ["ensemble", "q", "method", "error_estimate", "seed"]
     rows = []
-    for ensemble in cfg.ensembles:
-        res = indicator(ensemble, QUBIT_STRATUM, cfg.method,
-                        samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
+    cells = indicators(cfg.ensembles, QUBIT_STRATUM, cfg.method, [None],
+                       samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
+    for ensemble, (res,) in zip(cfg.ensembles, cells):
         rows.append([ensemble.label, _num(res.q), res.method.value, _num(res.error_estimate), str(cfg.seed)])
     _write_text(csv_path, _csv_text(cfg, header, rows))
     return EXIT_OK
@@ -307,12 +307,18 @@ def _run_ratio(cfg: RunConfig) -> int:
     rows = []
     series = []
     zetas = _zetas(cfg)
-    for ensemble in cfg.ensembles:
-        ratios = _degenerate_to_regular_ratios(ensemble, zetas, cfg.method,
-                                               cfg.samples, cfg.seed, cfg.workers)
+    curves = _degenerate_to_regular_ratios(cfg.ensembles, zetas, cfg.method,
+                                           cfg.samples, cfg.seed, cfg.workers)
+    for ensemble, ratios in zip(cfg.ensembles, curves):
         rows.extend([_num(z), _num(r), ensemble.label, cfg.method.value, str(cfg.seed)]
                     for z, r in zip(zetas, ratios))
-        series.append((ensemble.label, list(zetas), ratios))
+        # an undefined ratio (no classical regular draw) is written as nan and not plotted
+        for z, r in zip(zetas, ratios):
+            if not math.isfinite(r):
+                sys.stderr.write(f"{TOOL}: warning: ratio undefined for {ensemble.label} at "
+                                 f"zeta={_num(z)}: the regular indicator is 0\n")
+        defined = [(z, r) for z, r in zip(zetas, ratios) if math.isfinite(r)]
+        series.append((ensemble.label, [z for z, _ in defined], [r for _, r in defined]))
     if cfg.fmt in ("csv", "both"):
         _write_text(csv_path, _csv_text(cfg, header, rows))
     if svg_path is not None:
@@ -424,7 +430,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         quad = indicator(ensemble, QUBIT_STRATUM, Method.QUADRATURE).q
         checks.append(_check(f"qubit_quad_vs_closed[{ensemble.label}]", closed, quad, tol * closed))
     for stratum, tag in ((REGULAR_QUTRIT, "regular"), (DEGENERATE_QUTRIT, "degenerate")):
-        closed, quad = (indicators(EnsembleKind.HILBERT_SCHMIDT, stratum, method, zeta_probe)
+        closed, quad = (indicators((EnsembleKind.HILBERT_SCHMIDT,), stratum, method, zeta_probe)[0]
                         for method in (Method.CLOSED_FORM, Method.QUADRATURE))
         for z, c, q in zip(zeta_probe, closed, quad):
             checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", c.q, q.q, tol * c.q))
@@ -439,8 +445,9 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
             checks.append(_check(f"hs_symmetry_{tag}[delta={delta}]", a, b, tol * a))
 
     # monotone ensembles break the mirror symmetry: asymmetry must exceed error
-    for ensemble in (EnsembleKind.BURES, EnsembleKind.BKM):
-        r0, r1 = indicators(ensemble, REGULAR_QUTRIT, Method.QUADRATURE, (0.0, ZETA_MAX))
+    monotone = (EnsembleKind.BURES, EnsembleKind.BKM)
+    endpoints = indicators(monotone, REGULAR_QUTRIT, Method.QUADRATURE, (0.0, ZETA_MAX))
+    for ensemble, (r0, r1) in zip(monotone, endpoints):
         asym = r0.q - r1.q
         noise = 4.0 * (r0.error_estimate + r1.error_estimate)
         checks.append({
@@ -453,14 +460,13 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
 
     # ensemble ordering hs > bures > bkm (regular stratum: whole moduli range;
     # degenerate stratum: upper range, where the relation holds)
-    ordered = ((EnsembleKind.HILBERT_SCHMIDT, Method.CLOSED_FORM),
-               (EnsembleKind.BURES, Method.QUADRATURE), (EnsembleKind.BKM, Method.QUADRATURE))
     for stratum, grid, name in (
             (REGULAR_QUTRIT, np.linspace(0.0, ZETA_MAX, 21), "ensemble_ordering_regular[21pts]"),
             (DEGENERATE_QUTRIT, np.linspace(math.pi / 6.0, ZETA_MAX, 11),
              "ensemble_ordering_degenerate[upper,11pts]")):
-        curves = ([r.q for r in indicators(kind, stratum, method, grid)] for kind, method in ordered)
-        violations = sum(not q_hs > q_b > q_k for q_hs, q_b, q_k in zip(*curves))
+        curves = (indicators((EnsembleKind.HILBERT_SCHMIDT,), stratum, Method.CLOSED_FORM, grid)
+                  + indicators(monotone, stratum, Method.QUADRATURE, grid))
+        violations = sum(not q_hs.q > q_b.q > q_k.q for q_hs, q_b, q_k in zip(*curves))
         checks.append(_check(name, 0, violations, 0))
 
     checks.append(_cone_check(cfg))

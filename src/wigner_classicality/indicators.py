@@ -19,6 +19,7 @@ degenerate-to-regular ratio.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -324,16 +325,19 @@ def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, tail + _RAY_ROUNDING * np.abs(b).sum(axis=1)
 
 
-def _ray_cumulative(h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """G(t) of each row of ``h`` from ``_ray_fit``, at that row's t.
+def _ray_weights(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Barycentric weights of reads at ``t``, which every ray table read there shares.
 
-    ``t`` has one entry per row on its last axis, and any leading axes (one
-    per angle of a block, say) broadcast against the rows; each read's
-    arithmetic is the same whatever the leading axes.  The barycentric
-    formula ``(1 - x) sum_j q_j h_j / sum_j q_j`` with q_j = w_j / (x - x_j)
-    at x = t^(1/4) is stable at Chebyshev points and takes no trigonometry.
-    A read whose x falls on a point, as at t = 0 and t = 1, gives that
-    point's value.
+    A read of G at t is ``(1 - x) sum_j q_j h_j / sum_j q_j`` with
+    q_j = w_j / (x - x_j) at x = t^(1/4), which is stable at Chebyshev
+    points and takes no trigonometry.  Nothing of it but h depends on the
+    fit, so one set of weights serves the rows of every table read at the
+    same t.  ``t`` has one entry per row on its last axis, and any leading
+    axes (one per angle of a block, say); each read's arithmetic is the
+    same whatever the leading axes.  A read whose x falls on a point, as
+    at t = 0 and t = 1, weighs that point alone, so it gives the point's
+    value.  Returns 1 - x, the weights q (with a last axis over the
+    points) and their sums.
     """
     x = np.sqrt(np.sqrt(t))
     d = np.subtract.outer(x, _RAY_NODES)
@@ -342,7 +346,18 @@ def _ray_cumulative(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     if on.any():  # q_j = w_j on the point and 0 elsewhere
         d[on] = np.where(d[on] == 0.0, 1.0, np.inf)
     q = np.divide(_RAY_WEIGHTS, d, out=d)
-    return (1.0 - x) * np.einsum("...ij,ij->...i", q, h) / q.sum(axis=-1)
+    return 1.0 - x, q, q.sum(axis=-1)
+
+
+def _ray_read(weights: tuple[np.ndarray, np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
+    """G of each row of ``h`` from ``_ray_fit`` at the reads of ``_ray_weights``."""
+    lead, q, total = weights
+    return lead * np.einsum("...ij,ij->...i", q, h) / total
+
+
+def _ray_cumulative(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """G(t) of each row of ``h`` from ``_ray_fit``, at that row's t (see ``_ray_weights``)."""
+    return _ray_read(_ray_weights(t), h)
 
 
 #: A ray of the regular table whose G(0) weighs at most this share of the
@@ -351,9 +366,9 @@ def _ray_cumulative(h: np.ndarray, t: np.ndarray) -> np.ndarray:
 _ROW_MASS_FLOOR = 1e-26
 
 #: Angles per block of ``_quadrature_block``: a block's (angle, ray, point)
-#: work array in ``_ray_cumulative`` is 8 x 90 x 130 doubles (0.75 MB) on
-#: the largest table, so it stays in cache; a whole 61-angle grid at once
-#: would take 5.7 MB.
+#: weight array from ``_ray_weights`` is 8 x 91 x 130 doubles (0.76 MB) on
+#: the union of all three regular tables, so it stays in cache; a whole
+#: 61-angle grid at once would take 5.8 MB.
 _ZETA_BLOCK = 8
 
 
@@ -398,25 +413,59 @@ def _regular_table(kind: EnsembleKind):
     return u, rules, h, den, fit_err
 
 
-def _regular_integrals(kind: EnsembleKind, zetas: np.ndarray):
-    """(value, error) of the regular stratum's numerators at a block of angles, and of its denominator.
+@lru_cache(maxsize=None)
+def _regular_union(kinds: tuple[EnsembleKind, ...]):
+    """The union of the kept rays of the regular tables of ``kinds``, and each table on it (read-only).
+
+    Every table keeps rays among the same 145 phi nodes, and the weights
+    of a read at an angle zeta depend on the ray's phi = pi u alone, so one
+    set of weights over the union's rays serves every table.  Returns the
+    union's u, increasing, and per kind the positions of its kept rays
+    among the union's and its h on the union's rays, 0 on those it dropped.
+    """
+    tables = [_regular_table(kind) for kind in kinds]
+    # a set, not np.union1d, which imports numpy.ma (about 20 ms) on first use
+    u = np.array(sorted({v for table in tables for v in table[0].tolist()}))
+    reads = []
+    for kept_u, _, h, _, _ in tables:
+        rows = np.searchsorted(u, kept_u)
+        padded = np.zeros((len(u), h.shape[1]))
+        padded[rows] = h
+        for a in (rows, padded):
+            a.flags.writeable = False
+        reads.append((rows, padded))
+    u.flags.writeable = False
+    return u, tuple(reads)
+
+
+def _regular_integrals(kinds: tuple[EnsembleKind, ...], zetas: np.ndarray):
+    """Per kind of ``kinds``, (value, error) of the regular stratum's numerators at a block of angles, and of its denominator.
 
     Both are tanh-sinh sums over phi of the ray cumulatives of
-    ``_regular_table``, at t_c(phi, zeta) for the numerators, read for the
-    whole block ``zetas`` in one ``_ray_cumulative`` call, and at t = 0 for
-    the denominator.  Each value is the rule at step h; its error is the
-    difference from the sub-rule at step 2h, plus the table's error term.
-    That difference measures the coarser rule, so it bounds the finer
-    rule's error by a wide margin (tanh-sinh converges double
-    exponentially in 1/h).  Returns the numerators and their errors as
-    arrays over the block, then the denominator and its error.
+    ``_regular_table``, at t_c(phi, zeta) for the numerators and at t = 0
+    for the denominator.  The numerators of every kind at every angle of
+    ``zetas`` come from one ``_ray_weights`` call over the union of the
+    kinds' kept rays (``_regular_union``); each kind then contracts the
+    weights with its own h and keeps its own rays' reads.  Each value is
+    the rule at step h; its error is the difference from the sub-rule at
+    step 2h, plus the table's error term.  That difference measures the
+    coarser rule, so it bounds the finer rule's error by a wide margin
+    (tanh-sinh converges double exponentially in 1/h).  Returns per kind
+    the numerators and their errors as arrays over the block, then the
+    denominator and its error.
     """
-    u, rules, h, den, fit_err = _regular_table(kind)
-    g = _ray_cumulative(h, _regular_classical_cutoff(math.pi * u, zetas))
-    # one product per angle: a product over the whole block sums in another
-    # order and moves last bits
-    fine, coarse = np.array([rules @ row for row in g]).T
-    return (fine, np.abs(fine - coarse) + fit_err), (float(den[0]), abs(float(den[0] - den[1])) + fit_err)
+    u, reads = _regular_union(kinds)
+    weights = _ray_weights(_regular_classical_cutoff(math.pi * u, zetas))
+    integrals = []
+    for kind, (rows, h) in zip(kinds, reads):
+        _, rules, _, den, fit_err = _regular_table(kind)
+        g = _ray_read(weights, h)[:, rows]
+        # one product per angle: a product over the whole block sums in another
+        # order and moves last bits
+        fine, coarse = np.array([rules @ row for row in g]).T
+        integrals.append(((fine, np.abs(fine - coarse) + fit_err),
+                          (float(den[0]), abs(float(den[0] - den[1])) + fit_err)))
+    return integrals
 
 
 def _regular_classical_cutoff(phi, zeta):
@@ -481,12 +530,13 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
     return 1.0 / 3.0 - 1.0 / (12.0 * math.cos(zeta))
 
 
-def _line_integrals(kind: EnsembleKind, zeta):
-    """(value, error) of the numerators and the denominator of qubit (``zeta`` None) or degenerate cells.
+def _line_integrals(kinds: tuple[EnsembleKind, ...], zeta):
+    """Per kind of ``kinds``, (value, error) of the numerators and the denominator of qubit (``zeta`` None) or degenerate cells.
 
     Classical regions have y above a cutoff y_c, so each piece contributes
     G(t_c) with t_c = (y_c / top)^(1/4) to the numerator and G(0) to the
-    denominator; one evaluation reads every piece at every angle of
+    denominator.  The cutoffs do not depend on the ensemble, so one
+    ``_ray_weights`` call reads every piece of every kind at every angle of
     ``zeta``, one angle or a 1-D block, and the numerators have its shape.
     All errors are the pieces' fit error terms.
     """
@@ -497,40 +547,48 @@ def _line_integrals(kind: EnsembleKind, zeta):
         pieces = _EDGES
         y_c = np.reshape([[_edge_classical_cutoff(comp, z) for comp in _EDGES]
                           for z in np.ravel(zeta).tolist()], (*np.shape(zeta), len(_EDGES)))
-    h, err = _line_table(kind, pieces)
     top = _LINES[pieces[0]][0]  # the two edges share theirs
-    num = _ray_cumulative(h, (y_c / top) ** 0.25).sum(axis=-1)
-    return (num, err), (float(h[:, 0].sum()), err)
+    weights = _ray_weights((y_c / top) ** 0.25)
+    integrals = []
+    for kind in kinds:
+        h, err = _line_table(kind, pieces)
+        integrals.append(((_ray_read(weights, h).sum(axis=-1), err), (float(h[:, 0].sum()), err)))
+    return integrals
 
 
 def _quadrature_block(requests: list[IndicatorRequest]) -> list[IndicatorResult]:
-    """Quadrature results of validated requests that differ only in zeta, one pass for all.
+    """Quadrature results of validated requests of one stratum, which may differ in ensemble and zeta; one pass for all.
 
-    Each cell's value and error are those of the same request alone: the
-    block shares the tables and the array calls, and no arithmetic of one
+    Every requested ensemble is read at every requested angle, from one
+    set of ray weights per block that the ensembles share.  Each cell's
+    value and error are those of the same request alone: the block shares
+    the tables, the weights and the array calls, and no arithmetic of one
     cell depends on another.
     """
     first = requests[0]
-    kind, skind = first.ensemble, _stratum_kind(first.stratum)
+    skind = _stratum_kind(first.stratum)
     if skind == "point":
         return [IndicatorResult(q=1.0, method=Method.QUADRATURE, error_estimate=0.0, request=r)
                 for r in requests]
+    kinds = tuple(dict.fromkeys(r.ensemble for r in requests))
+    zetas = list(dict.fromkeys(r.zeta for r in requests))
     if first.stratum.n == 2:
-        (num, num_err), (den, den_err) = _line_integrals(kind, None)
+        integrals = _line_integrals(kinds, None)
     elif skind == "degenerate":
-        (num, num_err), (den, den_err) = _line_integrals(kind, [r.zeta for r in requests])
+        integrals = _line_integrals(kinds, zetas)
     else:
-        (num, num_err), (den, den_err) = _regular_integrals(kind, np.array([r.zeta for r in requests]))
-    if den <= 0.0 or not math.isfinite(den):
-        raise ConvergenceError(f"degenerate denominator integral: {den!r}")
-    results = []
-    nums, num_errs = (np.broadcast_to(a, len(requests)).tolist() for a in (num, num_err))
-    for request, n, n_err in zip(requests, nums, num_errs):
-        q = n / den
-        err = abs(q) * (n_err / n if n > 0.0 else 0.0) + abs(q) * den_err / den
-        results.append(IndicatorResult(q=min(max(q, 0.0), 1.0), method=Method.QUADRATURE,
-                                       error_estimate=err, request=request))
-    return results
+        integrals = _regular_integrals(kinds, np.array(zetas))
+    cells = {}
+    for kind, ((num, num_err), (den, den_err)) in zip(kinds, integrals):
+        if den <= 0.0 or not math.isfinite(den):
+            raise ConvergenceError(f"degenerate denominator integral: {den!r}")
+        nums, num_errs = (np.broadcast_to(a, len(zetas)).tolist() for a in (num, num_err))
+        for zeta, n, n_err in zip(zetas, nums, num_errs):
+            q = n / den
+            err = abs(q) * (n_err / n if n > 0.0 else 0.0) + abs(q) * den_err / den
+            cells[kind, zeta] = min(max(q, 0.0), 1.0), err
+    return [IndicatorResult(q=q, method=Method.QUADRATURE, error_estimate=err, request=r)
+            for r in requests for q, err in [cells[r.ensemble, r.zeta]]]
 
 
 def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
@@ -547,7 +605,7 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     propagated through the ratio; a nonpositive denominator raises
     ``ConvergenceError``.  The cell is a block of one of
     ``_quadrature_block``, which ``indicators`` runs over whole grids of
-    angles with the same result per cell.
+    angles and ensembles with the same result per cell.
     """
     request.validate()
     if request.method is not Method.QUADRATURE:
@@ -651,25 +709,32 @@ def indicator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
     ))
 
 
-def indicators(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
+def indicators(ensembles, stratum: StratumLabel, method: Method,
                zetas, *, samples: int | None = None, seed: int | None = None,
-               workers: int = 1) -> list[IndicatorResult]:
-    """Indicators of one (ensemble, stratum) at each angle of ``zetas``, in order.
+               workers: int = 1) -> list[list[IndicatorResult]]:
+    """Indicators of each of ``ensembles`` on ``stratum`` at each angle of ``zetas``: one list per ensemble, in order.
 
     Quadrature reads the angles ``_ZETA_BLOCK`` at a time, one pass of
-    ``_quadrature_block`` per block; every result is bit for bit that of
-    ``indicator`` at its angle alone.  Other methods run ``indicator`` at
-    each angle.  A qubit takes ``zetas = [None]``.
+    ``_quadrature_block`` per block for all the ensembles, which share the
+    block's ray weights; every result is bit for bit that of ``indicator``
+    at its cell alone.  Other methods run ``indicator`` at each cell.  A
+    single ensemble is a one-tuple, and a qubit takes ``zetas = [None]``.
     """
+    zetas = list(zetas)
     if method is not Method.QUADRATURE:
-        return [indicator(ensemble, stratum, method, z, samples=samples, seed=seed, workers=workers)
-                for z in zetas]
-    requests = [IndicatorRequest(ensemble=ensemble, stratum=stratum, method=method, zeta=z, workers=workers)
-                for z in zetas]
-    for request in requests:
+        return [[indicator(ensemble, stratum, method, z, samples=samples, seed=seed, workers=workers)
+                 for z in zetas] for ensemble in ensembles]
+    requests = [[IndicatorRequest(ensemble=ensemble, stratum=stratum, method=method, zeta=z, workers=workers)
+                 for z in zetas] for ensemble in ensembles]
+    for request in itertools.chain.from_iterable(requests):
         request.validate()
-    return [result for i in range(0, len(requests), _ZETA_BLOCK)
-            for result in _quadrature_block(requests[i:i + _ZETA_BLOCK])]
+    curves = [[] for _ in requests]
+    for i in range(0, len(zetas), _ZETA_BLOCK):
+        block = [row[i:i + _ZETA_BLOCK] for row in requests]
+        results = iter(_quadrature_block(list(itertools.chain.from_iterable(block))))
+        for curve, row in zip(curves, block):
+            curve.extend(itertools.islice(results, len(row)))
+    return curves
 
 
 def minimize_q_over_zeta(
@@ -695,7 +760,7 @@ def minimize_q_over_zeta(
         return indicator(ensemble, stratum, method, zeta, samples=samples, seed=seed).q
 
     grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
-    values = [r.q for r in indicators(ensemble, stratum, method, grid, samples=samples, seed=seed)]
+    values = [r.q for r in indicators((ensemble,), stratum, method, grid, samples=samples, seed=seed)[0]]
     i = int(np.argmin(values))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
@@ -729,8 +794,8 @@ def asymmetry(
     """
     if stratum.n != 3:
         raise UnsupportedRequestError("asymmetry applies to qutrit strata")
-    q0, q1 = (r.q for r in indicators(ensemble, stratum, method, (0.0, ZETA_MAX),
-                                      samples=samples, seed=seed))
+    q0, q1 = (r.q for r in indicators((ensemble,), stratum, method, (0.0, ZETA_MAX),
+                                      samples=samples, seed=seed)[0])
     return q0 - q1
 
 
@@ -745,18 +810,16 @@ def ratio_degenerate_to_regular(
     """Ratio of the degenerate-stratum indicator to the regular one.
 
     Values above 1 mean degenerate (more symmetric) states are more likely
-    classical than regular ones at the same kernel angle.
+    classical than regular ones at the same kernel angle.  Where the
+    regular indicator is 0, as in a Monte Carlo cell with no classical
+    draw, the ratio is undefined and is returned as ``nan``.
     """
-    return _degenerate_to_regular_ratios(ensemble, [zeta], method, samples, seed, workers)[0]
+    return _degenerate_to_regular_ratios((ensemble,), [zeta], method, samples, seed, workers)[0][0]
 
 
-def _degenerate_to_regular_ratios(ensemble: EnsembleKind, zetas, method: Method,
-                                  samples: int | None, seed: int | None, workers: int) -> list[float]:
-    """``ratio_degenerate_to_regular`` at each angle of ``zetas``, from one ``indicators`` call per stratum."""
-    q_deg, q_reg = ([r.q for r in indicators(ensemble, stratum, method, zetas,
-                                             samples=samples, seed=seed, workers=workers)]
-                    for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
-    for q in q_reg:
-        if q < 1e-300:
-            raise OverflowError(f"regular indicator too small to divide by: {q!r}")
-    return [d / r for d, r in zip(q_deg, q_reg)]
+def _degenerate_to_regular_ratios(ensembles, zetas, method: Method, samples: int | None,
+                                  seed: int | None, workers: int) -> list[list[float]]:
+    """``ratio_degenerate_to_regular`` of each of ``ensembles`` at each angle of ``zetas``, from one ``indicators`` call per stratum."""
+    deg, reg = (indicators(ensembles, stratum, method, zetas, samples=samples, seed=seed, workers=workers)
+                for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
+    return [[d.q / r.q if r.q > 0.0 else math.nan for d, r in zip(*curves)] for curves in zip(deg, reg)]

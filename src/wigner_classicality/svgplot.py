@@ -49,7 +49,8 @@ def render_line_plot(
 
     Args:
         series: sequence of (label, xs, ys) triples; ys must be positive
-            when log_y is set.
+            when log_y is set.  A series may be empty; if all are, only
+            the axes and the legend are drawn.
         log_y: use a logarithmic y axis (decade ticks).
 
     Returns:
@@ -59,8 +60,8 @@ def render_line_plot(
         raise ValueError("nothing to plot")
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
-        raise ValueError("empty series")
+    if not xs_all:  # no point to draw: the axes alone, over one decade
+        xs_all, ys_all = [0.0, 1.0], [1.0, 10.0]
     if log_y and min(ys_all) <= 0.0:
         raise ValueError("log-scale plot needs positive values")
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -148,6 +149,41 @@ class TestRatio:
                                       float(row[0]), samples=20000, seed=5, workers=2).q
                             for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
             assert float(row[1]) == q_deg / q_reg
+
+    def test_mc_cell_with_no_regular_hit_is_nan(self, tmp_path, capsys):
+        # at 3000 draws the BKM regular cells (Q ~ 1e-5) see no classical
+        # state: their ratio is undefined, written as nan and left unplotted
+        out = tmp_path / "r"
+        rc = cli.main(["ratio", "--method", "mc", "--ensemble", "all", "--samples", "3000",
+                       "--zeta-grid", "0:1:5", "--out", str(out), "--format", "both"])
+        assert rc == 0
+        _, rows = read_csv(out.with_suffix(".csv"))
+        assert len(rows) == 15
+        undefined = []
+        for zeta, ratio, label, _, _ in rows:
+            q_reg = indicator(EnsembleKind.from_name(label), REGULAR_QUTRIT, Method.MONTE_CARLO,
+                              float(zeta), samples=3000, seed=1234).q
+            if q_reg == 0.0:
+                assert ratio == "nan"
+                undefined.append(f"{label} at zeta={zeta}")
+            else:
+                assert math.isfinite(float(ratio)) and float(ratio) > 0.0
+        assert undefined
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == len(undefined)
+        assert all(cell in line for cell, line in zip(undefined, warnings))
+        svg = out.with_suffix(".svg").read_text()
+        ET.fromstring(svg)
+        assert "nan" not in svg.lower()
+
+    def test_svg_with_no_defined_ratio_draws_the_axes(self, tmp_path):
+        out = tmp_path / "r"
+        rc = cli.main(["ratio", "--method", "mc", "--ensemble", "bkm", "--samples", "100",
+                       "--zeta-grid", "0.3:0.9:2", "--format", "svg", "--out", str(out)])
+        assert rc == 0
+        root = ET.fromstring(out.with_suffix(".svg").read_text())
+        (line,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+        assert line.get("points") == ""
 
 
 class TestFormat:

@@ -415,7 +415,7 @@ class TestRayCumulativeNodes:
         # t = 0 reads G(0) exactly from the x = 0 point (the cell's value is
         # checked against its reference in TestQuadratureAccuracy)
         h, _ = ind._line_table(ensemble, _EDGES)
-        (num, _), (den, _) = ind._line_integrals(ensemble, 0.0)
+        ((num, _), (den, _)), = ind._line_integrals((ensemble,), 0.0)
         t_12 = (ind._edge_classical_cutoff((1, 2), 0.0) / _LINES[(1, 2)][0]) ** 0.25
         edges = ind._ray_cumulative(h, np.array([0.0, t_12]))
         assert edges[0] == h[0, 0]
@@ -509,8 +509,10 @@ class TestPrunedTableBits:
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_figure_grids(self, ensemble):
+        # read through one call for all three ensembles, as the figures read them
         grid = np.concatenate(FIGURE_GRIDS)
-        for new in ind.indicators(ensemble, REGULAR_QUTRIT, Method.QUADRATURE, grid):
+        curves = ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid)
+        for new in curves[ALL_KINDS.index(ensemble)]:
             old = _regular_cell_028(new.request)
             assert new.q.hex() == old.q.hex(), new.request.zeta
             # the dropped rays' mass is added to the error term
@@ -541,7 +543,7 @@ class TestPrunedTableBits:
 
 
 class TestQuadratureBlocks:
-    """A cell of a grid is bit for bit the cell alone: a block shares tables and array calls, no arithmetic."""
+    """A cell of a grid is bit for bit the cell alone: a block shares tables, weights and array calls, no arithmetic."""
 
     STEP = ZETA_MAX / 60
 
@@ -550,47 +552,70 @@ class TestQuadratureBlocks:
         np.linspace(STEP / 2, ZETA_MAX - STEP / 2, 60),
     ], ids=["zero", "top", "7", "8", "9", "61", "shifted60"])
     @pytest.mark.parametrize("stratum", [REGULAR_QUTRIT, DEGENERATE_QUTRIT], ids=["regular", "degenerate"])
-    @pytest.mark.parametrize("ensemble", ALL_KINDS)
-    def test_cell_does_not_depend_on_its_block(self, ensemble, stratum, grid):
-        results = ind.indicators(ensemble, stratum, Method.QUADRATURE, grid)
-        assert len(results) == len(grid)
-        for zeta, res in zip(grid, results):
-            alone = q_quadrature(quad_request(ensemble, stratum, float(zeta)))
-            assert res.request == alone.request
-            assert (res.q.hex(), res.error_estimate.hex()) == (alone.q.hex(), alone.error_estimate.hex())
+    @pytest.mark.parametrize("ensembles", [
+        *((kind,) for kind in ALL_KINDS), (EnsembleKind.BURES, EnsembleKind.BKM), ALL_KINDS,
+    ], ids=lambda kinds: "+".join(map(str, kinds)))
+    def test_cell_does_not_depend_on_its_block(self, ensembles, stratum, grid):
+        curves = ind.indicators(ensembles, stratum, Method.QUADRATURE, grid)
+        assert len(curves) == len(ensembles)
+        for ensemble, results in zip(ensembles, curves):
+            assert len(results) == len(grid)
+            for zeta, res in zip(grid, results):
+                alone = q_quadrature(quad_request(ensemble, stratum, float(zeta)))
+                assert res.request == alone.request
+                assert (res.q.hex(), res.error_estimate.hex()) == (alone.q.hex(), alone.error_estimate.hex())
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_qubit_is_a_block_of_one(self, ensemble):
-        (res,) = ind.indicators(ensemble, QUBIT_STRATUM, Method.QUADRATURE, [None])
+        ((res,),) = ind.indicators((ensemble,), QUBIT_STRATUM, Method.QUADRATURE, [None])
         assert res == q_quadrature(quad_request(ensemble, QUBIT_STRATUM))
+
+    def test_qubit_ensembles_share_one_read(self):
+        curves = ind.indicators(ALL_KINDS, QUBIT_STRATUM, Method.QUADRATURE, [None])
+        assert curves == [[q_quadrature(quad_request(kind, QUBIT_STRATUM))] for kind in ALL_KINDS]
 
     def test_other_methods_run_cell_by_cell(self):
         grid = np.linspace(0.0, ZETA_MAX, 5)
-        closed = ind.indicators(EnsembleKind.HILBERT_SCHMIDT, DEGENERATE_QUTRIT, Method.CLOSED_FORM, grid)
+        (closed,) = ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), DEGENERATE_QUTRIT, Method.CLOSED_FORM, grid)
         assert [r.q for r in closed] == [q_hs_qutrit_degenerate_closed_form(float(z)).q for z in grid]
-        mc = ind.indicators(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO, grid[:2],
-                            samples=2000, seed=5, workers=2)
+        (mc,) = ind.indicators((EnsembleKind.BURES,), REGULAR_QUTRIT, Method.MONTE_CARLO, grid[:2],
+                               samples=2000, seed=5, workers=2)
         assert mc == [ind.indicator(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO, float(z),
                                     samples=2000, seed=5, workers=2) for z in grid[:2]]
 
+    def test_ensembles_share_the_weights_of_a_block(self, monkeypatch):
+        # a 61-angle grid is 8 blocks, and each block builds one set of
+        # barycentric weights for all three ensembles, not one per ensemble
+        calls = []
+        weights = ind._ray_weights
+        monkeypatch.setattr(ind, "_ray_weights", lambda t: calls.append(np.shape(t)) or weights(t))
+        ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, np.linspace(0.0, ZETA_MAX, 61))
+        assert len(calls) == 8
+        assert calls[0] == (8, len(ind._regular_union(ALL_KINDS)[0]))
+
     def test_memory_is_bounded_by_the_block(self, monkeypatch):
-        # a 61-angle BKM curve holds one block's (angle, ray, point) array at a
-        # time, 0.75 MB; the whole grid at once holds 5.7 MB arrays and fails
+        # a 61-angle curve holds one block's (angle, ray, point) weight array
+        # at a time, 0.76 MB, which all three ensembles share; one such array
+        # per ensemble at once would take 2.3 MB, and the whole grid at once
+        # holds 5.8 MB arrays: both fail
         grid = np.linspace(0.0, ZETA_MAX, 61)
 
-        def peak(zetas):
+        def peak(kinds, zetas):
             tracemalloc.start()
             try:
-                ind.indicators(EnsembleKind.BKM, REGULAR_QUTRIT, Method.QUADRATURE, zetas)
+                ind.indicators(kinds, REGULAR_QUTRIT, Method.QUADRATURE, zetas)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        ind._regular_table(EnsembleKind.BKM)  # built outside the compared peaks
-        single = peak(grid[:1])
-        assert peak(grid) - single < 2 << 20
+        # tables built outside the compared peaks
+        ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid[:1])
+        ind.indicators((EnsembleKind.BKM,), REGULAR_QUTRIT, Method.QUADRATURE, grid[:1])
+        single = peak((EnsembleKind.BKM,), grid[:1])
+        assert peak((EnsembleKind.BKM,), grid) - single < 2 << 20
+        assert peak(ALL_KINDS, grid) - single < 2 << 20
         monkeypatch.setattr(ind, "_ZETA_BLOCK", len(grid))
-        assert peak(grid) - single > 2 << 20
+        assert peak((EnsembleKind.BKM,), grid) - single > 2 << 20
 
 
 class TestQuadratureAccuracy:

@@ -6,14 +6,13 @@ Schmidt, Bures, Bogoliubov-Kubo-Mori), per degeneracy stratum, and across
 the one-parameter family of qutrit phase-space kernels.
 """
 
-__version__ = "0.2.10"
+__version__ = "0.3.0"
 
 from .spectra import (
     DegeneracyType,
     OrderedSpectrum,
     PolarPoint,
     StratumLabel,
-    enumerate_strata,
     polar_to_spectrum,
     spectrum_to_polar,
     trisectrix_boundary,
@@ -32,9 +31,6 @@ from .ensembles import (
     EnsembleKind,
     SamplerFailureError,
     SpectrumSampler,
-    joint_density,
-    log_joint_density,
-    mc_function,
     worker_seed,
 )
 from .indicators import (
@@ -63,7 +59,6 @@ __all__ = [
     "OrderedSpectrum",
     "PolarPoint",
     "StratumLabel",
-    "enumerate_strata",
     "polar_to_spectrum",
     "spectrum_to_polar",
     "trisectrix_boundary",
@@ -78,9 +73,6 @@ __all__ = [
     "EnsembleKind",
     "SamplerFailureError",
     "SpectrumSampler",
-    "joint_density",
-    "log_joint_density",
-    "mc_function",
     "worker_seed",
     "DEGENERATE_QUTRIT",
     "QUBIT_STRATUM",

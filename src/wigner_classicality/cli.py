@@ -187,7 +187,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.ensemble == "all":
         ensembles = [EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM]
     else:
-        ensembles = [EnsembleKind.from_name(args.ensemble)]
+        ensembles = [EnsembleKind(args.ensemble)]
     zeta_grid = _parse_zeta_grid(args.zeta_grid)
     if args.samples < 1:
         raise _CliError(f"sample count must be positive, got {args.samples}")
@@ -202,7 +202,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         ensembles=ensembles,
         stratum=args.stratum,
         zeta_grid=zeta_grid,
-        method=Method.from_name(args.method),
+        method=Method(args.method),
         tol=args.tol,
         samples=args.samples,
         seed=args.seed,

@@ -1,11 +1,12 @@
 """Joint eigenvalue densities and samplers for unitary-invariant ensembles.
 
 Three ensembles are supported: Hilbert-Schmidt, and the two monotone-metric
-ensembles (Bures and Bogoliubov-Kubo-Mori).  For each degeneracy type the
-module provides the unnormalized joint density of the distinct eigenvalues
-on the constraint surface ``sum k_i r_i = 1``, and a seeded sampler whose
-output follows that density: vectorized rejection sampling from a per-cell
-envelope table on every stratum.
+ensembles (Bures and Bogoliubov-Kubo-Mori).  For each degeneracy type of
+the qubit and the qutrit the module provides the unnormalized joint density
+of the distinct eigenvalues on the constraint surface ``sum k_i r_i = 1``,
+written once as two array kernels (``_density3_vec``, ``_density_pair_vec``),
+and a seeded sampler whose output follows that density: vectorized rejection
+sampling from a per-cell envelope table on every stratum.
 
 Every density is a proportionality only.  Classicality indicators are ratios
 of integrals of one fixed density, so normalization constants cancel; when a
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .spectra import SQRT3, DegeneracyType, StratumLabel
 
 #: Relative half-spread below which the BKM mean is evaluated by series.
 BKM_SERIES_CUTOFF = 1e-4
-
-#: Constraint sum k_i r_i must equal 1 within this.
-CONSTRAINT_TOL = 1e-9
 
 #: Rejection sampling aborts below this acceptance rate.
 MIN_ACCEPTANCE = 1e-6
@@ -45,118 +42,9 @@ class EnsembleKind(Enum):
     def label(self) -> str:
         return self.value
 
-    @classmethod
-    def from_name(cls, name: str) -> "EnsembleKind":
-        key = name.strip().lower().replace("-", "_")
-        aliases = {
-            "hs": cls.HILBERT_SCHMIDT,
-            "hilbert_schmidt": cls.HILBERT_SCHMIDT,
-            "bures": cls.BURES,
-            "b": cls.BURES,
-            "bkm": cls.BKM,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown ensemble {name!r}; expected one of hs|bures|bkm")
-        return aliases[key]
-
 
 class SamplerFailureError(RuntimeError):
     """Rejection sampling could not proceed (vanishing acceptance or bad envelope)."""
-
-
-def mc_function(kind: EnsembleKind, x: float, y: float) -> float:
-    """Morozova-Chentsov function of a monotone ensemble at (x, y).
-
-    Bures: ``2 / (x + y)``.  BKM: ``(ln x - ln y) / (x - y)``, with the
-    near-coincidence region |x-y| <= 1e-4 (x+y) evaluated through the series
-    ``(1 + d^2/3 + d^4/5) / m`` in d = (x-y)/(x+y), m = (x+y)/2, which is
-    accurate to below 1e-16 there and removes the 0/0.
-
-    Args:
-        kind: BURES or BKM (the Hilbert-Schmidt ensemble is not monotone).
-        x, y: positive reals.
-    """
-    if kind is EnsembleKind.HILBERT_SCHMIDT:
-        raise ValueError("mc_function is defined for the monotone ensembles only")
-    x = float(x)
-    y = float(y)
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError(f"mc_function needs positive arguments, got ({x}, {y})")
-    if kind is EnsembleKind.BURES:
-        return 2.0 / (x + y)
-    d = (x - y) / (x + y)
-    if abs(d) <= BKM_SERIES_CUTOFF:
-        m = 0.5 * (x + y)
-        return (1.0 + d * d / 3.0 + d ** 4 / 5.0) / m
-    return (math.log(x) - math.log(y)) / (x - y)
-
-
-def log_joint_density(
-    kind: EnsembleKind,
-    deg: DegeneracyType,
-    r: Sequence[float],
-    *,
-    validate: bool = True,
-) -> float:
-    """Log of the unnormalized joint eigenvalue density.
-
-    For distinct eigenvalues (r_1 > ... > r_s) with multiplicities
-    (k_1, ..., k_s) on the constraint ``sum k_i r_i = 1``:
-
-        Hilbert-Schmidt:  prod_{i<j} (r_i - r_j)^(2 k_i k_j)
-        monotone:         (r_1 ... r_s)^(-1/2)
-                          * prod_{i<j} c_f(r_i, r_j)^(k_i k_j) (r_i - r_j)^(2 k_i k_j)
-
-    Coincident arguments give -inf (the density vanishes there).
-
-    With ``validate=False`` the symmetric-function formula is evaluated as-is
-    for any positive distinct arguments, which is useful for checking the
-    invariance under simultaneous permutation of (r_i, k_i) pairs.
-    """
-    vals = tuple(float(v) for v in r)
-    mult = deg.multiplicities
-    if len(vals) != deg.s:
-        raise ValueError(f"expected {deg.s} distinct eigenvalues, got {len(vals)}")
-    if validate:
-        if any(not 0.0 < v < 1.0 for v in vals) and deg.s > 1:
-            raise ValueError(f"distinct eigenvalues must lie in (0, 1): {vals}")
-        total = math.fsum(k * v for k, v in zip(mult, vals))
-        if abs(total - 1.0) > CONSTRAINT_TOL:
-            raise ValueError(f"constraint sum k_i r_i = 1 violated: {total!r}")
-        for a, b in zip(vals, vals[1:]):
-            if b > a:
-                raise ValueError(f"distinct eigenvalues must be descending: {vals}")
-    logv = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            diff = abs(vals[i] - vals[j])
-            if diff == 0.0:
-                return -math.inf
-            kk = mult[i] * mult[j]
-            logv += 2.0 * kk * math.log(diff)
-            if kind is not EnsembleKind.HILBERT_SCHMIDT:
-                logv += kk * math.log(mc_function(kind, vals[i], vals[j]))
-    if kind is not EnsembleKind.HILBERT_SCHMIDT:
-        logv -= 0.5 * math.fsum(math.log(v) for v in vals)
-    return logv
-
-
-def joint_density(
-    kind: EnsembleKind,
-    deg: DegeneracyType,
-    r: Sequence[float],
-    *,
-    validate: bool = True,
-) -> float:
-    """Unnormalized joint eigenvalue density (see ``log_joint_density``).
-
-    Computed in log space and exponentiated; returns exactly 0.0 when two
-    distinct-eigenvalue arguments coincide.
-    """
-    logv = log_joint_density(kind, deg, r, validate=validate)
-    if logv == -math.inf:
-        return 0.0
-    return math.exp(logv)
 
 
 def worker_seed(master_seed: int, worker_index: int) -> int:
@@ -203,6 +91,11 @@ def _logs(kind: EnsembleKind, *r):
 
 
 def _density3_vec(kind: EnsembleKind, r1, r2, r3):
+    """Density of three distinct eigenvalues: HS ``prod_{i<j} (r_i - r_j)^2``.
+
+    A monotone ensemble multiplies by ``prod_{i<j} c_f(r_i, r_j)`` (the
+    Morozova-Chentsov function of ``_mc_vec``) and ``(r1 r2 r3)^(-1/2)``.
+    """
     v = ((r1 - r2) * (r1 - r3) * (r2 - r3)) ** 2
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v
@@ -213,6 +106,11 @@ def _density3_vec(kind: EnsembleKind, r1, r2, r3):
 
 
 def _density_pair_vec(kind: EnsembleKind, big, small, kk: int):
+    """Density of two distinct eigenvalues of multiplicities k_1 k_2 = ``kk``.
+
+    HS ``(big - small)^(2 kk)``; a monotone ensemble multiplies by
+    ``c_f(big, small)^kk (big small)^(-1/2)``.
+    """
     v = (big - small) ** (2 * kk)
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v

@@ -64,14 +64,6 @@ class Method(Enum):
     QUADRATURE = "quad"
     MONTE_CARLO = "mc"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Method":
-        key = name.strip().lower()
-        for m in cls:
-            if key == m.value or key == m.name.lower():
-                return m
-        raise ValueError(f"unknown method {name!r}; expected closed|quad|mc")
-
 
 class UnsupportedRequestError(ValueError):
     """The (ensemble, stratum, method) combination has no implementation."""
@@ -309,7 +301,7 @@ def _ray_coefficients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ray fits of weight rows given at ``_RAY_X``, for ``_ray_cumulative``.
+    """Ray fits of weight rows given at ``_RAY_X``, for ``_ray_read``.
 
     Returns the rows of h = G / (1 - x) at ``_RAY_NODES``, the product of
     the ``b`` of ``_ray_coefficients`` with ``_RAY_MATRIX``, and per row the
@@ -353,11 +345,6 @@ def _ray_read(weights: tuple[np.ndarray, np.ndarray, np.ndarray], h: np.ndarray)
     """G of each row of ``h`` from ``_ray_fit`` at the reads of ``_ray_weights``."""
     lead, q, total = weights
     return lead * np.einsum("...ij,ij->...i", q, h) / total
-
-
-def _ray_cumulative(h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """G(t) of each row of ``h`` from ``_ray_fit``, at that row's t (see ``_ray_weights``)."""
-    return _ray_read(_ray_weights(t), h)
 
 
 #: A ray of the regular table whose G(0) weighs at most this share of the
@@ -741,14 +728,14 @@ def minimize_q_over_zeta(
     ensemble: EnsembleKind,
     stratum: StratumLabel,
     method: Method = Method.QUADRATURE,
-    samples: int | None = None,
-    seed: int | None = None,
 ) -> tuple[float, float]:
     """Minimize the indicator over the moduli angle.
 
     A 61-point scan over [0, pi/3] (one ``indicators`` call) brackets the
     grid minimum, then golden-section search refines the bracket to a zeta
-    resolution of 1e-6, one cell per step.
+    resolution of 1e-6, one cell per step.  The scan takes no sample
+    count, so a Monte Carlo ``method`` fails validation with
+    ``UnsupportedRequestError``.
 
     Returns:
         (zeta_min, q_min).
@@ -757,10 +744,10 @@ def minimize_q_over_zeta(
         raise UnsupportedRequestError("moduli minimization applies to qutrit strata")
 
     def q_of(zeta: float) -> float:
-        return indicator(ensemble, stratum, method, zeta, samples=samples, seed=seed).q
+        return indicator(ensemble, stratum, method, zeta).q
 
     grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
-    values = [r.q for r in indicators((ensemble,), stratum, method, grid, samples=samples, seed=seed)[0]]
+    values = [r.q for r in indicators((ensemble,), stratum, method, grid)[0]]
     i = int(np.argmin(values))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
@@ -784,18 +771,16 @@ def asymmetry(
     ensemble: EnsembleKind,
     stratum: StratumLabel,
     method: Method = Method.QUADRATURE,
-    samples: int | None = None,
-    seed: int | None = None,
 ) -> float:
     """Indicator difference between the moduli endpoints, q(0) - q(pi/3).
 
     Zero for the Hilbert-Schmidt ensemble (mirror symmetry about pi/6),
-    strictly positive for the monotone ensembles.
+    strictly positive for the monotone ensembles.  A Monte Carlo
+    ``method`` fails validation, as in ``minimize_q_over_zeta``.
     """
     if stratum.n != 3:
         raise UnsupportedRequestError("asymmetry applies to qutrit strata")
-    q0, q1 = (r.q for r in indicators((ensemble,), stratum, method, (0.0, ZETA_MAX),
-                                      samples=samples, seed=seed)[0])
+    q0, q1 = (r.q for r in indicators((ensemble,), stratum, method, (0.0, ZETA_MAX))[0])
     return q0 - q1
 
 

@@ -140,11 +140,6 @@ class DegeneracyType:
         return sum(self.multiplicities)
 
     @property
-    def s(self) -> int:
-        """Number of distinct eigenvalues."""
-        return len(self.multiplicities)
-
-    @property
     def is_regular(self) -> bool:
         """True when the spectrum is simple (all multiplicities one)."""
         return all(k == 1 for k in self.multiplicities)
@@ -185,35 +180,6 @@ class StratumLabel:
     @property
     def n(self) -> int:
         return self.degeneracy.n
-
-
-def _partitions(n: int, cap: int | None = None):
-    """Yield all partitions of n as descending tuples."""
-    cap = n if cap is None else cap
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def enumerate_strata(n: int) -> list[StratumLabel]:
-    """All p(N) strata of the N-level state space, canonically ordered.
-
-    Order is lexicographic over the descending-part tuples, e.g. for N=3:
-    (1,1,1), (2,1), (3).
-
-    Args:
-        n: Hilbert-space dimension, 1 <= n <= 8.
-
-    Returns:
-        One StratumLabel per integer partition of n.
-    """
-    if not 1 <= n <= 8:
-        raise ValueError(f"dimension out of supported range [1, 8]: {n}")
-    parts = sorted(_partitions(n))
-    return [StratumLabel.for_partition(p) for p in parts]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from typing import Sequence
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 640
+_HEIGHT = 420
 _MARGIN_LEFT = 72
 _MARGIN_RIGHT = 18
 _MARGIN_TOP = 34
@@ -42,8 +44,6 @@ def render_line_plot(
     xlabel: str = "",
     ylabel: str = "",
     log_y: bool = True,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Render labeled (x, y) series as an SVG line plot.
 
@@ -80,8 +80,8 @@ def render_line_plot(
         y_pos_lo, y_pos_hi = y_lo, y_hi
     ticks_x = _linear_ticks(x_lo, x_hi)
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -92,13 +92,13 @@ def render_line_plot(
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="monospace" font-size="13">{title}</text>'
         )
 
@@ -132,7 +132,7 @@ def render_line_plot(
             )
     if xlabel:
         parts.append(
-            f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+            f'<text x="{x0 + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
             f'font-family="monospace" font-size="12">{xlabel}</text>'
         )
     if ylabel:

@@ -161,7 +161,7 @@ class TestRatio:
         assert len(rows) == 15
         undefined = []
         for zeta, ratio, label, _, _ in rows:
-            q_reg = indicator(EnsembleKind.from_name(label), REGULAR_QUTRIT, Method.MONTE_CARLO,
+            q_reg = indicator(EnsembleKind(label), REGULAR_QUTRIT, Method.MONTE_CARLO,
                               float(zeta), samples=3000, seed=1234).q
             if q_reg == 0.0:
                 assert ratio == "nan"

@@ -1,10 +1,10 @@
 """Property tests: the joint densities are symmetric functions of their eigenvalues.
 
-The log density of ``log_joint_density`` is one formula over the (eigenvalue,
-multiplicity) pairs, so relabelling the pairs together must not change it;
-``_density3_vec``, the kernel of quadrature and the samplers, must be
-symmetric in its three eigenvalues, including BKM pairs close enough to be
-evaluated by the series of ``BKM_SERIES_CUTOFF``.
+The log density of ``scalar_density.log_joint_density`` is one formula over
+the (eigenvalue, multiplicity) pairs, so relabelling the pairs together must
+not change it; ``_density3_vec``, the kernel of quadrature and the samplers,
+must be symmetric in its three eigenvalues, including BKM pairs close enough
+to be evaluated by the series of ``BKM_SERIES_CUTOFF``.
 """
 
 import itertools
@@ -15,12 +15,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from wigner_classicality.ensembles import (  # noqa: E402
-    BKM_SERIES_CUTOFF,
-    EnsembleKind,
-    _density3_vec,
-    log_joint_density,
-)
+from scalar_density import log_joint_density  # noqa: E402
+from wigner_classicality.ensembles import BKM_SERIES_CUTOFF, EnsembleKind, _density3_vec  # noqa: E402
 from wigner_classicality.spectra import DegeneracyType  # noqa: E402
 
 KINDS = st.sampled_from(list(EnsembleKind))

@@ -15,6 +15,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import chisquare, ks_2samp
 
 from matrix_models import bures_spectra, ginibre_spectra
+from scalar_density import joint_density, log_joint_density, mc_function
 
 import wigner_classicality.ensembles as ensembles
 import wigner_classicality.indicators as indicators
@@ -24,9 +25,6 @@ from wigner_classicality.ensembles import (
     EnsembleKind,
     SamplerFailureError,
     SpectrumSampler,
-    joint_density,
-    log_joint_density,
-    mc_function,
     stratum_spectra,
     worker_seed,
     _EDGES,

@@ -197,7 +197,7 @@ class TestQuadrature:
         # substitution r = R (1 - t^k); at zeta = 1e-3 the classical cut
         # reaches t_c < 0.3 near phi = 0, where BKM's t log^2 t face sits
         from scipy.integrate import quad as scipy_quad
-        from wigner_classicality.ensembles import joint_density
+        from scalar_density import joint_density
         from wigner_classicality.spectra import DegeneracyType
 
         sqrt3 = math.sqrt(3.0)
@@ -340,7 +340,7 @@ def _series_cumulative(b, t) -> float:
 
 
 class TestRayFitRounding:
-    # Each ray's G as read by _ray_cumulative against an mpmath sum of the
+    # Each ray's G as read by _ray_read against an mpmath sum of the
     # same ray's own series: the difference is the read's rounding alone,
     # and must lie within the rounding term eps sum_k |b_k| times the
     # Lebesgue bound 1 + (2/pi) ln(n + 2) of the n + 2 Chebyshev points.
@@ -352,7 +352,7 @@ class TestRayFitRounding:
         return np.finfo(float).eps * lebesgue * np.abs(b).sum(axis=1)
 
     def assert_within_rounding(self, h, b, t):
-        got = ind._ray_cumulative(h, t)
+        got = ind._ray_read(ind._ray_weights(t), h)
         bound = self.rounding_terms(b)
         for row, (value, limit) in enumerate(zip(got, bound)):
             error = abs(float(value - _series_cumulative(b[row], t[row])))
@@ -393,8 +393,8 @@ class TestRayCumulativeNodes:
     def test_ends_read_exact_values(self, ensemble):
         h = ind._regular_table(ensemble)[2]
         rows = np.ones(len(h))
-        assert np.array_equal(ind._ray_cumulative(h, 0.0 * rows), h[:, 0])  # G(0)
-        assert np.array_equal(ind._ray_cumulative(h, rows), np.zeros(len(h)))
+        assert np.array_equal(ind._ray_read(ind._ray_weights(0.0 * rows), h), h[:, 0])  # G(0)
+        assert np.array_equal(ind._ray_read(ind._ray_weights(rows), h), np.zeros(len(h)))
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_one_ulp_off_a_point_is_continuous(self, ensemble):
@@ -405,7 +405,7 @@ class TestRayCumulativeNodes:
         for j, xj in enumerate(ind._RAY_NODES):
             on_point = xj ** 4
             for t in (np.nextafter(on_point, 0.0), on_point, min(np.nextafter(on_point, 2.0), 1.0)):
-                got = ind._ray_cumulative(h, np.full(len(h), t))
+                got = ind._ray_read(ind._ray_weights(np.full(len(h), t)), h)
                 assert np.all(np.isfinite(got))
                 assert np.allclose(got, (1.0 - xj) * h[:, j], rtol=0.0, atol=1e-12 * scale), (j, t)
 
@@ -417,7 +417,7 @@ class TestRayCumulativeNodes:
         h, _ = ind._line_table(ensemble, _EDGES)
         ((num, _), (den, _)), = ind._line_integrals((ensemble,), 0.0)
         t_12 = (ind._edge_classical_cutoff((1, 2), 0.0) / _LINES[(1, 2)][0]) ** 0.25
-        edges = ind._ray_cumulative(h, np.array([0.0, t_12]))
+        edges = ind._ray_read(ind._ray_weights(np.array([0.0, t_12])), h)
         assert edges[0] == h[0, 0]
         assert num == float(edges.sum()) and den == float(h[:, 0].sum())
 
@@ -443,7 +443,7 @@ class TestRegularClassicalCutoff:
                 assert (dual_pairing(OrderedSpectrum(tuple(row)), kernel) >= 0.0) is classical
 
 def _ray_cumulative_028(h, t):
-    """``indicators._ray_cumulative`` of version 0.2.8 (one t per row)."""
+    """G(t) of ``_ray_fit``'s rows as version 0.2.8 read it (one t per row)."""
     x = np.sqrt(np.sqrt(t))
     d = np.subtract.outer(x, ind._RAY_NODES)
     on = ind._RAY_NODES[np.searchsorted(ind._RAY_NODES[:-1], x)] == x
@@ -880,6 +880,10 @@ class TestModuliUtilities:
     def test_minimize_requires_qutrit(self):
         with pytest.raises(UnsupportedRequestError):
             minimize_q_over_zeta(EnsembleKind.BURES, QUBIT_STRATUM, Method.QUADRATURE)
+        # the moduli scans take no sample count, so Monte Carlo fails validation
+        for scan in (minimize_q_over_zeta, asymmetry):
+            with pytest.raises(UnsupportedRequestError):
+                scan(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO)
 
     def test_asymmetry_hs_vanishes(self):
         assert asymmetry(EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT, Method.CLOSED_FORM) == pytest.approx(0.0, abs=1e-15)

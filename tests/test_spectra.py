@@ -12,22 +12,10 @@ from wigner_classicality.spectra import (
     OrderedSpectrum,
     PolarPoint,
     StratumLabel,
-    enumerate_strata,
     polar_to_spectrum,
     spectrum_to_polar,
     trisectrix_boundary,
 )
-
-
-def brute_force_partitions(n):
-    """Independent partition enumerator used as the counting oracle."""
-    if n == 0:
-        return [()]
-    out = set()
-    for first in range(1, n + 1):
-        for rest in brute_force_partitions(n - first):
-            out.add(tuple(sorted((first,) + rest, reverse=True)))
-    return sorted(out)
 
 
 class TestOrderedSpectrum:
@@ -64,7 +52,7 @@ class TestDegeneracyType:
 
     def test_counts(self):
         d = DegeneracyType((2, 1))
-        assert d.n == 3 and d.s == 2 and not d.is_regular
+        assert d.n == 3 and not d.is_regular
         assert DegeneracyType((1, 1, 1)).is_regular
 
     def test_rejects_nonpositive(self):
@@ -74,28 +62,17 @@ class TestDegeneracyType:
             DegeneracyType(())
 
 
-class TestEnumerateStrata:
+class TestStratumLabel:
     def test_qubit(self):
-        strata = enumerate_strata(2)
+        strata = [StratumLabel.for_partition(p) for p in ((1, 1), (2,))]
         assert [s.degeneracy.multiplicities for s in strata] == [(1, 1), (2,)]
         assert strata[0].name == "[T²]"
         assert strata[1].name == "[SU(2)]"
 
     def test_qutrit_names(self):
-        strata = enumerate_strata(3)
+        strata = [StratumLabel.for_partition(p) for p in ((1, 1, 1), (1, 2), (3,))]
         assert [s.degeneracy.multiplicities for s in strata] == [(1, 1, 1), (2, 1), (3,)]
         assert [s.name for s in strata] == ["[T³]", "[S(U(2)×U(1))]", "[SU(3)]"]
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
-    def test_matches_brute_force(self, n):
-        strata = enumerate_strata(n)
-        expected = brute_force_partitions(n)
-        assert [s.degeneracy.multiplicities for s in strata] == expected
-
-    @pytest.mark.parametrize("n", [0, -1, 9])
-    def test_out_of_range(self, n):
-        with pytest.raises(ValueError):
-            enumerate_strata(n)
 
 
 class TestPolarChart:

@@ -273,10 +273,10 @@ def _run_curve(cfg: RunConfig) -> int:
     zetas = _zetas(cfg)
     curves = indicators(cfg.ensembles, _stratum_label(cfg), cfg.method, zetas,
                         samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
-    for ensemble, results in zip(cfg.ensembles, curves):
-        rows.extend([_num(z), _num(res.q), res.method.value, _num(res.error_estimate),
-                     ensemble.label, cfg.stratum, str(cfg.seed)] for z, res in zip(zetas, results))
-        series.append((ensemble.label, list(zetas), [res.q for res in results]))
+    for ensemble, (values, errors) in zip(cfg.ensembles, curves):
+        rows.extend([_num(z), _num(q), cfg.method.value, _num(err),
+                     ensemble.label, cfg.stratum, str(cfg.seed)] for z, q, err in zip(zetas, values, errors))
+        series.append((ensemble.label, list(zetas), values))
     if cfg.fmt in ("csv", "both"):
         _write_text(csv_path, _csv_text(cfg, header, rows))
     if svg_path is not None:
@@ -295,8 +295,8 @@ def _run_qubit(cfg: RunConfig) -> int:
     rows = []
     cells = indicators(cfg.ensembles, QUBIT_STRATUM, cfg.method, [None],
                        samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
-    for ensemble, (res,) in zip(cfg.ensembles, cells):
-        rows.append([ensemble.label, _num(res.q), res.method.value, _num(res.error_estimate), str(cfg.seed)])
+    for ensemble, ((q,), (err,)) in zip(cfg.ensembles, cells):
+        rows.append([ensemble.label, _num(q), cfg.method.value, _num(err), str(cfg.seed)])
     _write_text(csv_path, _csv_text(cfg, header, rows))
     return EXIT_OK
 
@@ -430,10 +430,10 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         quad = indicator(ensemble, QUBIT_STRATUM, Method.QUADRATURE).q
         checks.append(_check(f"qubit_quad_vs_closed[{ensemble.label}]", closed, quad, tol * closed))
     for stratum, tag in ((REGULAR_QUTRIT, "regular"), (DEGENERATE_QUTRIT, "degenerate")):
-        closed, quad = (indicators((EnsembleKind.HILBERT_SCHMIDT,), stratum, method, zeta_probe)[0]
+        closed, quad = (indicators((EnsembleKind.HILBERT_SCHMIDT,), stratum, method, zeta_probe)[0][0]
                         for method in (Method.CLOSED_FORM, Method.QUADRATURE))
         for z, c, q in zip(zeta_probe, closed, quad):
-            checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", c.q, q.q, tol * c.q))
+            checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", c, q, tol * c))
 
     checks += _mc_checks(cfg)
 
@@ -447,9 +447,9 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     # monotone ensembles break the mirror symmetry: asymmetry must exceed error
     monotone = (EnsembleKind.BURES, EnsembleKind.BKM)
     endpoints = indicators(monotone, REGULAR_QUTRIT, Method.QUADRATURE, (0.0, ZETA_MAX))
-    for ensemble, (r0, r1) in zip(monotone, endpoints):
-        asym = r0.q - r1.q
-        noise = 4.0 * (r0.error_estimate + r1.error_estimate)
+    for ensemble, ((q0, q1), (err0, err1)) in zip(monotone, endpoints):
+        asym = q0 - q1
+        noise = 4.0 * (err0 + err1)
         checks.append({
             "check": f"asymmetry_positive[{ensemble.label}]",
             "expected": noise,
@@ -466,7 +466,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
              "ensemble_ordering_degenerate[upper,11pts]")):
         curves = (indicators((EnsembleKind.HILBERT_SCHMIDT,), stratum, Method.CLOSED_FORM, grid)
                   + indicators(monotone, stratum, Method.QUADRATURE, grid))
-        violations = sum(not q_hs.q > q_b.q > q_k.q for q_hs, q_b, q_k in zip(*curves))
+        violations = sum(not q_hs > q_b > q_k for q_hs, q_b, q_k in zip(*(values for values, _ in curves)))
         checks.append(_check(name, 0, violations, 0))
 
     checks.append(_cone_check(cfg))

@@ -19,11 +19,11 @@ degenerate-to-regular ratio.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -115,6 +115,10 @@ class IndicatorRequest:
                     f"no closed form for ({self.ensemble.label}, N={n}); use quadrature"
                 )
         if self.method is Method.MONTE_CARLO:
+            for name in ("samples", "seed", "workers"):
+                value = getattr(self, name)
+                if value is not None and not isinstance(value, numbers.Integral):
+                    raise UnsupportedRequestError(f"Monte Carlo {name} must be an integer, got {value!r}")
             if not self.samples or self.samples < 1:
                 raise UnsupportedRequestError("Monte Carlo requests need a positive sample count")
             if self.seed is None or self.seed < 0:
@@ -142,7 +146,7 @@ class IndicatorResult:
 def _stratum_kind(stratum: StratumLabel) -> str:
     mult = stratum.degeneracy.partition()
     if all(k == 1 for k in mult):
-        return "regular"
+        return "qubit" if stratum.n == 2 else "regular"
     if len(mult) == 1:
         return "point"
     if mult == (2, 1):
@@ -154,6 +158,25 @@ def _stratum_kind(stratum: StratumLabel) -> str:
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _closed_form(request: IndicatorRequest) -> float:
+    """The closed-form indicator of a validated request; the formulas are those of the ``q_*_closed_form``."""
+    kind = _stratum_kind(request.stratum)
+    if kind == "point":
+        return 1.0
+    if kind == "qubit":
+        if request.ensemble is EnsembleKind.HILBERT_SCHMIDT:
+            return 1.0 / (3.0 * SQRT3)
+        if request.ensemble is EnsembleKind.BURES:
+            return (2.0 / math.pi) * (math.asin(1.0 / SQRT3) - math.sqrt(2.0) / 3.0)
+        acoth_sqrt3 = math.atanh(1.0 / SQRT3)
+        return (2.0 / math.pi) * (math.asin(1.0 / SQRT3) - math.sqrt(2.0 / 3.0) * acoth_sqrt3)
+    z = float(request.zeta)
+    if kind == "regular":
+        c2 = math.cos(z - math.pi / 6.0) ** 2
+        return (20.0 * c2 + 1.0) / (128.0 * (4.0 * c2 - 1.0) ** 5)
+    return (math.sin(z + math.pi / 6.0) ** -5 + math.cos(z) ** -5) / 1056.0
+
+
 def q_qubit_closed_form(ensemble: EnsembleKind) -> IndicatorResult:
     """Qubit indicator in closed form.
 
@@ -161,15 +184,8 @@ def q_qubit_closed_form(ensemble: EnsembleKind) -> IndicatorResult:
     Bures: ``(2/pi) (asin(1/sqrt3) - sqrt2/3)``.
     BKM: ``(2/pi) (asin(1/sqrt3) - sqrt(2/3) acoth(sqrt3))``.
     """
-    if ensemble is EnsembleKind.HILBERT_SCHMIDT:
-        q = 1.0 / (3.0 * SQRT3)
-    elif ensemble is EnsembleKind.BURES:
-        q = (2.0 / math.pi) * (math.asin(1.0 / SQRT3) - math.sqrt(2.0) / 3.0)
-    else:
-        acoth_sqrt3 = math.atanh(1.0 / SQRT3)
-        q = (2.0 / math.pi) * (math.asin(1.0 / SQRT3) - math.sqrt(2.0 / 3.0) * acoth_sqrt3)
-    req = IndicatorRequest(ensemble=ensemble, stratum=QUBIT_STRATUM, method=Method.CLOSED_FORM)
-    return IndicatorResult(q=q, method=Method.CLOSED_FORM, error_estimate=0.0, request=req)
+    return compute_indicator(IndicatorRequest(
+        ensemble=ensemble, stratum=QUBIT_STRATUM, method=Method.CLOSED_FORM))
 
 
 def q_hs_qutrit_regular_closed_form(zeta: float) -> IndicatorResult:
@@ -178,16 +194,8 @@ def q_hs_qutrit_regular_closed_form(zeta: float) -> IndicatorResult:
     ``(20 cos^2(zeta - pi/6) + 1) / (128 (4 cos^2(zeta - pi/6) - 1)^5)``,
     symmetric about zeta = pi/6 where it attains its minimum 21/31104.
     """
-    z = float(zeta)
-    if not 0.0 <= z <= ZETA_MAX + 1e-15:
-        raise ValueError(f"zeta out of range [0, pi/3]: {zeta}")
-    c2 = math.cos(z - math.pi / 6.0) ** 2
-    q = (20.0 * c2 + 1.0) / (128.0 * (4.0 * c2 - 1.0) ** 5)
-    req = IndicatorRequest(
-        ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=REGULAR_QUTRIT,
-        method=Method.CLOSED_FORM, zeta=z,
-    )
-    return IndicatorResult(q=q, method=Method.CLOSED_FORM, error_estimate=0.0, request=req)
+    return compute_indicator(IndicatorRequest(
+        ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=REGULAR_QUTRIT, method=Method.CLOSED_FORM, zeta=zeta))
 
 
 def q_hs_qutrit_degenerate_closed_form(zeta: float) -> IndicatorResult:
@@ -196,27 +204,8 @@ def q_hs_qutrit_degenerate_closed_form(zeta: float) -> IndicatorResult:
     ``(csc^5(zeta + pi/6) + sec^5(zeta)) / 1056``; the two terms are the two
     edge pieces, and the expression is symmetric under zeta -> pi/3 - zeta.
     """
-    z = float(zeta)
-    if not 0.0 <= z <= ZETA_MAX + 1e-15:
-        raise ValueError(f"zeta out of range [0, pi/3]: {zeta}")
-    q = (math.sin(z + math.pi / 6.0) ** -5 + math.cos(z) ** -5) / 1056.0
-    req = IndicatorRequest(
-        ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=DEGENERATE_QUTRIT,
-        method=Method.CLOSED_FORM, zeta=z,
-    )
-    return IndicatorResult(q=q, method=Method.CLOSED_FORM, error_estimate=0.0, request=req)
-
-
-def _closed_form(ensemble: EnsembleKind, stratum: StratumLabel, zeta: float | None) -> IndicatorResult:
-    kind = _stratum_kind(stratum)
-    if kind == "point":
-        req = IndicatorRequest(ensemble=ensemble, stratum=stratum, method=Method.CLOSED_FORM, zeta=zeta)
-        return IndicatorResult(q=1.0, method=Method.CLOSED_FORM, error_estimate=0.0, request=req)
-    if stratum.n == 2:
-        return q_qubit_closed_form(ensemble)
-    if kind == "regular":
-        return q_hs_qutrit_regular_closed_form(zeta)
-    return q_hs_qutrit_degenerate_closed_form(zeta)
+    return compute_indicator(IndicatorRequest(
+        ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=DEGENERATE_QUTRIT, method=Method.CLOSED_FORM, zeta=zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -400,61 +389,6 @@ def _regular_table(kind: EnsembleKind):
     return u, rules, h, den, fit_err
 
 
-@lru_cache(maxsize=None)
-def _regular_union(kinds: tuple[EnsembleKind, ...]):
-    """The union of the kept rays of the regular tables of ``kinds``, and each table on it (read-only).
-
-    Every table keeps rays among the same 145 phi nodes, and the weights
-    of a read at an angle zeta depend on the ray's phi = pi u alone, so one
-    set of weights over the union's rays serves every table.  Returns the
-    union's u, increasing, and per kind the positions of its kept rays
-    among the union's and its h on the union's rays, 0 on those it dropped.
-    """
-    tables = [_regular_table(kind) for kind in kinds]
-    # a set, not np.union1d, which imports numpy.ma (about 20 ms) on first use
-    u = np.array(sorted({v for table in tables for v in table[0].tolist()}))
-    reads = []
-    for kept_u, _, h, _, _ in tables:
-        rows = np.searchsorted(u, kept_u)
-        padded = np.zeros((len(u), h.shape[1]))
-        padded[rows] = h
-        for a in (rows, padded):
-            a.flags.writeable = False
-        reads.append((rows, padded))
-    u.flags.writeable = False
-    return u, tuple(reads)
-
-
-def _regular_integrals(kinds: tuple[EnsembleKind, ...], zetas: np.ndarray):
-    """Per kind of ``kinds``, (value, error) of the regular stratum's numerators at a block of angles, and of its denominator.
-
-    Both are tanh-sinh sums over phi of the ray cumulatives of
-    ``_regular_table``, at t_c(phi, zeta) for the numerators and at t = 0
-    for the denominator.  The numerators of every kind at every angle of
-    ``zetas`` come from one ``_ray_weights`` call over the union of the
-    kinds' kept rays (``_regular_union``); each kind then contracts the
-    weights with its own h and keeps its own rays' reads.  Each value is
-    the rule at step h; its error is the difference from the sub-rule at
-    step 2h, plus the table's error term.  That difference measures the
-    coarser rule, so it bounds the finer rule's error by a wide margin
-    (tanh-sinh converges double exponentially in 1/h).  Returns per kind
-    the numerators and their errors as arrays over the block, then the
-    denominator and its error.
-    """
-    u, reads = _regular_union(kinds)
-    weights = _ray_weights(_regular_classical_cutoff(math.pi * u, zetas))
-    integrals = []
-    for kind, (rows, h) in zip(kinds, reads):
-        _, rules, _, den, fit_err = _regular_table(kind)
-        g = _ray_read(weights, h)[:, rows]
-        # one product per angle: a product over the whole block sums in another
-        # order and moves last bits
-        fine, coarse = np.array([rules @ row for row in g]).T
-        integrals.append(((fine, np.abs(fine - coarse) + fit_err),
-                          (float(den[0]), abs(float(den[0] - den[1])) + fit_err)))
-    return integrals
-
-
 def _regular_classical_cutoff(phi, zeta):
     """Smallest classical t at angle phi of the regular chart, for one angle zeta or a 1-D block.
 
@@ -480,21 +414,61 @@ def _regular_classical_cutoff(phi, zeta):
     return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + z - math.pi / 3.0))))
 
 
+#: The pieces of the line strata: the qubit's Bloch-radius interval, and the
+#: two edges of the degenerate qutrit.
+_LINE_PIECES = {"qubit": ((1, 1),), "degenerate": _EDGES}
+
+
 @lru_cache(maxsize=None)
 def _line_table(kind: EnsembleKind, pieces: tuple[tuple[int, int], ...]):
-    """Ray table of line pieces, one row per piece (read-only).
+    """Ray table of line pieces in the layout of ``_regular_table``, one row per piece (read-only).
 
     The pieces are the qubit, ``((1, 1),)``, or the two degenerate qutrit
     edges, ``_EDGES``.  The weight of ``ensembles._line_weight`` along its
     chart y = top t^4, the chart that the samplers draw from, is fitted by
-    ``_ray_fit``.  Returns the rows of h = G / (1 - x) at the Chebyshev
-    points ``_RAY_NODES``, whose first column is G(0), and the fits' summed
-    error terms.
+    ``_ray_fit``.  A stratum of pieces is their sum, so both rule rows are
+    all ones and the rule difference is exactly 0.  Returns the pieces'
+    positions as row keys, the two rule rows, the rows of h = G / (1 - x)
+    at the Chebyshev points ``_RAY_NODES``, both rules' sums of G(0), and
+    the fits' summed error terms.
     """
     weights = np.array([_line_weight(kind, mult, _RAY_X ** 4)[0] for mult in pieces])
     h, err = _ray_fit(weights * (4.0 * _RAY_X ** 3))
-    h.flags.writeable = False
-    return h, float(err.sum())
+    keys, rules = np.arange(len(pieces), dtype=float), np.ones((2, len(pieces)))
+    den = rules @ h[:, 0]
+    for a in (keys, rules, h, den):
+        a.flags.writeable = False
+    return keys, rules, h, den, float(rules[0] @ err)
+
+
+@lru_cache(maxsize=None)
+def _table_union(kinds: tuple[EnsembleKind, ...], skind: str):
+    """The union of the rows of the tables of ``kinds`` on a stratum, and each table on it (read-only).
+
+    The tables are ``_regular_table`` on the regular stratum and
+    ``_line_table`` of the stratum's pieces on the degenerate one and the
+    qubit.  Every regular table keeps rays among the same 145 phi nodes,
+    and the weights of a read at an angle zeta depend on the ray's
+    phi = pi u alone, so one set of weights over the union's rays serves
+    every table; the line tables of a stratum all have the same pieces.
+    Returns the union's row keys, increasing, and per kind the positions
+    of its rows among the union's, its h on the union's rows (0 on those
+    it dropped), and its rules, denominators and error term.
+    """
+    tables = [_regular_table(kind) if skind == "regular" else _line_table(kind, _LINE_PIECES[skind])
+              for kind in kinds]
+    # a set, not np.union1d, which imports numpy.ma (about 20 ms) on first use
+    keys = np.array(sorted({v for table in tables for v in table[0].tolist()}))
+    reads = []
+    for kept, rules, h, den, fit_err in tables:
+        rows = np.searchsorted(keys, kept)
+        padded = np.zeros((len(keys), h.shape[1]))
+        padded[rows] = h
+        for a in (rows, padded):
+            a.flags.writeable = False
+        reads.append((rows, padded, rules, den, fit_err))
+    keys.flags.writeable = False
+    return keys, tuple(reads)
 
 
 def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
@@ -517,65 +491,78 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
     return 1.0 / 3.0 - 1.0 / (12.0 * math.cos(zeta))
 
 
-def _line_integrals(kinds: tuple[EnsembleKind, ...], zeta):
-    """Per kind of ``kinds``, (value, error) of the numerators and the denominator of qubit (``zeta`` None) or degenerate cells.
+def _classical_cutoff(skind: str, keys: np.ndarray, zetas) -> np.ndarray:
+    """Smallest classical t of each row of a stratum's table union, one row per angle of ``zetas``.
 
-    Classical regions have y above a cutoff y_c, so each piece contributes
-    G(t_c) with t_c = (y_c / top)^(1/4) to the numerator and G(0) to the
-    denominator.  The cutoffs do not depend on the ensemble, so one
-    ``_ray_weights`` call reads every piece of every kind at every angle of
-    ``zeta``, one angle or a 1-D block, and the numerators have its shape.
-    All errors are the pieces' fit error terms.
+    A regular ray cuts at ``_regular_classical_cutoff`` of its phi = pi u.
+    A line piece cuts where its y reaches a cutoff y_c, at
+    t_c = (y_c / top)^(1/4): ``_edge_classical_cutoff`` on an edge, and on
+    the qubit, whose one angle is None, where the Bloch radius is 1/sqrt3.
     """
-    if zeta is None:
-        # classical where the Bloch radius is at most 1/sqrt3
-        pieces, y_c = ((1, 1),), np.array([(1.0 - 1.0 / SQRT3) / 2.0])
+    if skind == "regular":
+        return _regular_classical_cutoff(math.pi * keys, np.array(zetas))
+    if skind == "qubit":
+        y_c = [[(1.0 - 1.0 / SQRT3) / 2.0] for _ in zetas]
     else:
-        pieces = _EDGES
-        y_c = np.reshape([[_edge_classical_cutoff(comp, z) for comp in _EDGES]
-                          for z in np.ravel(zeta).tolist()], (*np.shape(zeta), len(_EDGES)))
-    top = _LINES[pieces[0]][0]  # the two edges share theirs
-    weights = _ray_weights((y_c / top) ** 0.25)
+        y_c = [[_edge_classical_cutoff(comp, z) for comp in _EDGES] for z in zetas]
+    top = _LINES[_LINE_PIECES[skind][0]][0]  # the two edges share theirs
+    return (np.array(y_c) / top) ** 0.25
+
+
+def _table_integrals(kinds: tuple[EnsembleKind, ...], skind: str, zetas):
+    """Per kind of ``kinds``, the classical integrals and their errors at a block of angles of a stratum.
+
+    Each is a sum over the table's rows of the ray cumulatives G(t_c) at
+    the cutoffs of ``_classical_cutoff``, by both of the table's rules.
+    Every kind at every angle of ``zetas`` is read from one
+    ``_ray_weights`` call over the union of the kinds' rows
+    (``_table_union``); each kind then contracts the weights with its own
+    h and keeps its own rows' reads.  Each value is the rule at step h;
+    its error is the difference from the sub-rule at step 2h, plus the
+    table's error term.  On the regular stratum that difference measures
+    the coarser rule, so it bounds the finer rule's error by a wide margin
+    (tanh-sinh converges double exponentially in 1/h); on a line stratum
+    it is 0.  Returns per kind the values and their errors as arrays over
+    the block.
+    """
+    keys, tables = _table_union(kinds, skind)
+    weights = _ray_weights(_classical_cutoff(skind, keys, zetas))
     integrals = []
-    for kind in kinds:
-        h, err = _line_table(kind, pieces)
-        integrals.append(((_ray_read(weights, h).sum(axis=-1), err), (float(h[:, 0].sum()), err)))
+    for rows, h, rules, _, fit_err in tables:
+        g = _ray_read(weights, h)[:, rows]
+        # one product per angle: a product over the whole block sums in another
+        # order and moves last bits
+        fine, coarse = np.array([rules @ row for row in g]).T
+        integrals.append((fine, np.abs(fine - coarse) + fit_err))
     return integrals
 
 
-def _quadrature_block(requests: list[IndicatorRequest]) -> list[IndicatorResult]:
-    """Quadrature results of validated requests of one stratum, which may differ in ensemble and zeta; one pass for all.
+def _quadrature_block(kinds: tuple[EnsembleKind, ...], stratum: StratumLabel, zetas) -> list:
+    """Quadrature values and error estimates of each of ``kinds`` on ``stratum`` at each valid angle of ``zetas``.
 
-    Every requested ensemble is read at every requested angle, from one
-    set of ray weights per block that the ensembles share.  Each cell's
-    value and error are those of the same request alone: the block shares
-    the tables, the weights and the array calls, and no arithmetic of one
-    cell depends on another.
+    The angles are read ``_ZETA_BLOCK`` at a time, every kind from one set
+    of ray weights per block (``_table_integrals``).  Each cell's value and
+    error are those of the same cell alone: the block shares the tables,
+    the weights and the array calls, and no arithmetic of one cell depends
+    on another.  Returns per kind a pair of lists, the values and the
+    error estimates.
     """
-    first = requests[0]
-    skind = _stratum_kind(first.stratum)
+    skind = _stratum_kind(stratum)
     if skind == "point":
-        return [IndicatorResult(q=1.0, method=Method.QUADRATURE, error_estimate=0.0, request=r)
-                for r in requests]
-    kinds = tuple(dict.fromkeys(r.ensemble for r in requests))
-    zetas = list(dict.fromkeys(r.zeta for r in requests))
-    if first.stratum.n == 2:
-        integrals = _line_integrals(kinds, None)
-    elif skind == "degenerate":
-        integrals = _line_integrals(kinds, zetas)
-    else:
-        integrals = _regular_integrals(kinds, np.array(zetas))
-    cells = {}
-    for kind, ((num, num_err), (den, den_err)) in zip(kinds, integrals):
-        if den <= 0.0 or not math.isfinite(den):
-            raise ConvergenceError(f"degenerate denominator integral: {den!r}")
-        nums, num_errs = (np.broadcast_to(a, len(zetas)).tolist() for a in (num, num_err))
-        for zeta, n, n_err in zip(zetas, nums, num_errs):
-            q = n / den
-            err = abs(q) * (n_err / n if n > 0.0 else 0.0) + abs(q) * den_err / den
-            cells[kind, zeta] = min(max(q, 0.0), 1.0), err
-    return [IndicatorResult(q=q, method=Method.QUADRATURE, error_estimate=err, request=r)
-            for r in requests for q, err in [cells[r.ensemble, r.zeta]]]
+        return [([1.0] * len(zetas), [0.0] * len(zetas)) for _ in kinds]
+    curves = []
+    for _, _, _, (fine, coarse), fit_err in _table_union(kinds, skind)[1]:
+        if fine <= 0.0 or not math.isfinite(fine):
+            raise ConvergenceError(f"degenerate denominator integral: {float(fine)!r}")
+        curves.append((float(fine), abs(float(fine - coarse)) + fit_err, [], []))
+    for i in range(0, len(zetas), _ZETA_BLOCK):
+        for (den, den_err, values, errors), (num, num_err) in zip(
+                curves, _table_integrals(kinds, skind, zetas[i:i + _ZETA_BLOCK])):
+            for n, n_err in zip(num.tolist(), num_err.tolist()):
+                q = n / den
+                values.append(min(max(q, 0.0), 1.0))
+                errors.append(abs(q) * (n_err / n if n > 0.0 else 0.0) + abs(q) * den_err / den)
+    return [(values, errors) for _, _, values, errors in curves]
 
 
 def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
@@ -583,21 +570,22 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
 
     The value is the ratio of the classical-region integral to the full
     stratum integral.  Each is a sum of ray cumulatives G(t) of Chebyshev
-    fits along rays of the chart (see ``_ray_fit``).  The qubit is one ray
-    and the degenerate stratum one ray per edge (``_line_integrals``).  The
-    regular stratum sums the rays of ``_regular_table`` that carry mass,
-    84 to 90 of its 145, with a fixed tanh-sinh rule in phi
-    (``_regular_integrals``).  Nothing is refined, so every cell has the
-    same fixed accuracy.  The error estimate is the integrals' errors
+    fits along rays of the chart (see ``_ray_fit``), over the rows of one
+    table per stratum: one row for the qubit and one per edge on the
+    degenerate stratum (``_line_table``); on the regular stratum the rays
+    of ``_regular_table`` that carry mass, 84 to 90 of its 145, with a
+    fixed tanh-sinh rule in phi.  Nothing is refined, so every cell has
+    the same fixed accuracy.  The error estimate is the integrals' errors
     propagated through the ratio; a nonpositive denominator raises
-    ``ConvergenceError``.  The cell is a block of one of
+    ``ConvergenceError``.  The cell is a grid of one of
     ``_quadrature_block``, which ``indicators`` runs over whole grids of
     angles and ensembles with the same result per cell.
     """
     request.validate()
     if request.method is not Method.QUADRATURE:
         raise UnsupportedRequestError("q_quadrature requires a quadrature request")
-    return _quadrature_block([request])[0]
+    ((q,), (err,)), = _quadrature_block((request.ensemble,), request.stratum, [request.zeta])
+    return IndicatorResult(q=q, method=Method.QUADRATURE, error_estimate=err, request=request)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +661,8 @@ def compute_indicator(request: IndicatorRequest) -> IndicatorResult:
     """Evaluate an indicator request with its selected method."""
     request.validate()
     if request.method is Method.CLOSED_FORM:
-        result = _closed_form(request.ensemble, request.stratum, request.zeta)
-        return replace(result, request=request)
+        return IndicatorResult(q=_closed_form(request), method=Method.CLOSED_FORM, error_estimate=0.0,
+                               request=request)
     if request.method is Method.QUADRATURE:
         return q_quadrature(request)
     return q_monte_carlo(request)
@@ -698,30 +686,26 @@ def indicator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
 
 def indicators(ensembles, stratum: StratumLabel, method: Method,
                zetas, *, samples: int | None = None, seed: int | None = None,
-               workers: int = 1) -> list[list[IndicatorResult]]:
-    """Indicators of each of ``ensembles`` on ``stratum`` at each angle of ``zetas``: one list per ensemble, in order.
+               workers: int = 1) -> list[tuple[list[float], list[float]]]:
+    """Indicators of each of ``ensembles`` on ``stratum`` at each angle of ``zetas``: values and errors per ensemble.
 
-    Quadrature reads the angles ``_ZETA_BLOCK`` at a time, one pass of
-    ``_quadrature_block`` per block for all the ensembles, which share the
-    block's ray weights; every result is bit for bit that of ``indicator``
-    at its cell alone.  Other methods run ``indicator`` at each cell.  A
-    single ensemble is a one-tuple, and a qubit takes ``zetas = [None]``.
+    Quadrature validates every cell, then reads the whole grid in one
+    ``_quadrature_block`` for all the ensembles, which share the ray
+    weights of each block of angles; every value and error is bit for bit
+    that of ``indicator`` at its cell alone.  Other methods run
+    ``indicator`` at each cell.  A single ensemble is a one-tuple, and a
+    qubit takes ``zetas = [None]``.
     """
     zetas = list(zetas)
     if method is not Method.QUADRATURE:
-        return [[indicator(ensemble, stratum, method, z, samples=samples, seed=seed, workers=workers)
-                 for z in zetas] for ensemble in ensembles]
-    requests = [[IndicatorRequest(ensemble=ensemble, stratum=stratum, method=method, zeta=z, workers=workers)
-                 for z in zetas] for ensemble in ensembles]
-    for request in itertools.chain.from_iterable(requests):
-        request.validate()
-    curves = [[] for _ in requests]
-    for i in range(0, len(zetas), _ZETA_BLOCK):
-        block = [row[i:i + _ZETA_BLOCK] for row in requests]
-        results = iter(_quadrature_block(list(itertools.chain.from_iterable(block))))
-        for curve, row in zip(curves, block):
-            curve.extend(itertools.islice(results, len(row)))
-    return curves
+        cells = [[indicator(ensemble, stratum, method, z, samples=samples, seed=seed, workers=workers)
+                  for z in zetas] for ensemble in ensembles]
+        return [([r.q for r in row], [r.error_estimate for r in row]) for row in cells]
+    kinds = tuple(ensembles)
+    for kind in kinds:
+        for z in zetas:
+            IndicatorRequest(ensemble=kind, stratum=stratum, method=method, zeta=z).validate()
+    return _quadrature_block(kinds, stratum, zetas)
 
 
 def minimize_q_over_zeta(
@@ -747,7 +731,7 @@ def minimize_q_over_zeta(
         return indicator(ensemble, stratum, method, zeta).q
 
     grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
-    values = [r.q for r in indicators((ensemble,), stratum, method, grid)[0]]
+    ((values, _),) = indicators((ensemble,), stratum, method, grid)
     i = int(np.argmin(values))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
@@ -780,7 +764,7 @@ def asymmetry(
     """
     if stratum.n != 3:
         raise UnsupportedRequestError("asymmetry applies to qutrit strata")
-    q0, q1 = (r.q for r in indicators((ensemble,), stratum, method, (0.0, ZETA_MAX))[0])
+    (((q0, q1), _),) = indicators((ensemble,), stratum, method, (0.0, ZETA_MAX))
     return q0 - q1
 
 
@@ -807,4 +791,5 @@ def _degenerate_to_regular_ratios(ensembles, zetas, method: Method, samples: int
     """``ratio_degenerate_to_regular`` of each of ``ensembles`` at each angle of ``zetas``, from one ``indicators`` call per stratum."""
     deg, reg = (indicators(ensembles, stratum, method, zetas, samples=samples, seed=seed, workers=workers)
                 for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
-    return [[d.q / r.q if r.q > 0.0 else math.nan for d, r in zip(*curves)] for curves in zip(deg, reg)]
+    return [[d / r if r > 0.0 else math.nan for d, r in zip(d_values, r_values)]
+            for (d_values, _), (r_values, _) in zip(deg, reg)]

@@ -241,11 +241,15 @@ def trisectrix_boundary(phi: float) -> float:
     """Boundary radius of the ordered-simplex image at angle phi.
 
     Equals ``1 / (2 sqrt3 cos(phi/3))``; the curve is a Maclaurin trisectrix.
+    The angle is checked as ``PolarPoint`` checks it: it must be finite and
+    within ``ORDER_TOL`` of [0, pi], and is then clamped to [0, pi].
     """
     phi = float(phi)
-    if phi < 0.0 or phi > math.pi + ORDER_TOL:
+    if not math.isfinite(phi):
+        raise ValueError(f"angle must be finite: {phi}")
+    if phi < -ORDER_TOL or phi > math.pi + ORDER_TOL:
         raise ValueError(f"angle out of range [0, pi]: {phi}")
-    return _trisectrix_radius(phi, math)
+    return _trisectrix_radius(min(max(phi, 0.0), math.pi), math)
 
 
 def _polar_columns(r, phi, xp=np):

@@ -18,9 +18,12 @@ from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler, stratum
 from wigner_classicality.spectra import trisectrix_boundary
 from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
+    QUBIT_STRATUM,
     REGULAR_QUTRIT,
+    IndicatorRequest,
     Method,
     indicator,
+    q_quadrature,
 )
 
 
@@ -124,6 +127,38 @@ class TestQubit:
         assert vals["hs"] == pytest.approx(0.19245, abs=5e-6)
         assert vals["bures"] == pytest.approx(0.0917211, abs=5e-8)
         assert vals["bkm"] == pytest.approx(0.0495506, abs=5e-8)
+
+
+class TestQuadratureRows:
+    """Each row of a quadrature grid parses back to its cell alone: 17 digits round-trip a double."""
+
+    @staticmethod
+    def alone(ensemble, stratum, zeta=None):
+        return q_quadrature(IndicatorRequest(ensemble=EnsembleKind(ensemble), stratum=stratum,
+                                             method=Method.QUADRATURE, zeta=zeta))
+
+    @pytest.mark.parametrize("stratum", ["regular", "degenerate"])
+    def test_curve_rows(self, tmp_path, stratum):
+        out = tmp_path / "curve"
+        assert cli.main(["curve", "--method", "quad", "--ensemble", "all", "--stratum", stratum,
+                         "--out", str(out)]) == 0
+        _, rows = read_csv(out.with_suffix(".csv"))
+        assert [row[4] for row in rows] == ["hs"] * 61 + ["bures"] * 61 + ["bkm"] * 61
+        label = REGULAR_QUTRIT if stratum == "regular" else DEGENERATE_QUTRIT
+        for zeta, q, method, err, ensemble, row_stratum, _ in rows:
+            cell = self.alone(ensemble, label, float(zeta))
+            assert (method, row_stratum) == ("quad", stratum)
+            assert (float(q), float(err)) == (cell.q, cell.error_estimate), (ensemble, zeta)
+
+    def test_qubit_rows(self, tmp_path):
+        out = tmp_path / "qubit"
+        assert cli.main(["qubit", "--method", "quad", "--ensemble", "all", "--out", str(out)]) == 0
+        _, rows = read_csv(out.with_suffix(".csv"))
+        assert [row[0] for row in rows] == ["hs", "bures", "bkm"]
+        for ensemble, q, method, err, _ in rows:
+            cell = self.alone(ensemble, QUBIT_STRATUM)
+            assert method == "quad"
+            assert (float(q), float(err)) == (cell.q, cell.error_estimate), ensemble
 
 
 class TestRatio:
@@ -445,7 +480,7 @@ class TestComputationErrors:
     def test_convergence_error_maps_to_exit_3(self, monkeypatch):
         from wigner_classicality import indicators
 
-        def boom(requests):
+        def boom(kinds, stratum, zetas):
             raise indicators.ConvergenceError("forced")
 
         # every quadrature cell, alone or in a block of a grid, runs here

@@ -131,10 +131,24 @@ class TestClosedForms:
             assert a == pytest.approx(b, rel=5e-15, abs=0.0)
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            q_hs_qutrit_regular_closed_form(-0.1)
-        with pytest.raises(ValueError):
-            q_hs_qutrit_degenerate_closed_form(1.2)
+        # the public closed forms are compute_indicator's, bit for bit, and
+        # share its range check
+        closed = Method.CLOSED_FORM
+        for kind in ALL_KINDS:
+            res = q_qubit_closed_form(kind)
+            assert res == compute_indicator(IndicatorRequest(ensemble=kind, stratum=QUBIT_STRATUM, method=closed))
+            assert res.error_estimate == 0.0
+        hs = EnsembleKind.HILBERT_SCHMIDT
+        for stratum, form in ((REGULAR_QUTRIT, q_hs_qutrit_regular_closed_form),
+                              (DEGENERATE_QUTRIT, q_hs_qutrit_degenerate_closed_form)):
+            for zeta in (0.0, 0.3, math.pi / 6, ZETA_MAX):
+                res = form(zeta)
+                alone = compute_indicator(IndicatorRequest(ensemble=hs, stratum=stratum, method=closed, zeta=zeta))
+                assert (res.q.hex(), res.error_estimate, res.request) == (alone.q.hex(), 0.0, alone.request)
+            for zeta in (-0.1, 1.2, math.nan):
+                with pytest.raises(UnsupportedRequestError):
+                    form(zeta)
+        assert issubclass(UnsupportedRequestError, ValueError)
 
 
 class TestQuadrature:
@@ -169,6 +183,7 @@ class TestQuadrature:
         # cache changes neither its value nor its error estimate
         request = quad_request(EnsembleKind.BKM, REGULAR_QUTRIT, 0.4)
         ind._regular_table.cache_clear()
+        ind._table_union.cache_clear()  # which holds the tables' rows
         cold = q_quadrature(request)
         assert ind._regular_table.cache_info().currsize == 1
         warm = q_quadrature(request)
@@ -183,6 +198,7 @@ class TestQuadrature:
 
         first = cell()
         ind._line_table.cache_clear()
+        ind._table_union.cache_clear()  # which holds the fits' rows
         assert cell() == first  # fits built again
         assert cell() == first  # fits from the cache
 
@@ -258,7 +274,7 @@ class TestQuadrature:
 
 def _quadrature_edge_split(ensemble: EnsembleKind) -> float:
     """The (2,1) edge's share of the degenerate stratum in quadrature, G0_21 / (G0_21 + G0_12)."""
-    g21, g12 = ind._line_table(ensemble, _EDGES)[0][:, 0]
+    g21, g12 = ind._line_table(ensemble, _EDGES)[2][:, 0]
     return g21 / (g21 + g12)
 
 
@@ -376,7 +392,7 @@ class TestRayFitRounding:
         for pieces, cuts in [(((1, 1),), [[qubit_cut]]),
                              (_EDGES, [[ind._edge_classical_cutoff(comp, zeta) for comp in _EDGES]
                                        for zeta in self.ZETAS])]:
-            h, _ = ind._line_table(ensemble, pieces)
+            h = ind._line_table(ensemble, pieces)[2]
             rows = np.array([_line_weight(ensemble, mult, x ** 4)[0] for mult in pieces]) * (4.0 * x ** 3)
             b, _ = ind._ray_coefficients(rows)
             assert np.array_equal(ind._ray_fit(rows)[0], h)
@@ -414,12 +430,12 @@ class TestRayCumulativeNodes:
         # at zeta = 0 the (2,1) edge is wholly classical: y_c = 0, so its
         # t = 0 reads G(0) exactly from the x = 0 point (the cell's value is
         # checked against its reference in TestQuadratureAccuracy)
-        h, _ = ind._line_table(ensemble, _EDGES)
-        ((num, _), (den, _)), = ind._line_integrals((ensemble,), 0.0)
+        _, _, h, den, _ = ind._line_table(ensemble, _EDGES)
+        ((num,), _), = ind._table_integrals((ensemble,), "degenerate", [0.0])
         t_12 = (ind._edge_classical_cutoff((1, 2), 0.0) / _LINES[(1, 2)][0]) ** 0.25
         edges = ind._ray_read(ind._ray_weights(np.array([0.0, t_12])), h)
         assert edges[0] == h[0, 0]
-        assert num == float(edges.sum()) and den == float(h[:, 0].sum())
+        assert num == float(edges.sum()) and den[0] == float(h[:, 0].sum())
 
 
 class TestRegularClassicalCutoff:
@@ -486,13 +502,18 @@ def _regular_integrals_028(kind: EnsembleKind, zeta: float):
     return tuple((float(fine), abs(float(fine - coarse)) + fit_err) for fine, coarse in (num, den))
 
 
-def _regular_cell_028(request: IndicatorRequest) -> IndicatorResult:
-    """``q_quadrature`` of version 0.2.8 on the regular stratum."""
-    (num, num_err), (den, den_err) = _regular_integrals_028(request.ensemble, request.zeta)
+def _regular_cell_028(kind: EnsembleKind, zeta: float) -> tuple[float, float]:
+    """``q_quadrature``'s value and error estimate of version 0.2.8 on the regular stratum."""
+    (num, num_err), (den, den_err) = _regular_integrals_028(kind, zeta)
     q = num / den
     err = abs(q) * (num_err / num if num > 0.0 else 0.0) + abs(q) * den_err / den
-    return IndicatorResult(q=min(max(q, 0.0), 1.0), method=Method.QUADRATURE, error_estimate=err,
-                           request=request)
+    return min(max(q, 0.0), 1.0), err
+
+
+def _quadrature_block_028(kinds, stratum, zetas):
+    """``indicators._quadrature_block`` on the regular stratum from ``_regular_cell_028``."""
+    assert stratum is REGULAR_QUTRIT
+    return [tuple(map(list, zip(*(_regular_cell_028(kind, zeta) for zeta in zetas)))) for kind in kinds]
 
 
 #: The benchmark's cold and warm curve grids: 61 angles, then 60 half a step off.
@@ -511,18 +532,18 @@ class TestPrunedTableBits:
     def test_figure_grids(self, ensemble):
         # read through one call for all three ensembles, as the figures read them
         grid = np.concatenate(FIGURE_GRIDS)
-        curves = ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid)
-        for new in curves[ALL_KINDS.index(ensemble)]:
-            old = _regular_cell_028(new.request)
-            assert new.q.hex() == old.q.hex(), new.request.zeta
+        values, errors = ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid)[ALL_KINDS.index(ensemble)]
+        for zeta, q, err in zip(grid, values, errors):
+            old_q, old_err = _regular_cell_028(ensemble, zeta)
+            assert q.hex() == old_q.hex(), zeta
             # the dropped rays' mass is added to the error term
-            assert new.error_estimate >= old.error_estimate, new.request.zeta
-            assert new.error_estimate <= old.error_estimate * (1.0 + 1e-10)
+            assert err >= old_err, zeta
+            assert err <= old_err * (1.0 + 1e-10)
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_minima(self, monkeypatch, ensemble):
         new = minimize_q_over_zeta(ensemble, REGULAR_QUTRIT, Method.QUADRATURE)
-        monkeypatch.setattr(ind, "_quadrature_block", lambda requests: [_regular_cell_028(r) for r in requests])
+        monkeypatch.setattr(ind, "_quadrature_block", _quadrature_block_028)
         old = minimize_q_over_zeta(ensemble, REGULAR_QUTRIT, Method.QUADRATURE)
         assert [v.hex() for v in new] == [v.hex() for v in old]
 
@@ -558,40 +579,52 @@ class TestQuadratureBlocks:
     def test_cell_does_not_depend_on_its_block(self, ensembles, stratum, grid):
         curves = ind.indicators(ensembles, stratum, Method.QUADRATURE, grid)
         assert len(curves) == len(ensembles)
-        for ensemble, results in zip(ensembles, curves):
-            assert len(results) == len(grid)
-            for zeta, res in zip(grid, results):
+        for ensemble, (values, errors) in zip(ensembles, curves):
+            assert len(values) == len(errors) == len(grid)
+            for zeta, q, err in zip(grid, values, errors):
                 alone = q_quadrature(quad_request(ensemble, stratum, float(zeta)))
-                assert res.request == alone.request
-                assert (res.q.hex(), res.error_estimate.hex()) == (alone.q.hex(), alone.error_estimate.hex())
+                assert (q.hex(), err.hex()) == (alone.q.hex(), alone.error_estimate.hex())
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_qubit_is_a_block_of_one(self, ensemble):
-        ((res,),) = ind.indicators((ensemble,), QUBIT_STRATUM, Method.QUADRATURE, [None])
-        assert res == q_quadrature(quad_request(ensemble, QUBIT_STRATUM))
+        (((q,), (err,)),) = ind.indicators((ensemble,), QUBIT_STRATUM, Method.QUADRATURE, [None])
+        alone = q_quadrature(quad_request(ensemble, QUBIT_STRATUM))
+        assert (q, err) == (alone.q, alone.error_estimate)
 
     def test_qubit_ensembles_share_one_read(self):
         curves = ind.indicators(ALL_KINDS, QUBIT_STRATUM, Method.QUADRATURE, [None])
-        assert curves == [[q_quadrature(quad_request(kind, QUBIT_STRATUM))] for kind in ALL_KINDS]
+        assert curves == [([alone.q], [alone.error_estimate])
+                          for alone in (q_quadrature(quad_request(kind, QUBIT_STRATUM)) for kind in ALL_KINDS)]
 
     def test_other_methods_run_cell_by_cell(self):
         grid = np.linspace(0.0, ZETA_MAX, 5)
-        (closed,) = ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), DEGENERATE_QUTRIT, Method.CLOSED_FORM, grid)
-        assert [r.q for r in closed] == [q_hs_qutrit_degenerate_closed_form(float(z)).q for z in grid]
+        ((closed, errors),) = ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), DEGENERATE_QUTRIT,
+                                             Method.CLOSED_FORM, grid)
+        assert closed == [q_hs_qutrit_degenerate_closed_form(float(z)).q for z in grid]
+        assert errors == [0.0] * len(grid)
         (mc,) = ind.indicators((EnsembleKind.BURES,), REGULAR_QUTRIT, Method.MONTE_CARLO, grid[:2],
                                samples=2000, seed=5, workers=2)
-        assert mc == [ind.indicator(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO, float(z),
-                                    samples=2000, seed=5, workers=2) for z in grid[:2]]
+        cells = [ind.indicator(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO, float(z),
+                               samples=2000, seed=5, workers=2) for z in grid[:2]]
+        assert mc == ([r.q for r in cells], [r.error_estimate for r in cells])
 
-    def test_ensembles_share_the_weights_of_a_block(self, monkeypatch):
-        # a 61-angle grid is 8 blocks, and each block builds one set of
-        # barycentric weights for all three ensembles, not one per ensemble
+    @pytest.mark.parametrize("stratum,zetas,blocks", [
+        (REGULAR_QUTRIT, np.linspace(0.0, ZETA_MAX, 61), 8),
+        (DEGENERATE_QUTRIT, np.linspace(0.0, ZETA_MAX, 61), 8),
+        (QUBIT_STRATUM, [None], 1),
+    ], ids=["regular", "degenerate", "qubit"])
+    def test_ensembles_share_the_weights_of_a_block(self, monkeypatch, stratum, zetas, blocks):
+        # a 61-angle grid is 8 blocks and the qubit one, and each block builds
+        # one set of barycentric weights for all three ensembles, not one per
+        # ensemble, over the union of their rows: 91 rays, 2 edges or 1 piece
         calls = []
         weights = ind._ray_weights
         monkeypatch.setattr(ind, "_ray_weights", lambda t: calls.append(np.shape(t)) or weights(t))
-        ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, np.linspace(0.0, ZETA_MAX, 61))
-        assert len(calls) == 8
-        assert calls[0] == (8, len(ind._regular_union(ALL_KINDS)[0]))
+        ind.indicators(ALL_KINDS, stratum, Method.QUADRATURE, zetas)
+        assert len(calls) == blocks
+        rows = {REGULAR_QUTRIT: 91, DEGENERATE_QUTRIT: 2, QUBIT_STRATUM: 1}[stratum]
+        assert calls[0] == (min(len(zetas), 8), rows)
+        assert rows == len(ind._table_union(ALL_KINDS, ind._stratum_kind(stratum))[0])
 
     def test_memory_is_bounded_by_the_block(self, monkeypatch):
         # a 61-angle curve holds one block's (angle, ray, point) weight array
@@ -710,6 +743,21 @@ class TestRequestValidation:
                                method=Method.MONTE_CARLO, zeta=0.1, seed=1)
         with pytest.raises(UnsupportedRequestError):
             compute_indicator(req)
+        # counts that are not integers: 10.5 samples would draw 10 and divide by 10
+        for counts in ({"samples": 10.5, "seed": 1}, {"samples": 100.0, "seed": 1},
+                       {"samples": 100, "seed": 1.5}, {"samples": 100, "seed": 1, "workers": 2.0},
+                       {"samples": "100", "seed": 1}):
+            req = IndicatorRequest(ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=REGULAR_QUTRIT,
+                                   method=Method.MONTE_CARLO, zeta=0.1, **counts)
+            with pytest.raises(UnsupportedRequestError):
+                compute_indicator(req)
+        # integers of any integral type are counts
+        req = IndicatorRequest(ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=QUBIT_STRATUM,
+                               method=Method.MONTE_CARLO, samples=np.int64(100), seed=np.uint64(1),
+                               workers=np.int32(2))
+        assert compute_indicator(req) == compute_indicator(IndicatorRequest(
+            ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=QUBIT_STRATUM, method=Method.MONTE_CARLO,
+            samples=100, seed=1, workers=2))
 
     def test_unsupported_dimension(self):
         stratum = StratumLabel.for_partition((1, 1, 1, 1))

@@ -99,6 +99,19 @@ class TestPolarChart:
             1.0 / (2.0 * SQRT3 * math.cos(math.pi / 6)), rel=1e-15
         )
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, -1e-11, math.pi + 1e-11])
+    def test_trisectrix_rejects_what_polar_point_rejects(self, phi):
+        with pytest.raises(ValueError):
+            PolarPoint(0.0, phi)
+        with pytest.raises(ValueError):
+            trisectrix_boundary(phi)
+
+    @pytest.mark.parametrize("phi,end", [(-1e-13, 0.0), (math.pi + 1e-13, math.pi)])
+    def test_trisectrix_clamps_what_polar_point_clamps(self, phi, end):
+        # an angle within ORDER_TOL outside [0, pi] is the end of the range
+        assert PolarPoint(0.0, phi).phi == end
+        assert trisectrix_boundary(phi) == trisectrix_boundary(end)
+
     def test_boundary_maps_to_zero_eigenvalue(self):
         rng = np.random.default_rng(3)
         for phi in rng.uniform(0.0, math.pi, 200):

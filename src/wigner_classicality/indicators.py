@@ -32,7 +32,6 @@ import numpy as np
 from .spectra import SQRT3, StratumLabel
 from .wigner import (
     ZETA_MAX,
-    SWKernelSpectrum,
     _is_classical,
     sw_spectrum_qubit,
     sw_spectrum_qutrit,
@@ -158,19 +157,19 @@ def _stratum_kind(stratum: StratumLabel) -> str:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _closed_form(request: IndicatorRequest) -> float:
-    """The closed-form indicator of a validated request; the formulas are those of the ``q_*_closed_form``."""
-    kind = _stratum_kind(request.stratum)
+def _closed_form(ensemble: EnsembleKind, stratum: StratumLabel, zeta) -> float:
+    """The closed-form indicator of a validated cell; the formulas are those of the ``q_*_closed_form``."""
+    kind = _stratum_kind(stratum)
     if kind == "point":
         return 1.0
     if kind == "qubit":
-        if request.ensemble is EnsembleKind.HILBERT_SCHMIDT:
+        if ensemble is EnsembleKind.HILBERT_SCHMIDT:
             return 1.0 / (3.0 * SQRT3)
-        if request.ensemble is EnsembleKind.BURES:
+        if ensemble is EnsembleKind.BURES:
             return (2.0 / math.pi) * (math.asin(1.0 / SQRT3) - math.sqrt(2.0) / 3.0)
         acoth_sqrt3 = math.atanh(1.0 / SQRT3)
         return (2.0 / math.pi) * (math.asin(1.0 / SQRT3) - math.sqrt(2.0 / 3.0) * acoth_sqrt3)
-    z = float(request.zeta)
+    z = float(zeta)
     if kind == "regular":
         c2 = math.cos(z - math.pi / 6.0) ** 2
         return (20.0 * c2 + 1.0) / (128.0 * (4.0 * c2 - 1.0) ** 5)
@@ -577,95 +576,113 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     fixed tanh-sinh rule in phi.  Nothing is refined, so every cell has
     the same fixed accuracy.  The error estimate is the integrals' errors
     propagated through the ratio; a nonpositive denominator raises
-    ``ConvergenceError``.  The cell is a grid of one of
-    ``_quadrature_block``, which ``indicators`` runs over whole grids of
-    angles and ensembles with the same result per cell.
+    ``ConvergenceError``.  The cell is a grid of one of ``indicators``,
+    which reads whole grids of angles and ensembles in one
+    ``_quadrature_block`` with the same result per cell.
     """
-    request.validate()
-    if request.method is not Method.QUADRATURE:
-        raise UnsupportedRequestError("q_quadrature requires a quadrature request")
-    ((q,), (err,)), = _quadrature_block((request.ensemble,), request.stratum, [request.zeta])
-    return IndicatorResult(q=q, method=Method.QUADRATURE, error_estimate=err, request=request)
+    return _cell(request, Method.QUADRATURE)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _kernel_for(request: IndicatorRequest) -> SWKernelSpectrum:
-    if request.stratum.n == 2:
-        return sw_spectrum_qubit()
-    return sw_spectrum_qutrit(request.zeta)
+def _mc_chunk_hits(kind: EnsembleKind, stratum: StratumLabel, kernels, chunk: int, seed: int) -> list[int]:
+    """Classical-state counts among ``chunk`` seeded draws, one per kernel row of ``kernels``.
+
+    Every kernel is paired with each tile as the cell of that kernel alone
+    pairs it, so each count is bit for bit that cell's, and the draws are
+    made once for all of them.
+    """
+    if _stratum_kind(stratum) == "point":
+        return [chunk] * len(kernels)
+    hits = [0] * len(kernels)
+    for columns in _stratum_sampler(kind, stratum, np.random.default_rng(seed))._tiles(chunk):
+        # one kernel at a time: pairing a tile with k kernels at once, as a
+        # (tile, k) array, runs numpy loops of length k and is ~6x slower
+        hits = [h + int(np.count_nonzero(_is_classical(columns, kernel))) for h, kernel in zip(hits, kernels)]
+    return hits
 
 
-def _mc_chunk_hits(request: IndicatorRequest, chunk: int, seed: int) -> int:
-    """Classical-state count among ``chunk`` seeded draws."""
-    if _stratum_kind(request.stratum) == "point":
-        return chunk
-    kernel = _kernel_for(request).as_array()
-    sampler = _stratum_sampler(request.ensemble, request.stratum, np.random.default_rng(seed))
-    return sum(int(np.count_nonzero(_is_classical(columns, kernel))) for columns in sampler._tiles(chunk))
-
-
-def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
-    """Indicator as the classical fraction of seeded ensemble draws.
+def _mc_block(kind: EnsembleKind, stratum: StratumLabel, zetas, samples: int, seed: int,
+              workers: int) -> tuple[list[float], list[float]]:
+    """Monte Carlo values and error estimates of ``kind`` on ``stratum`` at each valid angle of ``zetas``.
 
     The sample budget is split into ``workers`` chunks with seeds derived by
-    ``worker_seed``; chunk hit counts are integers, so the total is
-    deterministic for a fixed (seed, workers) pair regardless of execution
-    order.  Only the nonempty chunks, at most ``samples`` of them, are
-    seeded.  At most ``os.cpu_count()`` threads run them, each summing the
-    hits of one run of consecutive chunks and seeding each chunk as it
-    reaches it, so memory does not grow with ``workers``.  The error
-    estimate is the binomial standard error ``sqrt(q (1 - q) / n)``; when no
-    classical state is seen the estimate falls back to the one-sided 95
-    percent bound 3/n (rule of three).
-
-    The draws are those of ``stratum_spectra``: on the degenerate stratum
-    one sampler over both edges, so each edge's share of the draws follows
-    its own mass, not quadrature's.  Hits are counted on the sampler's
-    accepted tiles, as columns, so no spectrum row is built.
+    ``worker_seed``; only the nonempty chunks, at most ``samples`` of them,
+    are seeded.  At most ``os.cpu_count()`` threads run them, each summing
+    the hits of one run of consecutive chunks and seeding each chunk as it
+    reaches it, so memory does not grow with ``workers``.  Each chunk's
+    draws are counted against the kernel of every angle
+    (``_mc_chunk_hits``); the draws do not depend on the angle, so each
+    cell's count is the one it has alone.  An empty grid draws nothing.
     """
-    request.validate()
-    if request.method is not Method.MONTE_CARLO:
-        raise UnsupportedRequestError("q_monte_carlo requires a Monte Carlo request")
-    n, workers = int(request.samples), int(request.workers)
+    if not zetas:
+        return [], []
+    kernels = [(sw_spectrum_qubit() if stratum.n == 2 else sw_spectrum_qutrit(z)).as_array() for z in zetas]
+    n, workers = int(samples), int(workers)
     base, extra = divmod(n, workers)
     # chunks from index n on would be empty, so none of them is seeded or run
     chunks = min(workers, n)
     threads = min(chunks, os.cpu_count() or 1)
 
-    def share(j: int) -> int:
-        """Hits of thread j's run of chunks; chunk i draws base + (i < extra) points."""
-        return sum(_mc_chunk_hits(request, base + (1 if i < extra else 0), worker_seed(request.seed, i))
-                   for i in range(j * chunks // threads, (j + 1) * chunks // threads))
+    def share(j: int) -> np.ndarray:
+        """Hits per angle of thread j's run of chunks; chunk i draws base + (i < extra) points."""
+        return sum((_mc_chunk_hits(kind, stratum, kernels, base + (1 if i < extra else 0), worker_seed(seed, i))
+                    for i in range(j * chunks // threads, (j + 1) * chunks // threads)), np.zeros(len(zetas), int))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hits = sum(pool.map(share, range(threads)))
     else:
         hits = share(0)
-    q = hits / n
-    if hits == 0:
-        err = 3.0 / n
-    else:
-        err = math.sqrt(q * (1.0 - q) / n)
-    return IndicatorResult(q=q, method=Method.MONTE_CARLO, error_estimate=err, request=request)
+    values = [h / n for h in hits.tolist()]
+    # the rule of three where no classical state is seen
+    return values, [math.sqrt(q * (1.0 - q) / n) if q else 3.0 / n for q in values]
+
+
+def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
+    """Indicator as the classical fraction of seeded ensemble draws.
+
+    The cell is a grid of one of ``_mc_block``: the budget is split into
+    ``workers`` chunks with seeds derived by ``worker_seed``; chunk hit
+    counts are integers, so the total is deterministic for a fixed (seed,
+    workers) pair regardless of execution order, and at most
+    ``os.cpu_count()`` threads run the chunks.  The error estimate is the
+    binomial standard error ``sqrt(q (1 - q) / n)``; when no classical
+    state is seen the estimate falls back to the one-sided 95 percent
+    bound 3/n (rule of three).
+
+    The draws are those of ``stratum_spectra``: on the degenerate stratum
+    one sampler over both edges, so each edge's share of the draws follows
+    its own mass, not quadrature's.  Hits are counted on the sampler's
+    accepted tiles, as columns, so no spectrum row is built.  The draws do
+    not depend on zeta, so the cells of one seed share them (common random
+    numbers): ``indicators`` counts a whole grid on one stream.
+    """
+    return _cell(request, Method.MONTE_CARLO)
 
 
 # ---------------------------------------------------------------------------
 # dispatch and moduli-space utilities
 # ---------------------------------------------------------------------------
 
+def _cell(request: IndicatorRequest, method: Method) -> IndicatorResult:
+    """``request``, which must be of ``method``, as a grid of one cell of ``indicators``."""
+    if request.method is not method:
+        raise UnsupportedRequestError(f"{request.method!r} given where a {method.value} request is needed")
+    ((q,), (err,)), = indicators((request.ensemble,), request.stratum, method, [request.zeta],
+                                 samples=request.samples, seed=request.seed, workers=request.workers)
+    return IndicatorResult(q=q, method=method, error_estimate=err, request=request)
+
+
 def compute_indicator(request: IndicatorRequest) -> IndicatorResult:
     """Evaluate an indicator request with its selected method."""
-    request.validate()
-    if request.method is Method.CLOSED_FORM:
-        return IndicatorResult(q=_closed_form(request), method=Method.CLOSED_FORM, error_estimate=0.0,
-                               request=request)
     if request.method is Method.QUADRATURE:
         return q_quadrature(request)
-    return q_monte_carlo(request)
+    if request.method is Method.MONTE_CARLO:
+        return q_monte_carlo(request)
+    return _cell(request, Method.CLOSED_FORM)
 
 
 def indicator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
@@ -689,23 +706,30 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
                workers: int = 1) -> list[tuple[list[float], list[float]]]:
     """Indicators of each of ``ensembles`` on ``stratum`` at each angle of ``zetas``: values and errors per ensemble.
 
-    Quadrature validates every cell, then reads the whole grid in one
-    ``_quadrature_block`` for all the ensembles, which share the ray
-    weights of each block of angles; every value and error is bit for bit
-    that of ``indicator`` at its cell alone.  Other methods run
-    ``indicator`` at each cell.  A single ensemble is a one-tuple, and a
-    qubit takes ``zetas = [None]``.
+    Every value and error is bit for bit that of ``indicator`` at its cell
+    alone.  A request's checks depend on its angle alone or on its
+    ensemble alone, so the grid is validated by each angle with the first
+    ensemble, then each other ensemble at the first angle, which raises
+    the first error that the cells would raise one by one.  Quadrature
+    reads the whole grid in one ``_quadrature_block``, whose ensembles
+    share the ray weights of each block of angles.  Monte Carlo runs one
+    ``_mc_block`` per ensemble, which counts every angle on the draws of
+    one stream (common random numbers), so neighbouring cells of a curve
+    are correlated.  A single ensemble is a one-tuple, and a qubit takes
+    ``zetas = [None]``.
     """
-    zetas = list(zetas)
-    if method is not Method.QUADRATURE:
-        cells = [[indicator(ensemble, stratum, method, z, samples=samples, seed=seed, workers=workers)
-                  for z in zetas] for ensemble in ensembles]
-        return [([r.q for r in row], [r.error_estimate for r in row]) for row in cells]
-    kinds = tuple(ensembles)
-    for kind in kinds:
-        for z in zetas:
-            IndicatorRequest(ensemble=kind, stratum=stratum, method=method, zeta=z).validate()
-    return _quadrature_block(kinds, stratum, zetas)
+    kinds, zetas = tuple(ensembles), list(zetas)
+    if kinds and zetas:
+        for kind, z in [(kinds[0], z) for z in zetas] + [(kind, zetas[0]) for kind in kinds[1:]]:
+            IndicatorRequest(ensemble=kind, stratum=stratum, method=method, zeta=z,
+                             samples=samples, seed=seed, workers=workers).validate()
+    if method is Method.QUADRATURE:
+        return _quadrature_block(kinds, stratum, zetas)
+    if method is Method.MONTE_CARLO:
+        return [_mc_block(kind, stratum, zetas, samples, seed, workers) for kind in kinds]
+    if method is not Method.CLOSED_FORM:
+        raise UnsupportedRequestError(f"unknown method {method!r}")
+    return [([_closed_form(kind, stratum, z) for z in zetas], [0.0] * len(zetas)) for kind in kinds]
 
 
 def minimize_q_over_zeta(

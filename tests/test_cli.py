@@ -23,6 +23,7 @@ from wigner_classicality.indicators import (
     IndicatorRequest,
     Method,
     indicator,
+    q_monte_carlo,
     q_quadrature,
 )
 
@@ -129,35 +130,47 @@ class TestQubit:
         assert vals["bkm"] == pytest.approx(0.0495506, abs=5e-8)
 
 
+#: The options of a grid's method, and each cell's request options alone (the
+#: CLI's default seed is 1234).
+GRID_METHODS = {
+    "quad": (["--method", "quad"], {"method": Method.QUADRATURE}),
+    "mc": (["--method", "mc", "--samples", "2000", "--workers", "3"],
+           {"method": Method.MONTE_CARLO, "samples": 2000, "seed": 1234, "workers": 3}),
+}
+
+
 class TestQuadratureRows:
-    """Each row of a quadrature grid parses back to its cell alone: 17 digits round-trip a double."""
+    """Each row of a quadrature or Monte Carlo grid parses back to its cell alone: 17 digits round-trip a double."""
 
     @staticmethod
-    def alone(ensemble, stratum, zeta=None):
-        return q_quadrature(IndicatorRequest(ensemble=EnsembleKind(ensemble), stratum=stratum,
-                                             method=Method.QUADRATURE, zeta=zeta))
+    def alone(method, ensemble, stratum, zeta=None):
+        options = GRID_METHODS[method][1]
+        single = q_quadrature if options["method"] is Method.QUADRATURE else q_monte_carlo
+        return single(IndicatorRequest(ensemble=EnsembleKind(ensemble), stratum=stratum, zeta=zeta, **options))
 
+    @pytest.mark.parametrize("method", GRID_METHODS)
     @pytest.mark.parametrize("stratum", ["regular", "degenerate"])
-    def test_curve_rows(self, tmp_path, stratum):
+    def test_curve_rows(self, tmp_path, stratum, method):
         out = tmp_path / "curve"
-        assert cli.main(["curve", "--method", "quad", "--ensemble", "all", "--stratum", stratum,
+        assert cli.main(["curve", *GRID_METHODS[method][0], "--ensemble", "all", "--stratum", stratum,
                          "--out", str(out)]) == 0
         _, rows = read_csv(out.with_suffix(".csv"))
         assert [row[4] for row in rows] == ["hs"] * 61 + ["bures"] * 61 + ["bkm"] * 61
         label = REGULAR_QUTRIT if stratum == "regular" else DEGENERATE_QUTRIT
-        for zeta, q, method, err, ensemble, row_stratum, _ in rows:
-            cell = self.alone(ensemble, label, float(zeta))
-            assert (method, row_stratum) == ("quad", stratum)
+        for zeta, q, row_method, err, ensemble, row_stratum, _ in rows:
+            cell = self.alone(method, ensemble, label, float(zeta))
+            assert (row_method, row_stratum) == (method, stratum)
             assert (float(q), float(err)) == (cell.q, cell.error_estimate), (ensemble, zeta)
 
-    def test_qubit_rows(self, tmp_path):
+    @pytest.mark.parametrize("method", GRID_METHODS)
+    def test_qubit_rows(self, tmp_path, method):
         out = tmp_path / "qubit"
-        assert cli.main(["qubit", "--method", "quad", "--ensemble", "all", "--out", str(out)]) == 0
+        assert cli.main(["qubit", *GRID_METHODS[method][0], "--ensemble", "all", "--out", str(out)]) == 0
         _, rows = read_csv(out.with_suffix(".csv"))
         assert [row[0] for row in rows] == ["hs", "bures", "bkm"]
-        for ensemble, q, method, err, _ in rows:
-            cell = self.alone(ensemble, QUBIT_STRATUM)
-            assert method == "quad"
+        for ensemble, q, row_method, err, _ in rows:
+            cell = self.alone(method, ensemble, QUBIT_STRATUM)
+            assert row_method == method
             assert (float(q), float(err)) == (cell.q, cell.error_estimate), ensemble
 
 
@@ -437,9 +450,9 @@ class TestVerifyMonteCarlo:
 
         seeds = []
 
-        def no_hits(request, chunk, seed):
+        def no_hits(kind, stratum, kernels, chunk, seed):
             seeds.append(seed)
-            return 0
+            return [0] * len(kernels)
 
         monkeypatch.setattr(indicators, "_mc_chunk_hits", no_hits)
         return seeds

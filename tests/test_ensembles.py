@@ -20,7 +20,7 @@ from scalar_density import joint_density, log_joint_density, mc_function
 import wigner_classicality.ensembles as ensembles
 import wigner_classicality.indicators as indicators
 from wigner_classicality.spectra import SQRT3, DegeneracyType
-from wigner_classicality.wigner import _is_classical, sw_spectrum_qubit, sw_spectrum_qutrit
+from wigner_classicality.wigner import ZETA_MAX, _is_classical, sw_spectrum_qubit, sw_spectrum_qutrit
 from wigner_classicality.ensembles import (
     EnsembleKind,
     SamplerFailureError,
@@ -40,8 +40,6 @@ from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
     QUBIT_STRATUM,
     REGULAR_QUTRIT,
-    IndicatorRequest,
-    Method,
     _mc_chunk_hits,
 )
 
@@ -456,7 +454,7 @@ class TestProposalLoop:
         paired = []
         monkeypatch.setattr(indicators, "_is_classical", lambda columns, kernel: paired.append(columns))
         with pytest.raises(SamplerFailureError, match="envelope cell bound") as err:
-            _mc_chunk_hits(_mc_request(EnsembleKind.BURES, REGULAR_QUTRIT), 200_000, 5)
+            _mc_chunk_hits(EnsembleKind.BURES, REGULAR_QUTRIT, _kernels(REGULAR_QUTRIT, 1), 200_000, 5)
         assert str(err.value) == messages[0]
         assert paired == []
 
@@ -503,15 +501,18 @@ class TestDrawMemory:
         uniforms = (len(sampler._box) + 2) * 8 * m
         assert peak < uniforms + 2 * _nbytes(tiles) + (4 << 20)
 
+    @pytest.mark.parametrize("angles", [1, 61])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("mult", [(1, 1, 1), (1, 1), _EDGES], ids=["regular", "qubit", "edges"])
-    def test_chunk_hit_count_holds_one_batch(self, kind, mult):
+    def test_chunk_hit_count_holds_one_batch(self, kind, mult, angles):
         m = 1 << 18
         # a chunk's first batch proposes m points, since no acceptance is known yet
         sampler = _sampler(SpectrumSampler, kind, mult, seed=31)
         accepted = _nbytes(sampler._draw(m))
-        request = _mc_request(kind, _STRATA[mult])
-        peak = _traced_peak(lambda: _mc_chunk_hits(request, m, 31))
+        stratum = _STRATA[mult]
+        kernels = _kernels(stratum, angles)
+        # the kernels of a whole curve pair with each tile in turn, so none adds a batch
+        peak = _traced_peak(lambda: _mc_chunk_hits(kind, stratum, kernels, m, 31))
         uniforms = (len(sampler._box) + 2) * 8 * m
         assert peak < uniforms + accepted + (4 << 20)
 
@@ -520,10 +521,11 @@ class TestDrawMemory:
 _STRATA = {(1, 1): QUBIT_STRATUM, (1, 1, 1): REGULAR_QUTRIT, _EDGES: DEGENERATE_QUTRIT}
 
 
-def _mc_request(kind: EnsembleKind, stratum) -> IndicatorRequest:
-    """A Monte Carlo request at zeta = 0 on a qutrit stratum, where the classical share is largest."""
-    return IndicatorRequest(ensemble=kind, stratum=stratum, method=Method.MONTE_CARLO,
-                            zeta=None if stratum.n == 2 else 0.0, samples=1, seed=0)
+def _kernels(stratum, angles: int) -> np.ndarray:
+    """Kernel rows of ``angles`` Monte Carlo cells, from zeta = 0 on a qutrit stratum, where the classical share is largest."""
+    if stratum.n == 2:
+        return np.tile(sw_spectrum_qubit().as_array(), (angles, 1))
+    return np.array([sw_spectrum_qutrit(z).values for z in np.linspace(0.0, ZETA_MAX, angles)])
 
 
 class TestTileStream:
@@ -551,12 +553,12 @@ class TestTileStream:
         t, c = SpectrumSampler._TILE, SpectrumSampler._CHUNK
         for n in (0, 1, t - 1, t + 1, c + 1, 2 * c + 7):
             samplers.clear()
-            hits = _mc_chunk_hits(_mc_request(kind, stratum), n, 43)
+            hits = _mc_chunk_hits(kind, stratum, _kernels(stratum, 1), n, 43)
             rows = np.concatenate([np.empty((0, stratum.n))]
                                   + list(stratum_spectra(kind, stratum, n, np.random.default_rng(43))))
             reference = _sampler(_ReferenceSampler, kind, mult, seed=43)
             assert np.array_equal(rows, reference.sample(n))
-            assert hits == np.count_nonzero(_is_classical(rows, kernel))
+            assert hits == [np.count_nonzero(_is_classical(rows, kernel))]
             # the hit count's sampler comes first, then those of the rows
             assert samplers[0] not in samplers[1:]
             assert {(s._proposed, s._accepted) for s in samplers} == {(reference._proposed, reference._accepted)}

@@ -53,6 +53,7 @@ from wigner_classicality.wigner import (
     classical_cone_regular_qutrit,
     classical_edge_bound_qutrit,
     dual_pairing,
+    sw_spectrum_qubit,
     sw_spectrum_qutrit,
 )
 
@@ -596,17 +597,31 @@ class TestQuadratureBlocks:
         assert curves == [([alone.q], [alone.error_estimate])
                           for alone in (q_quadrature(quad_request(kind, QUBIT_STRATUM)) for kind in ALL_KINDS)]
 
-    def test_other_methods_run_cell_by_cell(self):
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("stratum", [QUBIT_STRATUM, REGULAR_QUTRIT, DEGENERATE_QUTRIT],
+                             ids=["qubit", "regular", "degenerate"])
+    def test_other_methods_run_in_blocks(self, monkeypatch, stratum, workers):
         grid = np.linspace(0.0, ZETA_MAX, 5)
         ((closed, errors),) = ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), DEGENERATE_QUTRIT,
                                              Method.CLOSED_FORM, grid)
         assert closed == [q_hs_qutrit_degenerate_closed_form(float(z)).q for z in grid]
         assert errors == [0.0] * len(grid)
-        (mc,) = ind.indicators((EnsembleKind.BURES,), REGULAR_QUTRIT, Method.MONTE_CARLO, grid[:2],
-                               samples=2000, seed=5, workers=2)
-        cells = [ind.indicator(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO, float(z),
-                               samples=2000, seed=5, workers=2) for z in grid[:2]]
-        assert mc == ([r.q for r in cells], [r.error_estimate for r in cells])
+        # a Monte Carlo grid counts every angle on the draws of one stream,
+        # 11 angles (not a multiple of _ZETA_BLOCK), each cell as it is alone
+        samplers = []
+        build = ind._stratum_sampler
+        monkeypatch.setattr(ind, "_stratum_sampler", lambda *args: samplers.append(args) or build(*args))
+        grid = [None] * 11 if stratum.n == 2 else [float(z) for z in np.linspace(0.0, ZETA_MAX, 11)]
+        options = dict(samples=2000, seed=5, workers=workers)
+        curves = ind.indicators(ALL_KINDS, stratum, Method.MONTE_CARLO, grid, **options)
+        assert len(samplers) == len(ALL_KINDS) * workers
+        for kind, curve in zip(ALL_KINDS, curves):
+            cells = [q_monte_carlo(IndicatorRequest(ensemble=kind, stratum=stratum, method=Method.MONTE_CARLO,
+                                                    zeta=z, **options)) for z in grid]
+            assert curve == ([r.q for r in cells], [r.error_estimate for r in cells])
+        samplers.clear()
+        assert ind.indicators(ALL_KINDS, stratum, Method.MONTE_CARLO, [], **options) == [([], [])] * 3
+        assert samplers == []
 
     @pytest.mark.parametrize("stratum,zetas,blocks", [
         (REGULAR_QUTRIT, np.linspace(0.0, ZETA_MAX, 61), 8),
@@ -759,6 +774,27 @@ class TestRequestValidation:
             ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=QUBIT_STRATUM, method=Method.MONTE_CARLO,
             samples=100, seed=1, workers=2))
 
+    @pytest.mark.parametrize("method,kinds,zetas,options", [
+        *((method, ALL_KINDS, [0.0, 0.5, 2.0, 0.7, ZETA_MAX], {"samples": 100, "seed": 1}) for method in Method),
+        (Method.CLOSED_FORM, ALL_KINDS, [0.0, 0.5, ZETA_MAX], {}),
+        (Method.MONTE_CARLO, ALL_KINDS, [0.0, 0.5, ZETA_MAX], {"seed": 1}),
+    ], ids=["zeta-closed", "zeta-quad", "zeta-mc", "bures-closed", "mc-no-samples"])
+    def test_one_bad_cell_fails_the_grid(self, method, kinds, zetas, options):
+        # the grid raises the first error that its cells would raise one by one
+        def first_error(call):
+            with pytest.raises(UnsupportedRequestError) as err:
+                call()
+            return str(err.value)
+
+        def cell_by_cell():
+            for kind in kinds:
+                for zeta in zetas:
+                    IndicatorRequest(ensemble=kind, stratum=REGULAR_QUTRIT, method=method, zeta=zeta,
+                                     **options).validate()
+
+        grid = first_error(lambda: ind.indicators(kinds, REGULAR_QUTRIT, method, zetas, **options))
+        assert grid == first_error(cell_by_cell)
+
     def test_unsupported_dimension(self):
         stratum = StratumLabel.for_partition((1, 1, 1, 1))
         req = IndicatorRequest(ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=stratum,
@@ -838,7 +874,9 @@ class TestMonteCarlo:
         res = q_monte_carlo(req)
         assert serial_pool == [2]
         # chunks and their seeds still follow the requested worker count
-        hits = sum(ind._mc_chunk_hits(req, 10, worker_seed(9, i)) for i in range(64))
+        kernels = [sw_spectrum_qubit().as_array()]
+        hits = sum(ind._mc_chunk_hits(req.ensemble, req.stratum, kernels, 10, worker_seed(9, i))[0]
+                   for i in range(64))
         assert res.q == hits / 640
 
     def test_empty_chunks_are_not_seeded(self, monkeypatch, serial_pool):
@@ -883,7 +921,7 @@ class TestMonteCarlo:
         sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=np.random.default_rng(8))
         assert sampler._route == route
         req = self.mc_request(ensemble, stratum, zeta, n, 1)
-        kernel = ind._kernel_for(req).as_array()
+        kernel = (sw_spectrum_qubit() if zeta is None else sw_spectrum_qutrit(zeta)).as_array()
         expected = int(np.count_nonzero(_is_classical(sampler.sample(n), kernel)))
 
         batches, rows = [], []
@@ -900,7 +938,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(SpectrumSampler, "_draw", draw_spy)
         monkeypatch.setattr(SpectrumSampler, "_tiles", tiles_spy)
-        assert ind._mc_chunk_hits(req, n, 8) == expected
+        assert ind._mc_chunk_hits(ensemble, stratum, [kernel], n, 8) == [expected]
         assert max(batches) <= block and max(rows) <= SpectrumSampler._TILE and sum(rows) == n
 
     def test_point_stratum_all_classical(self):

@@ -73,6 +73,9 @@ REFERENCE_MINIMA = {
 _ENSEMBLE_CHOICES = ("hs", "bures", "bkm", "all")
 _STRATUM_CHOICES = ("regular", "degenerate")
 
+#: Stratum name -> label, for the strata of ``ensembles._STRATA`` that commands name.
+_STRATUM_LABELS = {"qubit": QUBIT_STRATUM, "regular": REGULAR_QUTRIT, "degenerate": DEGENERATE_QUTRIT}
+
 
 class _CliError(Exception):
     """Invalid configuration; maps to exit code 1."""
@@ -184,10 +187,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.ensemble == "all":
-        ensembles = [EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM]
-    else:
-        ensembles = [EnsembleKind(args.ensemble)]
+    ensembles = list(EnsembleKind) if args.ensemble == "all" else [EnsembleKind(args.ensemble)]
     zeta_grid = _parse_zeta_grid(args.zeta_grid)
     if args.samples < 1:
         raise _CliError(f"sample count must be positive, got {args.samples}")
@@ -254,39 +254,38 @@ def _csv_text(cfg: RunConfig, header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stratum_label(cfg: RunConfig):
-    if cfg.stratum == "regular":
-        return REGULAR_QUTRIT
-    return DEGENERATE_QUTRIT
-
-
 def _zetas(cfg: RunConfig) -> np.ndarray:
     a, b, n = cfg.zeta_grid
     return np.linspace(a, b, n)
 
 
+def _write_curves(cfg: RunConfig, paths: tuple[str | None, str | None], header: list[str],
+                  rows: list[list[str]], series: list, **plot) -> int:
+    """Write a curve command's CSV (if --format asks for it) and SVG to ``paths``, from ``_out_paths``."""
+    csv_path, svg_path = paths
+    if cfg.fmt in ("csv", "both"):
+        _write_text(csv_path, _csv_text(cfg, header, rows))
+    if svg_path is not None:
+        svg = render_line_plot(series, xlabel="zeta", **plot)
+        _write_text(svg_path, f"<!-- {_provenance(cfg)[2:]} -->\n" + svg)
+    return EXIT_OK
+
+
 def _run_curve(cfg: RunConfig) -> int:
-    csv_path, svg_path = _out_paths(cfg)
+    paths = _out_paths(cfg)
     header = ["zeta", "q", "method", "error_estimate", "ensemble", "stratum", "seed"]
     rows = []
     series = []
     zetas = _zetas(cfg)
-    curves = indicators(cfg.ensembles, _stratum_label(cfg), cfg.method, zetas,
+    curves = indicators(cfg.ensembles, _STRATUM_LABELS[cfg.stratum], cfg.method, zetas,
                         samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
     for ensemble, (values, errors) in zip(cfg.ensembles, curves):
         rows.extend([_num(z), _num(q), cfg.method.value, _num(err),
                      ensemble.label, cfg.stratum, str(cfg.seed)] for z, q, err in zip(zetas, values, errors))
         series.append((ensemble.label, list(zetas), values))
-    if cfg.fmt in ("csv", "both"):
-        _write_text(csv_path, _csv_text(cfg, header, rows))
-    if svg_path is not None:
-        # a Monte Carlo cell with no classical draw reads 0, which a log axis cannot show
-        svg = render_line_plot(
-            series, title=f"classicality indicator ({cfg.stratum} stratum)",
-            xlabel="zeta", ylabel="Q", log_y=all(q > 0.0 for _, _, qs in series for q in qs),
-        )
-        _write_text(svg_path, f"<!-- {_provenance(cfg)[2:]} -->\n" + svg)
-    return EXIT_OK
+    # a Monte Carlo cell with no classical draw reads 0, which a log axis cannot show
+    return _write_curves(cfg, paths, header, rows, series, title=f"classicality indicator ({cfg.stratum} stratum)",
+                         ylabel="Q", log_y=all(q > 0.0 for _, _, qs in series for q in qs))
 
 
 def _run_qubit(cfg: RunConfig) -> int:
@@ -302,7 +301,7 @@ def _run_qubit(cfg: RunConfig) -> int:
 
 
 def _run_ratio(cfg: RunConfig) -> int:
-    csv_path, svg_path = _out_paths(cfg)
+    paths = _out_paths(cfg)
     header = ["zeta", "ratio", "ensemble", "method", "seed"]
     rows = []
     series = []
@@ -319,13 +318,8 @@ def _run_ratio(cfg: RunConfig) -> int:
                                  f"zeta={_num(z)}: the regular indicator is 0\n")
         defined = [(z, r) for z, r in zip(zetas, ratios) if math.isfinite(r)]
         series.append((ensemble.label, [z for z, _ in defined], [r for _, r in defined]))
-    if cfg.fmt in ("csv", "both"):
-        _write_text(csv_path, _csv_text(cfg, header, rows))
-    if svg_path is not None:
-        svg = render_line_plot(series, title="degenerate / regular indicator ratio",
-                               xlabel="zeta", ylabel="R", log_y=False)
-        _write_text(svg_path, f"<!-- {_provenance(cfg)[2:]} -->\n" + svg)
-    return EXIT_OK
+    return _write_curves(cfg, paths, header, rows, series, title="degenerate / regular indicator ratio",
+                         ylabel="R", log_y=False)
 
 
 def _run_table1(cfg: RunConfig) -> int:
@@ -360,12 +354,9 @@ def _run_table1(cfg: RunConfig) -> int:
 def _run_sample(cfg: RunConfig) -> int:
     csv_path, _ = _out_paths(cfg)
     n_dim = cfg.dimension
-    if cfg.stratum == "regular":
-        stratum = QUBIT_STRATUM if n_dim == 2 else REGULAR_QUTRIT
-    elif n_dim == 3:
-        stratum = DEGENERATE_QUTRIT
-    else:
+    if n_dim == 2 and cfg.stratum == "degenerate":
         raise _CliError("degenerate-stratum sampling is defined for the qutrit")
+    stratum = _STRATUM_LABELS["qubit" if n_dim == 2 else cfg.stratum]
     rng = np.random.default_rng(cfg.seed)
     with _output(csv_path) as fh:
         fh.write(_csv_text(cfg, [f"r{i + 1}" for i in range(n_dim)], []))
@@ -403,17 +394,16 @@ def _mc_checks(cfg: RunConfig) -> list[dict]:
     chunks share a stream.
     """
     samples = min(cfg.samples, 200_000)
-    all_kinds = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
-    mc_cells = [(e, s, math.pi / 6.0) for e in all_kinds for s in (REGULAR_QUTRIT, DEGENERATE_QUTRIT)]
-    mc_cells += [(e, QUBIT_STRATUM, None) for e in all_kinds]
+    mc_cells = [(e, tag, math.pi / 6.0) for e in EnsembleKind for tag in ("regular", "degenerate")]
+    mc_cells += [(e, "qubit", None) for e in EnsembleKind]
     checks = []
-    for idx, (ensemble, stratum, z) in enumerate(mc_cells):
+    for idx, (ensemble, tag, z) in enumerate(mc_cells):
+        stratum = _STRATUM_LABELS[tag]
         quad = indicator(ensemble, stratum, Method.QUADRATURE, z).q
         n = max(samples, math.ceil(VERIFY_MIN_EXPECTED_HITS / quad)) if quad > 0.0 else samples
         mc = indicator(ensemble, stratum, Method.MONTE_CARLO, z, samples=n,
                        seed=worker_seed(cfg.seed, idx), workers=cfg.workers).q
         sigma = math.sqrt(quad * (1.0 - quad) / n)
-        tag = "qubit" if stratum.n == 2 else ("regular" if stratum is REGULAR_QUTRIT else "degenerate")
         checks.append(_check(f"mc_vs_quad[{ensemble.label},{tag}]", quad, mc, 4.0 * sigma))
     return checks
 
@@ -421,16 +411,15 @@ def _mc_checks(cfg: RunConfig) -> list[dict]:
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     tol = cfg.tol if cfg.tol is not None else 1e-6
     checks: list[dict] = []
-    all_kinds = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES, EnsembleKind.BKM)
     zeta_probe = [0.0, math.pi / 12.0, math.pi / 6.0, math.pi / 4.0, ZETA_MAX]
 
     # closed form versus quadrature
-    for ensemble in all_kinds:
+    for ensemble in EnsembleKind:
         closed = indicator(ensemble, QUBIT_STRATUM, Method.CLOSED_FORM).q
         quad = indicator(ensemble, QUBIT_STRATUM, Method.QUADRATURE).q
         checks.append(_check(f"qubit_quad_vs_closed[{ensemble.label}]", closed, quad, tol * closed))
-    for stratum, tag in ((REGULAR_QUTRIT, "regular"), (DEGENERATE_QUTRIT, "degenerate")):
-        closed, quad = (indicators((EnsembleKind.HILBERT_SCHMIDT,), stratum, method, zeta_probe)[0][0]
+    for tag in ("regular", "degenerate"):
+        closed, quad = (indicators((EnsembleKind.HILBERT_SCHMIDT,), _STRATUM_LABELS[tag], method, zeta_probe)[0][0]
                         for method in (Method.CLOSED_FORM, Method.QUADRATURE))
         for z, c, q in zip(zeta_probe, closed, quad):
             checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", c, q, tol * c))
@@ -438,7 +427,8 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     checks += _mc_checks(cfg)
 
     # Hilbert-Schmidt mirror symmetry of the closed forms
-    for stratum, tag in ((REGULAR_QUTRIT, "regular"), (DEGENERATE_QUTRIT, "degenerate")):
+    for tag in ("regular", "degenerate"):
+        stratum = _STRATUM_LABELS[tag]
         for delta in (0.05, 0.1, 0.15):
             a = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.CLOSED_FORM, math.pi / 6.0 + delta).q
             b = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.CLOSED_FORM, math.pi / 6.0 - delta).q
@@ -540,19 +530,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-    except _CliError as exc:
-        sys.stderr.write(f"{TOOL}: configuration error: {exc}\n")
-        return EXIT_CONFIG
-    try:
+        cfg = _config_from_args(_build_parser().parse_args(argv))
         return _HANDLERS[cfg.command](cfg)
-    except _CliError as exc:
-        sys.stderr.write(f"{TOOL}: configuration error: {exc}\n")
-        return EXIT_CONFIG
-    except UnsupportedRequestError as exc:
+    except (_CliError, UnsupportedRequestError) as exc:
         sys.stderr.write(f"{TOOL}: configuration error: {exc}\n")
         return EXIT_CONFIG
     except OSError as exc:

@@ -128,6 +128,22 @@ _LINES = {(1, 1): (0.5, 1, 2.0), (2, 1): (1.0 / 3.0, 2, SQRT3 / 2.0), (1, 2): (1
 #: The degenerate qutrit stratum decomposes into these two edge pieces.
 _EDGES = ((2, 1), (1, 2))
 
+#: The strata that the samplers and quadrature cover, by name, and the pieces
+#: each is drawn and integrated over, in order; a stratum of one eigenvalue is
+#: a point and has none.
+_STRATA = {"qubit": ((1, 1),), "regular": ((1, 1, 1),), "degenerate": _EDGES}
+
+
+def _stratum_kind(stratum: StratumLabel) -> str:
+    """The name in ``_STRATA`` of the stratum whose pieces hold ``stratum``'s degeneracy, or "point"."""
+    mult = stratum.degeneracy.multiplicities
+    if len(mult) == 1:
+        return "point"
+    for name, pieces in _STRATA.items():
+        if mult in pieces:
+            return name
+    raise ValueError(f"unsupported stratum {mult}")
+
 
 def _line_spectrum(mult: tuple, y, edge=None):
     """Spectrum columns of a one-coordinate piece whose smallest distinct eigenvalue is y.
@@ -156,10 +172,6 @@ _ENVELOPE_MARGIN = 1.05
 
 #: Buckets per envelope cell in the guide table of ``_cell_lookup``.
 _GUIDE_PER_CELL = 4
-
-#: Rejection route of each sampled degeneracy type.
-_REJECTION_ROUTES = {(1, 1, 1): "reject_regular3", (1, 1): "reject_qubit",
-                     (2, 1): "reject_edge", (1, 2): "reject_edge"}
 
 
 def _regular_chart(t, phi):
@@ -310,8 +322,9 @@ class SpectrumSampler:
 
     One instance owns one random generator; create one instance per worker,
     with per-worker seeds derived by ``worker_seed``.  Every non-point
-    degeneracy is sampled by rejection from a piecewise-constant envelope:
-    the proposal box, (t, phi) on the regular qutrit and t of the line
+    degeneracy draws its own piece by rejection from a piecewise-constant
+    envelope; a point has no envelope and yields its one spectrum.  The
+    proposal box, (t, phi) on the regular qutrit and t of the line
     chart y = top t^4 elsewhere (``_line_weight``), is split into equal
     cells (32 x 32, or 256), each bounded by 5 percent over the weight
     maximum on a sub-grid of the cell.  A proposal picks a cell in
@@ -326,10 +339,12 @@ class SpectrumSampler:
     columns: ``sample`` writes them into its rows, and Monte Carlo counts
     hits on them without building a row.
 
-    ``stratum_spectra`` draws the degenerate qutrit stratum from one
-    sampler over both edges (``_cover``): its envelope is the two edges'
-    tables end to end, so a proposal picks a cell of either edge in
-    proportion to its bound, and each edge is drawn with its own mass.
+    A stratum's sampler (``_stratum_sampler``, behind ``stratum_spectra``
+    and Monte Carlo) covers the pieces that ``_STRATA`` gives the stratum
+    (``_cover``).  On the degenerate qutrit that is both edges: the
+    envelope is the two edges' tables end to end, so a proposal picks a
+    cell of either edge in proportion to its bound, and each edge is drawn
+    with its own mass.
 
     A proposal weight above its cell's bound, or an acceptance rate below
     ``MIN_ACCEPTANCE``, aborts with ``SamplerFailureError``.
@@ -356,15 +371,10 @@ class SpectrumSampler:
         self._accepted = 0
 
         mult = deg.multiplicities
-        self._envelope: np.ndarray | None = None
-        if len(mult) == 1:
-            self._route = "point"
-        elif mult in _REJECTION_ROUTES:
-            self._route = _REJECTION_ROUTES[mult]
+        self._envelope: np.ndarray | None = None  # a point has none
+        if len(mult) > 1:
             self._box = _proposal_box(mult)
             self._cover((mult,))
-        else:
-            raise ValueError(f"unsupported degeneracy type for sampling: {mult}")
 
     def _cover(self, pieces: tuple) -> None:
         """Draw from the union of ``pieces``, which share the proposal box, with their tables end to end."""
@@ -404,7 +414,7 @@ class SpectrumSampler:
         """
         for done in range(0, n, self._CHUNK):
             m = min(self._CHUNK, n - done)
-            if self._route == "point":
+            if self._envelope is None:
                 yield (np.full(m, 1.0 / self.deg.n),) * self.deg.n
                 continue
             while m > 0:
@@ -474,10 +484,11 @@ class SpectrumSampler:
 
 def _stratum_sampler(ensemble: EnsembleKind, stratum: StratumLabel,
                      rng: np.random.Generator) -> SpectrumSampler:
-    """A stratum's sampler; the degenerate qutrit's draws both edges ``_EDGES`` from one envelope."""
+    """A stratum's sampler: one envelope over all the pieces that ``_STRATA`` gives the stratum (a point has none)."""
     sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=rng)
-    if stratum.degeneracy.multiplicities == _EDGES[0]:
-        sampler._cover(_EDGES)
+    pieces = _STRATA.get(_stratum_kind(stratum))
+    if pieces is not None and pieces != sampler._pieces:
+        sampler._cover(pieces)
     return sampler
 
 

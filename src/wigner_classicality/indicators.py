@@ -37,12 +37,13 @@ from .wigner import (
     sw_spectrum_qutrit,
 )
 from .ensembles import (
-    _EDGES,
     _LINES,
+    _STRATA,
     EnsembleKind,
     _density3_vec,
     _line_weight,
     _regular_chart,
+    _stratum_kind,
     _stratum_sampler,
     worker_seed,
 )
@@ -142,26 +143,13 @@ class IndicatorResult:
             raise ValueError(f"negative error estimate: {self.error_estimate}")
 
 
-def _stratum_kind(stratum: StratumLabel) -> str:
-    mult = stratum.degeneracy.partition()
-    if all(k == 1 for k in mult):
-        return "qubit" if stratum.n == 2 else "regular"
-    if len(mult) == 1:
-        return "point"
-    if mult == (2, 1):
-        return "degenerate"
-    raise UnsupportedRequestError(f"unsupported stratum {mult}")
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
 
 def _closed_form(ensemble: EnsembleKind, stratum: StratumLabel, zeta) -> float:
-    """The closed-form indicator of a validated cell; the formulas are those of the ``q_*_closed_form``."""
+    """The closed-form indicator of a validated cell off a point; the formulas are those of the ``q_*_closed_form``."""
     kind = _stratum_kind(stratum)
-    if kind == "point":
-        return 1.0
     if kind == "qubit":
         if ensemble is EnsembleKind.HILBERT_SCHMIDT:
             return 1.0 / (3.0 * SQRT3)
@@ -413,19 +401,14 @@ def _regular_classical_cutoff(phi, zeta):
     return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + z - math.pi / 3.0))))
 
 
-#: The pieces of the line strata: the qubit's Bloch-radius interval, and the
-#: two edges of the degenerate qutrit.
-_LINE_PIECES = {"qubit": ((1, 1),), "degenerate": _EDGES}
-
-
 @lru_cache(maxsize=None)
 def _line_table(kind: EnsembleKind, pieces: tuple[tuple[int, int], ...]):
     """Ray table of line pieces in the layout of ``_regular_table``, one row per piece (read-only).
 
-    The pieces are the qubit, ``((1, 1),)``, or the two degenerate qutrit
-    edges, ``_EDGES``.  The weight of ``ensembles._line_weight`` along its
-    chart y = top t^4, the chart that the samplers draw from, is fitted by
-    ``_ray_fit``.  A stratum of pieces is their sum, so both rule rows are
+    The pieces are those of a line stratum in ``ensembles._STRATA``: the
+    qubit, or the two degenerate qutrit edges.  The weight of
+    ``ensembles._line_weight`` along its chart y = top t^4, the chart that
+    the samplers draw from, is fitted by ``_ray_fit``.  A stratum of pieces is their sum, so both rule rows are
     all ones and the rule difference is exactly 0.  Returns the pieces'
     positions as row keys, the two rule rows, the rows of h = G / (1 - x)
     at the Chebyshev points ``_RAY_NODES``, both rules' sums of G(0), and
@@ -454,7 +437,7 @@ def _table_union(kinds: tuple[EnsembleKind, ...], skind: str):
     of its rows among the union's, its h on the union's rows (0 on those
     it dropped), and its rules, denominators and error term.
     """
-    tables = [_regular_table(kind) if skind == "regular" else _line_table(kind, _LINE_PIECES[skind])
+    tables = [_regular_table(kind) if skind == "regular" else _line_table(kind, _STRATA[skind])
               for kind in kinds]
     # a set, not np.union1d, which imports numpy.ma (about 20 ms) on first use
     keys = np.array(sorted({v for table in tables for v in table[0].tolist()}))
@@ -500,11 +483,12 @@ def _classical_cutoff(skind: str, keys: np.ndarray, zetas) -> np.ndarray:
     """
     if skind == "regular":
         return _regular_classical_cutoff(math.pi * keys, np.array(zetas))
+    pieces = _STRATA[skind]
     if skind == "qubit":
         y_c = [[(1.0 - 1.0 / SQRT3) / 2.0] for _ in zetas]
     else:
-        y_c = [[_edge_classical_cutoff(comp, z) for comp in _EDGES] for z in zetas]
-    top = _LINES[_LINE_PIECES[skind][0]][0]  # the two edges share theirs
+        y_c = [[_edge_classical_cutoff(comp, z) for comp in pieces] for z in zetas]
+    top = _LINES[pieces[0]][0]  # the two edges share theirs
     return (np.array(y_c) / top) ** 0.25
 
 
@@ -547,8 +531,6 @@ def _quadrature_block(kinds: tuple[EnsembleKind, ...], stratum: StratumLabel, ze
     error estimates.
     """
     skind = _stratum_kind(stratum)
-    if skind == "point":
-        return [([1.0] * len(zetas), [0.0] * len(zetas)) for _ in kinds]
     curves = []
     for _, _, _, (fine, coarse), fit_err in _table_union(kinds, skind)[1]:
         if fine <= 0.0 or not math.isfinite(fine):
@@ -594,8 +576,6 @@ def _mc_chunk_hits(kind: EnsembleKind, stratum: StratumLabel, kernels, chunk: in
     pairs it, so each count is bit for bit that cell's, and the draws are
     made once for all of them.
     """
-    if _stratum_kind(stratum) == "point":
-        return [chunk] * len(kernels)
     hits = [0] * len(kernels)
     for columns in _stratum_sampler(kind, stratum, np.random.default_rng(seed))._tiles(chunk):
         # one kernel at a time: pairing a tile with k kernels at once, as a
@@ -710,25 +690,29 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
     alone.  A request's checks depend on its angle alone or on its
     ensemble alone, so the grid is validated by each angle with the first
     ensemble, then each other ensemble at the first angle, which raises
-    the first error that the cells would raise one by one.  Quadrature
-    reads the whole grid in one ``_quadrature_block``, whose ensembles
-    share the ray weights of each block of angles.  Monte Carlo runs one
-    ``_mc_block`` per ensemble, which counts every angle on the draws of
-    one stream (common random numbers), so neighbouring cells of a curve
-    are correlated.  A single ensemble is a one-tuple, and a qubit takes
-    ``zetas = [None]``.
+    the first error that the cells would raise one by one.  On a point
+    stratum every state is classical, so every method answers each cell
+    with Q = 1 and error 0 here, before any table is read or any chunk is
+    seeded.  Quadrature reads the whole grid in one ``_quadrature_block``,
+    whose ensembles share the ray weights of each block of angles.  Monte
+    Carlo runs one ``_mc_block`` per ensemble, which counts every angle on
+    the draws of one stream (common random numbers), so neighbouring cells
+    of a curve are correlated.  A single ensemble is a one-tuple, and a
+    qubit takes ``zetas = [None]``.
     """
     kinds, zetas = tuple(ensembles), list(zetas)
     if kinds and zetas:
         for kind, z in [(kinds[0], z) for z in zetas] + [(kind, zetas[0]) for kind in kinds[1:]]:
             IndicatorRequest(ensemble=kind, stratum=stratum, method=method, zeta=z,
                              samples=samples, seed=seed, workers=workers).validate()
+    if not isinstance(method, Method):
+        raise UnsupportedRequestError(f"unknown method {method!r}")
+    if len(stratum.degeneracy.multiplicities) == 1:  # every state of a point is classical
+        return [([1.0] * len(zetas), [0.0] * len(zetas)) for _ in kinds]
     if method is Method.QUADRATURE:
         return _quadrature_block(kinds, stratum, zetas)
     if method is Method.MONTE_CARLO:
         return [_mc_block(kind, stratum, zetas, samples, seed, workers) for kind in kinds]
-    if method is not Method.CLOSED_FORM:
-        raise UnsupportedRequestError(f"unknown method {method!r}")
     return [([_closed_form(kind, stratum, z) for z in zetas], [0.0] * len(zetas)) for kind in kinds]
 
 

@@ -19,7 +19,7 @@ from scalar_density import joint_density, log_joint_density, mc_function
 
 import wigner_classicality.ensembles as ensembles
 import wigner_classicality.indicators as indicators
-from wigner_classicality.spectra import SQRT3, DegeneracyType
+from wigner_classicality.spectra import SQRT3, DegeneracyType, StratumLabel
 from wigner_classicality.wigner import ZETA_MAX, _is_classical, sw_spectrum_qubit, sw_spectrum_qutrit
 from wigner_classicality.ensembles import (
     EnsembleKind,
@@ -35,6 +35,8 @@ from wigner_classicality.ensembles import (
     _envelope_table,
     _guide_table,
     _proposal_weight,
+    _stratum_kind,
+    _stratum_sampler,
 )
 from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
@@ -205,12 +207,27 @@ class TestSamplerStructure:
             SpectrumSampler(EnsembleKind.BURES, DegeneracyType((1, 1, 1, 1)), seed=1)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("mult,route", [
-        ((1, 1), "reject_qubit"), ((1, 1, 1), "reject_regular3"),
-        ((2, 1), "reject_edge"), ((1, 2), "reject_edge"),
-    ])
-    def test_auto_is_rejection(self, kind, mult, route):
-        assert SpectrumSampler(kind, DegeneracyType(mult), seed=1)._route == route
+    @pytest.mark.parametrize("mult", ALL_MULTS)
+    def test_each_degeneracy_draws_its_own_piece(self, kind, mult):
+        sampler = SpectrumSampler(kind, DegeneracyType(mult), seed=1)
+        assert sampler._pieces == (mult,)
+        assert np.array_equal(sampler._envelope, _envelope_table(kind, mult))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("name,stratum", [
+        ("qubit", QUBIT_STRATUM), ("regular", REGULAR_QUTRIT), ("degenerate", DEGENERATE_QUTRIT),
+        ("degenerate", StratumLabel(DegeneracyType((1, 2)), DEGENERATE_QUTRIT.name)),
+    ], ids=["qubit", "regular", "degenerate", "degenerate-by-hand"])
+    def test_stratum_sampler_covers_the_table(self, kind, name, stratum):
+        # the degenerate stratum draws both edge tables end to end, also from a
+        # label built by hand on the (1,2) edge, as quadrature integrates both
+        sampler = _stratum_sampler(kind, stratum, np.random.default_rng(1))
+        pieces = ensembles._STRATA[name]
+        assert sampler._pieces == pieces
+        assert np.array_equal(sampler._envelope, np.concatenate([_envelope_table(kind, m) for m in pieces]))
+        # _stratum_kind inverts the table, and a stratum of one eigenvalue is a point
+        assert _stratum_kind(stratum) == name
+        assert [_stratum_kind(StratumLabel.for_partition((n,))) for n in (2, 3)] == ["point", "point"]
 
 
 class TestSamplerFailure:

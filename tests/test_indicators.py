@@ -910,16 +910,14 @@ class TestMonteCarlo:
         peak(1)  # builds the envelope table outside the compared peaks
         assert abs(peak(2000) - peak(64)) < 1 << 20
 
-    @pytest.mark.parametrize("ensemble,route", [
-        (EnsembleKind.BKM, "reject_qubit"),
-        (EnsembleKind.HILBERT_SCHMIDT, "reject_regular3"),
-    ])
-    def test_chunk_hits_stream_in_blocks(self, monkeypatch, ensemble, route):
+    @pytest.mark.parametrize("ensemble,stratum,zeta", [
+        (EnsembleKind.BKM, QUBIT_STRATUM, None),
+        (EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT, math.pi / 6),
+    ], ids=["bkm-qubit", "hs-regular"])
+    def test_chunk_hits_stream_in_blocks(self, monkeypatch, ensemble, stratum, zeta):
         block = SpectrumSampler._CHUNK
         n = 2 * block + 7
-        stratum, zeta = (QUBIT_STRATUM, None) if route == "reject_qubit" else (REGULAR_QUTRIT, math.pi / 6)
         sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=np.random.default_rng(8))
-        assert sampler._route == route
         req = self.mc_request(ensemble, stratum, zeta, n, 1)
         kernel = (sw_spectrum_qubit() if zeta is None else sw_spectrum_qutrit(zeta)).as_array()
         expected = int(np.count_nonzero(_is_classical(sampler.sample(n), kernel)))
@@ -941,11 +939,26 @@ class TestMonteCarlo:
         assert ind._mc_chunk_hits(ensemble, stratum, [kernel], n, 8) == [expected]
         assert max(batches) <= block and max(rows) <= SpectrumSampler._TILE and sum(rows) == n
 
-    def test_point_stratum_all_classical(self):
-        stratum = StratumLabel.for_partition((2,))
-        req = IndicatorRequest(ensemble=EnsembleKind.BKM, stratum=stratum,
-                               method=Method.MONTE_CARLO, samples=100, seed=1)
-        assert q_monte_carlo(req).q == 1.0
+    @pytest.mark.parametrize("method", list(Method), ids=[m.value for m in Method])
+    @pytest.mark.parametrize("point", [(2,), (3,)], ids=["qubit", "qutrit"])
+    def test_point_stratum_all_classical(self, monkeypatch, method, point):
+        # every method answers a point once, before dispatch: Q = 1 and error 0
+        # per cell, with no sampler built, no chunk seeded and no thread started
+        calls = []
+        monkeypatch.setattr(ind, "_stratum_sampler", lambda *args: calls.append("sampler"))
+        monkeypatch.setattr(ind, "worker_seed", lambda *args: calls.append("seed"))
+        monkeypatch.setattr(ind, "ThreadPoolExecutor", lambda *args, **kwargs: calls.append("pool"))
+        stratum = StratumLabel.for_partition(point)
+        zetas = [None] if point == (2,) else [0.0, 0.3, ZETA_MAX]
+        options = dict(samples=100, seed=1, workers=3) if method is Method.MONTE_CARLO else {}
+        for kind in ALL_KINDS:
+            cell = compute_indicator(IndicatorRequest(ensemble=kind, stratum=stratum, method=method,
+                                                      zeta=zetas[-1], **options))
+            assert (cell.q, cell.error_estimate) == (1.0, 0.0)
+        grid = ind.indicators(ALL_KINDS, stratum, method, zetas, **options)
+        assert grid == [([1.0] * len(zetas), [0.0] * len(zetas))] * len(ALL_KINDS)
+        assert ind.indicators(ALL_KINDS, stratum, method, [], **options) == [([], [])] * len(ALL_KINDS)
+        assert calls == []
 
 
 class TestModuliUtilities:

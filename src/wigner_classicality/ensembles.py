@@ -64,19 +64,19 @@ def worker_seed(master_seed: int, worker_index: int) -> int:
 # vectorized density kernels used by quadrature and the rejection samplers
 # ---------------------------------------------------------------------------
 
-def _mc_vec(kind: EnsembleKind, x, y, lx, ly):
-    """Morozova-Chentsov function on arrays; ``lx``, ``ly`` are ``np.log`` of x, y (BKM only).
+def _mc_vec(kind: EnsembleKind, x, y, diff, lx, ly):
+    """Morozova-Chentsov function on arrays; ``diff`` is x - y, ``lx``, ``ly`` are ``np.log`` of x, y (BKM only).
 
     The BKM series is evaluated only where ``|d| <= BKM_SERIES_CUTOFF``.
     """
     if kind is EnsembleKind.BURES:
         return 2.0 / (x + y)
     s = np.asarray(x + y)
-    diff = x - y
     d = np.asarray(diff / s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray((lx - ly) / diff)
-    near = np.abs(d) <= BKM_SERIES_CUTOFF
+        out = np.asarray(lx - ly)
+        out /= diff
+    near = (d <= BKM_SERIES_CUTOFF) & (d >= -BKM_SERIES_CUTOFF)  # no float temporary
     if near.any():
         dn = d[near]
         out[near] = (1.0 + dn * dn / 3.0 + dn ** 4 / 5.0) / (0.5 * s[near])
@@ -95,14 +95,24 @@ def _density3_vec(kind: EnsembleKind, r1, r2, r3):
 
     A monotone ensemble multiplies by ``prod_{i<j} c_f(r_i, r_j)`` (the
     Morozova-Chentsov function of ``_mc_vec``) and ``(r1 r2 r3)^(-1/2)``.
+    Products run left to right in place, so r1 and r2 span the broadcast shape.
     """
-    v = ((r1 - r2) * (r1 - r3) * (r2 - r3)) ** 2
+    d12, d13, d23 = r1 - r2, r1 - r3, r2 - r3
+    v = d12 * d13
+    v *= d23
+    v **= 2
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v
     with np.errstate(divide="ignore", invalid="ignore"):
         l1, l2, l3 = _logs(kind, r1, r2, r3)
-        c = _mc_vec(kind, r1, r2, l1, l2) * _mc_vec(kind, r1, r3, l1, l3) * _mc_vec(kind, r2, r3, l2, l3)
-        return v * c / np.sqrt(r1 * r2 * r3)
+        c = _mc_vec(kind, r1, r2, d12, l1, l2)
+        c *= _mc_vec(kind, r1, r3, d13, l1, l3)
+        c *= _mc_vec(kind, r2, r3, d23, l2, l3)
+        v *= c
+        c = r1 * r2
+        c *= r3
+        v /= np.sqrt(c)
+        return v
 
 
 def _density_pair_vec(kind: EnsembleKind, big, small, kk: int):
@@ -111,12 +121,13 @@ def _density_pair_vec(kind: EnsembleKind, big, small, kk: int):
     HS ``(big - small)^(2 kk)``; a monotone ensemble multiplies by
     ``c_f(big, small)^kk (big small)^(-1/2)``.
     """
-    v = (big - small) ** (2 * kk)
+    diff = big - small
+    v = diff ** (2 * kk)
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v
     with np.errstate(divide="ignore", invalid="ignore"):
         lb, ls = _logs(kind, big, small)
-        return v * _mc_vec(kind, big, small, lb, ls) ** kk / np.sqrt(big * small)
+        return v * _mc_vec(kind, big, small, diff, lb, ls) ** kk / np.sqrt(big * small)
 
 
 #: One-coordinate pieces, parametrised by their smallest distinct eigenvalue y:
@@ -187,14 +198,28 @@ def _regular_chart(t, phi):
     (1 + 3 q^2) s t^3 / 3 dt dphi.  Quadrature and the rejection sampler
     share this chart.
     """
-    q = np.tan(phi / 3.0) / SQRT3
-    t3 = t * t * t
-    r3 = t3 * t / 3.0
-    s = 1.0 - 3.0 * r3
+    # in place where the result has the step's shape (quadrature broadcasts t against phi)
+    q = phi / 3.0
+    np.tan(q, out=q)
+    q /= SQRT3
+    t3 = t * t
+    t3 *= t
+    r3 = t3 * t
+    r3 /= 3.0
+    s = 3.0 * r3
+    np.subtract(1.0, s, out=s)
     # 1/3 + s/6 +- s q/2 summed left to right, as written above
-    a = 1.0 / 3.0 + s / 6.0
-    b = s * q / 2.0
-    return (a + b, a - b, r3), (1.0 + 3.0 * q * q) * s * t3 / 3.0
+    a = s / 6.0
+    a += 1.0 / 3.0
+    b = s * q
+    b /= 2.0
+    area = 3.0 * q
+    area *= q
+    area += 1.0
+    area = area * s
+    area *= t3
+    area /= 3.0
+    return (a + b, np.subtract(a, b, out=b), r3), area
 
 
 def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
@@ -205,12 +230,16 @@ def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
     """
     (r1, r2, r3), area = _regular_chart(t, phi)
     bad = (r1 <= r2) | (r2 <= r3) | (t <= 0.0)
-    r1s = np.where(bad, 0.5, r1)
-    r2s = np.where(bad, 0.3, r2)
-    r3s = np.where(bad, 0.2, r3)
-    val = _density3_vec(kind, r1s, r2s, r3s) * area
+    off = bad.any()  # a random tile seldom has such a row
+    spectra = [np.where(bad, fill, r) for fill, r in zip((0.5, 0.3, 0.2), (r1, r2, r3))] if off else (r1, r2, r3)
+    val = _density3_vec(kind, *spectra)
+    val *= area
+    if off:
+        val[bad] = 0.0
     total = r1 + r2 + r3
-    return np.where(bad, 0.0, val), (r1 / total, r2 / total, r3 / total)
+    r1 /= total
+    r2 /= total
+    return val, (r1, r2, r3 / total)
 
 
 def _line_weight(kind: EnsembleKind, mult: tuple, t, edge=None):
@@ -230,9 +259,14 @@ def _line_weight(kind: EnsembleKind, mult: tuple, t, edge=None):
         drdy = drdy * (1.0 + edge)
     y = top * t ** 4
     bad = (y <= 0.0) | (y >= top)
-    spectra = _line_spectrum(mult, np.where(bad, top / 2.0, y), edge)
+    off = bad.any()  # a random tile seldom has such a row
+    if off:
+        y[bad] = top / 2.0
+    spectra = _line_spectrum(mult, y, edge)
     val = _density_pair_vec(kind, spectra[0], spectra[-1], kk) * (drdy * 4.0 * top * t ** 3)
-    return np.where(bad, 0.0, val), spectra
+    if off:
+        val[bad] = 0.0
+    return val, spectra
 
 
 def _proposal_box(mult: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
@@ -298,7 +332,7 @@ def _cell_lookup(table: tuple, x: np.ndarray) -> np.ndarray:
     farthest of them.  So rounding at the bucket edges cannot change a result.
     """
     guide, scale, above, below = table
-    i = guide.take(np.clip(x * scale, 0, guide.size - 1).astype(np.intp))
+    i = guide.take(np.minimum(x * scale, guide.size - 1).astype(np.intp))  # x * scale > -1 truncates to >= 0
     up = np.flatnonzero(above.take(i) < x)
     i[up] += 1  # now cdf[i - 1] < x, so no step down follows
     down = np.flatnonzero(below.take(i) >= x)
@@ -351,8 +385,8 @@ class SpectrumSampler:
     """
 
     _CHUNK = 1 << 18
-    #: Rows per tile in ``_draw``: the temporaries of one tile stay in cache,
-    #: where those of a whole batch would not, and the heap reuses them.
+    #: Rows per tile in ``_draw``: a tile holds 1-2 MB of temporaries at once
+    #: (README, Sampling), where a whole batch would hold 16 times that.
     _TILE = 1 << 14
 
     def __init__(
@@ -438,11 +472,11 @@ class SpectrumSampler:
         """Propose m points from the envelope table; return each tile's accepted spectrum columns.
 
         One generator call draws the batch's uniforms, row by row in stream
-        order: the cells, each coordinate, the acceptance.  So the stream and
-        every output bit do not depend on ``_TILE``.  Everything else, from
-        the cell lookup to the accepted columns, runs tile by tile, so no
-        other array spans the batch.  Every proposal's weight is checked
-        against its cell's bound before anything is returned.
+        order: the cells (scaled in place), each coordinate, the acceptance.
+        So the stream and every output bit do not depend on ``_TILE``.  All
+        else, from the cell lookup to the accepted columns, runs tile by
+        tile, so no other array spans the batch.  Every proposal's weight is
+        checked against its cell's bound before anything is returned.
         """
         bound = self._envelope
         cdf = np.cumsum(bound)
@@ -452,15 +486,19 @@ class SpectrumSampler:
         lead = (len(self._pieces),) if len(self._pieces) > 1 else ()
         origins = _cell_origins(lead + (cells,) * len(self._box))
         uniforms = self.rng.random((len(self._box) + 2, m))
+        # (1 - U) * total lies in (0, total], so search-left skips empty cells
+        np.subtract(1.0, uniforms[0], out=uniforms[0])
+        uniforms[0] *= cdf[-1]
         tiles, worst = [], None
         for start in range(0, m, self._TILE):
             u = uniforms[:, start:start + self._TILE]
-            # (1 - U) * total lies in (0, total], so search-left skips empty cells
-            cell = _cell_lookup(table, (1.0 - u[0]) * cdf[-1])
-            index = [o.take(cell) for o in origins]
-            coords = [lo + (i + v) * ((hi - lo) / cells)
-                      for (lo, hi), i, v in zip(self._box, index[len(lead):], u[1:-1])]
-            coords += index[:len(lead)]
+            cell = _cell_lookup(table, u[0])
+            coords = [o.take(cell) for o in origins]
+            for (lo, hi), i, v in zip(self._box, coords[len(lead):], u[1:-1]):
+                i += v  # lo + (i + v) (hi - lo) / cells, in the origin's own array
+                i *= (hi - lo) / cells
+                i += lo
+            coords = coords[len(lead):] + coords[:len(lead)]
             w, spectra = _proposal_weight(self.kind, self._pieces, coords)
             b = bound.take(cell)
             over = w > b

@@ -167,8 +167,10 @@ def _dual_pairing(spectra, kernel: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: spectrum N={len(columns)}, kernel N={kernel.shape[-1]}")
     ascending = kernel.T[::-1]  # scalars for one kernel, columns for one per row
     total = columns[0] * ascending[0]
+    term = None  # one buffer for every product after the first
     for column, k in zip(columns[1:], ascending[1:]):
-        total += column * k
+        term = np.multiply(column, k, out=term)
+        total += term
     return total
 
 

@@ -20,7 +20,13 @@ from scalar_density import joint_density, log_joint_density, mc_function
 import wigner_classicality.ensembles as ensembles
 import wigner_classicality.indicators as indicators
 from wigner_classicality.spectra import SQRT3, DegeneracyType, StratumLabel
-from wigner_classicality.wigner import ZETA_MAX, _is_classical, sw_spectrum_qubit, sw_spectrum_qutrit
+from wigner_classicality.wigner import (
+    ZETA_MAX,
+    _dual_pairing,
+    _is_classical,
+    sw_spectrum_qubit,
+    sw_spectrum_qutrit,
+)
 from wigner_classicality.ensembles import (
     EnsembleKind,
     SamplerFailureError,
@@ -332,6 +338,39 @@ def _regular_chart_028(t, phi):
     return (r1, r2, r3), (1.0 + 3.0 * q * q) * s * t3 / 3.0
 
 
+def _regular_weight_qutrit_032(kind: EnsembleKind, t, phi):
+    """``ensembles._regular_weight_qutrit`` as 0.3.2 first shipped it (``np.where`` on every tile), on 0.2.8 kernels."""
+    (r1, r2, r3), area = _regular_chart_028(t, phi)
+    bad = (r1 <= r2) | (r2 <= r3) | (t <= 0.0)
+    r1s = np.where(bad, 0.5, r1)
+    r2s = np.where(bad, 0.3, r2)
+    r3s = np.where(bad, 0.2, r3)
+    val = _density3_vec_028(kind, r1s, r2s, r3s) * area
+    total = r1 + r2 + r3
+    return np.where(bad, 0.0, val), (r1 / total, r2 / total, r3 / total)
+
+
+def _line_spectrum_032(mult: tuple, y, edge=None):
+    """``ensembles._line_spectrum`` as 0.3.2 first shipped it."""
+    if mult == (1, 1):
+        return (1.0 - y, y)
+    e = edge if mult == _EDGES else _EDGES.index(mult)
+    big = (1.0 - (1.0 + e) * y) / (2.0 - e)
+    return (big, big * (1.0 - e) + y * e, y)
+
+
+def _line_weight_032(kind: EnsembleKind, mult: tuple, t, edge=None):
+    """``ensembles._line_weight`` as 0.3.2 first shipped it (``np.where`` on every tile), on the 0.2.8 density."""
+    top, kk, drdy = ensembles._LINES[mult[0] if mult == _EDGES else mult]
+    if mult == _EDGES:
+        drdy = drdy * (1.0 + edge)
+    y = top * t ** 4
+    bad = (y <= 0.0) | (y >= top)
+    spectra = _line_spectrum_032(mult, np.where(bad, top / 2.0, y), edge)
+    val = _density_pair_vec_028(kind, spectra[0], spectra[-1], kk) * (drdy * 4.0 * top * t ** 3)
+    return np.where(bad, 0.0, val), spectra
+
+
 def _sampler(cls, kind: EnsembleKind, mult: tuple, seed: int) -> SpectrumSampler:
     """A ``cls`` sampler of one piece, or with ``mult`` = ``_EDGES`` one over both edges."""
     if mult != _EDGES:
@@ -432,6 +471,104 @@ class TestWeightBits:
         old = self._weights(kind, t, phi)
         for a, b in zip(new, old, strict=True):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestMaskedWeightBits:
+    """Both weights keep the bits of the ``_032`` copies on their fast path (no off-simplex row) and their masked path.
+
+    The interior points of ``TestWeightBits._box_points`` have no such row;
+    its box edges and the chart ends t = 0 and t = 1 of a line piece do.
+    """
+
+    @staticmethod
+    def _assert_same(new, old):
+        (w, spectra), (w_old, spectra_old) = new, old
+        for a, b in zip((w, *spectra), (w_old, *spectra_old), strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("part", ["interior", "edges"])
+    def test_regular_weight_matches_032(self, kind, part):
+        t, phi = TestWeightBits._box_points()
+        cut = slice(None, 100_000) if part == "interior" else slice(100_000, None)
+        t, phi = t[cut], phi[cut]
+        (r1, r2, r3), _ = _regular_chart_028(t, phi)
+        assert ((r1 <= r2) | (r2 <= r3) | (t <= 0.0)).any() == (part == "edges")
+        self._assert_same(ensembles._regular_weight_qutrit(kind, t, phi), _regular_weight_qutrit_032(kind, t, phi))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", [(1, 1), (2, 1), (1, 2), _EDGES])
+    @pytest.mark.parametrize("part", ["interior", "edges"])
+    def test_line_weight_matches_032(self, kind, mult, part):
+        rng = np.random.default_rng(13)
+        t = rng.random(100_000) if part == "interior" else np.linspace(0.0, 1.0, 65)
+        edge = (rng.random(t.size) < 0.5).astype(float) if mult == _EDGES else None
+        assert ((t <= 0.0) | (t >= 1.0)).any() == (part == "edges")
+        self._assert_same(ensembles._line_weight(kind, mult, t, edge), _line_weight_032(kind, mult, t, edge))
+
+
+def _read_only(*arrays) -> list[np.ndarray]:
+    """Read-only copies of ``arrays``."""
+    copies = [np.array(a) for a in arrays]
+    for a in copies:
+        a.flags.writeable = False
+    return copies
+
+
+def _leaves(value) -> list:
+    """The arrays of a kernel's output, nested tuples flattened in order."""
+    if isinstance(value, (tuple, list)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+class TestKernelsKeepTheirInputs:
+    """The tile kernels work in place on their own arrays only.
+
+    Each runs on read-only inputs, where a write into an input raises, and
+    must return the bits it returns on writeable copies: at a tile's 1-D
+    shape and at quadrature's (145, 1) x (128,) broadcast of the chart.
+    The line weight and the cell lookup take one 1-D axis in both uses.
+    """
+
+    @staticmethod
+    def _calls(kind: EnsembleKind, shape: str):
+        """(kernel, input arrays, call) for every tile kernel at one shape."""
+        rng = np.random.default_rng(19)
+        if shape == "tile":
+            t, phi = rng.random((2, SpectrumSampler._TILE))
+            phi *= math.pi
+        else:
+            t, phi = np.linspace(0.0, 1.0, 128) ** 4, math.pi * rng.random((145, 1))
+        (r1, r2, r3), _ = ensembles._regular_chart(t, phi)
+        logs = ensembles._logs(EnsembleKind.BKM, r1, r2)
+        line_t = rng.random(SpectrumSampler._TILE) if shape == "tile" else indicators._RAY_X ** 4
+        edge = (rng.random(line_t.size) < 0.5).astype(float)
+        cdf = np.cumsum(_envelope_table(kind, (1, 1, 1)))
+        guide, scale, above, below = _guide_table(cdf)
+        x = (1.0 - rng.random(SpectrumSampler._TILE)) * cdf[-1]
+        kernel = sw_spectrum_qutrit(0.3).as_array()
+        return [
+            ("_regular_chart", (t, phi), ensembles._regular_chart),
+            ("_regular_weight_qutrit", (t, phi), lambda *a: ensembles._regular_weight_qutrit(kind, *a)),
+            ("_line_weight", (line_t, edge), lambda t, e: ensembles._line_weight(kind, _EDGES, t, e)),
+            ("_line_weight", (line_t,), lambda t: ensembles._line_weight(kind, (1, 1), t)),
+            ("_density3_vec", (r1, r2, r3), lambda *a: _density3_vec(kind, *a)),
+            ("_density_pair_vec", (r1, r3), lambda *a: _density_pair_vec(kind, *a, 2)),
+            ("_mc_vec", (r1, r2, r1 - r2, *logs), lambda *a: ensembles._mc_vec(kind, *a)),
+            ("_cell_lookup", (guide, above, below, x), lambda g, a, b, x: _cell_lookup((g, scale, a, b), x)),
+            ("_dual_pairing", (r1, r2, r3, kernel), lambda *a: _dual_pairing(a[:3], a[3])),
+        ]
+
+    @pytest.mark.parametrize("shape", ["tile", "quadrature"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_read_only_inputs_give_the_same_bits(self, kind, shape):
+        for name, args, call in self._calls(kind, shape):
+            expected = _leaves(call(*[np.array(a) for a in args]))
+            got = _leaves(call(*_read_only(*args)))
+            assert len(got) == len(expected), name
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b, equal_nan=True), name
 
 
 class TestProposalLoop:

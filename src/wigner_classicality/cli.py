@@ -47,10 +47,9 @@ from .indicators import (
     Method,
     UnsupportedRequestError,
     _degenerate_to_regular_ratios,
-    asymmetry,
+    _minima,
     indicator,
     indicators,
-    minimize_q_over_zeta,
 )
 from .svgplot import render_line_plot
 
@@ -325,17 +324,17 @@ def _run_ratio(cfg: RunConfig) -> int:
 def _run_table1(cfg: RunConfig) -> int:
     """Minima over the moduli angle for the three ensembles.
 
-    The Hilbert-Schmidt row uses the closed forms; the monotone ensembles
-    use quadrature, whatever --method says (there are no closed forms there).
+    The Hilbert-Schmidt row uses the closed forms; Bures and BKM, which have
+    none, are searched together by quadrature.  ``table1`` takes no --method.
     """
     csv_path, _ = _out_paths(cfg)
     header = ["ensemble", "q_min", "zeta_min", "asymmetry"]
     rows = []
     lines = []
-    for ensemble in (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BKM, EnsembleKind.BURES):
-        method = Method.CLOSED_FORM if ensemble is EnsembleKind.HILBERT_SCHMIDT else Method.QUADRATURE
-        zeta_min, q_min = minimize_q_over_zeta(ensemble, REGULAR_QUTRIT, method)
-        asym = asymmetry(ensemble, REGULAR_QUTRIT, method)
+    ensembles = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BKM, EnsembleKind.BURES)
+    minima = (_minima(ensembles[:1], REGULAR_QUTRIT, Method.CLOSED_FORM)
+              + _minima(ensembles[1:], REGULAR_QUTRIT, Method.QUADRATURE))
+    for ensemble, (zeta_min, q_min, asym) in zip(ensembles, minima):
         rows.append([ensemble.label, _num(q_min), _num(zeta_min), _num(asym)])
         ref_q, ref_z, ref_a = REFERENCE_MINIMA[ensemble.label]
         dq = abs(q_min - ref_q) / ref_q
@@ -371,11 +370,13 @@ def _run_sample(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _check(name: str, expected: float, actual: float, tolerance: float) -> dict:
+    """A check that ``actual`` is within ``tolerance`` of ``expected``; its margin is the deviation in tolerances."""
     return {
         "check": name,
         "expected": expected,
         "actual": actual,
         "tolerance": tolerance,
+        "margin": abs(actual - expected) / tolerance if tolerance > 0 else None,
         "pass": bool(abs(actual - expected) <= tolerance),
     }
 
@@ -445,6 +446,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
             "expected": noise,
             "actual": asym,
             "tolerance": 0.0,
+            "margin": None,
             "pass": bool(asym > noise),
         })
 

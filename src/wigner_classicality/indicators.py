@@ -716,47 +716,73 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
     return [([_closed_form(kind, stratum, z) for z in zetas], [0.0] * len(zetas)) for kind in kinds]
 
 
+def _golden_section(a, b):
+    """Golden section on [a, b] (Brent 1973) as a generator: yields the angles it needs, is sent their values, returns the midpoint."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = yield [c, d]
+    while (b - a) > MINIMIZER_RESOLUTION:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            (fc,) = yield [c]
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            (fd,) = yield [d]
+    return 0.5 * (a + b)
+
+
+def _minima(kinds: tuple[EnsembleKind, ...], stratum: StratumLabel, method: Method) -> list[tuple[float, float, float]]:
+    """(zeta_min, q_min, q(0) - q(pi/3)) of each of ``kinds`` on a qutrit ``stratum``.
+
+    One 61-point ``indicators`` scan over [0, pi/3] brackets each kind's
+    grid minimum, and its end points (exactly 0 and pi/3) give the
+    asymmetry.  The kinds' ``_golden_section`` searches then run in
+    lockstep: a step is one ``indicators`` call over the next angles of
+    every kind still searching, of which each kind keeps its own.  A cell's
+    bits do not depend on its call, so every result is bit for bit that of
+    the kind alone.  Monte Carlo fails validation: the scan takes no samples.
+    """
+    if stratum.n != 3:
+        raise UnsupportedRequestError("moduli minimization applies to qutrit strata")
+
+    def own_values(live: list[int], angles: list[list]) -> list[list[float]]:
+        """Each kind of ``live`` at its own list of ``angles``, from one ``indicators`` call."""
+        curves = indicators([kinds[k] for k in live], stratum, method, [z for zs in angles for z in zs])
+        starts = np.cumsum([0] + [len(zs) for zs in angles]).tolist()
+        return [values[i:i + len(zs)] for (values, _), i, zs in zip(curves, starts, angles)]
+
+    grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
+    scans = [values for values, _ in indicators(kinds, stratum, method, grid)]
+    searches = [_golden_section(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
+                for i in (int(np.argmin(values)) for values in scans)]
+    angles = [next(search) for search in searches]
+    live, zeta_min = list(range(len(kinds))), [None] * len(kinds)
+    while live:
+        for k, values in zip(live[:], own_values(live, [angles[k] for k in live])):
+            try:
+                angles[k] = searches[k].send(values)
+            except StopIteration as done:
+                zeta_min[k] = done.value
+                live.remove(k)
+    q_min = own_values(list(range(len(kinds))), [[z] for z in zeta_min])
+    return [(z, q, values[0] - values[-1]) for z, (q,), values in zip(zeta_min, q_min, scans)]
+
+
 def minimize_q_over_zeta(
     ensemble: EnsembleKind,
     stratum: StratumLabel,
     method: Method = Method.QUADRATURE,
 ) -> tuple[float, float]:
-    """Minimize the indicator over the moduli angle.
+    """Minimize the indicator over the moduli angle: (zeta_min, q_min).
 
-    A 61-point scan over [0, pi/3] (one ``indicators`` call) brackets the
-    grid minimum, then golden-section search refines the bracket to a zeta
-    resolution of 1e-6, one cell per step.  The scan takes no sample
-    count, so a Monte Carlo ``method`` fails validation with
-    ``UnsupportedRequestError``.
-
-    Returns:
-        (zeta_min, q_min).
+    The one-kind case of ``_minima``: a 61-point scan brackets the grid
+    minimum, golden section refines it to a zeta resolution of 1e-6, and
+    a Monte Carlo ``method`` fails validation (``UnsupportedRequestError``).
     """
-    if stratum.n != 3:
-        raise UnsupportedRequestError("moduli minimization applies to qutrit strata")
-
-    def q_of(zeta: float) -> float:
-        return indicator(ensemble, stratum, method, zeta).q
-
-    grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
-    ((values, _),) = indicators((ensemble,), stratum, method, grid)
-    i = int(np.argmin(values))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = q_of(c), q_of(d)
-    while (b - a) > MINIMIZER_RESOLUTION:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = q_of(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = q_of(d)
-    zeta_min = 0.5 * (a + b)
-    return zeta_min, q_of(zeta_min)
+    ((zeta_min, q_min, _),) = _minima((ensemble,), stratum, method)
+    return zeta_min, q_min
 
 
 def asymmetry(

@@ -305,6 +305,24 @@ class TestTable1:
             assert a == pytest.approx(a_ref, rel=1e-2)
         assert "rel dev" in capsys.readouterr().out
 
+    def test_one_scan_and_lockstep_steps(self, tmp_path, monkeypatch):
+        # Bures and BKM share the 61-angle scan and every golden-section step
+        from wigner_classicality import indicators
+
+        block = indicators._quadrature_block
+        calls = []
+
+        def spy(kinds, stratum, zetas):
+            calls.append((kinds, len(zetas)))
+            return block(kinds, stratum, zetas)
+
+        monkeypatch.setattr(indicators, "_quadrature_block", spy)
+        assert cli.main(["table1", "--out", str(tmp_path / "t")]) == 0
+        scans = [kinds for kinds, n in calls if n == 61]
+        assert scans == [(EnsembleKind.BKM, EnsembleKind.BURES)]
+        assert all(n <= 4 for _, n in calls if n != 61)
+        assert len(calls) <= 26
+
 
 class TestSample:
     def test_regular_rows(self, tmp_path):
@@ -403,6 +421,20 @@ class TestVerify:
         report = json.loads((tmp_path / "report2.json").read_text())
         assert report["pass"] is False
         assert any(not c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-15"])
+    def test_margins(self, tmp_path, tol):
+        # a check with a positive tolerance passes exactly when its margin is at most 1
+        out = tmp_path / "report"
+        cli.main(["verify", "--seed", "1234", "--tol", tol, "--samples", "50000", "--out", str(out)])
+        checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+        for c in checks:
+            if c["tolerance"] > 0:
+                assert (c["margin"] <= 1.0) is c["pass"], c
+                assert c["margin"] == abs(c["actual"] - c["expected"]) / c["tolerance"]
+            else:
+                assert c["margin"] is None, c
+        assert {c["pass"] for c in checks if c["tolerance"] > 0} == ({True} if tol == "1e-6" else {True, False})
 
     def test_byte_identical_reports(self, tmp_path):
         blobs = []

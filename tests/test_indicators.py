@@ -961,6 +961,42 @@ class TestMonteCarlo:
         assert calls == []
 
 
+def _golden_minimum_reference(ensemble, stratum, method):
+    """(zeta_min, q_min, asymmetry, steps) by the one-kind search that ``_minima`` replaced.
+
+    The 61-point scan, then golden section with one ``compute_indicator``
+    cell per step, then ``asymmetry``'s own two-angle read.
+    """
+    def q_of(zeta):
+        return compute_indicator(IndicatorRequest(ensemble=ensemble, stratum=stratum, method=method, zeta=zeta)).q
+
+    grid = np.linspace(0.0, ZETA_MAX, ind.MINIMIZER_GRID_POINTS)
+    ((values, _),) = ind.indicators((ensemble,), stratum, method, grid)
+    i = int(np.argmin(values))
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
+    c = b - ind._GOLDEN * (b - a)
+    d = a + ind._GOLDEN * (b - a)
+    fc, fd = q_of(c), q_of(d)
+    steps = 0
+    while (b - a) > ind.MINIMIZER_RESOLUTION:
+        steps += 1
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - ind._GOLDEN * (b - a)
+            fc = q_of(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ind._GOLDEN * (b - a)
+            fd = q_of(d)
+    zeta_min = 0.5 * (a + b)
+    return zeta_min, q_of(zeta_min), asymmetry(ensemble, stratum, method), steps
+
+
+def _hex_minima(minima):
+    return [tuple(float(v).hex() for v in row) for row in minima]
+
+
 class TestModuliUtilities:
     def test_minimize_hs_closed(self):
         zeta_min, q_min = minimize_q_over_zeta(
@@ -983,6 +1019,37 @@ class TestModuliUtilities:
         for scan in (minimize_q_over_zeta, asymmetry):
             with pytest.raises(UnsupportedRequestError):
                 scan(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO)
+
+    @pytest.mark.parametrize("stratum", [REGULAR_QUTRIT, DEGENERATE_QUTRIT], ids=["regular", "degenerate"])
+    @pytest.mark.parametrize("kinds, method", [
+        (ALL_KINDS, Method.QUADRATURE), ((EnsembleKind.HILBERT_SCHMIDT,), Method.CLOSED_FORM),
+    ], ids=["quad", "closed"])
+    def test_lockstep_minima_are_the_one_kind_search(self, kinds, method, stratum):
+        reference = [_golden_minimum_reference(kind, stratum, method)[:3] for kind in kinds]
+        assert _hex_minima(ind._minima(kinds, stratum, method)) == _hex_minima(reference)
+        for kind, row in zip(kinds, reference):
+            assert _hex_minima([minimize_q_over_zeta(kind, stratum, method)]) == _hex_minima([row[:2]])
+
+    def test_lockstep_searches_of_different_lengths(self, monkeypatch):
+        # a grid minimum at an end point brackets one grid step, not two, so
+        # that search ends a step before the interior ones
+        targets = {EnsembleKind.HILBERT_SCHMIDT: 0.0, EnsembleKind.BURES: 0.4, EnsembleKind.BKM: ZETA_MAX}
+        calls = []
+
+        def parabolas(kinds, stratum, zetas):
+            calls.append(len(kinds))
+            return [([(float(z) - targets[kind]) ** 2 for z in zetas], [0.0] * len(zetas)) for kind in kinds]
+
+        monkeypatch.setattr(ind, "_quadrature_block", parabolas)
+        reference = [_golden_minimum_reference(kind, REGULAR_QUTRIT, Method.QUADRATURE) for kind in ALL_KINDS]
+        assert [steps for *_, steps in reference] == [21, 22, 21]
+        calls.clear()
+        minima = ind._minima(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE)
+        assert _hex_minima(minima) == _hex_minima([row[:3] for row in reference])
+        # scan, first probes, 22 steps (the last with Bures alone), final values
+        assert calls == [3, 3] + [3] * 21 + [1, 3]
+        for (zeta_min, q_min, _), target in zip(minima, targets.values()):
+            assert abs(zeta_min - target) <= 1e-6 and q_min <= 1e-12
 
     def test_asymmetry_hs_vanishes(self):
         assert asymmetry(EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT, Method.CLOSED_FORM) == pytest.approx(0.0, abs=1e-15)

@@ -168,8 +168,14 @@ def _line_spectrum(mult: tuple, y, edge=None):
     if mult == (1, 1):
         return (1.0 - y, y)
     e = edge if mult == _EDGES else _EDGES.index(mult)
-    big = (1.0 - (1.0 + e) * y) / (2.0 - e)
-    return (big, big * (1.0 - e) + y * e, y)
+    big = 1.0 + e
+    big *= y
+    np.subtract(1.0, big, out=big)
+    big /= 2.0 - e
+    mid = 1.0 - e
+    mid *= big
+    mid += y * e
+    return (big, mid, y)
 
 
 #: Envelope tables: cells per axis of the proposal box (32 x 32 on the regular
@@ -257,13 +263,17 @@ def _line_weight(kind: EnsembleKind, mult: tuple, t, edge=None):
     top, kk, drdy = _LINES[mult[0] if mult == _EDGES else mult]
     if mult == _EDGES:  # |dr/dy| doubles on (1,2)
         drdy = drdy * (1.0 + edge)
-    y = top * t ** 4
+    y = t ** 4
+    y *= top
     bad = (y <= 0.0) | (y >= top)
     off = bad.any()  # a random tile seldom has such a row
     if off:
         y[bad] = top / 2.0
     spectra = _line_spectrum(mult, y, edge)
-    val = _density_pair_vec(kind, spectra[0], spectra[-1], kk) * (drdy * 4.0 * top * t ** 3)
+    jac = t ** 3
+    jac *= drdy * 4.0 * top
+    val = _density_pair_vec(kind, spectra[0], spectra[-1], kk)
+    val *= jac
     if off:
         val[bad] = 0.0
     return val, spectra

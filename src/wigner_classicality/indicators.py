@@ -52,11 +52,10 @@ QUBIT_STRATUM = StratumLabel.for_partition((1, 1))
 REGULAR_QUTRIT = StratumLabel.for_partition((1, 1, 1))
 DEGENERATE_QUTRIT = StratumLabel.for_partition((2, 1))
 
-#: Moduli-scan layout: coarse grid then golden-section refinement.
-MINIMIZER_GRID_POINTS = 61
-MINIMIZER_RESOLUTION = 1e-6
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Moduli-scan layout: a coarse grid brackets each minimum, then an interpolant
+#: through this many Chebyshev-Lobatto angles of the bracket locates it.
+MINIMIZER_GRID_POINTS = 13
+_MINIMIZER_NODES = 16
 
 
 class Method(Enum):
@@ -716,57 +715,86 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
     return [([_closed_form(kind, stratum, z) for z in zetas], [0.0] * len(zetas)) for kind in kinds]
 
 
-def _golden_section(a, b):
-    """Golden section on [a, b] (Brent 1973) as a generator: yields the angles it needs, is sent their values, returns the midpoint."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = yield [c, d]
-    while (b - a) > MINIMIZER_RESOLUTION:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            (fc,) = yield [c]
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            (fd,) = yield [d]
-    return 0.5 * (a + b)
+def _chebyshev_series(values: list[float]) -> list[float]:
+    """Chebyshev coefficients of the interpolant through ``values`` at x_j = -cos(pi j / n), by a DCT-I as in ``_ray_coefficients``."""
+    n = len(values) - 1
+    f = values[::-1]  # from x = 1 down
+    c = (np.fft.rfft(f + f[n - 1:0:-1]).real / n).tolist()
+    c[0] *= 0.5
+    c[n] *= 0.5
+    return c
+
+
+def _chebyshev_derivative(c: list[float]) -> list[float]:
+    """The Chebyshev series of the derivative of the series ``c``: d_(k-1) = d_(k+1) + 2 k c_k, d_0 halved."""
+    d = [0.0] * (len(c) + 1)
+    for k in range(len(c) - 1, 0, -1):
+        d[k - 1] = d[k + 1] + 2.0 * k * c[k]
+    d[0] *= 0.5
+    return d[:len(c) - 1]
+
+
+def _clenshaw(c: list[float], x: float) -> float:
+    """The Chebyshev series ``c`` at x, by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    for ck in c[:0:-1]:
+        b1, b2 = 2.0 * x * b1 - b2 + ck, b1
+    return x * b1 - b2 + c[0]
+
+
+def _interpolant_minimum(values: list[float]) -> float:
+    """The x in [-1, 1] where the interpolant of ``_chebyshev_series`` through ``values`` is least.
+
+    Where its slope runs from negative at -1 to positive at 1, that is the
+    slope's root, by Newton steps from 0 safeguarded by bisection down to a
+    step of 1e-15; otherwise it is the end of the lower value.
+    """
+    slope = _chebyshev_derivative(_chebyshev_series(values))
+    curvature = _chebyshev_derivative(slope)
+    lo, hi = -1.0, 1.0
+    if not _clenshaw(slope, lo) < 0.0 < _clenshaw(slope, hi):
+        return lo if values[0] <= values[-1] else hi
+    x, dx = 0.0, 1.0
+    while dx > 1e-15:
+        s, c = _clenshaw(slope, x), _clenshaw(curvature, x)
+        lo, hi = (x, hi) if s < 0.0 else (lo, x)
+        # a Newton step out of the bracket, or at a nonpositive curvature, bisects
+        step = x - s / c if c > 0.0 else math.nan
+        step = step if lo <= step <= hi else 0.5 * (lo + hi)
+        x, dx = step, abs(step - x)
+    return x
 
 
 def _minima(kinds: tuple[EnsembleKind, ...], stratum: StratumLabel, method: Method) -> list[tuple[float, float, float]]:
-    """(zeta_min, q_min, q(0) - q(pi/3)) of each of ``kinds`` on a qutrit ``stratum``.
+    """(zeta_min, q_min, q(0) - q(pi/3)) of each of ``kinds`` on a qutrit ``stratum``, from three ``indicators`` calls.
 
-    One 61-point ``indicators`` scan over [0, pi/3] brackets each kind's
-    grid minimum, and its end points (exactly 0 and pi/3) give the
-    asymmetry.  The kinds' ``_golden_section`` searches then run in
-    lockstep: a step is one ``indicators`` call over the next angles of
-    every kind still searching, of which each kind keeps its own.  A cell's
-    bits do not depend on its call, so every result is bit for bit that of
-    the kind alone.  Monte Carlo fails validation: the scan takes no samples.
+    A ``MINIMIZER_GRID_POINTS`` scan over [0, pi/3] brackets each kind's
+    grid minimum by its grid neighbours, and its ends (exactly 0 and pi/3)
+    give the asymmetry.  One call reads every kind at its own
+    ``_MINIMIZER_NODES`` Chebyshev-Lobatto angles of its bracket, where
+    ``_interpolant_minimum`` finds zeta_min to rounding level: Q is
+    analytic far beyond each bracket (its nearest singularity, at zeta = 0,
+    lies 0.44 or more away).  A last call reads every q_min.  A cell's bits
+    do not depend on its call, so every result is bit for bit that of the
+    kind alone.  Monte Carlo fails validation: the scan takes no samples.
     """
     if stratum.n != 3:
         raise UnsupportedRequestError("moduli minimization applies to qutrit strata")
 
-    def own_values(live: list[int], angles: list[list]) -> list[list[float]]:
-        """Each kind of ``live`` at its own list of ``angles``, from one ``indicators`` call."""
-        curves = indicators([kinds[k] for k in live], stratum, method, [z for zs in angles for z in zs])
-        starts = np.cumsum([0] + [len(zs) for zs in angles]).tolist()
-        return [values[i:i + len(zs)] for (values, _), i, zs in zip(curves, starts, angles)]
+    def own_values(angles: list[list[float]]) -> list[list[float]]:
+        """Each kind at its own list of ``angles``, all of one length, from one ``indicators`` call."""
+        curves = indicators(kinds, stratum, method, [z for zs in angles for z in zs])
+        return [values[k * len(zs):(k + 1) * len(zs)] for k, ((values, _), zs) in enumerate(zip(curves, angles))]
 
-    grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS)
+    grid = np.linspace(0.0, ZETA_MAX, MINIMIZER_GRID_POINTS).tolist()
     scans = [values for values, _ in indicators(kinds, stratum, method, grid)]
-    searches = [_golden_section(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
+    brackets = [(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
                 for i in (int(np.argmin(values)) for values in scans)]
-    angles = [next(search) for search in searches]
-    live, zeta_min = list(range(len(kinds))), [None] * len(kinds)
-    while live:
-        for k, values in zip(live[:], own_values(live, [angles[k] for k in live])):
-            try:
-                angles[k] = searches[k].send(values)
-            except StopIteration as done:
-                zeta_min[k] = done.value
-                live.remove(k)
-    q_min = own_values(list(range(len(kinds))), [[z] for z in zeta_min])
+    n = _MINIMIZER_NODES - 1
+    nodes = [[a + (b - a) * math.sin(math.pi * j / (2 * n)) ** 2 for j in range(n + 1)] for a, b in brackets]
+    zeta_min = [a + (b - a) * (0.5 + 0.5 * _interpolant_minimum(values))
+                for (a, b), values in zip(brackets, own_values(nodes))]
+    q_min = own_values([[z] for z in zeta_min])
     return [(z, q, values[0] - values[-1]) for z, (q,), values in zip(zeta_min, q_min, scans)]
 
 
@@ -777,9 +805,10 @@ def minimize_q_over_zeta(
 ) -> tuple[float, float]:
     """Minimize the indicator over the moduli angle: (zeta_min, q_min).
 
-    The one-kind case of ``_minima``: a 61-point scan brackets the grid
-    minimum, golden section refines it to a zeta resolution of 1e-6, and
-    a Monte Carlo ``method`` fails validation (``UnsupportedRequestError``).
+    The one-kind case of ``_minima``: a 13-point scan brackets the grid
+    minimum, the least point of a Chebyshev interpolant on the bracket
+    locates it to rounding level, and a Monte Carlo ``method`` fails
+    validation (``UnsupportedRequestError``).
     """
     ((zeta_min, q_min, _),) = _minima((ensemble,), stratum, method)
     return zeta_min, q_min

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
@@ -305,8 +306,9 @@ class TestTable1:
             assert a == pytest.approx(a_ref, rel=1e-2)
         assert "rel dev" in capsys.readouterr().out
 
-    def test_one_scan_and_lockstep_steps(self, tmp_path, monkeypatch):
-        # Bures and BKM share the 61-angle scan and every golden-section step
+    def test_three_quadrature_blocks(self, tmp_path, monkeypatch):
+        # Bures and BKM share the 13-angle scan, one read of both kinds'
+        # 16 bracket points and one read of both minima; HS is closed form
         from wigner_classicality import indicators
 
         block = indicators._quadrature_block
@@ -318,10 +320,24 @@ class TestTable1:
 
         monkeypatch.setattr(indicators, "_quadrature_block", spy)
         assert cli.main(["table1", "--out", str(tmp_path / "t")]) == 0
-        scans = [kinds for kinds, n in calls if n == 61]
-        assert scans == [(EnsembleKind.BKM, EnsembleKind.BURES)]
-        assert all(n <= 4 for _, n in calls if n != 61)
-        assert len(calls) <= 26
+        assert calls == [((EnsembleKind.BKM, EnsembleKind.BURES), n) for n in (13, 32, 2)]
+
+
+def test_quadrature_commands_import_no_numpy_polynomial_or_ma(tmp_path):
+    # numpy.polynomial costs about 4 ms to import and numpy.ma about 20 ms;
+    # no command that reads quadrature cells needs either
+    src = os.path.dirname(os.path.dirname(wigner_classicality.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = [["curve", "--method", "quad", "--stratum", stratum, "--zeta-grid", "0:1:5"]
+            for stratum in ("regular", "degenerate")]
+    runs += [["qubit", "--method", "quad"], ["ratio", "--method", "quad", "--zeta-grid", "0:1:5"], ["table1"]]
+    code = ("import sys; from wigner_classicality import cli\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            f"    assert cli.main(args + ['--out', {str(tmp_path)!r} + f'/run{{i}}']) == 0\n"
+            "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestSample:

@@ -961,8 +961,15 @@ class TestMonteCarlo:
         assert calls == []
 
 
+#: The layout of the search that ``_minima`` replaced: a 61-point scan, then
+#: golden section down to a bracket of 1e-6.
+GOLDEN_GRID_POINTS = 61
+GOLDEN_RESOLUTION = 1e-6
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _golden_minimum_reference(ensemble, stratum, method):
-    """(zeta_min, q_min, asymmetry, steps) by the one-kind search that ``_minima`` replaced.
+    """(zeta_min, q_min, asymmetry, steps) by the one-kind golden-section search that ``_minima`` replaced.
 
     The 61-point scan, then golden section with one ``compute_indicator``
     cell per step, then ``asymmetry``'s own two-angle read.
@@ -970,24 +977,24 @@ def _golden_minimum_reference(ensemble, stratum, method):
     def q_of(zeta):
         return compute_indicator(IndicatorRequest(ensemble=ensemble, stratum=stratum, method=method, zeta=zeta)).q
 
-    grid = np.linspace(0.0, ZETA_MAX, ind.MINIMIZER_GRID_POINTS)
+    grid = np.linspace(0.0, ZETA_MAX, GOLDEN_GRID_POINTS)
     ((values, _),) = ind.indicators((ensemble,), stratum, method, grid)
     i = int(np.argmin(values))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
-    c = b - ind._GOLDEN * (b - a)
-    d = a + ind._GOLDEN * (b - a)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
     fc, fd = q_of(c), q_of(d)
     steps = 0
-    while (b - a) > ind.MINIMIZER_RESOLUTION:
+    while (b - a) > GOLDEN_RESOLUTION:
         steps += 1
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - ind._GOLDEN * (b - a)
+            c = b - GOLDEN * (b - a)
             fc = q_of(c)
         else:
             a, c, fc = c, d, fd
-            d = a + ind._GOLDEN * (b - a)
+            d = a + GOLDEN * (b - a)
             fd = q_of(d)
     zeta_min = 0.5 * (a + b)
     return zeta_min, q_of(zeta_min), asymmetry(ensemble, stratum, method), steps
@@ -995,6 +1002,11 @@ def _golden_minimum_reference(ensemble, stratum, method):
 
 def _hex_minima(minima):
     return [tuple(float(v).hex() for v in row) for row in minima]
+
+
+#: The cases of ``_minima``: every kind by quadrature, and HS by closed form.
+MINIMA_CASES = [(ALL_KINDS, Method.QUADRATURE), ((EnsembleKind.HILBERT_SCHMIDT,), Method.CLOSED_FORM)]
+QUTRIT_STRATA = [REGULAR_QUTRIT, DEGENERATE_QUTRIT]
 
 
 class TestModuliUtilities:
@@ -1020,36 +1032,85 @@ class TestModuliUtilities:
             with pytest.raises(UnsupportedRequestError):
                 scan(EnsembleKind.BURES, REGULAR_QUTRIT, Method.MONTE_CARLO)
 
-    @pytest.mark.parametrize("stratum", [REGULAR_QUTRIT, DEGENERATE_QUTRIT], ids=["regular", "degenerate"])
-    @pytest.mark.parametrize("kinds, method", [
-        (ALL_KINDS, Method.QUADRATURE), ((EnsembleKind.HILBERT_SCHMIDT,), Method.CLOSED_FORM),
-    ], ids=["quad", "closed"])
-    def test_lockstep_minima_are_the_one_kind_search(self, kinds, method, stratum):
-        reference = [_golden_minimum_reference(kind, stratum, method)[:3] for kind in kinds]
-        assert _hex_minima(ind._minima(kinds, stratum, method)) == _hex_minima(reference)
-        for kind, row in zip(kinds, reference):
+    @pytest.mark.parametrize("stratum", QUTRIT_STRATA, ids=["regular", "degenerate"])
+    @pytest.mark.parametrize("kinds, method", MINIMA_CASES, ids=["quad", "closed"])
+    def test_minima_of_several_kinds_are_each_kind_alone(self, kinds, method, stratum):
+        minima = ind._minima(kinds, stratum, method)
+        assert _hex_minima(minima) == _hex_minima([ind._minima((kind,), stratum, method)[0] for kind in kinds])
+        for kind, row in zip(kinds, minima):
             assert _hex_minima([minimize_q_over_zeta(kind, stratum, method)]) == _hex_minima([row[:2]])
 
-    def test_lockstep_searches_of_different_lengths(self, monkeypatch):
-        # a grid minimum at an end point brackets one grid step, not two, so
-        # that search ends a step before the interior ones
+    @pytest.mark.parametrize("stratum", QUTRIT_STRATA, ids=["regular", "degenerate"])
+    @pytest.mark.parametrize("kinds, method", MINIMA_CASES, ids=["quad", "closed"])
+    def test_minima_within_golden_resolution(self, kinds, method, stratum):
+        # golden section stops at a 1e-6 bracket: the interpolant's zeta_min
+        # lies within it, and its q_min is no higher
+        for kind, (zeta_min, q_min, asym) in zip(kinds, ind._minima(kinds, stratum, method)):
+            zeta_ref, q_ref, asym_ref, _ = _golden_minimum_reference(kind, stratum, method)
+            assert abs(zeta_min - zeta_ref) <= GOLDEN_RESOLUTION
+            assert q_min <= q_ref
+            assert asym.hex() == asym_ref.hex()
+
+    @pytest.mark.parametrize("stratum", QUTRIT_STRATA, ids=["regular", "degenerate"])
+    @pytest.mark.parametrize("method", [Method.CLOSED_FORM, Method.QUADRATURE], ids=["closed", "quad"])
+    def test_hs_minimum_at_pi_over_6(self, method, stratum):
+        # both HS curves are symmetric about pi/6; golden section left 2.7e-7
+        zeta_min, _ = minimize_q_over_zeta(EnsembleKind.HILBERT_SCHMIDT, stratum, method)
+        assert abs(zeta_min - math.pi / 6) <= 1e-12
+
+    def test_parabola_minima_inside_and_at_both_ends(self, monkeypatch):
+        # a grid minimum at an end point brackets one grid step, where the
+        # slope keeps its sign and the lower end is taken
         targets = {EnsembleKind.HILBERT_SCHMIDT: 0.0, EnsembleKind.BURES: 0.4, EnsembleKind.BKM: ZETA_MAX}
         calls = []
 
         def parabolas(kinds, stratum, zetas):
-            calls.append(len(kinds))
+            calls.append((len(kinds), len(zetas)))
             return [([(float(z) - targets[kind]) ** 2 for z in zetas], [0.0] * len(zetas)) for kind in kinds]
 
         monkeypatch.setattr(ind, "_quadrature_block", parabolas)
-        reference = [_golden_minimum_reference(kind, REGULAR_QUTRIT, Method.QUADRATURE) for kind in ALL_KINDS]
-        assert [steps for *_, steps in reference] == [21, 22, 21]
-        calls.clear()
         minima = ind._minima(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE)
-        assert _hex_minima(minima) == _hex_minima([row[:3] for row in reference])
-        # scan, first probes, 22 steps (the last with Bures alone), final values
-        assert calls == [3, 3] + [3] * 21 + [1, 3]
-        for (zeta_min, q_min, _), target in zip(minima, targets.values()):
-            assert abs(zeta_min - target) <= 1e-6 and q_min <= 1e-12
+        # scan, every kind's bracket points, every zeta_min
+        assert calls == [(3, ind.MINIMIZER_GRID_POINTS), (3, 3 * ind._MINIMIZER_NODES), (3, 3)]
+        for (zeta_min, q_min, asym), target in zip(minima, targets.values()):
+            assert abs(zeta_min - target) <= 1e-12 and q_min <= 1e-24
+            assert asym == target ** 2 - (ZETA_MAX - target) ** 2
+
+    @staticmethod
+    def _bracket_reads(monkeypatch, kinds, stratum, method):
+        """Per kind, the angles and values of ``_minima``'s read of its bracket, spied on ``indicators``."""
+        grid_reads = []
+        indicators = ind.indicators
+
+        def spy(ensembles, stratum, method, zetas, **options):
+            result = indicators(ensembles, stratum, method, zetas, **options)
+            grid_reads.append((list(zetas), result))
+            return result
+
+        monkeypatch.setattr(ind, "indicators", spy)
+        ind._minima(kinds, stratum, method)
+        assert len(grid_reads) == 3
+        zetas, curves = grid_reads[1]
+        n = ind._MINIMIZER_NODES
+        return [(zetas[k * n:(k + 1) * n], values[k * n:(k + 1) * n]) for k, (values, _) in enumerate(curves)]
+
+    @pytest.mark.parametrize("stratum", QUTRIT_STRATA, ids=["regular", "degenerate"])
+    def test_coarse_brackets_hold_the_fine_grid_minimum(self, monkeypatch, stratum):
+        fine = np.linspace(0.0, ZETA_MAX, GOLDEN_GRID_POINTS)
+        curves = ind.indicators(ALL_KINDS, stratum, Method.QUADRATURE, fine)
+        reads = self._bracket_reads(monkeypatch, ALL_KINDS, stratum, Method.QUADRATURE)
+        for (values, _), (angles, _) in zip(curves, reads):
+            assert angles == sorted(angles)
+            assert angles[0] <= fine[int(np.argmin(values))] <= angles[-1]
+
+    @pytest.mark.parametrize("stratum", QUTRIT_STRATA, ids=["regular", "degenerate"])
+    @pytest.mark.parametrize("kinds, method", MINIMA_CASES, ids=["quad", "closed"])
+    def test_bracket_interpolants_resolve_q(self, monkeypatch, kinds, method, stratum):
+        # Q is analytic far beyond each bracket: the series' last two
+        # coefficients fall to rounding level
+        for _, values in self._bracket_reads(monkeypatch, kinds, stratum, method):
+            c = ind._chebyshev_series(values)
+            assert max(abs(c[-2]), abs(c[-1])) <= 1e-12 * abs(c[0])
 
     def test_asymmetry_hs_vanishes(self):
         assert asymmetry(EnsembleKind.HILBERT_SCHMIDT, REGULAR_QUTRIT, Method.CLOSED_FORM) == pytest.approx(0.0, abs=1e-15)

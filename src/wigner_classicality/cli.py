@@ -29,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .spectra import _polar_to_spectrum, _trisectrix_radius
-from .wigner import (
-    BOUNDARY_TOL,
-    ZETA_MAX,
-    _classical_cone_regular_qutrit,
-    _dual_pairing,
-    _is_classical,
-    _sw_spectrum_qutrit,
-)
+from .spectra import _polar_columns, _trisectrix_radius
+from .wigner import BOUNDARY_TOL, ZETA_MAX, _cone_classical, _dual_pairing, _kernel_columns
 from .ensembles import EnsembleKind, SamplerFailureError, stratum_spectra, worker_seed
 from .indicators import (
     DEGENERATE_QUTRIT,
@@ -253,7 +246,7 @@ def _csv_text(cfg: RunConfig, header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _zetas(cfg: RunConfig) -> np.ndarray:
+def _angle_grid(cfg: RunConfig) -> np.ndarray:
     a, b, n = cfg.zeta_grid
     return np.linspace(a, b, n)
 
@@ -275,7 +268,7 @@ def _run_curve(cfg: RunConfig) -> int:
     header = ["zeta", "q", "method", "error_estimate", "ensemble", "stratum", "seed"]
     rows = []
     series = []
-    zetas = _zetas(cfg)
+    zetas = _angle_grid(cfg)
     curves = indicators(cfg.ensembles, _STRATUM_LABELS[cfg.stratum], cfg.method, zetas,
                         samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
     for ensemble, (values, errors) in zip(cfg.ensembles, curves):
@@ -304,7 +297,7 @@ def _run_ratio(cfg: RunConfig) -> int:
     header = ["zeta", "ratio", "ensemble", "method", "seed"]
     rows = []
     series = []
-    zetas = _zetas(cfg)
+    zetas = _angle_grid(cfg)
     curves = _degenerate_to_regular_ratios(cfg.ensembles, zetas, cfg.method,
                                            cfg.samples, cfg.seed, cfg.workers)
     for ensemble, ratios in zip(cfg.ensembles, curves):
@@ -486,15 +479,18 @@ def _cone_points(seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _cone_check(cfg: RunConfig) -> dict:
     """Analytic cone versus spectral pairing on ``CONE_POINTS`` random points.
 
-    Points whose pairing lies within ``BOUNDARY_TOL`` of zero sit on the
-    boundary and are skipped; the check counts the other points where the
-    two disagree.
+    The shared formulas run on the arrays unchecked: every point lies
+    inside the chart (r < R(phi)), so its spectrum is descending and sums
+    to 1 within float noise, and its least eigenvalue, positive in exact
+    arithmetic, comes out no lower than -2e-16, which moves a pairing by
+    less than 3e-16.  Points whose pairing lies within ``BOUNDARY_TOL`` of
+    zero sit on the boundary and are skipped; the check counts the other
+    points where the two disagree.
     """
     phi, r, zeta = _cone_points(cfg.seed, CONE_POINTS)
-    kernels = _sw_spectrum_qutrit(zeta)
-    spectra = _polar_to_spectrum(r, phi)
-    off_boundary = np.abs(_dual_pairing(spectra, kernels)) >= BOUNDARY_TOL
-    disagree = _classical_cone_regular_qutrit(zeta, r, phi) != _is_classical(spectra, kernels)
+    pairing = _dual_pairing(_polar_columns(r, phi), _kernel_columns(zeta))
+    off_boundary = np.abs(pairing) >= BOUNDARY_TOL
+    disagree = _cone_classical(zeta, r, phi) != (pairing >= 0.0)
     return _check("cone_oracle_equivalence[1e5]", 0, int(np.count_nonzero(disagree & off_boundary)), 0)
 
 

@@ -80,7 +80,9 @@ class IndicatorRequest:
     Quadrature has fixed accuracy and takes no options; Monte Carlo requests
     carry a ``samples`` count and ``seed`` (``workers`` splits the sampling
     into independently seeded chunks; results are deterministic for a fixed
-    (seed, workers) pair).
+    (seed, workers) pair).  ``validate`` runs ``_validate``, the one set of
+    checks that ``indicators`` runs on a whole grid; computing a request
+    builds no other request.
     """
 
     ensemble: EnsembleKind
@@ -92,38 +94,62 @@ class IndicatorRequest:
     workers: int = 1
 
     def validate(self) -> None:
-        n = self.stratum.n
+        """Raise ``UnsupportedRequestError`` unless the request can be computed: ``_validate`` on a grid of this one cell."""
+        _validate((self.ensemble,), self.stratum, self.method, [self.zeta], self.samples, self.seed, self.workers)
+
+
+def _validate(kinds, stratum: StratumLabel, method: Method, zetas, samples: int | None,
+              seed: int | None, workers: int) -> None:
+    """Check a grid of ``kinds`` on ``stratum`` at ``zetas`` by ``method``, building no request.
+
+    Raises the first ``UnsupportedRequestError`` that the grid's cells
+    would raise one by one.  Each check depends on a cell's angle alone,
+    its ensemble alone or neither, so each runs once, in the cells' order:
+    the first angle, then the first ensemble's closed form and the Monte
+    Carlo options, then the other angles and the other ensembles' closed
+    forms, and last an unknown method.  A grid with no angle still gets
+    the checks that depend on no angle, and one with no ensemble those
+    that depend on no ensemble.
+    """
+    n = stratum.n
+    if n not in (2, 3):
+        raise UnsupportedRequestError(f"unsupported dimension N={n}")
+
+    def check_angle(zeta) -> None:
         if n == 2:
-            if self.zeta is not None:
+            if zeta is not None:
                 raise UnsupportedRequestError("qubit indicators take no moduli parameter")
-        elif n == 3:
-            if self.zeta is None:
-                raise UnsupportedRequestError("qutrit indicators need a moduli parameter zeta")
-            if not 0.0 <= float(self.zeta) <= ZETA_MAX + 1e-15:
-                raise UnsupportedRequestError(f"zeta out of range [0, pi/3]: {self.zeta}")
-        else:
-            raise UnsupportedRequestError(f"unsupported dimension N={n}")
-        if self.method is Method.CLOSED_FORM:
-            closed_ok = (
-                n == 2
-                or self.ensemble is EnsembleKind.HILBERT_SCHMIDT
-                or len(self.stratum.degeneracy.multiplicities) == 1
-            )
-            if not closed_ok:
-                raise UnsupportedRequestError(
-                    f"no closed form for ({self.ensemble.label}, N={n}); use quadrature"
-                )
-        if self.method is Method.MONTE_CARLO:
-            for name in ("samples", "seed", "workers"):
-                value = getattr(self, name)
-                if value is not None and not isinstance(value, numbers.Integral):
-                    raise UnsupportedRequestError(f"Monte Carlo {name} must be an integer, got {value!r}")
-            if not self.samples or self.samples < 1:
-                raise UnsupportedRequestError("Monte Carlo requests need a positive sample count")
-            if self.seed is None or self.seed < 0:
-                raise UnsupportedRequestError("Monte Carlo requests need a nonnegative seed")
-            if self.workers < 1:
-                raise UnsupportedRequestError("worker count must be positive")
+        elif zeta is None:
+            raise UnsupportedRequestError("qutrit indicators need a moduli parameter zeta")
+        elif not 0.0 <= float(zeta) <= ZETA_MAX + 1e-15:
+            raise UnsupportedRequestError(f"zeta out of range [0, pi/3]: {zeta}")
+
+    def check_kind(kind: EnsembleKind) -> None:
+        closed_ok = (n == 2 or kind is EnsembleKind.HILBERT_SCHMIDT
+                     or len(stratum.degeneracy.multiplicities) == 1)
+        if method is Method.CLOSED_FORM and not closed_ok:
+            raise UnsupportedRequestError(f"no closed form for ({kind.label}, N={n}); use quadrature")
+
+    for zeta in zetas[:1]:
+        check_angle(zeta)
+    for kind in kinds[:1]:
+        check_kind(kind)
+    if method is Method.MONTE_CARLO:
+        for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise UnsupportedRequestError(f"Monte Carlo {name} must be an integer, got {value!r}")
+        if not samples or samples < 1:
+            raise UnsupportedRequestError("Monte Carlo requests need a positive sample count")
+        if seed is None or seed < 0:
+            raise UnsupportedRequestError("Monte Carlo requests need a nonnegative seed")
+        if workers < 1:
+            raise UnsupportedRequestError("worker count must be positive")
+    for zeta in zetas[1:]:
+        check_angle(zeta)
+    for kind in kinds[1:]:
+        check_kind(kind)
+    if not isinstance(method, Method):
+        raise UnsupportedRequestError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -686,10 +712,9 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
     """Indicators of each of ``ensembles`` on ``stratum`` at each angle of ``zetas``: values and errors per ensemble.
 
     Every value and error is bit for bit that of ``indicator`` at its cell
-    alone.  A request's checks depend on its angle alone or on its
-    ensemble alone, so the grid is validated by each angle with the first
-    ensemble, then each other ensemble at the first angle, which raises
-    the first error that the cells would raise one by one.  On a point
+    alone.  ``_validate`` checks the grid, each angle and each ensemble
+    once, and raises the first error that the cells would raise one by
+    one; an empty grid gets the checks that depend on no angle.  On a point
     stratum every state is classical, so every method answers each cell
     with Q = 1 and error 0 here, before any table is read or any chunk is
     seeded.  Quadrature reads the whole grid in one ``_quadrature_block``,
@@ -700,12 +725,7 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
     qubit takes ``zetas = [None]``.
     """
     kinds, zetas = tuple(ensembles), list(zetas)
-    if kinds and zetas:
-        for kind, z in [(kinds[0], z) for z in zetas] + [(kind, zetas[0]) for kind in kinds[1:]]:
-            IndicatorRequest(ensemble=kind, stratum=stratum, method=method, zeta=z,
-                             samples=samples, seed=seed, workers=workers).validate()
-    if not isinstance(method, Method):
-        raise UnsupportedRequestError(f"unknown method {method!r}")
+    _validate(kinds, stratum, method, zetas, samples, seed, workers)
     if len(stratum.degeneracy.multiplicities) == 1:  # every state of a point is classical
         return [([1.0] * len(zetas), [0.0] * len(zetas)) for _ in kinds]
     if method is Method.QUADRATURE:

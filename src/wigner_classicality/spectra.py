@@ -8,10 +8,10 @@ the region of the upper half-plane bounded by the Maclaurin trisectrix.
 
 The chart's formulas are written once, as functions that take the math
 namespace ``xp`` (``math`` for floats, ``numpy`` for arrays).  The public
-scalar API evaluates them on floats inside the validating dataclasses; the
-private array twins (``_polar_points``, ``_ordered_spectra``,
-``_polar_to_spectrum``) evaluate them on arrays and repeat the dataclasses'
-checks in vectorised form, raising the same ``ValueError``.
+scalar API evaluates them on floats inside the validating dataclasses,
+which hold the only input checks; array callers, such as ``verify``'s cone
+check, evaluate them on arrays directly, on points that lie in the region
+by construction.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ RENORM_TOL = 1e-9
 ORDER_TOL = 1e-12
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-
-
-def _reject(bad: np.ndarray, message) -> None:
-    """Raise ``ValueError(message(i))`` for the first index ``i`` where ``bad`` holds."""
-    if bad.any():
-        raise ValueError(message(int(np.argmax(bad))))
 
 
 @dataclass(frozen=True)
@@ -85,33 +79,6 @@ class OrderedSpectrum:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-
-def _ordered_spectra(values) -> np.ndarray:
-    """Array twin of ``OrderedSpectrum``: its checks on every row of an (n, N) array.
-
-    Returns a new array whose rows are clamped and renormalised as the
-    dataclass would store them; rows are summed in floating point where the
-    dataclass uses ``math.fsum``, which matters only within an ulp or two of
-    the tolerances.
-    """
-    vals = np.array(values, dtype=float, ndmin=2)
-    if vals.shape[1] < 1:
-        raise ValueError("spectrum must have at least one eigenvalue")
-
-    def row(i):
-        return tuple(vals[i].tolist())
-
-    _reject(~np.isfinite(vals).all(axis=1), lambda i: f"spectrum entries must be finite, got {row(i)}")
-    _reject((np.diff(vals, axis=1) > ORDER_TOL).any(axis=1), lambda i: f"spectrum not descending: {row(i)}")
-    _reject(vals[:, -1] < -ORDER_TOL, lambda i: f"negative eigenvalue in spectrum: {row(i)}")
-    np.maximum(vals, 0.0, out=vals)
-    total = vals.sum(axis=1)
-    _reject(np.abs(total - 1.0) > RENORM_TOL,
-            lambda i: f"eigenvalues sum to {float(total[i])!r}, expected 1 within {RENORM_TOL}")
-    drift = np.abs(total - 1.0) > TRACE_TOL
-    vals[drift] /= total[drift, None]
-    return vals
 
 
 @dataclass(frozen=True)
@@ -203,33 +170,15 @@ class PolarPoint:
         if phi < -ORDER_TOL or phi > math.pi + ORDER_TOL:
             raise ValueError(f"angle out of range [0, pi]: {phi}")
         phi = min(max(phi, 0.0), math.pi)
-        if _outside_trisectrix(r, phi, math):
+        if _outside_trisectrix(r, phi):
             raise ValueError(f"point outside trisectrix region: r={r}, phi={phi}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "phi", phi)
 
 
-def _outside_trisectrix(r, phi, xp):
+def _outside_trisectrix(r: float, phi: float) -> bool:
     """The bound 2 sqrt3 r cos(phi/3) <= 1, written without division, broken beyond 1e-9."""
-    return (r > 0.0) & (2.0 * SQRT3 * r * xp.cos(phi / 3.0) > 1.0 + 1e-9)
-
-
-def _polar_points(r, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of ``PolarPoint``: its checks on 1-D arrays (or scalars) of radii and angles.
-
-    Returns the broadcast float arrays (r, phi), with phi clamped to [0, pi].
-    """
-    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float).ravel(), np.asarray(phi, dtype=float).ravel())
-    _reject(~(np.isfinite(r) & np.isfinite(phi)),
-            lambda i: f"polar point must be finite: r={float(r[i])}, phi={float(phi[i])}")
-    _reject((r < 0.0) | (r > POLAR_RADIUS_MAX + ORDER_TOL),
-            lambda i: f"radius out of range [0, 1/sqrt3]: {float(r[i])}")
-    _reject((phi < -ORDER_TOL) | (phi > math.pi + ORDER_TOL),
-            lambda i: f"angle out of range [0, pi]: {float(phi[i])}")
-    phi = np.clip(phi, 0.0, math.pi)
-    _reject(_outside_trisectrix(r, phi, np),
-            lambda i: f"point outside trisectrix region: r={float(r[i])}, phi={float(phi[i])}")
-    return r, phi
+    return r > 0.0 and 2.0 * SQRT3 * r * math.cos(phi / 3.0) > 1.0 + 1e-9
 
 
 def _trisectrix_radius(phi, xp=np):
@@ -258,16 +207,6 @@ def _polar_columns(r, phi, xp=np):
     return (1.0 / 3.0 - f * xp.cos((phi + 2.0 * math.pi) / 3.0),
             1.0 / 3.0 - f * xp.cos((phi + 4.0 * math.pi) / 3.0),
             1.0 / 3.0 - f * xp.cos(phi / 3.0))
-
-
-def _polar_to_spectrum(r, phi) -> np.ndarray:
-    """Array twin of ``polar_to_spectrum``: the (n, 3) spectra of the points (r, phi).
-
-    Validates the points as ``PolarPoint`` does and the rows as
-    ``OrderedSpectrum`` does.
-    """
-    r, phi = _polar_points(r, phi)
-    return _ordered_spectra(np.stack(_polar_columns(r, phi, np), axis=1))
 
 
 def polar_to_spectrum(point: PolarPoint) -> OrderedSpectrum:

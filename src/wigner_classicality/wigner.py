@@ -9,9 +9,10 @@ is everywhere nonnegative is decided purely spectrally: pair the descending
 state spectrum with the ascending kernel spectrum and check the sign.
 
 As in ``spectra``, each formula is written once for floats or arrays by the
-math namespace ``xp``; the private array twins (``_sw_spectrum_qutrit``,
-``_dual_pairing``, ``_is_classical``, ``_classical_cone_regular_qutrit``)
-repeat the validating dataclasses' checks in vectorised form.
+math namespace ``xp``, and only the validating dataclasses check inputs.
+The array pairing ``_dual_pairing`` (and ``_is_classical``) takes spectra
+as columns, as the samplers' tiles hold them, and one kernel or one per
+spectrum, the latter as columns, as ``_kernel_columns`` gives them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SQRT3, OrderedSpectrum, PolarPoint, _polar_points, _reject
+from .spectra import SQRT3, OrderedSpectrum, PolarPoint
 
 ZETA_MAX = math.pi / 3.0
 
@@ -44,14 +45,6 @@ class ModuliParameter:
         if not math.isfinite(z) or z < 0.0 or z > ZETA_MAX + 1e-15:
             raise ValueError(f"moduli parameter out of range [0, pi/3]: {z}")
         object.__setattr__(self, "zeta", min(z, ZETA_MAX))
-
-
-def _zetas(zeta) -> np.ndarray:
-    """Array twin of ``ModuliParameter``: its check on a 1-D array (or scalar) of angles, clamped to pi/3."""
-    z = np.asarray(zeta, dtype=float).ravel()
-    _reject(~np.isfinite(z) | (z < 0.0) | (z > ZETA_MAX + 1e-15),
-            lambda i: f"moduli parameter out of range [0, pi/3]: {float(z[i])}")
-    return np.minimum(z, ZETA_MAX)
 
 
 @dataclass(frozen=True)
@@ -84,31 +77,6 @@ class SWKernelSpectrum:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-
-def _kernel_spectra(values) -> np.ndarray:
-    """Array twin of ``SWKernelSpectrum``: its checks on every row of an (n, N) array.
-
-    Rows are summed in floating point where the dataclass uses
-    ``math.fsum``, which matters only within an ulp or two of the tolerances.
-    """
-    vals = np.array(values, dtype=float, ndmin=2)
-    n = vals.shape[1]
-    if n < 2:
-        raise ValueError("kernel spectrum needs at least two eigenvalues")
-
-    def row(i):
-        return tuple(vals[i].tolist())
-
-    _reject((vals[:, 1:] > vals[:, :-1] + 1e-12).any(axis=1),
-            lambda i: f"kernel spectrum not descending: {row(i)}")
-    trace = vals.sum(axis=1)
-    _reject(np.abs(trace - 1.0) > KERNEL_TRACE_TOL,
-            lambda i: f"kernel trace must be 1, got {float(trace[i])!r}")
-    trace_sq = (vals * vals).sum(axis=1)
-    _reject(np.abs(trace_sq - n) > KERNEL_TRACE_SQ_TOL,
-            lambda i: f"kernel trace-square must be {n}, got {float(trace_sq[i])!r}")
-    return vals
 
 
 def sw_spectrum_qubit() -> SWKernelSpectrum:
@@ -147,25 +115,20 @@ def sw_spectrum_qutrit(zeta: float | ModuliParameter) -> SWKernelSpectrum:
     return SWKernelSpectrum(_kernel_columns(_zeta_value(zeta), math))
 
 
-def _sw_spectrum_qutrit(zeta) -> np.ndarray:
-    """Array twin of ``sw_spectrum_qutrit``: (n, 3) kernel spectra, one row per angle."""
-    return _kernel_spectra(np.stack(_kernel_columns(_zetas(zeta), np), axis=1))
+def _dual_pairing(columns, kernel) -> np.ndarray:
+    """Array twin of ``dual_pairing`` on many descending spectra, given as columns.
 
-
-def _dual_pairing(spectra, kernel: np.ndarray) -> np.ndarray:
-    """Array twin of ``dual_pairing`` on many descending spectra.
-
-    ``spectra`` is an (n, N) array of rows or a sequence of its N columns,
-    and ``kernel`` one descending kernel spectrum, shape (N,), or one per
-    row, shape (n, N).  The pairing is summed from the left,
+    ``columns`` is a sequence of the N columns of the spectra (an (N, n)
+    array, or the transpose of an (n, N) array of rows), and ``kernel`` one
+    descending kernel spectrum of N values, or one per spectrum as its N
+    columns.  The pairing is summed from the left,
     ``(s_1 k_N + s_2 k_(N-1)) + ...``, one column at a time, so no BLAS
     routine runs and Monte Carlo hit counts depend on this arithmetic
     alone, not on the BLAS build.
     """
-    columns = spectra.T if isinstance(spectra, np.ndarray) else spectra
-    if len(columns) != kernel.shape[-1]:
-        raise ValueError(f"dimension mismatch: spectrum N={len(columns)}, kernel N={kernel.shape[-1]}")
-    ascending = kernel.T[::-1]  # scalars for one kernel, columns for one per row
+    if len(columns) != len(kernel):
+        raise ValueError(f"dimension mismatch: spectrum N={len(columns)}, kernel N={len(kernel)}")
+    ascending = kernel[::-1]
     total = columns[0] * ascending[0]
     term = None  # one buffer for every product after the first
     for column, k in zip(columns[1:], ascending[1:]):
@@ -174,9 +137,9 @@ def _dual_pairing(spectra, kernel: np.ndarray) -> np.ndarray:
     return total
 
 
-def _is_classical(spectra, kernel: np.ndarray) -> np.ndarray:
+def _is_classical(columns, kernel) -> np.ndarray:
     """Array twin of ``is_classical``: nonnegative pairing, spectrum by spectrum (see ``_dual_pairing``)."""
-    return _dual_pairing(spectra, kernel) >= 0.0
+    return _dual_pairing(columns, kernel) >= 0.0
 
 
 def dual_pairing(spectrum: OrderedSpectrum, kernel: SWKernelSpectrum) -> float:
@@ -219,16 +182,6 @@ def classical_cone_regular_qutrit(zeta: float | ModuliParameter, point: PolarPoi
     pairing test; both are exposed so each can serve as the other's oracle.
     """
     return _cone_classical(_zeta_value(zeta), point.r, point.phi, math)
-
-
-def _classical_cone_regular_qutrit(zeta, r, phi) -> np.ndarray:
-    """Array twin of ``classical_cone_regular_qutrit`` at angles ``zeta`` and points (r, phi).
-
-    Validates the angles as ``ModuliParameter`` does and the points as
-    ``PolarPoint`` does; the arguments broadcast against each other.
-    """
-    r, phi = _polar_points(r, phi)
-    return _cone_classical(_zetas(zeta), r, phi, np)
 
 
 def classical_edge_bound_qutrit(zeta: float | ModuliParameter, edge_phi: float) -> float:

@@ -475,12 +475,12 @@ class TestVerifyConeCheck:
         assert list(zip(phi[:10_000].tolist(), r[:10_000].tolist(), zeta[:10_000].tolist())) == scalar
 
     def test_shifted_cone_fails_only_this_check(self, tmp_path, monkeypatch):
-        true_cone = cli._classical_cone_regular_qutrit
+        true_cone = cli._cone_classical
 
         def shifted(zeta, r, phi):
-            return true_cone(np.minimum(np.asarray(zeta) + 0.05, cli.ZETA_MAX), r, phi)
+            return true_cone(np.minimum(zeta + 0.05, cli.ZETA_MAX), r, phi)
 
-        monkeypatch.setattr(cli, "_classical_cone_regular_qutrit", shifted)
+        monkeypatch.setattr(cli, "_cone_classical", shifted)
         rc = cli.main(["verify", "--samples", "50000", "--out", str(tmp_path / "report")])
         assert rc == 4
         report = json.loads((tmp_path / "report.json").read_text())

@@ -712,7 +712,7 @@ class TestTileStream:
                                   + list(stratum_spectra(kind, stratum, n, np.random.default_rng(43))))
             reference = _sampler(_ReferenceSampler, kind, mult, seed=43)
             assert np.array_equal(rows, reference.sample(n))
-            assert hits == [np.count_nonzero(_is_classical(rows, kernel))]
+            assert hits == [np.count_nonzero(_is_classical(rows.T, kernel))]
             # the hit count's sampler comes first, then those of the rows
             assert samplers[0] not in samplers[1:]
             assert {(s._proposed, s._accepted) for s in samplers} == {(reference._proposed, reference._accepted)}

@@ -802,6 +802,43 @@ class TestRequestValidation:
         with pytest.raises(UnsupportedRequestError):
             compute_indicator(req)
 
+    @pytest.mark.parametrize("stratum,method,angle,options,message", [
+        (REGULAR_QUTRIT, Method.CLOSED_FORM, 0.1, {}, "no closed form for (bures, N=3); use quadrature"),
+        (StratumLabel.for_partition((1, 1, 1, 1)), Method.QUADRATURE, None, {}, "unsupported dimension N=4"),
+        (REGULAR_QUTRIT, Method.MONTE_CARLO, 0.1, {"seed": 1}, "Monte Carlo requests need a positive sample count"),
+    ], ids=["bures-closed", "dimension-4", "mc-no-samples"])
+    def test_empty_grid_is_checked(self, stratum, method, angle, options, message):
+        # a grid with no angle gets every check that depends on no angle, so
+        # it raises what the grid of one angle raises
+        for zetas in ([angle], []):
+            with pytest.raises(UnsupportedRequestError) as err:
+                ind.indicators((EnsembleKind.BURES,), stratum, method, zetas, **options)
+            assert str(err.value) == message
+
+    def test_no_request_is_built_to_validate(self, monkeypatch):
+        cells = {method: IndicatorRequest(ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=REGULAR_QUTRIT,
+                                          method=method, zeta=0.3, **options)
+                 for method, options in ((Method.CLOSED_FORM, {}), (Method.QUADRATURE, {}),
+                                         (Method.MONTE_CARLO, {"samples": 100, "seed": 1}))}
+        built = []
+
+        class Counting(IndicatorRequest):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ind, "IndicatorRequest", Counting)
+        grid = np.linspace(0.0, ZETA_MAX, 61)
+        # every ensemble has a closed form on the point stratum
+        for stratum, method, options in ((StratumLabel.for_partition((3,)), Method.CLOSED_FORM, {}),
+                                         (REGULAR_QUTRIT, Method.QUADRATURE, {}),
+                                         (REGULAR_QUTRIT, Method.MONTE_CARLO, {"samples": 100, "seed": 1})):
+            ind.indicators(ALL_KINDS, stratum, method, grid, **options)
+            assert built == [], method
+        for request in cells.values():
+            compute_indicator(request)
+            assert built == [], request.method
+
     def test_result_range_validation(self):
         req = IndicatorRequest(ensemble=EnsembleKind.HILBERT_SCHMIDT, stratum=QUBIT_STRATUM,
                                method=Method.CLOSED_FORM)
@@ -920,7 +957,7 @@ class TestMonteCarlo:
         sampler = SpectrumSampler(ensemble, stratum.degeneracy, rng=np.random.default_rng(8))
         req = self.mc_request(ensemble, stratum, zeta, n, 1)
         kernel = (sw_spectrum_qubit() if zeta is None else sw_spectrum_qutrit(zeta)).as_array()
-        expected = int(np.count_nonzero(_is_classical(sampler.sample(n), kernel)))
+        expected = int(np.count_nonzero(_is_classical(sampler.sample(n).T, kernel)))
 
         batches, rows = [], []
         draw, tiles = SpectrumSampler._draw, SpectrumSampler._tiles

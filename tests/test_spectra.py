@@ -44,6 +44,26 @@ class TestOrderedSpectrum:
         s = OrderedSpectrum((0.6, 0.4 + 1e-13, -1e-13))
         assert s.values[-1] == 0.0
 
+    @pytest.mark.parametrize("values,message", [
+        ((0.3, 0.5, 0.2), "spectrum not descending: (0.3, 0.5, 0.2)"),
+        ((0.6, 0.5, -0.1), "negative eigenvalue in spectrum: (0.6, 0.5, -0.1)"),
+        # negative beyond ORDER_TOL
+        ((0.6, 0.4 + 1e-9, -1e-9), "negative eigenvalue in spectrum: (0.6, 0.40000000100000005, -1e-09)"),
+        ((0.5, 0.3, 0.21), "eigenvalues sum to 1.01, expected 1 within 1e-09"),
+        ((0.5, math.nan, 0.2), "spectrum entries must be finite, got (0.5, nan, 0.2)"),
+    ], ids=["ascending", "negative", "negative-beyond-tol", "sum-off", "not-finite"])
+    def test_rejects_with_message(self, values, message):
+        with pytest.raises(ValueError) as err:
+            OrderedSpectrum(values)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("values,stored", [
+        ((0.6, 0.4 + 1e-13, -1e-13), (0.6, 0.4 + 1e-13, 0.0)),  # float noise, clamped
+        ((0.5 + 3e-10, 0.3, 0.2), tuple(v / (1.0 + 3e-10) for v in (0.5 + 3e-10, 0.3, 0.2))),  # renormalised
+    ], ids=["clamped", "renormalised"])
+    def test_stores_clamped_and_renormalised_values(self, values, stored):
+        assert OrderedSpectrum(values).values == stored
+
 
 class TestDegeneracyType:
     def test_composition_order_is_kept(self):

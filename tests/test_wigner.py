@@ -63,6 +63,18 @@ class TestKernelSpectra:
         with pytest.raises(ValueError):
             SWKernelSpectrum((0.9, 0.1))  # trace-square constraint broken
 
+    @pytest.mark.parametrize("values,message", [
+        ((0.9, 0.1), "kernel trace-square must be 2, got 0.8200000000000001"),
+        ((1.0 + 1e-5, 1.0 - 1e-5, -1.0), "kernel trace-square must be 3, got 3.0000000002"),  # off by 2e-10
+        ((1.0, 1.0 + 1e-9, -1.0), "kernel spectrum not descending: (1.0, 1.000000001, -1.0)"),
+        ((1.0, 1.0, -0.9), "kernel trace must be 1, got 1.1"),
+        ((2.0,), "kernel spectrum needs at least two eigenvalues"),
+    ], ids=["trace-square", "trace-square-2e-10", "not-descending", "trace", "too-short"])
+    def test_kernel_checks_give_message(self, values, message):
+        with pytest.raises(ValueError) as err:
+            SWKernelSpectrum(values)
+        assert str(err.value) == message
+
 
 class TestClassicalityTest:
     def test_maximally_mixed_is_classical(self):

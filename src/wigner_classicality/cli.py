@@ -24,7 +24,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +36,12 @@ from .indicators import (
     QUBIT_STRATUM,
     REGULAR_QUTRIT,
     ConvergenceError,
+    IndicatorRequest,
     Method,
     UnsupportedRequestError,
     _degenerate_to_regular_ratios,
     _minima,
-    indicator,
+    compute_indicator,
     indicators,
 )
 from .svgplot import render_line_plot
@@ -78,32 +78,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    ensembles: list[EnsembleKind]
-    stratum: str = "regular"
-    zeta_grid: tuple[float, float, int] = (0.0, ZETA_MAX, 61)
-    method: Method = Method.CLOSED_FORM
-    tol: float | None = None
-    samples: int = 1_000_000
-    seed: int = 1234
-    workers: int = 1
-    out: str | None = None
-    fmt: str = "csv"
-    dimension: int = 3
-
-    def describe(self) -> str:
-        names = "+".join(e.label for e in self.ensembles)
-        a, b, n = self.zeta_grid
-        return (
-            f"command={self.command} ensemble={names} stratum={self.stratum} "
-            f"zeta_grid={a:.17g}:{b:.17g}:{n} method={self.method.value} "
-            f"tol={self.tol} samples={self.samples} seed={self.seed} "
-            f"workers={self.workers} format={self.fmt}"
-        )
-
-
 def _num(x: float) -> str:
     """CSV number format: 17 significant digits, lowercase exponent."""
     return f"{float(x):.17g}"
@@ -138,8 +112,10 @@ _OPTIONS = {
     "--workers": dict(type=int, default=1),
     "--out": dict(default=None, metavar="PATH"),
     "--format": dict(dest="fmt", choices=("csv", "svg", "both"), default="csv"),
-    "--n": dict(type=int, choices=(2, 3), default=3, help="Hilbert-space dimension"),
 }
+
+#: The choices of ``sample`` where they differ: it draws one ensemble, on any stratum.
+_SAMPLE_CHOICES = {"--ensemble": _ENSEMBLE_CHOICES[:-1], "--stratum": tuple(_STRATUM_LABELS)}
 
 #: Options of the commands that compute indicator cells by any method.
 _CELL_OPTIONS = ("--ensemble", "--method", "--samples", "--seed", "--workers", "--out")
@@ -154,7 +130,7 @@ _COMMANDS = {
     "ratio": ("degenerate-to-regular indicator ratio", "closed",
               _CELL_OPTIONS + ("--zeta-grid", "--format")),
     "sample": ("draw eigenvalue spectra", "mc",
-               ("--ensemble", "--stratum", "--samples", "--seed", "--out", "--n")),
+               ("--ensemble", "--stratum", "--samples", "--seed", "--out")),
     "verify": ("cross-method consistency suite", "quad",
                ("--tol", "--samples", "--seed", "--workers", "--out")),
 }
@@ -169,8 +145,8 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         for flag, spec in _OPTIONS.items():
             spec = dict(spec, default=method) if flag == "--method" else spec
-            if name == "sample" and flag == "--ensemble":
-                spec = dict(spec, choices=_ENSEMBLE_CHOICES[:-1])  # one ensemble per draw
+            if name == "sample" and flag in _SAMPLE_CHOICES:
+                spec = dict(spec, choices=_SAMPLE_CHOICES[flag])
             if flag in flags:
                 p.add_argument(flag, **spec)
             else:
@@ -178,9 +154,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    ensembles = list(EnsembleKind) if args.ensemble == "all" else [EnsembleKind(args.ensemble)]
-    zeta_grid = _parse_zeta_grid(args.zeta_grid)
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check ``args`` and add to it the parsed ``ensembles``, ``zeta_grid`` and ``method``: the run's configuration."""
+    args.ensembles = list(EnsembleKind) if args.ensemble == "all" else [EnsembleKind(args.ensemble)]
+    args.zeta_grid = _parse_zeta_grid(args.zeta_grid)
     if args.samples < 1:
         raise _CliError(f"sample count must be positive, got {args.samples}")
     if args.workers < 1:
@@ -189,35 +166,34 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise _CliError(f"seed must be an unsigned 64-bit integer, got {args.seed}")
     if args.tol is not None and not 0.0 < args.tol < 1.0:
         raise _CliError(f"tolerance must be in (0, 1), got {args.tol}")
-    return RunConfig(
-        command=args.command,
-        ensembles=ensembles,
-        stratum=args.stratum,
-        zeta_grid=zeta_grid,
-        method=Method(args.method),
-        tol=args.tol,
-        samples=args.samples,
-        seed=args.seed,
-        workers=args.workers,
-        out=args.out,
-        fmt=args.fmt,
-        dimension=args.n,
+    args.method = Method(args.method)
+    return args
+
+
+def _describe(args: argparse.Namespace) -> str:
+    """Every option of the run at its value, as the provenance line and ``verify``'s ``"config"`` record it."""
+    a, b, n = args.zeta_grid
+    return (
+        f"command={args.command} ensemble={'+'.join(e.label for e in args.ensembles)} stratum={args.stratum} "
+        f"zeta_grid={a:.17g}:{b:.17g}:{n} method={args.method.value} "
+        f"tol={args.tol} samples={args.samples} seed={args.seed} "
+        f"workers={args.workers} format={args.fmt}"
     )
 
 
-def _provenance(cfg: RunConfig) -> str:
-    return f"# {TOOL} {__version__} | {cfg.describe()}"
+def _provenance(args: argparse.Namespace) -> str:
+    return f"# {TOOL} {__version__} | {_describe(args)}"
 
 
-def _out_paths(cfg: RunConfig) -> tuple[str | None, str | None]:
+def _out_paths(args: argparse.Namespace) -> tuple[str | None, str | None]:
     """Resolve (csv_path, svg_path) from --out and --format."""
-    want_csv = cfg.fmt in ("csv", "both")
-    want_svg = cfg.fmt in ("svg", "both")
-    if cfg.out is None:
+    want_csv = args.fmt in ("csv", "both")
+    want_svg = args.fmt in ("svg", "both")
+    if args.out is None:
         if want_svg:
             raise _CliError("--format svg/both requires --out")
         return None, None
-    base = cfg.out
+    base = args.out
     for suffix in (".csv", ".svg", ".json"):
         if base.endswith(suffix):
             base = base[: -len(suffix)]
@@ -240,68 +216,68 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _csv_text(cfg: RunConfig, header: list[str], rows: list[list[str]]) -> str:
-    lines = [_provenance(cfg), ",".join(header)]
+def _csv_text(args: argparse.Namespace, header: list[str], rows: list[list[str]]) -> str:
+    lines = [_provenance(args), ",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _angle_grid(cfg: RunConfig) -> np.ndarray:
-    a, b, n = cfg.zeta_grid
+def _angle_grid(args: argparse.Namespace) -> np.ndarray:
+    a, b, n = args.zeta_grid
     return np.linspace(a, b, n)
 
 
-def _write_curves(cfg: RunConfig, paths: tuple[str | None, str | None], header: list[str],
+def _write_curves(args: argparse.Namespace, paths: tuple[str | None, str | None], header: list[str],
                   rows: list[list[str]], series: list, **plot) -> int:
     """Write a curve command's CSV (if --format asks for it) and SVG to ``paths``, from ``_out_paths``."""
     csv_path, svg_path = paths
-    if cfg.fmt in ("csv", "both"):
-        _write_text(csv_path, _csv_text(cfg, header, rows))
+    if args.fmt in ("csv", "both"):
+        _write_text(csv_path, _csv_text(args, header, rows))
     if svg_path is not None:
         svg = render_line_plot(series, xlabel="zeta", **plot)
-        _write_text(svg_path, f"<!-- {_provenance(cfg)[2:]} -->\n" + svg)
+        _write_text(svg_path, f"<!-- {_provenance(args)[2:]} -->\n" + svg)
     return EXIT_OK
 
 
-def _run_curve(cfg: RunConfig) -> int:
-    paths = _out_paths(cfg)
+def _run_curve(args: argparse.Namespace) -> int:
+    paths = _out_paths(args)
     header = ["zeta", "q", "method", "error_estimate", "ensemble", "stratum", "seed"]
     rows = []
     series = []
-    zetas = _angle_grid(cfg)
-    curves = indicators(cfg.ensembles, _STRATUM_LABELS[cfg.stratum], cfg.method, zetas,
-                        samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
-    for ensemble, (values, errors) in zip(cfg.ensembles, curves):
-        rows.extend([_num(z), _num(q), cfg.method.value, _num(err),
-                     ensemble.label, cfg.stratum, str(cfg.seed)] for z, q, err in zip(zetas, values, errors))
+    zetas = _angle_grid(args)
+    curves = indicators(args.ensembles, _STRATUM_LABELS[args.stratum], args.method, zetas,
+                        samples=args.samples, seed=args.seed, workers=args.workers)
+    for ensemble, (values, errors) in zip(args.ensembles, curves):
+        rows.extend([_num(z), _num(q), args.method.value, _num(err),
+                     ensemble.label, args.stratum, str(args.seed)] for z, q, err in zip(zetas, values, errors))
         series.append((ensemble.label, list(zetas), values))
     # a Monte Carlo cell with no classical draw reads 0, which a log axis cannot show
-    return _write_curves(cfg, paths, header, rows, series, title=f"classicality indicator ({cfg.stratum} stratum)",
+    return _write_curves(args, paths, header, rows, series, title=f"classicality indicator ({args.stratum} stratum)",
                          ylabel="Q", log_y=all(q > 0.0 for _, _, qs in series for q in qs))
 
 
-def _run_qubit(cfg: RunConfig) -> int:
-    csv_path, _ = _out_paths(cfg)
+def _run_qubit(args: argparse.Namespace) -> int:
+    csv_path, _ = _out_paths(args)
     header = ["ensemble", "q", "method", "error_estimate", "seed"]
     rows = []
-    cells = indicators(cfg.ensembles, QUBIT_STRATUM, cfg.method, [None],
-                       samples=cfg.samples, seed=cfg.seed, workers=cfg.workers)
-    for ensemble, ((q,), (err,)) in zip(cfg.ensembles, cells):
-        rows.append([ensemble.label, _num(q), cfg.method.value, _num(err), str(cfg.seed)])
-    _write_text(csv_path, _csv_text(cfg, header, rows))
+    cells = indicators(args.ensembles, QUBIT_STRATUM, args.method, [None],
+                       samples=args.samples, seed=args.seed, workers=args.workers)
+    for ensemble, ((q,), (err,)) in zip(args.ensembles, cells):
+        rows.append([ensemble.label, _num(q), args.method.value, _num(err), str(args.seed)])
+    _write_text(csv_path, _csv_text(args, header, rows))
     return EXIT_OK
 
 
-def _run_ratio(cfg: RunConfig) -> int:
-    paths = _out_paths(cfg)
+def _run_ratio(args: argparse.Namespace) -> int:
+    paths = _out_paths(args)
     header = ["zeta", "ratio", "ensemble", "method", "seed"]
     rows = []
     series = []
-    zetas = _angle_grid(cfg)
-    curves = _degenerate_to_regular_ratios(cfg.ensembles, zetas, cfg.method,
-                                           cfg.samples, cfg.seed, cfg.workers)
-    for ensemble, ratios in zip(cfg.ensembles, curves):
-        rows.extend([_num(z), _num(r), ensemble.label, cfg.method.value, str(cfg.seed)]
+    zetas = _angle_grid(args)
+    curves = _degenerate_to_regular_ratios(args.ensembles, zetas, args.method,
+                                           args.samples, args.seed, args.workers)
+    for ensemble, ratios in zip(args.ensembles, curves):
+        rows.extend([_num(z), _num(r), ensemble.label, args.method.value, str(args.seed)]
                     for z, r in zip(zetas, ratios))
         # an undefined ratio (no classical regular draw) is written as nan and not plotted
         for z, r in zip(zetas, ratios):
@@ -310,17 +286,17 @@ def _run_ratio(cfg: RunConfig) -> int:
                                  f"zeta={_num(z)}: the regular indicator is 0\n")
         defined = [(z, r) for z, r in zip(zetas, ratios) if math.isfinite(r)]
         series.append((ensemble.label, [z for z, _ in defined], [r for _, r in defined]))
-    return _write_curves(cfg, paths, header, rows, series, title="degenerate / regular indicator ratio",
+    return _write_curves(args, paths, header, rows, series, title="degenerate / regular indicator ratio",
                          ylabel="R", log_y=False)
 
 
-def _run_table1(cfg: RunConfig) -> int:
+def _run_table1(args: argparse.Namespace) -> int:
     """Minima over the moduli angle for the three ensembles.
 
     The Hilbert-Schmidt row uses the closed forms; Bures and BKM, which have
     none, are searched together by quadrature.  ``table1`` takes no --method.
     """
-    csv_path, _ = _out_paths(cfg)
+    csv_path, _ = _out_paths(args)
     header = ["ensemble", "q_min", "zeta_min", "asymmetry"]
     rows = []
     lines = []
@@ -338,22 +314,19 @@ def _run_table1(cfg: RunConfig) -> int:
             f"zeta_min={zeta_min:.6f} (ref {ref_z:.6f}, dev {dz:.2e})  "
             f"asymmetry={asym:.10e} (ref {ref_a:.10e}, dev {da:.2e})"
         )
-    _write_text(csv_path, _csv_text(cfg, header, rows))
+    _write_text(csv_path, _csv_text(args, header, rows))
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _run_sample(cfg: RunConfig) -> int:
-    csv_path, _ = _out_paths(cfg)
-    n_dim = cfg.dimension
-    if n_dim == 2 and cfg.stratum == "degenerate":
-        raise _CliError("degenerate-stratum sampling is defined for the qutrit")
-    stratum = _STRATUM_LABELS["qubit" if n_dim == 2 else cfg.stratum]
-    rng = np.random.default_rng(cfg.seed)
+def _run_sample(args: argparse.Namespace) -> int:
+    csv_path, _ = _out_paths(args)
+    stratum = _STRATUM_LABELS[args.stratum]
+    rng = np.random.default_rng(args.seed)
     with _output(csv_path) as fh:
-        fh.write(_csv_text(cfg, [f"r{i + 1}" for i in range(n_dim)], []))
+        fh.write(_csv_text(args, [f"r{i + 1}" for i in range(stratum.n)], []))
         # one block's rows at a time, so memory does not grow with --samples
-        for block in stratum_spectra(cfg.ensembles[0], stratum, cfg.samples, rng):
+        for block in stratum_spectra(args.ensembles[0], stratum, args.samples, rng):
             fh.write("".join(",".join(map(_num, row)) + "\n" for row in block))
     return EXIT_OK
 
@@ -379,7 +352,7 @@ def _check(name: str, expected: float, actual: float, tolerance: float) -> dict:
 VERIFY_MIN_EXPECTED_HITS = 25
 
 
-def _mc_checks(cfg: RunConfig) -> list[dict]:
+def _mc_checks(args: argparse.Namespace) -> list[dict]:
     """Monte Carlo versus quadrature at 4 sigma, on nine cells.
 
     A cell draws ``min(--samples, 200 000)`` spectra, or
@@ -387,30 +360,30 @@ def _mc_checks(cfg: RunConfig) -> list[dict]:
     ``idx`` is seeded with ``worker_seed(seed, idx)``, so no two cells or
     chunks share a stream.
     """
-    samples = min(cfg.samples, 200_000)
+    samples = min(args.samples, 200_000)
     mc_cells = [(e, tag, math.pi / 6.0) for e in EnsembleKind for tag in ("regular", "degenerate")]
     mc_cells += [(e, "qubit", None) for e in EnsembleKind]
     checks = []
     for idx, (ensemble, tag, z) in enumerate(mc_cells):
         stratum = _STRATUM_LABELS[tag]
-        quad = indicator(ensemble, stratum, Method.QUADRATURE, z).q
+        quad = compute_indicator(IndicatorRequest(ensemble, stratum, Method.QUADRATURE, z)).q
         n = max(samples, math.ceil(VERIFY_MIN_EXPECTED_HITS / quad)) if quad > 0.0 else samples
-        mc = indicator(ensemble, stratum, Method.MONTE_CARLO, z, samples=n,
-                       seed=worker_seed(cfg.seed, idx), workers=cfg.workers).q
+        mc = compute_indicator(IndicatorRequest(ensemble, stratum, Method.MONTE_CARLO, z, samples=n,
+                                                seed=worker_seed(args.seed, idx), workers=args.workers)).q
         sigma = math.sqrt(quad * (1.0 - quad) / n)
         checks.append(_check(f"mc_vs_quad[{ensemble.label},{tag}]", quad, mc, 4.0 * sigma))
     return checks
 
 
-def _verify_checks(cfg: RunConfig) -> list[dict]:
-    tol = cfg.tol if cfg.tol is not None else 1e-6
+def _verify_checks(args: argparse.Namespace) -> list[dict]:
+    tol = args.tol if args.tol is not None else 1e-6
     checks: list[dict] = []
     zeta_probe = [0.0, math.pi / 12.0, math.pi / 6.0, math.pi / 4.0, ZETA_MAX]
 
     # closed form versus quadrature
-    for ensemble in EnsembleKind:
-        closed = indicator(ensemble, QUBIT_STRATUM, Method.CLOSED_FORM).q
-        quad = indicator(ensemble, QUBIT_STRATUM, Method.QUADRATURE).q
+    qubit = indicators(EnsembleKind, QUBIT_STRATUM, Method.CLOSED_FORM, [None])
+    for ensemble, ((closed,), _) in zip(EnsembleKind, qubit):
+        quad = compute_indicator(IndicatorRequest(ensemble, QUBIT_STRATUM, Method.QUADRATURE)).q
         checks.append(_check(f"qubit_quad_vs_closed[{ensemble.label}]", closed, quad, tol * closed))
     for tag in ("regular", "degenerate"):
         closed, quad = (indicators((EnsembleKind.HILBERT_SCHMIDT,), _STRATUM_LABELS[tag], method, zeta_probe)[0][0]
@@ -418,14 +391,14 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         for z, c, q in zip(zeta_probe, closed, quad):
             checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", c, q, tol * c))
 
-    checks += _mc_checks(cfg)
+    checks += _mc_checks(args)
 
     # Hilbert-Schmidt mirror symmetry of the closed forms
+    deltas = (0.05, 0.1, 0.15)
     for tag in ("regular", "degenerate"):
-        stratum = _STRATUM_LABELS[tag]
-        for delta in (0.05, 0.1, 0.15):
-            a = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.CLOSED_FORM, math.pi / 6.0 + delta).q
-            b = indicator(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.CLOSED_FORM, math.pi / 6.0 - delta).q
+        ((values, _),) = indicators((EnsembleKind.HILBERT_SCHMIDT,), _STRATUM_LABELS[tag], Method.CLOSED_FORM,
+                                    [math.pi / 6.0 + d for d in deltas] + [math.pi / 6.0 - d for d in deltas])
+        for delta, a, b in zip(deltas, values, values[len(deltas):]):
             checks.append(_check(f"hs_symmetry_{tag}[delta={delta}]", a, b, tol * a))
 
     # monotone ensembles break the mirror symmetry: asymmetry must exceed error
@@ -454,7 +427,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         violations = sum(not q_hs > q_b > q_k for q_hs, q_b, q_k in zip(*(values for values, _ in curves)))
         checks.append(_check(name, 0, violations, 0))
 
-    checks.append(_cone_check(cfg))
+    checks.append(_cone_check(args))
     return checks
 
 
@@ -476,7 +449,7 @@ def _cone_points(seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return phi, _trisectrix_radius(phi) * u[:, 1], ZETA_MAX * u[:, 2]
 
 
-def _cone_check(cfg: RunConfig) -> dict:
+def _cone_check(args: argparse.Namespace) -> dict:
     """Analytic cone versus spectral pairing on ``CONE_POINTS`` random points.
 
     The shared formulas run on the arrays unchecked: every point lies
@@ -487,27 +460,27 @@ def _cone_check(cfg: RunConfig) -> dict:
     zero sit on the boundary and are skipped; the check counts the other
     points where the two disagree.
     """
-    phi, r, zeta = _cone_points(cfg.seed, CONE_POINTS)
+    phi, r, zeta = _cone_points(args.seed, CONE_POINTS)
     pairing = _dual_pairing(_polar_columns(r, phi), _kernel_columns(zeta))
     off_boundary = np.abs(pairing) >= BOUNDARY_TOL
     disagree = _cone_classical(zeta, r, phi) != (pairing >= 0.0)
     return _check("cone_oracle_equivalence[1e5]", 0, int(np.count_nonzero(disagree & off_boundary)), 0)
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    checks = _verify_checks(cfg)
+def _run_verify(args: argparse.Namespace) -> int:
+    checks = _verify_checks(args)
     ok = all(c["pass"] for c in checks)
     report = {
         "tool": TOOL,
         "version": __version__,
-        "config": cfg.describe(),
-        "seed": cfg.seed,
-        "workers": cfg.workers,
+        "config": _describe(args),
+        "seed": args.seed,
+        "workers": args.workers,
         "checks": checks,
         "pass": ok,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    path = cfg.out
+    path = args.out
     if path is not None and not path.endswith(".json"):
         path = path + ".json"
     _write_text(path, text)
@@ -529,8 +502,8 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = _config_from_args(_build_parser().parse_args(argv))
-        return _HANDLERS[cfg.command](cfg)
+        args = _config_from_args(_build_parser().parse_args(argv))
+        return _HANDLERS[args.command](args)
     except (_CliError, UnsupportedRequestError) as exc:
         sys.stderr.write(f"{TOOL}: configuration error: {exc}\n")
         return EXIT_CONFIG

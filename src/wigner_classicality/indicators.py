@@ -105,9 +105,9 @@ def _validate(kinds, stratum: StratumLabel, method: Method, zetas, samples: int 
     Raises the first ``UnsupportedRequestError`` that the grid's cells
     would raise one by one.  Each check depends on a cell's angle alone,
     its ensemble alone or neither, so each runs once, in the cells' order:
-    the first angle, then the first ensemble's closed form and the Monte
-    Carlo options, then the other angles and the other ensembles' closed
-    forms, and last an unknown method.  A grid with no angle still gets
+    the first angle, then the first ensemble (its type, then its closed
+    form) and the Monte Carlo options, then the other angles and the other
+    ensembles, and last an unknown method.  A grid with no angle still gets
     the checks that depend on no angle, and one with no ensemble those
     that depend on no ensemble.
     """
@@ -121,10 +121,14 @@ def _validate(kinds, stratum: StratumLabel, method: Method, zetas, samples: int 
                 raise UnsupportedRequestError("qubit indicators take no moduli parameter")
         elif zeta is None:
             raise UnsupportedRequestError("qutrit indicators need a moduli parameter zeta")
+        elif not isinstance(zeta, numbers.Real):
+            raise UnsupportedRequestError(f"zeta must be a real number, got {zeta!r}")
         elif not 0.0 <= float(zeta) <= ZETA_MAX + 1e-15:
             raise UnsupportedRequestError(f"zeta out of range [0, pi/3]: {zeta}")
 
     def check_kind(kind: EnsembleKind) -> None:
+        if not isinstance(kind, EnsembleKind):
+            raise UnsupportedRequestError(f"unknown ensemble {kind!r}")
         closed_ok = (n == 2 or kind is EnsembleKind.HILBERT_SCHMIDT
                      or len(stratum.degeneracy.multiplicities) == 1)
         if method is Method.CLOSED_FORM and not closed_ok:
@@ -142,7 +146,7 @@ def _validate(kinds, stratum: StratumLabel, method: Method, zetas, samples: int 
             raise UnsupportedRequestError("Monte Carlo requests need a positive sample count")
         if seed is None or seed < 0:
             raise UnsupportedRequestError("Monte Carlo requests need a nonnegative seed")
-        if workers < 1:
+        if workers is None or workers < 1:
             raise UnsupportedRequestError("worker count must be positive")
     for zeta in zetas[1:]:
         check_angle(zeta)
@@ -687,23 +691,8 @@ def compute_indicator(request: IndicatorRequest) -> IndicatorResult:
         return q_quadrature(request)
     if request.method is Method.MONTE_CARLO:
         return q_monte_carlo(request)
-    return _cell(request, Method.CLOSED_FORM)
-
-
-def indicator(ensemble: EnsembleKind, stratum: StratumLabel, method: Method,
-              zeta: float | None = None, *,
-              samples: int | None = None, seed: int | None = None,
-              workers: int = 1) -> IndicatorResult:
-    """Indicator of one (ensemble, stratum, zeta) cell by ``method``.
-
-    ``samples`` and ``seed`` are kept only for Monte Carlo, so one set of
-    options serves every method.
-    """
-    mc = method is Method.MONTE_CARLO
-    return compute_indicator(IndicatorRequest(
-        ensemble=ensemble, stratum=stratum, method=method, zeta=zeta,
-        samples=samples if mc else None, seed=seed if mc else None, workers=workers,
-    ))
+    # a closed form, or a method that is not a ``Method``, which ``_validate`` rejects
+    return _cell(request, request.method)
 
 
 def indicators(ensembles, stratum: StratumLabel, method: Method,
@@ -711,8 +700,8 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
                workers: int = 1) -> list[tuple[list[float], list[float]]]:
     """Indicators of each of ``ensembles`` on ``stratum`` at each angle of ``zetas``: values and errors per ensemble.
 
-    Every value and error is bit for bit that of ``indicator`` at its cell
-    alone.  ``_validate`` checks the grid, each angle and each ensemble
+    Every value and error is bit for bit that of ``compute_indicator`` at
+    its cell alone.  ``_validate`` checks the grid, each angle and each ensemble
     once, and raises the first error that the cells would raise one by
     one; an empty grid gets the checks that depend on no angle.  On a point
     stratum every state is classical, so every method answers each cell

@@ -23,7 +23,6 @@ from wigner_classicality.indicators import (
     REGULAR_QUTRIT,
     IndicatorRequest,
     Method,
-    indicator,
     q_monte_carlo,
     q_quadrature,
 )
@@ -194,8 +193,8 @@ class TestRatio:
         _, rows = read_csv(out.with_suffix(".csv"))
         assert len(rows) == 2
         for row in rows:
-            q_deg, q_reg = (indicator(cli.EnsembleKind.HILBERT_SCHMIDT, stratum, Method.MONTE_CARLO,
-                                      float(row[0]), samples=20000, seed=5, workers=2).q
+            q_deg, q_reg = (q_monte_carlo(IndicatorRequest(EnsembleKind.HILBERT_SCHMIDT, stratum, Method.MONTE_CARLO,
+                                                           float(row[0]), samples=20000, seed=5, workers=2)).q
                             for stratum in (DEGENERATE_QUTRIT, REGULAR_QUTRIT))
             assert float(row[1]) == q_deg / q_reg
 
@@ -210,8 +209,8 @@ class TestRatio:
         assert len(rows) == 15
         undefined = []
         for zeta, ratio, label, _, _ in rows:
-            q_reg = indicator(EnsembleKind(label), REGULAR_QUTRIT, Method.MONTE_CARLO,
-                              float(zeta), samples=3000, seed=1234).q
+            q_reg = q_monte_carlo(IndicatorRequest(EnsembleKind(label), REGULAR_QUTRIT, Method.MONTE_CARLO,
+                                                   float(zeta), samples=3000, seed=1234)).q
             if q_reg == 0.0:
                 assert ratio == "nan"
                 undefined.append(f"{label} at zeta={zeta}")
@@ -251,6 +250,7 @@ class TestFormat:
         ("ratio", "--stratum", "regular"),
         ("sample", "--zeta-grid", "0:1:3"), ("sample", "--method", "mc"),
         ("sample", "--tol", "1e-6"), ("sample", "--workers", "2"),
+        ("sample", "--n", "2"),  # the qubit is --stratum qubit
         ("verify", "--ensemble", "bures"), ("verify", "--stratum", "regular"),
         ("verify", "--zeta-grid", "0:1:3"), ("verify", "--method", "quad"),
     ])
@@ -261,13 +261,29 @@ class TestFormat:
     def test_sample_draws_one_ensemble(self, tmp_path):
         assert cli.main(["sample", "--ensemble", "all", "--out", str(tmp_path / "x")]) == 1
 
-    def test_dropped_flags_recorded_at_their_defaults(self, tmp_path):
-        out = tmp_path / "s"
-        assert cli.main(["sample", "--samples", "3", "--out", str(out)]) == 0
-        first = out.with_suffix(".csv").read_text().splitlines()[0]
-        assert first.endswith(
-            f"command=sample ensemble=hs stratum=regular zeta_grid=0:{math.pi / 3:.17g}:61 "
-            "method=mc tol=None samples=3 seed=1234 workers=1 format=csv")
+    @pytest.mark.parametrize("argv,recorded", [
+        (["curve", "--zeta-grid", "0:1:2"], "command=curve ensemble=hs stratum=regular zeta_grid=0:1:2 "
+         "method=closed tol=None samples=1000000 seed=1234 workers=1 format=csv"),
+        (["table1"], f"command=table1 ensemble=hs stratum=regular zeta_grid=0:{math.pi / 3:.17g}:61 "
+         "method=quad tol=None samples=1000000 seed=1234 workers=1 format=csv"),
+        (["qubit"], f"command=qubit ensemble=hs stratum=regular zeta_grid=0:{math.pi / 3:.17g}:61 "
+         "method=closed tol=None samples=1000000 seed=1234 workers=1 format=csv"),
+        (["ratio", "--zeta-grid", "0:1:2"], "command=ratio ensemble=hs stratum=regular zeta_grid=0:1:2 "
+         "method=closed tol=None samples=1000000 seed=1234 workers=1 format=csv"),
+        (["sample", "--samples", "3"], f"command=sample ensemble=hs stratum=regular zeta_grid=0:{math.pi / 3:.17g}:61 "
+         "method=mc tol=None samples=3 seed=1234 workers=1 format=csv"),
+        (["verify", "--samples", "1000"], f"command=verify ensemble=hs stratum=regular zeta_grid=0:{math.pi / 3:.17g}:61 "
+         "method=quad tol=None samples=1000 seed=1234 workers=1 format=csv"),
+    ], ids=["curve", "table1", "qubit", "ratio", "sample", "verify"])
+    def test_dropped_flags_recorded_at_their_defaults(self, tmp_path, argv, recorded):
+        # every option is recorded, the ones a command does not take at their defaults
+        out = tmp_path / "x"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        if argv[0] == "verify":
+            assert json.loads(out.with_suffix(".json").read_text())["config"] == recorded
+        else:
+            first = out.with_suffix(".csv").read_text().splitlines()[0]
+            assert first == f"# wigner-classicality {wigner_classicality.__version__} | {recorded}"
 
     def test_ratio_svg_writes_no_csv(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -355,11 +371,14 @@ class TestSample:
 
     def test_qubit_sampling(self, tmp_path):
         out = tmp_path / "s2"
-        rc = cli.main(["sample", "--ensemble", "hs", "--samples", "50", "--n", "2",
+        rc = cli.main(["sample", "--ensemble", "bkm", "--stratum", "qubit", "--samples", "50",
                        "--seed", "3", "--out", str(out)])
         assert rc == 0
+        assert " stratum=qubit " in out.with_suffix(".csv").read_text().splitlines()[0]
         header, rows = read_csv(out.with_suffix(".csv"))
-        assert header == ["r1", "r2"] and len(rows) == 50
+        draws = np.concatenate(list(stratum_spectra(EnsembleKind.BKM, QUBIT_STRATUM, 50, np.random.default_rng(3))))
+        assert header == ["r1", "r2"]
+        assert rows == [[cli._num(v) for v in row] for row in draws]
 
     def test_degenerate_mixture(self, tmp_path):
         out = tmp_path / "s3"
@@ -507,8 +526,8 @@ class TestVerifyMonteCarlo:
 
     @staticmethod
     def config(workers):
-        return cli.RunConfig(command="verify", ensembles=[cli.EnsembleKind.HILBERT_SCHMIDT],
-                             samples=50_000, workers=workers)
+        argv = ["verify", "--samples", "50000", "--workers", str(workers)]
+        return cli._config_from_args(cli._build_parser().parse_args(argv))
 
     def test_zero_hits_fail_every_check(self, chunk_seeds):
         checks = cli._mc_checks(self.config(2))

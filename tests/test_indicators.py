@@ -778,7 +778,9 @@ class TestRequestValidation:
         *((method, ALL_KINDS, [0.0, 0.5, 2.0, 0.7, ZETA_MAX], {"samples": 100, "seed": 1}) for method in Method),
         (Method.CLOSED_FORM, ALL_KINDS, [0.0, 0.5, ZETA_MAX], {}),
         (Method.MONTE_CARLO, ALL_KINDS, [0.0, 0.5, ZETA_MAX], {"seed": 1}),
-    ], ids=["zeta-closed", "zeta-quad", "zeta-mc", "bures-closed", "mc-no-samples"])
+        (Method.QUADRATURE, (EnsembleKind.HILBERT_SCHMIDT, "bures"), [0.0, 0.5], {}),
+        (Method.MONTE_CARLO, ALL_KINDS, [0.0, "0.5"], {"samples": 100, "seed": 1}),
+    ], ids=["zeta-closed", "zeta-quad", "zeta-mc", "bures-closed", "mc-no-samples", "kind-str", "zeta-str"])
     def test_one_bad_cell_fails_the_grid(self, method, kinds, zetas, options):
         # the grid raises the first error that its cells would raise one by one
         def first_error(call):
@@ -794,6 +796,24 @@ class TestRequestValidation:
 
         grid = first_error(lambda: ind.indicators(kinds, REGULAR_QUTRIT, method, zetas, **options))
         assert grid == first_error(cell_by_cell)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"ensemble": "hs"}, "unknown ensemble 'hs'"),
+        ({"ensemble": "hs", "method": Method.CLOSED_FORM}, "unknown ensemble 'hs'"),
+        ({"ensemble": "hs", "method": Method.MONTE_CARLO, "samples": 100, "seed": 1}, "unknown ensemble 'hs'"),
+        ({"zeta": "0.3"}, "zeta must be a real number, got '0.3'"),
+        ({"method": Method.MONTE_CARLO, "samples": 100, "seed": 1, "workers": None}, "worker count must be positive"),
+        ({"method": "quad"}, "unknown method 'quad'"),
+    ], ids=["ensemble-quad", "ensemble-closed", "ensemble-mc", "zeta-str", "workers-none", "method-str"])
+    def test_wrong_typed_field_is_unsupported(self, fields, message):
+        # a field of the wrong type fails validation, not with a TypeError or
+        # AttributeError from deep in the computation
+        req = IndicatorRequest(**{"ensemble": EnsembleKind.HILBERT_SCHMIDT, "stratum": REGULAR_QUTRIT,
+                                  "method": Method.QUADRATURE, "zeta": 0.3, **fields})
+        for call in (IndicatorRequest.validate, compute_indicator):
+            with pytest.raises(UnsupportedRequestError) as err:
+                call(req)
+            assert str(err.value) == message
 
     def test_unsupported_dimension(self):
         stratum = StratumLabel.for_partition((1, 1, 1, 1))

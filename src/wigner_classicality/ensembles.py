@@ -67,19 +67,31 @@ def worker_seed(master_seed: int, worker_index: int) -> int:
 def _mc_vec(kind: EnsembleKind, x, y, diff, lx, ly):
     """Morozova-Chentsov function on arrays; ``diff`` is x - y, ``lx``, ``ly`` are ``np.log`` of x, y (BKM only).
 
-    The BKM series is evaluated only where ``|d| <= BKM_SERIES_CUTOFF``.
+    BKM takes its series where d = diff / (x + y) has ``|d| <= BKM_SERIES_CUTOFF``.
+    Such a row has |diff| <= cutoff |x + y| (1 + 2^-53), and |x + y| rounds
+    to at most the sum of the largest |x| and the largest |y| (NaN skipped),
+    so the row is among the candidates |diff| <= cutoff (that sum)
+    (1 + 1e-12), for any input; x + y and d are formed on the candidates only.
     """
     if kind is EnsembleKind.BURES:
         return 2.0 / (x + y)
-    s = np.asarray(x + y)
-    d = np.asarray(diff / s)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(lx - ly)
         out /= diff
-    near = (d <= BKM_SERIES_CUTOFF) & (d >= -BKM_SERIES_CUTOFF)  # no float temporary
-    if near.any():
-        dn = d[near]
-        out[near] = (1.0 + dn * dn / 3.0 + dn ** 4 / 5.0) / (0.5 * s[near])
+    diff = np.asarray(diff)
+    top = sum(max(np.fmax.reduce(v, axis=None, initial=0.0), -np.fmin.reduce(v, axis=None, initial=0.0))
+              for v in (x, y))
+    cut = BKM_SERIES_CUTOFF * max(top, 1e-290) * (1.0 + 1e-12)  # the floor keeps cut's rounding relative
+    cand = (diff <= cut) & (diff >= -cut)  # no float temporary
+    if cand.any():
+        s = np.broadcast_to(x, cand.shape)[cand] + np.broadcast_to(y, cand.shape)[cand]
+        d = diff[cand] / s
+        near = (d <= BKM_SERIES_CUTOFF) & (d >= -BKM_SERIES_CUTOFF)
+        if near.any():
+            dn = d[near]
+            series = out[cand]
+            series[near] = (1.0 + dn * dn / 3.0 + dn ** 4 / 5.0) / (0.5 * s[near])
+            out[cand] = series
     return out
 
 
@@ -118,11 +130,13 @@ def _density3_vec(kind: EnsembleKind, r1, r2, r3):
 def _density_pair_vec(kind: EnsembleKind, big, small, kk: int):
     """Density of two distinct eigenvalues of multiplicities k_1 k_2 = ``kk``.
 
-    HS ``(big - small)^(2 kk)``; a monotone ensemble multiplies by
-    ``c_f(big, small)^kk (big small)^(-1/2)``.
+    HS ``(big - small)^(2 kk)``, as products (kk is 1 or 2); a monotone
+    ensemble multiplies by ``c_f(big, small)^kk (big small)^(-1/2)``.
     """
     diff = big - small
-    v = diff ** (2 * kk)
+    v = diff * diff
+    if kk == 2:
+        v *= v
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,22 +269,26 @@ def _line_weight(kind: EnsembleKind, mult: tuple, t, edge=None):
     the geometry of ``_LINES``; y is their smallest distinct eigenvalue, and
     on an edge the chart matches the regular chart's r3 = t^4 / 3.  The
     weight is the density times |dr/dy| times dy/dt = 4 top t^3; quadrature
-    fits it and the samplers draw from it.  Points with y outside (0, top)
-    get weight 0, so they are never accepted.  With ``mult`` = ``_EDGES``,
-    point i lies on the edge ``_EDGES[edge[i]]``: the edges share top and
-    pair power, so one pass weighs both.
+    fits it and the samplers draw from it.  t^4 and t^3 are products, whose
+    bits, unlike those of ``t ** 4``, do not follow numpy's SIMD dispatch.
+    Points with y outside (0, top) get weight 0, so they are never
+    accepted.  With ``mult`` = ``_EDGES``, point i lies on the edge
+    ``_EDGES[edge[i]]``: the edges share top and pair power, so one pass
+    weighs both.
     """
     top, kk, drdy = _LINES[mult[0] if mult == _EDGES else mult]
     if mult == _EDGES:  # |dr/dy| doubles on (1,2)
         drdy = drdy * (1.0 + edge)
-    y = t ** 4
+    t2 = t * t
+    y = t2 * t2
     y *= top
     bad = (y <= 0.0) | (y >= top)
     off = bad.any()  # a random tile seldom has such a row
     if off:
         y[bad] = top / 2.0
     spectra = _line_spectrum(mult, y, edge)
-    jac = t ** 3
+    jac = t2
+    jac *= t
     jac *= drdy * 4.0 * top
     val = _density_pair_vec(kind, spectra[0], spectra[-1], kk)
     val *= jac
@@ -279,9 +297,9 @@ def _line_weight(kind: EnsembleKind, mult: tuple, t, edge=None):
     return val, spectra
 
 
-def _proposal_box(mult: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
-    """Proposal box of a rejection route: (t, phi) on the regular qutrit, t on a line piece."""
-    return ((0.0, 1.0), (0.0, math.pi)) if mult == (1, 1, 1) else ((0.0, 1.0),)
+def _proposal_box(mult: tuple[int, ...]) -> tuple[float, ...]:
+    """Widths of the proposal box of a rejection route, which starts at 0: (t, phi) on the regular qutrit, t on a line piece."""
+    return (1.0, math.pi) if mult == (1, 1, 1) else (1.0,)
 
 
 def _proposal_weight(kind: EnsembleKind, pieces: tuple, coords):
@@ -305,7 +323,7 @@ def _envelope_table(kind: EnsembleKind, mult: tuple[int, ...]) -> np.ndarray:
     """
     box = _proposal_box(mult)
     cells, sub = _TABLE_CELLS[len(box)], _TABLE_SUBGRID[len(box)]
-    axes = [np.linspace(lo, hi, cells * sub + 1) for lo, hi in box]
+    axes = [np.linspace(0.0, width, cells * sub + 1) for width in box]
     w = _proposal_weight(kind, (mult,), np.meshgrid(*axes, indexing="ij"))[0]
     for axis in range(len(box)):
         w = np.moveaxis(w, axis, 0)
@@ -320,34 +338,35 @@ def _envelope_table(kind: EnsembleKind, mult: tuple[int, ...]) -> np.ndarray:
 def _guide_table(cdf: np.ndarray) -> tuple:
     """The guide table of Chen and Asau (1974) for a nondecreasing ``cdf``, read by ``_cell_lookup``.
 
-    It splits (0, cdf[-1]] into ``_GUIDE_PER_CELL`` equal buckets per entry
-    and stores, for each bucket, the first entry above its lower edge.
-    ``above`` is ``cdf`` then inf, ``below`` is -inf then ``cdf``.
+    It splits (0, cdf[-1]] into ``_GUIDE_PER_CELL`` equal buckets per entry,
+    plus one bucket that only x = cdf[-1] can reach, and stores for bucket
+    k the first entry not below its lower edge k / scale lowered by a
+    relative 1e-12.  ``above`` is ``cdf`` then inf.
     """
     buckets = _GUIDE_PER_CELL * cdf.size
     scale = buckets / cdf[-1]
-    guide = np.searchsorted(cdf, np.arange(buckets) / scale, side="right")
+    edges = np.arange(buckets + 1) / scale
+    edges *= 1.0 - 1e-12
+    guide = np.searchsorted(cdf, edges)
     above = np.append(cdf, np.inf)  # above[i] = cdf[i]
-    below = np.concatenate(([-np.inf], cdf))  # below[i] = cdf[i - 1]
-    return guide, scale, above, below
+    return guide, scale, above
 
 
 def _cell_lookup(table: tuple, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, x)`` for ``table = _guide_table(cdf)``.
+    """``np.searchsorted(cdf, x)`` for ``table = _guide_table(cdf)`` and x in [0, cdf[-1]].
 
-    Each x starts at its bucket's entry and takes at most one step, up if
-    ``cdf[i] < x``, else down if ``cdf[i - 1] >= x``.  The few x that a
-    crowded bucket leaves further off get search-left's index from
-    ``np.searchsorted(above, x)``, not from a step loop as long as the
-    farthest of them.  So rounding at the bucket edges cannot change a result.
+    No start lies above the answer: x in bucket k has fl(x scale) >= k, so
+    x >= (k / scale) (1 - 2^-53), above bucket k's edge, which the 1e-12
+    lowering keeps below k / scale whatever its own rounding; and search-left
+    is monotone in x.  So each x starts at its bucket's entry and takes one
+    step up if ``cdf[i] < x``.  The few x that a crowded bucket leaves
+    further off get search-left's index from ``np.searchsorted(above, x)``,
+    not from a step loop as long as the farthest of them.
     """
-    guide, scale, above, below = table
-    i = guide.take(np.minimum(x * scale, guide.size - 1).astype(np.intp))  # x * scale > -1 truncates to >= 0
-    up = np.flatnonzero(above.take(i) < x)
-    i[up] += 1  # now cdf[i - 1] < x, so no step down follows
-    down = np.flatnonzero(below.take(i) >= x)
-    i[down] -= 1
-    rest = np.concatenate((up[above.take(i[up]) < x[up]], down[below.take(i[down]) >= x[down]]))
+    guide, scale, above = table
+    i = guide.take((x * scale).astype(np.intp))  # x * scale in [0, buckets + 1) truncates into the table
+    i += above.take(i) < x
+    rest = np.flatnonzero(above.take(i) < x)
     if rest.size:
         i[rest] = np.searchsorted(above, x.take(rest))
     return i
@@ -504,10 +523,9 @@ class SpectrumSampler:
             u = uniforms[:, start:start + self._TILE]
             cell = _cell_lookup(table, u[0])
             coords = [o.take(cell) for o in origins]
-            for (lo, hi), i, v in zip(self._box, coords[len(lead):], u[1:-1]):
-                i += v  # lo + (i + v) (hi - lo) / cells, in the origin's own array
-                i *= (hi - lo) / cells
-                i += lo
+            for width, i, v in zip(self._box, coords[len(lead):], u[1:-1]):
+                i += v  # (i + v) width / cells, in the origin's own array
+                i *= width / cells
             coords = coords[len(lead):] + coords[:len(lead)]
             w, spectra = _proposal_weight(self.kind, self._pieces, coords)
             b = bound.take(cell)

@@ -613,13 +613,20 @@ def _mc_chunk_hits(kind: EnsembleKind, stratum: StratumLabel, kernels, chunk: in
     return hits
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _mc_block(kind: EnsembleKind, stratum: StratumLabel, zetas, samples: int, seed: int,
               workers: int) -> tuple[list[float], list[float]]:
     """Monte Carlo values and error estimates of ``kind`` on ``stratum`` at each valid angle of ``zetas``.
 
     The sample budget is split into ``workers`` chunks with seeds derived by
     ``worker_seed``; only the nonempty chunks, at most ``samples`` of them,
-    are seeded.  At most ``os.cpu_count()`` threads run them, each summing
+    are seeded.  At most ``_usable_cpus()`` threads run them, each summing
     the hits of one run of consecutive chunks and seeding each chunk as it
     reaches it, so memory does not grow with ``workers``.  Each chunk's
     draws are counted against the kernel of every angle
@@ -633,7 +640,7 @@ def _mc_block(kind: EnsembleKind, stratum: StratumLabel, zetas, samples: int, se
     base, extra = divmod(n, workers)
     # chunks from index n on would be empty, so none of them is seeded or run
     chunks = min(workers, n)
-    threads = min(chunks, os.cpu_count() or 1)
+    threads = min(chunks, _usable_cpus())
 
     def share(j: int) -> np.ndarray:
         """Hits per angle of thread j's run of chunks; chunk i draws base + (i < extra) points."""
@@ -657,7 +664,7 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     ``workers`` chunks with seeds derived by ``worker_seed``; chunk hit
     counts are integers, so the total is deterministic for a fixed (seed,
     workers) pair regardless of execution order, and at most
-    ``os.cpu_count()`` threads run the chunks.  The error estimate is the
+    ``_usable_cpus()`` threads run the chunks.  The error estimate is the
     binomial standard error ``sqrt(q (1 - q) / n)``; when no classical
     state is seen the estimate falls back to the one-sided 95 percent
     bound 3/n (rule of three).

@@ -5,7 +5,12 @@ densities (chi-square on a 50-bin marginal grid at the 0.001 level) and the
 matrix models of ``matrix_models`` against the rejection route (two-sample KS).
 """
 
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -273,8 +278,7 @@ class _ReferenceSampler(SpectrumSampler):
         cells = _TABLE_CELLS[len(self._box)]
         lead = (len(self._pieces),) if len(self._pieces) > 1 else ()
         index = np.unravel_index(cell, lead + (cells,) * len(self._box))
-        coords = [lo + (i + self.rng.random(m)) * ((hi - lo) / cells)
-                  for (lo, hi), i in zip(self._box, index[len(lead):])]
+        coords = [(i + self.rng.random(m)) * (width / cells) for width, i in zip(self._box, index[len(lead):])]
         coords += index[:len(lead)]
         w, spectra = _proposal_weight(self.kind, self._pieces, coords)
         b = bound[cell]
@@ -371,6 +375,29 @@ def _line_weight_032(kind: EnsembleKind, mult: tuple, t, edge=None):
     return np.where(bad, 0.0, val), spectra
 
 
+def _density_pair_vec_033(kind: EnsembleKind, big, small, kk: int):
+    """``ensembles._density_pair_vec`` of version 0.3.3: 0.2.8's with ``(big - small)^(2 kk)`` as products."""
+    diff = big - small
+    v = diff * diff if kk == 1 else (diff * diff) * (diff * diff)
+    if kind is EnsembleKind.HILBERT_SCHMIDT:
+        return v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb, ls = ensembles._logs(kind, big, small)
+        return v * _mc_vec_028(kind, big, small, lb, ls) ** kk / np.sqrt(big * small)
+
+
+def _line_weight_033(kind: EnsembleKind, mult: tuple, t, edge=None):
+    """``ensembles._line_weight`` of version 0.3.3 (``np.where`` on every tile): 0.3.2's with t^4 and t^3 as products."""
+    top, kk, drdy = ensembles._LINES[mult[0] if mult == _EDGES else mult]
+    if mult == _EDGES:
+        drdy = drdy * (1.0 + edge)
+    y = top * ((t * t) * (t * t))
+    bad = (y <= 0.0) | (y >= top)
+    spectra = _line_spectrum_032(mult, np.where(bad, top / 2.0, y), edge)
+    val = _density_pair_vec_033(kind, spectra[0], spectra[-1], kk) * (drdy * 4.0 * top * ((t * t) * t))
+    return np.where(bad, 0.0, val), spectra
+
+
 def _sampler(cls, kind: EnsembleKind, mult: tuple, seed: int) -> SpectrumSampler:
     """A ``cls`` sampler of one piece, or with ``mult`` = ``_EDGES`` one over both edges."""
     if mult != _EDGES:
@@ -429,8 +456,53 @@ class TestCellLookup:
         _assert_lookup_exact(cdf, _edge_points(cdf))
 
 
+def _bucket_edges(cdf: np.ndarray) -> np.ndarray:
+    """Every guide bucket's lower edge fl(k / scale) and its two floating-point neighbours in [0, total], and the total."""
+    guide, scale = _guide_table(cdf)[:2]
+    edges = np.arange(guide.size) / scale
+    x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), cdf[-1:]])
+    return x[(x >= 0.0) & (x <= cdf[-1])]
+
+
+class TestGuideBucketEdges:
+    """At the bucket edges, where a start is decided, the lookup is search-left's and no start lies above it."""
+
+    @staticmethod
+    def _tables():
+        for kind in ALL_KINDS:
+            for mult in ALL_MULTS:
+                yield np.cumsum(_envelope_table(kind, mult))
+            yield np.cumsum(np.concatenate([_envelope_table(kind, mult) for mult in _EDGES]))
+
+    @staticmethod
+    def _assert_starts_not_above(cdf: np.ndarray) -> None:
+        guide, scale, _ = table = _guide_table(cdf)
+        x = _bucket_edges(cdf)
+        expected = np.searchsorted(cdf, x)
+        assert np.array_equal(_cell_lookup(table, x), expected)
+        assert np.all(guide[(x * scale).astype(np.intp)] <= expected)
+
+    def test_every_envelope_table(self):
+        for cdf in self._tables():
+            self._assert_starts_not_above(cdf)
+
+    def test_entries_just_below_the_bucket_edges(self):
+        # x = nextafter(k / scale, 0) with fl(x scale) = k lies in bucket k but
+        # below its edge; with an entry at such an x, an unlowered edge's
+        # search-left start would lie one above the answer
+        n = 100
+        buckets = ensembles._GUIDE_PER_CELL * n
+        k = np.arange(1, buckets)
+        low = np.nextafter(k / float(buckets), 0.0)
+        low = low[(low * buckets).astype(np.intp) == k]
+        assert 10 <= low.size < n
+        cdf = np.sort(np.concatenate([low, np.linspace(0.0, 1.0, n - low.size + 1)[1:]]))
+        assert cdf[-1] == 1.0 and _guide_table(cdf)[1] == buckets
+        self._assert_starts_not_above(cdf)
+
+
 class TestWeightBits:
-    """The chart and the densities keep the bits of 0.2.8.
+    """The chart and the densities keep the bits of 0.2.8, the pair density those of 0.3.3.
 
     ``_ReferenceSampler`` shares the package's weight, so only this pins it.
     """
@@ -466,19 +538,39 @@ class TestWeightBits:
         t, phi = self._box_points()
         new = self._weights(kind, t, phi)
         for name, kernel in (("_regular_chart", _regular_chart_028), ("_mc_vec", _mc_vec_028),
-                             ("_density3_vec", _density3_vec_028), ("_density_pair_vec", _density_pair_vec_028)):
+                             ("_density3_vec", _density3_vec_028), ("_density_pair_vec", _density_pair_vec_033)):
             monkeypatch.setattr(ensembles, name, kernel)
         old = self._weights(kind, t, phi)
         for a, b in zip(new, old, strict=True):
             assert np.array_equal(a, b, equal_nan=True)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_pair_density_within_4_ulp_of_028(self, kind):
+        # (big - small)^4 as a product of squares, against 0.2.8's ``** 4``
+        t, _ = self._box_points()
+        for mult, (top, kk, _) in ensembles._LINES.items():
+            big, *_, small = ensembles._line_spectrum(mult, top * t ** 4)
+            np.testing.assert_allclose(_density_pair_vec(kind, big, small, kk),
+                                       _density_pair_vec_028(kind, big, small, kk), rtol=1e-15, atol=0.0)
+
 
 class TestMaskedWeightBits:
-    """Both weights keep the bits of the ``_032`` copies on their fast path (no off-simplex row) and their masked path.
+    """Both weights keep the bits of their ``np.where`` copies on their fast path (no off-simplex row) and their masked path.
 
-    The interior points of ``TestWeightBits._box_points`` have no such row;
-    its box edges and the chart ends t = 0 and t = 1 of a line piece do.
+    The regular weight keeps those of ``_regular_weight_qutrit_032``, the
+    line weight those of ``_line_weight_033``.  The interior points of
+    ``TestWeightBits._box_points`` have no such row; its box edges and the
+    chart ends t = 0 and t = 1 of a line piece do.
     """
+
+    @staticmethod
+    def _line_points(mult, part):
+        """Chart points of a line piece, and with ``mult`` = ``_EDGES`` each point's edge."""
+        rng = np.random.default_rng(13)
+        t = rng.random(100_000) if part == "interior" else np.linspace(0.0, 1.0, 65)
+        edge = (rng.random(t.size) < 0.5).astype(float) if mult == _EDGES else None
+        assert ((t <= 0.0) | (t >= 1.0)).any() == (part == "edges")
+        return t, edge
 
     @staticmethod
     def _assert_same(new, old):
@@ -499,12 +591,69 @@ class TestMaskedWeightBits:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("mult", [(1, 1), (2, 1), (1, 2), _EDGES])
     @pytest.mark.parametrize("part", ["interior", "edges"])
+    def test_line_weight_matches_033(self, kind, mult, part):
+        t, edge = self._line_points(mult, part)
+        self._assert_same(ensembles._line_weight(kind, mult, t, edge), _line_weight_033(kind, mult, t, edge))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", [(1, 1), (2, 1), (1, 2), _EDGES])
+    @pytest.mark.parametrize("part", ["interior", "edges"])
     def test_line_weight_matches_032(self, kind, mult, part):
-        rng = np.random.default_rng(13)
-        t = rng.random(100_000) if part == "interior" else np.linspace(0.0, 1.0, 65)
-        edge = (rng.random(t.size) < 0.5).astype(float) if mult == _EDGES else None
-        assert ((t <= 0.0) | (t >= 1.0)).any() == (part == "edges")
-        self._assert_same(ensembles._line_weight(kind, mult, t, edge), _line_weight_032(kind, mult, t, edge))
+        """Within 4 ulp (relative 1e-15) of 0.3.2's ``** 4`` and ``** 3``: the spectra, and the weight where y agrees.
+
+        Where the products move y = top t^4, by an ulp or two, the weight at
+        the same t moves by what that does to (big - small)^(2 kk), which
+        cancels near the top of the chart: up to 2.6e-12 relative at the
+        interior points.  So the weight is held to 1e-15 where
+        ``t ** 4 == (t * t) * (t * t)``, about half of the interior points.
+        """
+        t, edge = self._line_points(mult, part)
+        w, spectra = ensembles._line_weight(kind, mult, t, edge)
+        w_old, spectra_old = _line_weight_032(kind, mult, t, edge)
+        for a, b in zip(spectra, spectra_old, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+        same_y = t ** 4 == (t * t) * (t * t)
+        assert same_y.mean() > 0.3
+        np.testing.assert_allclose(w[same_y], w_old[same_y], rtol=1e-15, atol=0.0)
+
+
+class TestSeriesCutoff:
+    """``_mc_vec`` keeps 0.2.8's bits where |d| = |x - y| / (x + y) lies a few ulp either side of the cutoff."""
+
+    @staticmethod
+    def _pairs():
+        """Pairs with x + y over (0, 1], both signs of x - y and |d| near ``BKM_SERIES_CUTOFF``, and their d."""
+        rng = np.random.default_rng(29)
+        n = 1_000_000
+        s = (1.0 - rng.random(n)) ** 3
+        d0 = ensembles.BKM_SERIES_CUTOFF * (1.0 + rng.uniform(-4e-12, 4e-12, n))
+        d0 *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        x, y = s * (1.0 + d0) / 2.0, s * (1.0 - d0) / 2.0
+        return x, y, (x - y) / (x + y)
+
+    def test_matches_028_around_the_cutoff(self):
+        x, y, d = self._pairs()
+        cutoff = ensembles.BKM_SERIES_CUTOFF
+        # d within 8 ulp of the cutoff, on both sides of it and with both signs
+        lo, hi = cutoff - 8 * math.ulp(cutoff), cutoff + 8 * math.ulp(cutoff)
+        close = (np.abs(d) >= lo) & (np.abs(d) <= hi)
+        for side in (np.abs(d) <= cutoff, np.abs(d) > cutoff):
+            for sign in (d > 0.0, d < 0.0):
+                assert np.count_nonzero(close & side & sign) >= 10
+        lx, ly = np.log(x), np.log(y)
+        for cut in (slice(None), close):
+            new = ensembles._mc_vec(EnsembleKind.BKM, x[cut], y[cut], x[cut] - y[cut], lx[cut], ly[cut])
+            assert np.array_equal(new, _mc_vec_028(EnsembleKind.BKM, x[cut], y[cut], lx[cut], ly[cut]))
+
+    @pytest.mark.parametrize("scale", [-1.0, 4.0])
+    def test_matches_028_off_the_simplex(self, scale):
+        # the candidate bound holds for any finite input: x + y negative, or above 1
+        x, y, _ = self._pairs()
+        x, y = scale * x, scale * y
+        with np.errstate(invalid="ignore"):
+            lx, ly = np.log(x), np.log(y)
+        new = ensembles._mc_vec(EnsembleKind.BKM, x, y, x - y, lx, ly)
+        assert np.array_equal(new, _mc_vec_028(EnsembleKind.BKM, x, y, lx, ly), equal_nan=True)
 
 
 def _read_only(*arrays) -> list[np.ndarray]:
@@ -545,7 +694,7 @@ class TestKernelsKeepTheirInputs:
         line_t = rng.random(SpectrumSampler._TILE) if shape == "tile" else indicators._RAY_X ** 4
         edge = (rng.random(line_t.size) < 0.5).astype(float)
         cdf = np.cumsum(_envelope_table(kind, (1, 1, 1)))
-        guide, scale, above, below = _guide_table(cdf)
+        guide, scale, above = _guide_table(cdf)
         x = (1.0 - rng.random(SpectrumSampler._TILE)) * cdf[-1]
         kernel = sw_spectrum_qutrit(0.3).as_array()
         return [
@@ -556,7 +705,7 @@ class TestKernelsKeepTheirInputs:
             ("_density3_vec", (r1, r2, r3), lambda *a: _density3_vec(kind, *a)),
             ("_density_pair_vec", (r1, r3), lambda *a: _density_pair_vec(kind, *a, 2)),
             ("_mc_vec", (r1, r2, r1 - r2, *logs), lambda *a: ensembles._mc_vec(kind, *a)),
-            ("_cell_lookup", (guide, above, below, x), lambda g, a, b, x: _cell_lookup((g, scale, a, b), x)),
+            ("_cell_lookup", (guide, above, x), lambda g, a, x: _cell_lookup((g, scale, a), x)),
             ("_dual_pairing", (r1, r2, r3, kernel), lambda *a: _dual_pairing(a[:3], a[3])),
         ]
 
@@ -716,6 +865,50 @@ class TestTileStream:
             # the hit count's sampler comes first, then those of the rows
             assert samplers[0] not in samplers[1:]
             assert {(s._proposed, s._accepted) for s in samplers} == {(reference._proposed, reference._accepted)}
+
+
+#: The CPU features that CI's avx512-off job disables (``NPY_DISABLE_CPU_FEATURES``).
+_AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"
+
+
+def _line_digests() -> dict[str, str]:
+    """SHA-256 of the line-piece sample streams of every ensemble and of the HS and Bures line weights."""
+    out = {}
+    for kind in ALL_KINDS:
+        for stratum in (QUBIT_STRATUM, DEGENERATE_QUTRIT):
+            h = hashlib.sha256()
+            for block in stratum_spectra(kind, stratum, 100_000, np.random.default_rng(37)):
+                h.update(block.tobytes())
+            out[f"stream {kind.value} {_stratum_kind(stratum)}"] = h.hexdigest()
+    rng = np.random.default_rng(41)
+    t = np.concatenate([rng.random(100_000), np.linspace(0.0, 1.0, 65)])
+    edge = (rng.random(t.size) < 0.5).astype(float)
+    for kind in (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES):
+        for mult in ((1, 1), (2, 1), (1, 2), _EDGES):
+            w, spectra = ensembles._line_weight(kind, mult, t, edge if mult == _EDGES else None)
+            out[f"weight {kind.value} {mult}"] = hashlib.sha256(b"".join(a.tobytes() for a in (w, *spectra))).hexdigest()
+    return out
+
+
+def test_line_streams_do_not_follow_dispatch():
+    """The line pieces give the same bits with numpy's AVX-512 dispatch on and off.
+
+    This process's digests are compared with those of a subprocess that
+    runs with CI's avx512-off feature list.  On a CPU without AVX-512, or
+    in CI's avx512-off job, both sides run the same loops, so the test
+    cannot fail there.  The weights are products, sums and ``np.sqrt``,
+    whose bits do not follow the dispatch.  BKM weights also take
+    ``np.log``, whose last bits do, so only their streams are compared: an
+    ulp of weight flips an acceptance with odds of about 1e-16 per proposal.
+    """
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(ensembles.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX512,
+               PYTHONPATH=os.pathsep.join(filter(None, (tests, src, os.environ.get("PYTHONPATH")))))
+    script = "import json, test_ensembles; print(json.dumps(test_ensembles._line_digests()))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == _line_digests()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -906,7 +906,7 @@ class TestMonteCarlo:
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
-        """Run chunks serially as if on 2 cores; returns the requested pool sizes."""
+        """Run chunks serially as if the process may run on 2 CPUs; returns the requested pool sizes."""
         pools = []
 
         class SerialPool:
@@ -923,7 +923,7 @@ class TestMonteCarlo:
                 return map(fn, items)
 
         monkeypatch.setattr(ind, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(ind.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ind, "_usable_cpus", lambda: 2)
         return pools
 
     def test_thread_pool_capped_at_cpu_count(self, serial_pool):
@@ -935,6 +935,25 @@ class TestMonteCarlo:
         hits = sum(ind._mc_chunk_hits(req.ensemble, req.stratum, kernels, 10, worker_seed(9, i))[0]
                    for i in range(64))
         assert res.q == hits / 640
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch, serial_pool):
+        req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, 640, 9, workers=64)
+        two = q_monte_carlo(req)
+        monkeypatch.setattr(ind, "_usable_cpus", lambda: 1)
+        one = q_monte_carlo(req)
+        # threads only group chunks, so the count is the same
+        assert serial_pool == [2]
+        assert one.q == two.q
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one CPU of a larger host
+        monkeypatch.setattr(ind.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(ind.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert ind._usable_cpus() == 1
+        monkeypatch.delattr(ind.os, "sched_getaffinity")
+        assert ind._usable_cpus() == 64
+        monkeypatch.setattr(ind.os, "cpu_count", lambda: None)
+        assert ind._usable_cpus() == 1
 
     def test_empty_chunks_are_not_seeded(self, monkeypatch, serial_pool):
         seeded = []

@@ -102,28 +102,82 @@ def _logs(kind: EnsembleKind, *r):
     return (None,) * len(r)
 
 
+def _series_patch(gap, x, y, d, rows):
+    """Write the BKM series into ``gap`` = log x - log y, in place, on those of ``rows`` where it applies.
+
+    With d = x - y and e = d / (x + y), a row with ``|e| <= BKM_SERIES_CUTOFF``
+    gets ``d (1 + e^2/3 + e^4/5) / ((x + y)/2)``.  ``rows`` holds the flat
+    (C order) indices of the candidates, which ``_density3_vec`` proves to
+    hold every such row.
+    """
+    s = np.take(np.broadcast_to(x, gap.shape), rows) + np.take(np.broadcast_to(y, gap.shape), rows)
+    dc = np.take(d, rows)
+    e = dc / s
+    near = (e <= BKM_SERIES_CUTOFF) & (e >= -BKM_SERIES_CUTOFF)
+    if near.any():
+        en = e[near] * e[near]
+        np.put(gap, rows[near], dc[near] * (1.0 + en / 3.0 + en * en / 5.0) / (0.5 * s[near]))
+
+
 def _density3_vec(kind: EnsembleKind, r1, r2, r3):
     """Density of three distinct eigenvalues: HS ``prod_{i<j} (r_i - r_j)^2``.
 
     A monotone ensemble multiplies by ``prod_{i<j} c_f(r_i, r_j)`` (the
-    Morozova-Chentsov function of ``_mc_vec``) and ``(r1 r2 r3)^(-1/2)``.
-    Products run left to right in place, so r1 and r2 span the broadcast shape.
+    Morozova-Chentsov function) and ``(r1 r2 r3)^(-1/2)``, written as one
+    product: Bures ``8 v^2 / (sqrt(r1 r2 r3) prod (r_i + r_j))`` and BKM
+    ``v (prod (l_i - l_j)) / sqrt(r1 r2 r3)``, with v = prod d, d = r_i - r_j
+    and l = log r, since c = 2 / (x + y) and (log x - log y) / (x - y).
+
+    A BKM pair with e = d / (r_i + r_j), ``|e| <= c`` (``BKM_SERIES_CUTOFF``),
+    takes the series ``d (1 + e^2/3 + e^4/5) / ((r_i + r_j)/2)`` for
+    l_i - l_j.  The candidates of all three pairs come from one bound on v,
+    which is formed anyway.  A row with a negative or NaN eigenvalue is NaN
+    whatever its gaps (through an unpatched log difference, since a pair
+    of opposite signs has |e| > 1, or through sqrt(r1 r2 r3)), so let the
+    row's r be >= 0 and top the largest r of all three columns, floored at
+    1e-100.  A
+    series pair has |d| <= c |r_i + r_j| (1 + u), u = 2^-53, since
+    fl(d / s) <= c puts d / s at most half an ulp above c, and r_i + r_j
+    rounds to at most 2 top; the other two differences round to at most
+    top.  So |v| <= 2 c top^3 (1 + u)^3, and fl(2 c top top top (1 + 1e-12))
+    lies above that: four roundings lose far less than the 1e-12, which
+    also covers the 2^-1075 by which a product that underflows can be off,
+    since top >= 1e-100.  The series is tried on the rows under that bound
+    only.
+
+    Products run left to right in place, so r1 and r2 span the broadcast
+    shape; the monotone factors reuse the buffers of the differences and
+    logs once these are spent.
     """
     d12, d13, d23 = r1 - r2, r1 - r3, r2 - r3
     v = d12 * d13
     v *= d23
-    v **= 2
     if kind is EnsembleKind.HILBERT_SCHMIDT:
+        v **= 2
         return v
+    if np.ndim(v) == 0:  # scalars: the one-row array form, whose buffers can be reused
+        return _density3_vec(kind, *(np.atleast_1d(r) for r in (r1, r2, r3)))[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        l1, l2, l3 = _logs(kind, r1, r2, r3)
-        c = _mc_vec(kind, r1, r2, d12, l1, l2)
-        c *= _mc_vec(kind, r1, r3, d13, l1, l3)
-        c *= _mc_vec(kind, r2, r3, d23, l2, l3)
-        v *= c
-        c = r1 * r2
-        c *= r3
-        v /= np.sqrt(c)
+        if kind is EnsembleKind.BURES:
+            v *= v
+            v *= 8.0
+        else:
+            top = max(1e-100, *(np.fmax.reduce(r, axis=None, initial=0.0) for r in (r1, r2, r3)))
+            bound = 2.0 * BKM_SERIES_CUTOFF * (top * top * top) * (1.0 + 1e-12)
+            rows = np.flatnonzero((v <= bound) & (v >= -bound))  # a few rows of a tile
+            l1, l2, l3 = _logs(kind, r1, r2, r3)
+            gaps = (l1 - l2, np.subtract(l1, l3, out=l1), np.subtract(l2, l3, out=l2))
+            for x, y, d, gap in zip((r1, r1, r2), (r2, r3, r3), (d12, d13, d23), gaps):
+                if rows.size:
+                    _series_patch(gap, x, y, d, rows)
+                v *= gap
+        den = np.multiply(r1, r2, out=d12)
+        den *= r3
+        np.sqrt(den, out=den)
+        if kind is EnsembleKind.BURES:
+            for x, y in ((r1, r2), (r1, r3), (r2, r3)):
+                den *= np.add(x, y, out=d13)
+        v /= den
         return v
 
 
@@ -205,23 +259,22 @@ _ENVELOPE_MARGIN = 1.05
 _GUIDE_PER_CELL = 4
 
 
-def _regular_chart(t, phi):
-    """Spectrum columns and area element of the regular qutrit stratum in (t, phi).
+def _regular_chart(t, q):
+    """Spectrum columns and area element per dt dq of the regular qutrit stratum in (t, q).
 
-    The chart covers [0,1] x [0,pi] with the radius substitution
-    r = R(phi) (1 - t^4) of the polar chart, R the trisectrix boundary; on
-    that ray the smallest eigenvalue is exactly t^4/3, which keeps the
-    weight bounded for all three ensembles and avoids the cancellation of
-    evaluating r3 near the boundary.  With s = 1 - t^4 and
-    q = tan(phi/3)/sqrt3 in [0, 1] the two larger eigenvalues are
-    1/3 + s/6 +- s q/2, and the area element r dr dphi is
-    (1 + 3 q^2) s t^3 / 3 dt dphi.  Quadrature and the rejection sampler
-    share this chart.
+    The chart covers [0,1] x [0,1].  In the polar chart (r, phi) of the
+    simplex, q = tan(phi/3)/sqrt3 and r = R(phi) (1 - t^4), R the
+    trisectrix boundary; on that ray the smallest eigenvalue is exactly
+    t^4/3, which keeps the weight bounded for all three ensembles and
+    avoids the cancellation of evaluating r3 near the boundary.  With
+    s = 1 - t^4 the two larger eigenvalues are 1/3 + s/6 +- s q/2.  The
+    area element r dr dphi is (1 + 3 q^2) s t^3 / 3 dt dphi, and
+    dq/dphi = (1 + 3 q^2) / (3 sqrt3), so per dt dq it is sqrt3 s t^3: no
+    trigonometry.  The rejection sampler draws in this chart; quadrature
+    keeps its phi rays, takes q = tan(phi/3)/sqrt3 there and multiplies
+    by dq/dphi (``indicators._regular_rows``).
     """
-    # in place where the result has the step's shape (quadrature broadcasts t against phi)
-    q = phi / 3.0
-    np.tan(q, out=q)
-    q /= SQRT3
+    # in place where the result has the step's shape (quadrature broadcasts t against q)
     t3 = t * t
     t3 *= t
     r3 = t3 * t
@@ -233,22 +286,18 @@ def _regular_chart(t, phi):
     a += 1.0 / 3.0
     b = s * q
     b /= 2.0
-    area = 3.0 * q
-    area *= q
-    area += 1.0
-    area = area * s
+    area = SQRT3 * s
     area *= t3
-    area /= 3.0
     return (a + b, np.subtract(a, b, out=b), r3), area
 
 
-def _regular_weight_qutrit(kind: EnsembleKind, t, phi):
+def _regular_weight_qutrit(kind: EnsembleKind, t, q):
     """Rejection weight for the regular qutrit stratum in the chart ``_regular_chart``, and the spectra.
 
     Proposals off the open ordered simplex get weight 0; the spectra are
     renormalised to sum to one.
     """
-    (r1, r2, r3), area = _regular_chart(t, phi)
+    (r1, r2, r3), area = _regular_chart(t, q)
     bad = (r1 <= r2) | (r2 <= r3) | (t <= 0.0)
     off = bad.any()  # a random tile seldom has such a row
     spectra = [np.where(bad, fill, r) for fill, r in zip((0.5, 0.3, 0.2), (r1, r2, r3))] if off else (r1, r2, r3)
@@ -297,11 +346,6 @@ def _line_weight(kind: EnsembleKind, mult: tuple, t, edge=None):
     return val, spectra
 
 
-def _proposal_box(mult: tuple[int, ...]) -> tuple[float, ...]:
-    """Widths of the proposal box of a rejection route, which starts at 0: (t, phi) on the regular qutrit, t on a line piece."""
-    return (1.0, math.pi) if mult == (1, 1, 1) else (1.0,)
-
-
 def _proposal_weight(kind: EnsembleKind, pieces: tuple, coords):
     """Rejection weight at proposal coordinates, and the spectrum columns they map to.
 
@@ -317,15 +361,16 @@ def _proposal_weight(kind: EnsembleKind, pieces: tuple, coords):
 def _envelope_table(kind: EnsembleKind, mult: tuple[int, ...]) -> np.ndarray:
     """Per-cell rejection bounds of a rejection route, flattened row-major (read-only).
 
-    The proposal box is split into equal cells; each cell's bound is
-    ``_ENVELOPE_MARGIN`` times the weight maximum on a sub-grid of the cell,
-    cell edges included.
+    The proposal box, the unit cube of ``len(mult) - 1`` coordinates ((t, q)
+    on the regular qutrit, t on a line piece), is split into equal cells;
+    each cell's bound is ``_ENVELOPE_MARGIN`` times the weight maximum on a
+    sub-grid of the cell, cell edges included.
     """
-    box = _proposal_box(mult)
-    cells, sub = _TABLE_CELLS[len(box)], _TABLE_SUBGRID[len(box)]
-    axes = [np.linspace(0.0, width, cells * sub + 1) for width in box]
+    dim = len(mult) - 1
+    cells, sub = _TABLE_CELLS[dim], _TABLE_SUBGRID[dim]
+    axes = [np.linspace(0.0, 1.0, cells * sub + 1)] * dim
     w = _proposal_weight(kind, (mult,), np.meshgrid(*axes, indexing="ij"))[0]
-    for axis in range(len(box)):
+    for axis in range(dim):
         w = np.moveaxis(w, axis, 0)
         # each cell's sub intervals, then its far edge (shared with the next cell)
         w = np.maximum(w[:-1].reshape(cells, sub, *w.shape[1:]).max(axis=1), w[sub::sub])
@@ -387,10 +432,11 @@ class SpectrumSampler:
     with per-worker seeds derived by ``worker_seed``.  Every non-point
     degeneracy draws its own piece by rejection from a piecewise-constant
     envelope; a point has no envelope and yields its one spectrum.  The
-    proposal box, (t, phi) on the regular qutrit and t of the line
-    chart y = top t^4 elsewhere (``_line_weight``), is split into equal
-    cells (32 x 32, or 256), each bounded by 5 percent over the weight
-    maximum on a sub-grid of the cell.  A proposal picks a cell in
+    proposal box, the unit square of (t, q) on the regular qutrit
+    (``_regular_chart``, no trigonometry) and t of the line chart
+    y = top t^4 elsewhere (``_line_weight``), is split into equal cells
+    (32 x 32, or 256), each bounded by 5 percent over the weight maximum
+    on a sub-grid of the cell.  A proposal picks a cell in
     proportion to its bound (looked up in a guide table, ``_cell_lookup``),
     a point uniformly inside it from the cell's origins (``_cell_origins``),
     and is accepted with probability weight / bound.  The table is built
@@ -436,7 +482,7 @@ class SpectrumSampler:
         mult = deg.multiplicities
         self._envelope: np.ndarray | None = None  # a point has none
         if len(mult) > 1:
-            self._box = _proposal_box(mult)
+            self._dim = len(mult) - 1  # the unit box's coordinates
             self._cover((mult,))
 
     def _cover(self, pieces: tuple) -> None:
@@ -510,11 +556,11 @@ class SpectrumSampler:
         bound = self._envelope
         cdf = np.cumsum(bound)
         table = _guide_table(cdf)
-        cells = _TABLE_CELLS[len(self._box)]
+        cells = _TABLE_CELLS[self._dim]
         # a union's table runs piece by piece; its proposals end with their piece
         lead = (len(self._pieces),) if len(self._pieces) > 1 else ()
-        origins = _cell_origins(lead + (cells,) * len(self._box))
-        uniforms = self.rng.random((len(self._box) + 2, m))
+        origins = _cell_origins(lead + (cells,) * self._dim)
+        uniforms = self.rng.random((self._dim + 2, m))
         # (1 - U) * total lies in (0, total], so search-left skips empty cells
         np.subtract(1.0, uniforms[0], out=uniforms[0])
         uniforms[0] *= cdf[-1]
@@ -523,9 +569,9 @@ class SpectrumSampler:
             u = uniforms[:, start:start + self._TILE]
             cell = _cell_lookup(table, u[0])
             coords = [o.take(cell) for o in origins]
-            for width, i, v in zip(self._box, coords[len(lead):], u[1:-1]):
-                i += v  # (i + v) width / cells, in the origin's own array
-                i *= width / cells
+            for i, v in zip(coords[len(lead):], u[1:-1]):
+                i += v  # (i + v) / cells, in the origin's own array
+                i *= 1.0 / cells
             coords = coords[len(lead):] + coords[:len(lead)]
             w, spectra = _proposal_weight(self.kind, self._pieces, coords)
             b = bound.take(cell)

@@ -364,12 +364,32 @@ _ROW_MASS_FLOOR = 1e-26
 _ZETA_BLOCK = 8
 
 
+def _regular_rows(kind: EnsembleKind, u: np.ndarray) -> np.ndarray:
+    """The weight per dt dphi along the rays phi = pi u of the regular stratum, at t = x^4 of ``_RAY_X``, times dt/dx.
+
+    One row per ray: ``ensembles._regular_chart`` at q = tan(phi/3)/sqrt3
+    gives the density's spectra and the area element per dt dq, which
+    dq/dphi = (1 + 3 q^2) / (3 sqrt3) turns into the one per dt dphi.
+    """
+    q = math.pi * u[:, None]
+    q /= 3.0
+    np.tan(q, out=q)
+    q /= SQRT3
+    x = _RAY_X
+    spectra, area = _regular_chart(x ** 4, q)
+    dq_dphi = 3.0 * q
+    dq_dphi *= q
+    dq_dphi += 1.0
+    dq_dphi /= 3.0 * SQRT3
+    return _density3_vec(kind, *spectra) * (area * 4.0 * x ** 3 * dq_dphi)
+
+
 @lru_cache(maxsize=None)
 def _regular_table(kind: EnsembleKind):
     """Ray table of the regular stratum at the phi nodes of the tanh-sinh rule (read-only).
 
-    Along the ray phi = pi u of ``ensembles._regular_chart`` the weight
-    (density times area element) is fitted by ``_ray_fit`` in x = t^(1/4),
+    Along the ray phi = pi u the weight (density times area element,
+    ``_regular_rows``) is fitted by ``_ray_fit`` in x = t^(1/4),
     which turns the BKM face singularity t log^2 t into x^7 log^2 x.
     Of the 145 rays, those whose fine-rule mass ``rules[0] * G(0)`` is at
     most ``_ROW_MASS_FLOOR`` of the denominator are dropped, which keeps
@@ -391,9 +411,7 @@ def _regular_table(kind: EnsembleKind):
     rules = np.zeros((2, t.size))
     rules[0] = w * (math.pi * _TS_STEP)
     rules[1, ::2] = w[::2] * (2.0 * math.pi * _TS_STEP)
-    x = _RAY_X
-    spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
-    h, err = _ray_fit(_density3_vec(kind, *spectra) * (area * 4.0 * x ** 3))
+    h, err = _ray_fit(_regular_rows(kind, u))
     den = rules @ h[:, 0]
     keep = rules[0] * h[:, 0] > _ROW_MASS_FLOOR * den[0]
     dropped = float(rules.sum(axis=0)[~keep] @ h[~keep, 0])

@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernel_copies import _density3_vec_028, _regular_chart_028
+
 import wigner_classicality
 import wigner_classicality.indicators as ind
 from wigner_classicality.ensembles import (
@@ -42,6 +44,7 @@ from wigner_classicality.indicators import (
     ratio_degenerate_to_regular,
 )
 from wigner_classicality.spectra import (
+    SQRT3,
     DegeneracyType,
     OrderedSpectrum,
     PolarPoint,
@@ -378,9 +381,7 @@ class TestRayFitRounding:
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_regular_rays(self, ensemble):
         u, _, h, _, _ = ind._regular_table(ensemble)
-        x = ind._RAY_X
-        spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
-        rows = _density3_vec(ensemble, *spectra) * (area * 4.0 * x ** 3)
+        rows = ind._regular_rows(ensemble, u)
         b, _ = ind._ray_coefficients(rows)
         assert np.array_equal(ind._ray_fit(rows)[0], h)  # the table's own rays
         for zeta in self.ZETAS:
@@ -451,7 +452,7 @@ class TestRegularClassicalCutoff:
         kernel = sw_spectrum_qutrit(zeta)
         for factor, classical in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
             ts = t_c * factor
-            spectra, _ = _regular_chart(ts, phis)
+            spectra, _ = _regular_chart(ts, np.tan(phis / 3.0) / SQRT3)
             for phi, t, row in zip(phis, ts, np.column_stack(spectra)):
                 if t == 0.0:
                     continue
@@ -479,9 +480,24 @@ def _regular_classical_cutoff_028(phi, zeta):
     return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + zeta - math.pi / 3.0))))
 
 
+def _regular_rows_034(kind: EnsembleKind, u):
+    """``indicators._regular_rows`` of version 0.3.4: the (t, q) chart at q = tan(phi/3)/sqrt3, times dq/dphi."""
+    q = np.tan(math.pi * u[:, None] / 3.0) / SQRT3
+    x = ind._RAY_X
+    spectra, area = _regular_chart(x ** 4, q)
+    return _density3_vec(kind, *spectra) * (area * 4.0 * x ** 3 * ((3.0 * q * q + 1.0) / (3.0 * SQRT3)))
+
+
+def _regular_rows_028(kind: EnsembleKind, u):
+    """The rows of version 0.2.8's table, from its (t, phi) chart and its density."""
+    x = ind._RAY_X
+    spectra, area = _regular_chart_028(x ** 4, math.pi * u[:, None])
+    return _density3_vec_028(kind, *spectra) * (area * 4.0 * x ** 3)
+
+
 @functools.lru_cache(maxsize=None)
-def _regular_table_028(kind: EnsembleKind):
-    """``indicators._regular_table`` of version 0.2.8: all 145 rays."""
+def _regular_table_028(kind: EnsembleKind, rows=_regular_rows_034):
+    """``indicators._regular_table`` of version 0.2.8, all 145 rays, fitted to ``rows``."""
     t = np.arange(-ind._TS_NODES, ind._TS_NODES + 1) * ind._TS_STEP
     s = math.pi * np.sinh(t)
     u = 1.0 / (1.0 + np.exp(-s))
@@ -490,22 +506,20 @@ def _regular_table_028(kind: EnsembleKind):
     rules = np.zeros((2, t.size))
     rules[0] = w * (math.pi * ind._TS_STEP)
     rules[1, ::2] = w[::2] * (2.0 * math.pi * ind._TS_STEP)
-    x = ind._RAY_X
-    spectra, area = _regular_chart(x ** 4, math.pi * u[:, None])
-    h, err = ind._ray_fit(_density3_vec(kind, *spectra) * (area * 4.0 * x ** 3))
+    h, err = ind._ray_fit(rows(kind, u))
     return u, rules, h, rules @ h[:, 0], float(rules[0] @ err)
 
 
-def _regular_integrals_028(kind: EnsembleKind, zeta: float):
+def _regular_integrals_028(kind: EnsembleKind, zeta: float, rows=_regular_rows_034):
     """``indicators._regular_integrals`` of version 0.2.8 (one zeta)."""
-    u, rules, h, den, fit_err = _regular_table_028(kind)
+    u, rules, h, den, fit_err = _regular_table_028(kind, rows)
     num = rules @ _ray_cumulative_028(h, _regular_classical_cutoff_028(math.pi * u, zeta))
     return tuple((float(fine), abs(float(fine - coarse)) + fit_err) for fine, coarse in (num, den))
 
 
-def _regular_cell_028(kind: EnsembleKind, zeta: float) -> tuple[float, float]:
-    """``q_quadrature``'s value and error estimate of version 0.2.8 on the regular stratum."""
-    (num, num_err), (den, den_err) = _regular_integrals_028(kind, zeta)
+def _regular_cell_028(kind: EnsembleKind, zeta: float, rows=_regular_rows_034) -> tuple[float, float]:
+    """``q_quadrature``'s value and error estimate of version 0.2.8 on the regular stratum, from ``rows``."""
+    (num, num_err), (den, den_err) = _regular_integrals_028(kind, zeta, rows)
     q = num / den
     err = abs(q) * (num_err / num if num > 0.0 else 0.0) + abs(q) * den_err / den
     return min(max(q, 0.0), 1.0), err
@@ -525,9 +539,21 @@ FIGURE_GRIDS = (np.linspace(0.0, ZETA_MAX, 61),
 class TestPrunedTableBits:
     """The pruned ray table keeps every q bit of 0.2.8's 145 rays, and no error estimate shrinks.
 
-    0.2.8's table and integrals are copied above, as ``test_ensembles``
-    copies the 0.2.8 kernels.
+    0.2.8's table and integrals are copied above, as ``kernel_copies``
+    copies the kernels; they are fitted to 0.3.4's rows, and to 0.2.8's
+    rows of the (t, phi) chart, where every q bit of 0.3.3 lies.
     """
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_figure_grids_near_028(self, ensemble):
+        # the (t, q) chart's rows move each q by far less than its own error estimate:
+        # measured 1.7e-13 relative at most, 3.8e-13 with numpy's AVX-512 loops off
+        grid = np.concatenate(FIGURE_GRIDS)
+        values, errors = ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid)[ALL_KINDS.index(ensemble)]
+        for zeta, q, err in zip(grid, values, errors):
+            old_q, _ = _regular_cell_028(ensemble, zeta, _regular_rows_028)
+            assert abs(q - old_q) <= 0.01 * err, zeta
+            assert abs(q - old_q) <= 1e-12 * old_q, zeta
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_figure_grids(self, ensemble):
@@ -1227,7 +1253,36 @@ class TestEnsembleOrdering:
             assert q_hs > q_b > q_k
 
 
+def _binomial_two_sided(k: int, n: int, p: float) -> float:
+    """Exact two-sided binomial p-value of k successes in n trials: twice the smaller tail, at most 1.
+
+    The tail on k's side of the mean is summed term by term from k
+    outward, each term exp of ``math.lgamma`` sums, until the terms no
+    longer count; the other tail is one minus it plus the term at k.  The
+    lgamma sums near n ln n round to about 1e-9 of a term, far finer than
+    any false-alarm rate tested.
+    """
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+
+    def term(i: int) -> float:
+        return math.exp(log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q)
+
+    step = -1 if k < n * p else 1
+    near, i = 0.0, k
+    while 0 <= i <= n:
+        t = term(i)
+        near += t
+        if t <= 1e-20 * near:  # also where the terms underflow to 0
+            break
+        i += step
+    far = 1.0 - near + term(k)
+    return min(1.0, 2.0 * min(near, far))
+
+
 class TestCrossMethod:
+    #: The total false-alarm rate of ``test_mc_curve_matches_quadrature`` over all kinds and angles.
+    CURVE_ALPHA = 1e-6
+
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_mc_matches_quadrature_regular(self, ensemble):
         n = 150_000
@@ -1237,6 +1292,40 @@ class TestCrossMethod:
         mc = q_monte_carlo(req).q
         sigma = math.sqrt(quad * (1 - quad) / n)
         assert abs(mc - quad) <= 4.0 * sigma
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_mc_curve_matches_quadrature(self, ensemble):
+        """One 1e6-draw regular Monte Carlo stream, counted over the 61-angle figure grid, against quadrature.
+
+        Each count is held to quadrature's q by its exact binomial tail.  The
+        cells share one stream, so a union (Bonferroni) bound, which holds
+        under any correlation, splits the total false-alarm rate over the 3 x
+        61 cells.  Quadrature's own error is below 1e-9 of q, far below the
+        Monte Carlo spread; a chart factor lost on one side, such as dq/dphi
+        or the sqrt3 of q = tan(phi/3)/sqrt3 in quadrature, moves q by far
+        more than that.
+        """
+        n, grid = 1_000_000, FIGURE_GRIDS[0]
+        ((quad, _),) = ind.indicators((ensemble,), REGULAR_QUTRIT, Method.QUADRATURE, grid)
+        ((mc, _),) = ind.indicators((ensemble,), REGULAR_QUTRIT, Method.MONTE_CARLO, grid,
+                                    samples=n, seed=2718, workers=1)
+        alpha = self.CURVE_ALPHA / (len(ALL_KINDS) * len(grid))
+        for zeta, q, value in zip(grid, quad, mc):
+            hits = round(value * n)  # value is hits / n
+            assert _binomial_two_sided(hits, n, q) > alpha, (zeta, hits, q * n)
+
+    def test_binomial_tails(self):
+        # against scipy's binomial tails, and the closed forms of small cases
+        from scipy.stats import binom
+
+        assert _binomial_two_sided(0, 10, 0.5) == pytest.approx(2.0 / 1024.0, rel=1e-12)
+        assert _binomial_two_sided(10, 10, 0.5) == pytest.approx(2.0 / 1024.0, rel=1e-12)
+        assert _binomial_two_sided(5, 10, 0.5) == 1.0
+        for n, p in ((1_000_000, 1.2e-5), (1_000_000, 6.75e-4), (1_000_000, 0.02)):
+            mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
+            for k in {max(0, round(mean + z * sigma)) for z in (-7.0, -3.0, -0.5, 0.5, 3.0, 7.0)}:
+                expected = min(1.0, 2.0 * min(binom.cdf(k, n, p), binom.sf(k - 1, n, p)))
+                assert _binomial_two_sided(k, n, p) == pytest.approx(expected, rel=1e-7, abs=1e-300), (n, p, k)
 
     def test_bkm_quadrature_recovered_by_mc(self):
         n = 1_000_000

@@ -270,9 +270,8 @@ def _regular_chart(t, q):
     s = 1 - t^4 the two larger eigenvalues are 1/3 + s/6 +- s q/2.  The
     area element r dr dphi is (1 + 3 q^2) s t^3 / 3 dt dphi, and
     dq/dphi = (1 + 3 q^2) / (3 sqrt3), so per dt dq it is sqrt3 s t^3: no
-    trigonometry.  The rejection sampler draws in this chart; quadrature
-    keeps its phi rays, takes q = tan(phi/3)/sqrt3 there and multiplies
-    by dq/dphi (``indicators._regular_rows``).
+    trigonometry.  The rejection sampler draws in this chart, and
+    quadrature reads it on rays of fixed q (``indicators._regular_rows``).
     """
     # in place where the result has the step's shape (quadrature broadcasts t against q)
     t3 = t * t

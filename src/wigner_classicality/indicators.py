@@ -8,8 +8,8 @@ are provided and cross-validated against each other:
 * closed forms (qubit, all ensembles; qutrit, Hilbert-Schmidt only),
 * quadrature from Chebyshev fits of the density along rays of the
   eigenvalue simplex, summed over one fixed tanh-sinh rule in the rays'
-  angle on the regular qutrit stratum; it has fixed accuracy and no
-  tolerance,
+  q on the regular qutrit stratum, the chart the sampler draws in; it has
+  fixed accuracy and no tolerance,
 * seeded Monte Carlo over the ensemble samplers.
 
 On top of these sit the moduli-space utilities: minimization of the
@@ -121,7 +121,7 @@ def _validate(kinds, stratum: StratumLabel, method: Method, zetas, samples: int 
                 raise UnsupportedRequestError("qubit indicators take no moduli parameter")
         elif zeta is None:
             raise UnsupportedRequestError("qutrit indicators need a moduli parameter zeta")
-        elif not isinstance(zeta, numbers.Real):
+        elif isinstance(zeta, bool) or not isinstance(zeta, numbers.Real):
             raise UnsupportedRequestError(f"zeta must be a real number, got {zeta!r}")
         elif not 0.0 <= float(zeta) <= ZETA_MAX + 1e-15:
             raise UnsupportedRequestError(f"zeta out of range [0, pi/3]: {zeta}")
@@ -140,7 +140,7 @@ def _validate(kinds, stratum: StratumLabel, method: Method, zetas, samples: int 
         check_kind(kind)
     if method is Method.MONTE_CARLO:
         for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
-            if value is not None and not isinstance(value, numbers.Integral):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise UnsupportedRequestError(f"Monte Carlo {name} must be an integer, got {value!r}")
         if not samples or samples < 1:
             raise UnsupportedRequestError("Monte Carlo requests need a positive sample count")
@@ -225,13 +225,13 @@ def q_hs_qutrit_degenerate_closed_form(zeta: float) -> IndicatorResult:
 
 
 # ---------------------------------------------------------------------------
-# quadrature: Chebyshev ray fits, and tanh-sinh in phi on the regular stratum
+# quadrature: Chebyshev ray fits, and tanh-sinh in q on the regular stratum
 # ---------------------------------------------------------------------------
 
-#: Tanh-sinh rule in u = phi / pi on [0, 1]: nodes t = j h for |j| <= _TS_NODES
-#: at step h = _TS_STEP, so |t| <= 4.5.  The face singularity in the chart's t
-#: is absorbed by the ray fits, not by this rule; beyond |t| = 4.5 the nodes
-#: lie within 5e-62 of the ends of the phi range.
+#: Tanh-sinh rule in the regular chart's q on [0, 1]: nodes t = j h for
+#: |j| <= _TS_NODES at step h = _TS_STEP, so |t| <= 4.5.  The face singularity
+#: in the chart's t is absorbed by the ray fits, not by this rule; beyond
+#: |t| = 4.5 the nodes lie within 5e-62 of the ends of [0, 1].
 _TS_STEP = 1.0 / 16.0
 _TS_NODES = 72
 
@@ -364,88 +364,83 @@ _ROW_MASS_FLOOR = 1e-26
 _ZETA_BLOCK = 8
 
 
-def _regular_rows(kind: EnsembleKind, u: np.ndarray) -> np.ndarray:
-    """The weight per dt dphi along the rays phi = pi u of the regular stratum, at t = x^4 of ``_RAY_X``, times dt/dx.
+def _regular_rows(kind: EnsembleKind, q: np.ndarray) -> np.ndarray:
+    """The weight per dt dq along the rays ``q`` of ``ensembles._regular_chart``, at t = x^4 of ``_RAY_X``, times dt/dx.
 
-    One row per ray: ``ensembles._regular_chart`` at q = tan(phi/3)/sqrt3
-    gives the density's spectra and the area element per dt dq, which
-    dq/dphi = (1 + 3 q^2) / (3 sqrt3) turns into the one per dt dphi.
+    The weight is 0 on the face r2 = r3 at q = 1; rounding puts points of
+    the nodes next to it on or below the face, some at r2 = 0, where the
+    Bures and BKM densities are NaN, so every point with r2 <= r3 reads 0.
     """
-    q = math.pi * u[:, None]
-    q /= 3.0
-    np.tan(q, out=q)
-    q /= SQRT3
     x = _RAY_X
-    spectra, area = _regular_chart(x ** 4, q)
-    dq_dphi = 3.0 * q
-    dq_dphi *= q
-    dq_dphi += 1.0
-    dq_dphi /= 3.0 * SQRT3
-    return _density3_vec(kind, *spectra) * (area * 4.0 * x ** 3 * dq_dphi)
+    spectra, area = _regular_chart(x ** 4, q[:, None])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = _density3_vec(kind, *spectra)
+    w[spectra[1] <= spectra[2]] = 0.0
+    return w * (area * 4.0 * x ** 3)
 
 
 @lru_cache(maxsize=None)
 def _regular_table(kind: EnsembleKind):
-    """Ray table of the regular stratum at the phi nodes of the tanh-sinh rule (read-only).
+    """Ray table of the regular stratum at the q nodes of the tanh-sinh rule (read-only).
 
-    Along the ray phi = pi u the weight (density times area element,
-    ``_regular_rows``) is fitted by ``_ray_fit`` in x = t^(1/4),
-    which turns the BKM face singularity t log^2 t into x^7 log^2 x.
-    Of the 145 rays, those whose fine-rule mass ``rules[0] * G(0)`` is at
-    most ``_ROW_MASS_FLOOR`` of the denominator are dropped, which keeps
-    84, 89 and 90 rays for HS, Bures and BKM.  Returns the kept rays' u; the
-    rows ``rules`` of their node weights (step included) in the rule at
-    step h and in its even-j sub-rule at step 2h; the rows of
-    h = G / (1 - x) at the Chebyshev points ``_RAY_NODES``; the two rules'
-    sums of G(0) over all 145 rays; and the error term: the fine rule's sum
-    of every ray's truncation bound and rounding term, plus both rules'
-    mass of the dropped rays, which bounds what dropping them can change
-    in any sum or rule difference.
+    Along the ray q of ``ensembles._regular_chart`` the weight (density
+    times area element, ``_regular_rows``) is fitted by ``_ray_fit`` in
+    x = t^(1/4), which turns the BKM face singularity t log^2 t into
+    x^7 log^2 x.  Of the 145 rays, those whose fine-rule mass
+    ``rules[0] * G(0)`` is at most ``_ROW_MASS_FLOOR`` of the denominator
+    are dropped, which keeps 83, 90 and 91 rays for HS, Bures and BKM.
+    Returns the kept rays' q; the rows ``rules`` of their node weights
+    (step included) in the rule at step h and in its even-j sub-rule at
+    step 2h; the rows of h = G / (1 - x) at the Chebyshev points
+    ``_RAY_NODES``; the two rules' sums of G(0) over all 145 rays; and the
+    error term: the fine rule's sum of every ray's truncation bound and
+    rounding term, plus both rules' mass of the dropped rays, which bounds
+    what dropping them can change in any sum or rule difference.
     """
     t = np.arange(-_TS_NODES, _TS_NODES + 1) * _TS_STEP
     s = math.pi * np.sinh(t)
-    u = 1.0 / (1.0 + np.exp(-s))
+    q = 1.0 / (1.0 + np.exp(-s))
     v = 1.0 / (1.0 + np.exp(s))
-    w = math.pi * np.cosh(t) * u * v
-    # phi = pi u, so d phi = pi du; j = -_TS_NODES is even
+    w = math.pi * np.cosh(t) * q * v
+    # j = -_TS_NODES is even
     rules = np.zeros((2, t.size))
-    rules[0] = w * (math.pi * _TS_STEP)
-    rules[1, ::2] = w[::2] * (2.0 * math.pi * _TS_STEP)
-    h, err = _ray_fit(_regular_rows(kind, u))
+    rules[0] = w * _TS_STEP
+    rules[1, ::2] = w[::2] * (2.0 * _TS_STEP)
+    h, err = _ray_fit(_regular_rows(kind, q))
     den = rules @ h[:, 0]
     keep = rules[0] * h[:, 0] > _ROW_MASS_FLOOR * den[0]
     dropped = float(rules.sum(axis=0)[~keep] @ h[~keep, 0])
     fit_err = float(rules[0] @ err) + dropped
     # C order, as the full rows were: BLAS sums the other order differently
-    u, rules, h = u[keep], np.ascontiguousarray(rules[:, keep]), h[keep]
-    for a in (u, rules, h, den):
+    q, rules, h = q[keep], np.ascontiguousarray(rules[:, keep]), h[keep]
+    for a in (q, rules, h, den):
         a.flags.writeable = False
-    return u, rules, h, den, fit_err
+    return q, rules, h, den, fit_err
 
 
-def _regular_classical_cutoff(phi, zeta):
-    """Smallest classical t at angle phi of the regular chart, for one angle zeta or a 1-D block.
+def _regular_classical_cutoff(q, zeta):
+    """Smallest classical t on the ray q of the regular chart, for one angle zeta or a 1-D block.
 
-    The cone ``4 sqrt3 r cos(phi/3 + zeta - pi/3) <= 1`` is r <= rho R(phi)
-    in the chart's r = R(phi) (1 - t^4), so t_c^4 = 1 - rho with
-    rho = cos(phi/3) / (2 cos(phi/3 + zeta - pi/3)).  1 - rho is written
-    without cancellation as
-    ``[cos(phi/3)(sqrt3 sin zeta - 2 sin^2(zeta/2)) + 2 sin(phi/3) sin(pi/3 - zeta)]
-    / (2 cos(phi/3 + zeta - pi/3))``: both terms are nonnegative on
-    [0, pi] x [0, pi/3], so rho <= 1, and t_c reaches 0 only at
-    phi = zeta = 0, an endpoint singularity that tanh-sinh absorbs.  A block
-    of angles gives one row of t_c per angle; the factors of zeta alone are
-    taken by ``math``, one angle at a time.
+    In the chart's r = R(phi) (1 - t^4), the cone
+    ``4 sqrt3 r cos(phi/3 + zeta - pi/3) <= 1`` is t^4 >= t_c^4 =
+    1 - cos(phi/3) / (2 cos(phi/3 + zeta - pi/3)).  Divided through by
+    cos(phi/3), with tan(phi/3) = sqrt3 q, that is
+    ``(fold + p) / (2 cos(pi/3 - zeta) + p)`` with
+    p = 2 sqrt3 q sin(pi/3 - zeta) and fold = sqrt3 sin zeta - 2 sin^2(zeta/2).
+    No term is negative, so nothing cancels, and t_c is 0 only at
+    q = zeta = 0, an endpoint singularity that tanh-sinh absorbs.
+    A block of angles gives one row per angle; the factors of zeta are
+    taken by ``math``, so no ray takes trigonometry.
     """
-    a = phi / 3.0
-    fold, lift = [], []
+    fold, lift, base = [], [], []
     for v in np.ravel(zeta).tolist():
         half = math.sin(v / 2.0)
         fold.append(SQRT3 * math.sin(v) - 2.0 * half * half)
         lift.append(math.sin(math.pi / 3.0 - v))
-    z = np.reshape(zeta, (*np.shape(zeta), 1))
-    gap = np.cos(a) * np.reshape(fold, z.shape) + 2.0 * np.sin(a) * np.reshape(lift, z.shape)
-    return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + z - math.pi / 3.0))))
+        base.append(2.0 * math.cos(math.pi / 3.0 - v))
+    shape = (*np.shape(zeta), 1)
+    p = np.reshape(lift, shape) * (2.0 * SQRT3 * q)
+    return np.sqrt(np.sqrt((np.reshape(fold, shape) + p) / (np.reshape(base, shape) + p)))
 
 
 @lru_cache(maxsize=None)
@@ -476,10 +471,10 @@ def _table_union(kinds: tuple[EnsembleKind, ...], skind: str):
 
     The tables are ``_regular_table`` on the regular stratum and
     ``_line_table`` of the stratum's pieces on the degenerate one and the
-    qubit.  Every regular table keeps rays among the same 145 phi nodes,
-    and the weights of a read at an angle zeta depend on the ray's
-    phi = pi u alone, so one set of weights over the union's rays serves
-    every table; the line tables of a stratum all have the same pieces.
+    qubit.  Every regular table keeps rays among the same 145 q nodes,
+    and the weights of a read at an angle zeta depend on the ray's q
+    alone, so one set of weights over the union's rays serves every
+    table; the line tables of a stratum all have the same pieces.
     Returns the union's row keys, increasing, and per kind the positions
     of its rows among the union's, its h on the union's rows (0 on those
     it dropped), and its rules, denominators and error term.
@@ -523,13 +518,13 @@ def _edge_classical_cutoff(comp: tuple[int, int], zeta: float) -> float:
 def _classical_cutoff(skind: str, keys: np.ndarray, zetas) -> np.ndarray:
     """Smallest classical t of each row of a stratum's table union, one row per angle of ``zetas``.
 
-    A regular ray cuts at ``_regular_classical_cutoff`` of its phi = pi u.
+    A regular ray cuts at ``_regular_classical_cutoff`` of its q.
     A line piece cuts where its y reaches a cutoff y_c, at
     t_c = (y_c / top)^(1/4): ``_edge_classical_cutoff`` on an edge, and on
     the qubit, whose one angle is None, where the Bloch radius is 1/sqrt3.
     """
     if skind == "regular":
-        return _regular_classical_cutoff(math.pi * keys, np.array(zetas))
+        return _regular_classical_cutoff(keys, np.array(zetas))
     pieces = _STRATA[skind]
     if skind == "qubit":
         y_c = [[(1.0 - 1.0 / SQRT3) / 2.0] for _ in zetas]
@@ -601,8 +596,9 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
     fits along rays of the chart (see ``_ray_fit``), over the rows of one
     table per stratum: one row for the qubit and one per edge on the
     degenerate stratum (``_line_table``); on the regular stratum the rays
-    of ``_regular_table`` that carry mass, 84 to 90 of its 145, with a
-    fixed tanh-sinh rule in phi.  Nothing is refined, so every cell has
+    of ``_regular_table`` that carry mass, 83 to 91 of its 145, with a
+    fixed tanh-sinh rule in the regular chart's q, the chart that the
+    sampler draws in.  Nothing is refined, so every cell has
     the same fixed accuracy.  The error estimate is the integrals' errors
     propagated through the ratio; a nonpositive denominator raises
     ``ConvergenceError``.  The cell is a grid of one of ``indicators``,

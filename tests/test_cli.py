@@ -356,6 +356,37 @@ def test_quadrature_commands_import_no_numpy_polynomial_or_ma(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_commands_run_with_numpy_alone(tmp_path):
+    # numpy is the only runtime dependency: with the test-side tools scipy,
+    # mpmath and hypothesis unimportable, the CLI imports and computes by
+    # quadrature and by Monte Carlo
+    src = os.path.dirname(os.path.dirname(wigner_classicality.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = [["qubit", "--method", "quad"], ["curve", "--method", "mc", "--samples", "1000"]]
+    code = ("import sys\n"
+            "BLOCKED = ('scipy', 'mpmath', 'hypothesis')\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] in BLOCKED:\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "for name in BLOCKED:\n"
+            "    try:\n"
+            "        __import__(name)\n"
+            "    except ImportError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        sys.exit(f'{name} was not blocked')\n"
+            "from wigner_classicality import cli\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            f"    assert cli.main(args + ['--out', {str(tmp_path)!r} + f'/run{{i}}']) == 0\n"
+            "print('ok')")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.strip().splitlines()[-1] == "ok"
+    assert len(read_csv(tmp_path / "run1.csv")[1]) == 61
+
+
 class TestSample:
     def test_regular_rows(self, tmp_path):
         out = tmp_path / "s"

@@ -380,12 +380,12 @@ class TestRayFitRounding:
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_regular_rays(self, ensemble):
-        u, _, h, _, _ = ind._regular_table(ensemble)
-        rows = ind._regular_rows(ensemble, u)
+        q, _, h, _, _ = ind._regular_table(ensemble)
+        rows = ind._regular_rows(ensemble, q)
         b, _ = ind._ray_coefficients(rows)
         assert np.array_equal(ind._ray_fit(rows)[0], h)  # the table's own rays
         for zeta in self.ZETAS:
-            self.assert_within_rounding(h, b, ind._regular_classical_cutoff(math.pi * u, zeta))
+            self.assert_within_rounding(h, b, ind._regular_classical_cutoff(q, zeta))
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_line_pieces(self, ensemble):
@@ -445,20 +445,31 @@ class TestRegularClassicalCutoff:
     def test_cutoff_is_the_cone_boundary(self, zeta):
         # chart points a relative 1e-9 above t_c are classical and those
         # below are not, by the analytic cone and by the spectral pairing;
-        # t_c = 0 only at phi = zeta = 0, which has no point below
-        phis = np.linspace(0.0, math.pi, 25)
-        t_c = ind._regular_classical_cutoff(phis, zeta)
+        # t_c = 0 only at q = zeta = 0, which has no point below
+        qs = np.linspace(0.0, 1.0, 25)
+        t_c = ind._regular_classical_cutoff(qs, zeta)
         assert np.count_nonzero(t_c > 0.0) == (24 if zeta == 0.0 else 25)
         kernel = sw_spectrum_qutrit(zeta)
         for factor, classical in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
             ts = t_c * factor
-            spectra, _ = _regular_chart(ts, np.tan(phis / 3.0) / SQRT3)
-            for phi, t, row in zip(phis, ts, np.column_stack(spectra)):
+            spectra, _ = _regular_chart(ts, qs)
+            for q, t, row in zip(qs, ts, np.column_stack(spectra)):
                 if t == 0.0:
                     continue
+                phi = 3.0 * math.atan(SQRT3 * q)
                 point = PolarPoint(trisectrix_boundary(phi) * (1.0 - t ** 4), phi)
                 assert classical_cone_regular_qutrit(zeta, point) is classical
                 assert (dual_pairing(OrderedSpectrum(tuple(row)), kernel) >= 0.0) is classical
+
+    def test_rational_cutoff_matches_the_phi_cutoff(self):
+        # the q cutoff is the phi cutoff divided through by cos(phi/3): at
+        # every rule node and every figure angle they agree to a few ulps
+        q, _ = _rule_nodes_028()
+        phi = 3.0 * np.arctan(SQRT3 * q)
+        for zeta in np.concatenate(FIGURE_GRIDS):
+            new, old = ind._regular_classical_cutoff(q, zeta), _regular_classical_cutoff_028(phi, zeta)
+            assert np.all(np.abs(new - old) <= 4.0 * np.spacing(old)), zeta
+
 
 def _ray_cumulative_028(h, t):
     """G(t) of ``_ray_fit``'s rows as version 0.2.8 read it (one t per row)."""
@@ -472,12 +483,20 @@ def _ray_cumulative_028(h, t):
 
 
 def _regular_classical_cutoff_028(phi, zeta):
-    """``indicators._regular_classical_cutoff`` of version 0.2.8 (one zeta)."""
+    """``indicators._regular_classical_cutoff`` of version 0.2.8 (one zeta), in phi."""
     a = phi / 3.0
     half = math.sin(zeta / 2.0)
     gap = (np.cos(a) * (math.sqrt(3.0) * math.sin(zeta) - 2.0 * half * half)
            + 2.0 * np.sin(a) * math.sin(math.pi / 3.0 - zeta))
     return np.sqrt(np.sqrt(gap / (2.0 * np.cos(a + zeta - math.pi / 3.0))))
+
+
+def _regular_classical_cutoff_035(q, zeta):
+    """``indicators._regular_classical_cutoff`` of version 0.3.5 (one zeta), rational in q."""
+    half = math.sin(zeta / 2.0)
+    p = math.sin(math.pi / 3.0 - zeta) * (2.0 * SQRT3 * q)
+    return np.sqrt(np.sqrt((SQRT3 * math.sin(zeta) - 2.0 * half * half + p)
+                           / (2.0 * math.cos(math.pi / 3.0 - zeta) + p)))
 
 
 def _regular_rows_034(kind: EnsembleKind, u):
@@ -495,40 +514,64 @@ def _regular_rows_028(kind: EnsembleKind, u):
     return _density3_vec_028(kind, *spectra) * (area * 4.0 * x ** 3)
 
 
-@functools.lru_cache(maxsize=None)
-def _regular_table_028(kind: EnsembleKind, rows=_regular_rows_034):
-    """``indicators._regular_table`` of version 0.2.8, all 145 rays, fitted to ``rows``."""
+def _regular_rows_035(kind: EnsembleKind, q):
+    """``indicators._regular_rows`` of version 0.3.5: the (t, q) chart along rays of fixed q, 0 where r2 <= r3."""
+    x = ind._RAY_X
+    spectra, area = _regular_chart(x ** 4, q[:, None])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows = _density3_vec(kind, *spectra)
+    rows[spectra[1] <= spectra[2]] = 0.0
+    return rows * (area * 4.0 * x ** 3)
+
+
+#: The regular tables' rules: tanh-sinh nodes u on [0, 1], read as phi = pi u
+#: from 0.2.8 to 0.3.4 (rows of 0.2.8's or 0.3.4's chart), and as q = u since
+#: 0.3.5; each is (rows, d(ray variable)/du, cutoff at the nodes u).
+PHI_028 = (_regular_rows_028, math.pi, lambda u, zeta: _regular_classical_cutoff_028(math.pi * u, zeta))
+PHI_034 = (_regular_rows_034, math.pi, PHI_028[2])
+Q_035 = (_regular_rows_035, 1.0, _regular_classical_cutoff_035)
+
+
+def _rule_nodes_028():
+    """The 145 tanh-sinh nodes u of 0.2.8's table on [0, 1], and their weights du/dt."""
     t = np.arange(-ind._TS_NODES, ind._TS_NODES + 1) * ind._TS_STEP
     s = math.pi * np.sinh(t)
     u = 1.0 / (1.0 + np.exp(-s))
     v = 1.0 / (1.0 + np.exp(s))
-    w = math.pi * np.cosh(t) * u * v
-    rules = np.zeros((2, t.size))
-    rules[0] = w * (math.pi * ind._TS_STEP)
-    rules[1, ::2] = w[::2] * (2.0 * math.pi * ind._TS_STEP)
+    return u, math.pi * np.cosh(t) * u * v
+
+
+@functools.lru_cache(maxsize=None)
+def _regular_table_028(kind: EnsembleKind, rule=PHI_034):
+    """``indicators._regular_table`` of version 0.2.8, all 145 rays, fitted to the rows of ``rule``."""
+    rows, span, _ = rule
+    u, w = _rule_nodes_028()
+    rules = np.zeros((2, u.size))
+    rules[0] = w * (span * ind._TS_STEP)
+    rules[1, ::2] = w[::2] * (2.0 * span * ind._TS_STEP)
     h, err = ind._ray_fit(rows(kind, u))
     return u, rules, h, rules @ h[:, 0], float(rules[0] @ err)
 
 
-def _regular_integrals_028(kind: EnsembleKind, zeta: float, rows=_regular_rows_034):
+def _regular_integrals_028(kind: EnsembleKind, zeta: float, rule=PHI_034):
     """``indicators._regular_integrals`` of version 0.2.8 (one zeta)."""
-    u, rules, h, den, fit_err = _regular_table_028(kind, rows)
-    num = rules @ _ray_cumulative_028(h, _regular_classical_cutoff_028(math.pi * u, zeta))
+    u, rules, h, den, fit_err = _regular_table_028(kind, rule)
+    num = rules @ _ray_cumulative_028(h, rule[2](u, zeta))
     return tuple((float(fine), abs(float(fine - coarse)) + fit_err) for fine, coarse in (num, den))
 
 
-def _regular_cell_028(kind: EnsembleKind, zeta: float, rows=_regular_rows_034) -> tuple[float, float]:
-    """``q_quadrature``'s value and error estimate of version 0.2.8 on the regular stratum, from ``rows``."""
-    (num, num_err), (den, den_err) = _regular_integrals_028(kind, zeta, rows)
+def _regular_cell_028(kind: EnsembleKind, zeta: float, rule=PHI_034) -> tuple[float, float]:
+    """``q_quadrature``'s value and error estimate of version 0.2.8 on the regular stratum, by ``rule``."""
+    (num, num_err), (den, den_err) = _regular_integrals_028(kind, zeta, rule)
     q = num / den
     err = abs(q) * (num_err / num if num > 0.0 else 0.0) + abs(q) * den_err / den
     return min(max(q, 0.0), 1.0), err
 
 
 def _quadrature_block_028(kinds, stratum, zetas):
-    """``indicators._quadrature_block`` on the regular stratum from ``_regular_cell_028``."""
+    """``indicators._quadrature_block`` on the regular stratum from ``_regular_cell_028`` by the q rule."""
     assert stratum is REGULAR_QUTRIT
-    return [tuple(map(list, zip(*(_regular_cell_028(kind, zeta) for zeta in zetas)))) for kind in kinds]
+    return [tuple(map(list, zip(*(_regular_cell_028(kind, zeta, Q_035) for zeta in zetas)))) for kind in kinds]
 
 
 #: The benchmark's cold and warm curve grids: 61 angles, then 60 half a step off.
@@ -537,23 +580,27 @@ FIGURE_GRIDS = (np.linspace(0.0, ZETA_MAX, 61),
 
 
 class TestPrunedTableBits:
-    """The pruned ray table keeps every q bit of 0.2.8's 145 rays, and no error estimate shrinks.
+    """The pruned ray table keeps every q bit of 0.2.8's 145 rays by the q rule, and no error estimate shrinks.
 
     0.2.8's table and integrals are copied above, as ``kernel_copies``
-    copies the kernels; they are fitted to 0.3.4's rows, and to 0.2.8's
-    rows of the (t, phi) chart, where every q bit of 0.3.3 lies.
+    copies the kernels, with the rules of each chart they were read in:
+    0.3.5's rule in q (``Q_035``), whose bits the table keeps, and the
+    rules in phi over 0.3.4's rows and over 0.2.8's rows of the (t, phi)
+    chart, where every q bit of 0.3.3 lies.
     """
 
+    @pytest.mark.parametrize("rule", [PHI_028, PHI_034], ids=["phi028", "phi034"])
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
-    def test_figure_grids_near_028(self, ensemble):
-        # the (t, q) chart's rows move each q by far less than its own error estimate:
-        # measured 1.7e-13 relative at most, 3.8e-13 with numpy's AVX-512 loops off
+    def test_figure_grids_near_the_phi_rule(self, ensemble, rule):
+        # rays in q move each q by far less than its own error estimate:
+        # measured 2.6e-13 relative and 0.006 of the estimate at most
         grid = np.concatenate(FIGURE_GRIDS)
         values, errors = ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid)[ALL_KINDS.index(ensemble)]
         for zeta, q, err in zip(grid, values, errors):
-            old_q, _ = _regular_cell_028(ensemble, zeta, _regular_rows_028)
+            old_q, old_err = _regular_cell_028(ensemble, zeta, rule)
             assert abs(q - old_q) <= 0.01 * err, zeta
             assert abs(q - old_q) <= 1e-12 * old_q, zeta
+            assert 0.9 * old_err <= err <= 1.1 * old_err, zeta
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_figure_grids(self, ensemble):
@@ -561,7 +608,7 @@ class TestPrunedTableBits:
         grid = np.concatenate(FIGURE_GRIDS)
         values, errors = ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid)[ALL_KINDS.index(ensemble)]
         for zeta, q, err in zip(grid, values, errors):
-            old_q, old_err = _regular_cell_028(ensemble, zeta)
+            old_q, old_err = _regular_cell_028(ensemble, zeta, Q_035)
             assert q.hex() == old_q.hex(), zeta
             # the dropped rays' mass is added to the error term
             assert err >= old_err, zeta
@@ -577,17 +624,38 @@ class TestPrunedTableBits:
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_kept_rays(self, ensemble):
         # every dropped ray weighs at most 1e-26 of the denominator, every kept one more
-        u, rules, h, den, fit_err = ind._regular_table(ensemble)
-        u_all, rules_all, h_all, den_all, fit_err_all = _regular_table_028(ensemble)
-        kept = np.isin(u_all, u)
-        assert np.count_nonzero(kept) == {EnsembleKind.HILBERT_SCHMIDT: 84, EnsembleKind.BURES: 89,
-                                          EnsembleKind.BKM: 90}[ensemble]
+        q, rules, h, den, fit_err = ind._regular_table(ensemble)
+        q_all, rules_all, h_all, den_all, fit_err_all = _regular_table_028(ensemble, Q_035)
+        kept = np.isin(q_all, q)
+        assert np.count_nonzero(kept) == {EnsembleKind.HILBERT_SCHMIDT: 83, EnsembleKind.BURES: 90,
+                                          EnsembleKind.BKM: 91}[ensemble]
+        assert np.array_equal(q, q_all[kept])
         assert np.array_equal(h, h_all[kept]) and np.array_equal(rules, rules_all[:, kept])
         mass = rules_all[0] * h_all[:, 0] / den_all[0]
         assert mass[~kept].max() <= ind._ROW_MASS_FLOOR < mass[kept].min()
         assert np.array_equal(den, den_all)
+        # both rules' mass of all dropped rays together: at most 2.1e-26 of the denominator (HS)
         dropped = rules_all.sum(axis=0)[~kept] @ h_all[~kept, 0]
-        assert fit_err == fit_err_all + dropped and dropped < 2e-26 * den[0]
+        assert fit_err == fit_err_all + dropped and dropped < 3e-26 * den[0]
+
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_fresh_table_rows_off_the_simplex_read_zero(self, ensemble):
+        # nodes within rounding of q = 1 put points on or below the face
+        # r2 = r3, some at r2 = 0, where the Bures and BKM densities are NaN;
+        # built under the suite's RuntimeWarning-as-error filter, every row
+        # is finite and >= 0, and every such point reads exactly 0
+        ind._regular_table.cache_clear()
+        ind._table_union.cache_clear()  # which holds the tables' rows
+        _, _, h, den, fit_err = ind._regular_table(ensemble)
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(den)) and math.isfinite(fit_err)
+        q, _ = _rule_nodes_028()
+        rows = ind._regular_rows(ensemble, q)
+        (_, r2, r3), _ = _regular_chart(ind._RAY_X ** 4, q[:, None])
+        off = r2 <= r3
+        assert off[:, 1:].any()  # beyond x = 1, where r1 = r2 = r3 on every ray
+        assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+        assert np.all(rows[off] == 0.0)
+        assert np.array_equal(rows, _regular_rows_035(ensemble, q))
 
 
 class TestQuadratureBlocks:
@@ -830,7 +898,16 @@ class TestRequestValidation:
         ({"zeta": "0.3"}, "zeta must be a real number, got '0.3'"),
         ({"method": Method.MONTE_CARLO, "samples": 100, "seed": 1, "workers": None}, "worker count must be positive"),
         ({"method": "quad"}, "unknown method 'quad'"),
-    ], ids=["ensemble-quad", "ensemble-closed", "ensemble-mc", "zeta-str", "workers-none", "method-str"])
+        # bool is an int to Python, but no count, seed or angle
+        ({"zeta": True}, "zeta must be a real number, got True"),
+        ({"method": Method.MONTE_CARLO, "samples": True, "seed": 1}, "Monte Carlo samples must be an integer, got True"),
+        ({"method": Method.MONTE_CARLO, "samples": 100, "seed": False}, "Monte Carlo seed must be an integer, got False"),
+        ({"method": Method.MONTE_CARLO, "samples": 100, "seed": 1, "workers": True},
+         "Monte Carlo workers must be an integer, got True"),
+        ({"method": Method.MONTE_CARLO, "samples": True, "seed": False, "workers": True},
+         "Monte Carlo samples must be an integer, got True"),
+    ], ids=["ensemble-quad", "ensemble-closed", "ensemble-mc", "zeta-str", "workers-none", "method-str",
+            "zeta-bool", "samples-bool", "seed-bool", "workers-bool", "mc-all-bool"])
     def test_wrong_typed_field_is_unsupported(self, fields, message):
         # a field of the wrong type fails validation, not with a TypeError or
         # AttributeError from deep in the computation

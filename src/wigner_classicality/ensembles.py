@@ -427,8 +427,9 @@ def _cell_origins(shape: tuple[int, ...]) -> np.ndarray:
 class SpectrumSampler:
     """Seeded sampler of eigenvalue spectra for one (ensemble, degeneracy).
 
-    One instance owns one random generator; create one instance per worker,
-    with per-worker seeds derived by ``worker_seed``.  Every non-point
+    One instance owns one random generator; Monte Carlo makes one instance
+    per chunk, seeded by ``worker_seed`` from the chunk's index, in the
+    process that counts the chunk.  Every non-point
     degeneracy draws its own piece by rejection from a piecewise-constant
     envelope; a point has no envelope and yields its one spectrum.  The
     proposal box, the unit square of (t, q) on the regular qutrit
@@ -439,8 +440,10 @@ class SpectrumSampler:
     proportion to its bound (looked up in a guide table, ``_cell_lookup``),
     a point uniformly inside it from the cell's origins (``_cell_origins``),
     and is accepted with probability weight / bound.  The table is built
-    once per (ensemble, degeneracy) on first use; each instance draws from
-    its own copy, ``_envelope``, whose cdf and guide table each batch builds.
+    once per (ensemble, degeneracy) and process on first use, so each
+    process of the Monte Carlo pool builds and keeps its own; each
+    instance draws from its own copy, ``_envelope``, whose cdf and guide
+    table each batch builds.
     Proposals come in batches of up to ``_CHUNK``: one generator call draws
     a batch's uniforms, and every other step runs on tiles of ``_TILE``
     rows.  The accepted spectra form one stream of tiles, ``_tiles``, as

@@ -19,10 +19,10 @@ degenerate-to-regular ratio.
 
 from __future__ import annotations
 
+import atexit
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -316,8 +316,8 @@ def _ray_fit(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b, tail = _ray_coefficients(g)
     # summed from the highest k down, so that the small terms of the decaying
     # b_k come first, which leaves each value as accurate as a long double
-    # sum; and by einsum, not a BLAS product, which would wake BLAS worker
-    # threads that then spin and slow the Monte Carlo threads of the process
+    # sum; by einsum, whose fixed summation order fixes the bits, where a
+    # BLAS product sums in an order of its own
     h = np.einsum("ik,kj->ij", b[:, ::-1], _RAY_MATRIX[::-1])
     return h, tail + _RAY_ROUNDING * np.abs(b).sum(axis=1)
 
@@ -634,18 +634,82 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _mc_run(task) -> np.ndarray:
+    """Hits per angle of one run of consecutive chunks, the work of one pool process.
+
+    ``task`` is (kind, stratum, kernels, base, extra, seed, first, stop):
+    chunks ``first`` to ``stop - 1`` of a cell, chunk i drawing
+    base + (i < extra) points seeded by ``worker_seed(seed, i)``.  Each
+    chunk is seeded and counted as the run reaches it, so memory does not
+    grow with the run's length.
+    """
+    kind, stratum, kernels, base, extra, seed, first, stop = task
+    return sum((_mc_chunk_hits(kind, stratum, kernels, base + (1 if i < extra else 0), worker_seed(seed, i))
+                for i in range(first, stop)), np.zeros(len(kernels), int))
+
+
+#: The Monte Carlo process pool as (size, executor), made by ``_mc_pool``.
+_POOL = None
+
+
+def _mc_pool(size: int):
+    """A pool of at least ``size`` forked processes that maps ``_mc_run``, or None where the OS cannot fork.
+
+    The pool is made on the first call that needs one, with all its
+    processes started at once, and kept for the next; a call that needs
+    more processes replaces it, so no pool has more processes than the
+    call that made it asked for.  ``_close_pool`` ends it at exit.
+    """
+    global _POOL
+    if _POOL is not None and _POOL[0] >= size:
+        return _POOL[1]
+    _close_pool()
+    # imported here, as in _mc_block, so that importing the package and
+    # counting one run of chunks load no process or executor machinery
+    import multiprocessing
+    import warnings
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # an explicit fork context: Python 3.14 made forkserver Linux's default
+    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+    with warnings.catch_warnings():
+        # From Python 3.12 on, a fork of a process with more than one thread
+        # warns that a lock held by another thread would stay held in the
+        # child.  The other threads here are numpy's idle BLAS workers, and
+        # the children run only ufuncs and the random generator, never BLAS.
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        pool.submit(int).result()  # forks every process now, under the filter
+    _POOL = size, pool
+    return pool
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the Monte Carlo pool down and drop it, before the interpreter tears its modules down."""
+    global _POOL
+    if _POOL is not None:
+        (_, pool), _POOL = _POOL, None
+        pool.shutdown()
+
+
 def _mc_block(kind: EnsembleKind, stratum: StratumLabel, zetas, samples: int, seed: int,
               workers: int) -> tuple[list[float], list[float]]:
     """Monte Carlo values and error estimates of ``kind`` on ``stratum`` at each valid angle of ``zetas``.
 
     The sample budget is split into ``workers`` chunks with seeds derived by
     ``worker_seed``; only the nonempty chunks, at most ``samples`` of them,
-    are seeded.  At most ``_usable_cpus()`` threads run them, each summing
-    the hits of one run of consecutive chunks and seeding each chunk as it
-    reaches it, so memory does not grow with ``workers``.  Each chunk's
-    draws are counted against the kernel of every angle
+    are seeded.  The chunks form runs of consecutive chunks, one per
+    process of ``_mc_pool``, at most ``_usable_cpus()`` of them; one run
+    is counted in this process, with no pool.  Each run sums the hits of
+    its chunks (``_mc_run``), so memory does not grow with ``workers``.
+    Each chunk's draws are counted against the kernel of every angle
     (``_mc_chunk_hits``); the draws do not depend on the angle, so each
-    cell's count is the one it has alone.  An empty grid draws nothing.
+    cell's count is the one it has alone.  A pool that loses a process
+    raises ``BrokenExecutor`` and is dropped, so the next call makes a
+    fresh one.  An empty grid draws nothing.
     """
     if not zetas:
         return [], []
@@ -654,18 +718,19 @@ def _mc_block(kind: EnsembleKind, stratum: StratumLabel, zetas, samples: int, se
     base, extra = divmod(n, workers)
     # chunks from index n on would be empty, so none of them is seeded or run
     chunks = min(workers, n)
-    threads = min(chunks, _usable_cpus())
-
-    def share(j: int) -> np.ndarray:
-        """Hits per angle of thread j's run of chunks; chunk i draws base + (i < extra) points."""
-        return sum((_mc_chunk_hits(kind, stratum, kernels, base + (1 if i < extra else 0), worker_seed(seed, i))
-                    for i in range(j * chunks // threads, (j + 1) * chunks // threads)), np.zeros(len(zetas), int))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(share, range(threads)))
+    runs = min(chunks, _usable_cpus())
+    pool = _mc_pool(runs) if runs > 1 else None
+    if pool is None:
+        hits = _mc_run((kind, stratum, kernels, base, extra, seed, 0, chunks))
     else:
-        hits = share(0)
+        from concurrent.futures import BrokenExecutor
+
+        try:
+            hits = sum(pool.map(_mc_run, [(kind, stratum, kernels, base, extra, seed,
+                                           j * chunks // runs, (j + 1) * chunks // runs) for j in range(runs)]))
+        except BrokenExecutor:
+            _close_pool()
+            raise
     values = [h / n for h in hits.tolist()]
     # the rule of three where no classical state is seen
     return values, [math.sqrt(q * (1.0 - q) / n) if q else 3.0 / n for q in values]
@@ -677,11 +742,11 @@ def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     The cell is a grid of one of ``_mc_block``: the budget is split into
     ``workers`` chunks with seeds derived by ``worker_seed``; chunk hit
     counts are integers, so the total is deterministic for a fixed (seed,
-    workers) pair regardless of execution order, and at most
-    ``_usable_cpus()`` threads run the chunks.  The error estimate is the
-    binomial standard error ``sqrt(q (1 - q) / n)``; when no classical
-    state is seen the estimate falls back to the one-sided 95 percent
-    bound 3/n (rule of three).
+    workers) pair regardless of execution order, and runs of consecutive
+    chunks go to at most ``_usable_cpus()`` forked processes.  The error
+    estimate is the binomial standard error ``sqrt(q (1 - q) / n)``; when
+    no classical state is seen the estimate falls back to the one-sided
+    95 percent bound 3/n (rule of three).
 
     The draws are those of ``stratum_spectra``: on the degenerate stratum
     one sampler over both edges, so each edge's share of the draws follows

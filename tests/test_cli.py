@@ -543,7 +543,8 @@ class TestVerifyMonteCarlo:
     """The nine ``mc_vs_quad`` checks, with every chunk's hit count forced to zero."""
 
     @pytest.fixture
-    def chunk_seeds(self, monkeypatch):
+    def chunk_seeds(self, monkeypatch, serial_pool):
+        """The seeds of every chunk counted, each with no hits, all in this process."""
         from wigner_classicality import indicators
 
         seeds = []
@@ -571,6 +572,28 @@ class TestVerifyMonteCarlo:
             cli._mc_checks(self.config(workers))
             assert len(chunk_seeds) == 9 * workers
             assert len(set(chunk_seeds)) == len(chunk_seeds)
+
+
+def test_verify_with_two_workers_exits_cleanly(tmp_path):
+    # the Monte Carlo pool forks at its first call and is shut down at
+    # exit: the process exits 0, writes only its PASS/FAIL lines (no fork
+    # DeprecationWarning, printed from Python 3.12 on under "always", and
+    # no error from a pool collected after the interpreter's teardown), and
+    # leaves no process of its session running
+    src = os.path.dirname(os.path.dirname(wigner_classicality.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    # stderr goes to a file, not a pipe, so that a process left holding it cannot stall the wait
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        proc = subprocess.Popen([sys.executable, "-W", "always::DeprecationWarning", "-m", "wigner_classicality.cli",
+                                 "verify", "--workers", "2", "--out", str(tmp_path / "report")],
+                                env=env, stdout=subprocess.DEVNULL, stderr=err, start_new_session=True)
+        assert proc.wait(timeout=300) == 0
+        err.seek(0)
+        lines = err.read().splitlines()
+    assert lines and all(re.fullmatch(r"(PASS|FAIL) \S+", line) for line in lines), lines
+    # the session's process group, led by the finished process, has no member left
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 class TestParser:

@@ -2,10 +2,13 @@
 
 import functools
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from wigner_classicality.ensembles import (
     _EDGES,
     _LINES,
     EnsembleKind,
+    SamplerFailureError,
     SpectrumSampler,
     _density3_vec,
     _line_weight,
@@ -694,7 +698,7 @@ class TestQuadratureBlocks:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("stratum", [QUBIT_STRATUM, REGULAR_QUTRIT, DEGENERATE_QUTRIT],
                              ids=["qubit", "regular", "degenerate"])
-    def test_other_methods_run_in_blocks(self, monkeypatch, stratum, workers):
+    def test_other_methods_run_in_blocks(self, monkeypatch, serial_pool, stratum, workers):
         grid = np.linspace(0.0, ZETA_MAX, 5)
         ((closed, errors),) = ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), DEGENERATE_QUTRIT,
                                              Method.CLOSED_FORM, grid)
@@ -1007,29 +1011,7 @@ class TestMonteCarlo:
         sigma = math.sqrt(ref * (1 - ref) / 200_000)
         assert abs(res.q - ref) <= 4.0 * sigma
 
-    @pytest.fixture
-    def serial_pool(self, monkeypatch):
-        """Run chunks serially as if the process may run on 2 CPUs; returns the requested pool sizes."""
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(ind, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(ind, "_usable_cpus", lambda: 2)
-        return pools
-
-    def test_thread_pool_capped_at_cpu_count(self, serial_pool):
+    def test_pool_capped_at_cpu_count(self, serial_pool):
         req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, 640, 9, workers=64)
         res = q_monte_carlo(req)
         assert serial_pool == [2]
@@ -1044,7 +1026,7 @@ class TestMonteCarlo:
         two = q_monte_carlo(req)
         monkeypatch.setattr(ind, "_usable_cpus", lambda: 1)
         one = q_monte_carlo(req)
-        # threads only group chunks, so the count is the same
+        # pool processes only group chunks, so the count is the same
         assert serial_pool == [2]
         assert one.q == two.q
 
@@ -1074,9 +1056,10 @@ class TestMonteCarlo:
                                             10, 9, workers=10))
         assert huge.q == ten.q
 
-    def test_memory_does_not_grow_with_workers(self):
-        # each thread seeds and counts its chunks one at a time; the chunks
-        # of 2000 workers, all held at once, peaked at 3.5 MB against 0.2 MB for 64
+    def test_memory_does_not_grow_with_workers(self, serial_pool):
+        # each run of chunks, counted here in _mc_run as a pool process counts
+        # it, seeds and counts its chunks one at a time; the chunks of 2000
+        # workers, all held at once, peaked at 3.5 MB against 0.2 MB for 64
         def peak(workers):
             req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, 20_000, 3, workers=workers)
             tracemalloc.start()
@@ -1122,11 +1105,11 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("point", [(2,), (3,)], ids=["qubit", "qutrit"])
     def test_point_stratum_all_classical(self, monkeypatch, method, point):
         # every method answers a point once, before dispatch: Q = 1 and error 0
-        # per cell, with no sampler built, no chunk seeded and no thread started
+        # per cell, with no sampler built, no chunk seeded and no pool started
         calls = []
         monkeypatch.setattr(ind, "_stratum_sampler", lambda *args: calls.append("sampler"))
         monkeypatch.setattr(ind, "worker_seed", lambda *args: calls.append("seed"))
-        monkeypatch.setattr(ind, "ThreadPoolExecutor", lambda *args, **kwargs: calls.append("pool"))
+        monkeypatch.setattr(ind, "_mc_pool", lambda size: calls.append("pool"))
         stratum = StratumLabel.for_partition(point)
         zetas = [None] if point == (2,) else [0.0, 0.3, ZETA_MAX]
         options = dict(samples=100, seed=1, workers=3) if method is Method.MONTE_CARLO else {}
@@ -1138,6 +1121,156 @@ class TestMonteCarlo:
         assert grid == [([1.0] * len(zetas), [0.0] * len(zetas))] * len(ALL_KINDS)
         assert ind.indicators(ALL_KINDS, stratum, method, [], **options) == [([], [])] * len(ALL_KINDS)
         assert calls == []
+
+
+def _subprocess_env() -> dict:
+    """The environment of a subprocess that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(wigner_classicality.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+#: (ensemble, stratum, angles) of the pooled cells: every ensemble on every
+#: stratum, one cell a 61-angle grid.
+_POOLED_CELLS = [(kind, stratum, [None] if stratum.n == 2 else [0.0, 0.4, ZETA_MAX])
+                 for kind in ALL_KINDS for stratum in (QUBIT_STRATUM, REGULAR_QUTRIT, DEGENERATE_QUTRIT)]
+_POOLED_CELLS[4] = (EnsembleKind.BURES, REGULAR_QUTRIT, np.linspace(0.0, ZETA_MAX, 61).tolist())
+
+
+class TestProcessPool:
+    """Monte Carlo runs in the forked processes of ``indicators._mc_pool``."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """A pool of 2 processes on any host, made fresh for the test and ended after it.
+
+        A pool forked under a test's patches keeps them, so none outlives
+        its test.
+        """
+        monkeypatch.setattr(ind, "_usable_cpus", lambda: 2)
+        ind._close_pool()
+        yield
+        ind._close_pool()
+
+    @staticmethod
+    def serial(monkeypatch, kind, stratum, zetas, **options):
+        """The grid's values and errors counted in this process, with no pool."""
+        with monkeypatch.context() as m:
+            m.setattr(ind, "_usable_cpus", lambda: 1)
+            m.setattr(ind, "_mc_pool", None)  # the serial path asks for no pool
+            return ind.indicators((kind,), stratum, Method.MONTE_CARLO, zetas, **options)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind,stratum,zetas", _POOLED_CELLS,
+                             ids=[f"{k.value}-{ind._stratum_kind(s)}" for k, s, _ in _POOLED_CELLS])
+    def test_hits_match_the_serial_path(self, monkeypatch, two_cpus, kind, stratum, zetas, workers):
+        # hits are integers summed over the same chunks and seeds, so the
+        # pool changes no bit; the HS qubit cell runs chunks above one block
+        samples = 2 * SpectrumSampler._CHUNK + 11 if (kind, stratum.n) == (EnsembleKind.HILBERT_SCHMIDT, 2) else 4000
+        options = dict(samples=samples, seed=17, workers=workers)
+        expected = self.serial(monkeypatch, kind, stratum, zetas, **options)
+        assert ind.indicators((kind,), stratum, Method.MONTE_CARLO, zetas, **options) == expected
+        # both runs went to the pool's processes, and no more were forked
+        assert ind._POOL[0] == 2
+        assert len(multiprocessing.active_children()) == 2
+
+    def test_pool_is_kept_and_replaced_only_to_grow(self, monkeypatch, two_cpus):
+        options = dict(samples=500, seed=3)
+        ind.indicators(ALL_KINDS, QUBIT_STRATUM, Method.MONTE_CARLO, [None], workers=1, **options)
+        assert ind._POOL is None  # one run is counted here
+        small = ind._mc_pool(1)
+        ind.indicators(ALL_KINDS, QUBIT_STRATUM, Method.MONTE_CARLO, [None], workers=2, **options)
+        pool = ind._POOL
+        assert pool[0] == 2 and pool[1] is not small
+        assert len(multiprocessing.active_children()) == 2  # the small pool's process ended
+        ind.indicators(ALL_KINDS, QUBIT_STRATUM, Method.MONTE_CARLO, [None], workers=9, **options)
+        assert ind._mc_pool(1) is pool[1]
+        monkeypatch.setattr(ind, "_usable_cpus", lambda: 1)
+        ind.indicators(ALL_KINDS, QUBIT_STRATUM, Method.MONTE_CARLO, [None], workers=9, **options)
+        assert ind._POOL is pool
+
+    def test_no_fork_counts_every_run_here(self, monkeypatch, two_cpus):
+        # where the OS cannot fork, _mc_pool gives no pool and the runs are counted in this process
+        options = dict(samples=3000, seed=5, workers=2)
+        expected = self.serial(monkeypatch, EnsembleKind.BKM, DEGENERATE_QUTRIT, [0.0, 0.5], **options)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert ind._mc_pool(2) is None
+        assert ind.indicators((EnsembleKind.BKM,), DEGENERATE_QUTRIT, Method.MONTE_CARLO, [0.0, 0.5],
+                              **options) == expected
+        assert ind._POOL is None and multiprocessing.active_children() == []
+
+    def test_sampler_failure_in_a_child_reaches_the_caller(self, monkeypatch, two_cpus):
+        expected = self.serial(monkeypatch, EnsembleKind.BURES, REGULAR_QUTRIT, [0.5], samples=3000, seed=5, workers=2)
+        chunk_hits = ind._mc_chunk_hits
+        doomed = worker_seed(99, 1)
+
+        def failing(kind, stratum, kernels, chunk, seed):
+            if seed == doomed:
+                raise SamplerFailureError(f"forced failure of pid {os.getpid()}")
+            return chunk_hits(kind, stratum, kernels, chunk, seed)
+
+        # forked after the patch, so the pool's processes run it
+        monkeypatch.setattr(ind, "_mc_chunk_hits", failing)
+        with pytest.raises(SamplerFailureError, match=r"forced failure of pid (\d+)") as err:
+            ind.indicators((EnsembleKind.BURES,), REGULAR_QUTRIT, Method.MONTE_CARLO, [0.5],
+                           samples=3000, seed=99, workers=2)
+        assert int(err.value.args[0].rsplit(" ", 1)[1]) != os.getpid()
+        # the pool lost no process, so it is kept and takes the next call
+        pool = ind._POOL
+        assert pool is not None
+        assert ind.indicators((EnsembleKind.BURES,), REGULAR_QUTRIT, Method.MONTE_CARLO, [0.5],
+                              samples=3000, seed=5, workers=2) == expected
+        assert ind._POOL is pool
+
+    def test_killed_child_breaks_only_its_pool(self, monkeypatch, two_cpus):
+        expected = self.serial(monkeypatch, EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, [None],
+                               samples=3000, seed=5, workers=2)
+        chunk_hits = ind._mc_chunk_hits
+        doomed = worker_seed(7, 1)
+
+        def killed(kind, stratum, kernels, chunk, seed):
+            if seed == doomed:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk_hits(kind, stratum, kernels, chunk, seed)
+
+        monkeypatch.setattr(ind, "_mc_chunk_hits", killed)
+        with pytest.raises(BrokenExecutor, match="terminated abruptly"):
+            ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), QUBIT_STRATUM, Method.MONTE_CARLO, [None],
+                           samples=3000, seed=7, workers=2)
+        assert ind._POOL is None  # the broken pool is not kept
+        assert ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), QUBIT_STRATUM, Method.MONTE_CARLO, [None],
+                              samples=3000, seed=5, workers=2) == expected
+        assert ind._POOL is not None
+        assert len(multiprocessing.active_children()) == 2
+
+    def test_import_and_one_worker_load_no_pool_machinery(self, tmp_path):
+        code = ("import sys\n"
+                "from wigner_classicality import cli\n"
+                "assert cli.main(['qubit', '--method', 'mc', '--samples', '2000', '--workers', '1',\n"
+                "                 '--out', sys.argv[1]]) == 0\n"
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "qubit")], env=_subprocess_env(),
+                             capture_output=True, text=True, timeout=300)
+        assert out.stdout.strip().splitlines()[-1] == "[]", out.stderr
+
+    def test_children_memory_does_not_grow_with_workers(self):
+        # the largest resident set of any pool process, at 2 and at 2000
+        # workers: a run holds one chunk at a time, in the children too
+        code = ("import resource, sys\n"
+                "from wigner_classicality import indicators as ind\n"
+                "ind._usable_cpus = lambda: 2\n"
+                "ind.indicators((ind.EnsembleKind.HILBERT_SCHMIDT,), ind.QUBIT_STRATUM, ind.Method.MONTE_CARLO,\n"
+                "               [None], samples=20_000, seed=3, workers=int(sys.argv[1]))\n"
+                "ind._close_pool()\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+        def children_maxrss_kb(workers):
+            out = subprocess.run([sys.executable, "-c", code, str(workers)], env=_subprocess_env(),
+                                 capture_output=True, text=True, check=True, timeout=300)
+            return int(out.stdout.split()[-1])
+
+        two = children_maxrss_kb(2)
+        assert two > 0  # the pool ran
+        assert children_maxrss_kb(2000) - two < 1 << 10
 
 
 #: The layout of the search that ``_minima`` replaced: a 61-point scan, then

@@ -64,51 +64,13 @@ def worker_seed(master_seed: int, worker_index: int) -> int:
 # vectorized density kernels used by quadrature and the rejection samplers
 # ---------------------------------------------------------------------------
 
-def _mc_vec(kind: EnsembleKind, x, y, diff, lx, ly):
-    """Morozova-Chentsov function on arrays; ``diff`` is x - y, ``lx``, ``ly`` are ``np.log`` of x, y (BKM only).
-
-    BKM takes its series where d = diff / (x + y) has ``|d| <= BKM_SERIES_CUTOFF``.
-    Such a row has |diff| <= cutoff |x + y| (1 + 2^-53), and |x + y| rounds
-    to at most the sum of the largest |x| and the largest |y| (NaN skipped),
-    so the row is among the candidates |diff| <= cutoff (that sum)
-    (1 + 1e-12), for any input; x + y and d are formed on the candidates only.
-    """
-    if kind is EnsembleKind.BURES:
-        return 2.0 / (x + y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(lx - ly)
-        out /= diff
-    diff = np.asarray(diff)
-    top = sum(max(np.fmax.reduce(v, axis=None, initial=0.0), -np.fmin.reduce(v, axis=None, initial=0.0))
-              for v in (x, y))
-    cut = BKM_SERIES_CUTOFF * max(top, 1e-290) * (1.0 + 1e-12)  # the floor keeps cut's rounding relative
-    cand = (diff <= cut) & (diff >= -cut)  # no float temporary
-    if cand.any():
-        s = np.broadcast_to(x, cand.shape)[cand] + np.broadcast_to(y, cand.shape)[cand]
-        d = diff[cand] / s
-        near = (d <= BKM_SERIES_CUTOFF) & (d >= -BKM_SERIES_CUTOFF)
-        if near.any():
-            dn = d[near]
-            series = out[cand]
-            series[near] = (1.0 + dn * dn / 3.0 + dn ** 4 / 5.0) / (0.5 * s[near])
-            out[cand] = series
-    return out
-
-
-def _logs(kind: EnsembleKind, *r):
-    """``np.log`` of each eigenvalue for BKM, once per eigenvalue; None otherwise."""
-    if kind is EnsembleKind.BKM:
-        return tuple(np.log(v) for v in r)
-    return (None,) * len(r)
-
-
 def _series_patch(gap, x, y, d, rows):
     """Write the BKM series into ``gap`` = log x - log y, in place, on those of ``rows`` where it applies.
 
     With d = x - y and e = d / (x + y), a row with ``|e| <= BKM_SERIES_CUTOFF``
     gets ``d (1 + e^2/3 + e^4/5) / ((x + y)/2)``.  ``rows`` holds the flat
-    (C order) indices of the candidates, which ``_density3_vec`` proves to
-    hold every such row.
+    (C order) indices of the candidates, which ``_density3_vec`` and
+    ``_density_pair_vec`` prove to hold every such row.
     """
     s = np.take(np.broadcast_to(x, gap.shape), rows) + np.take(np.broadcast_to(y, gap.shape), rows)
     dc = np.take(d, rows)
@@ -135,15 +97,14 @@ def _density3_vec(kind: EnsembleKind, r1, r2, r3):
     whatever its gaps (through an unpatched log difference, since a pair
     of opposite signs has |e| > 1, or through sqrt(r1 r2 r3)), so let the
     row's r be >= 0 and top the largest r of all three columns, floored at
-    1e-100.  A
-    series pair has |d| <= c |r_i + r_j| (1 + u), u = 2^-53, since
-    fl(d / s) <= c puts d / s at most half an ulp above c, and r_i + r_j
-    rounds to at most 2 top; the other two differences round to at most
-    top.  So |v| <= 2 c top^3 (1 + u)^3, and fl(2 c top top top (1 + 1e-12))
-    lies above that: four roundings lose far less than the 1e-12, which
-    also covers the 2^-1075 by which a product that underflows can be off,
-    since top >= 1e-100.  The series is tried on the rows under that bound
-    only.
+    1e-100.  A series pair has |d| <= c |r_i + r_j| (1 + u), u = 2^-53,
+    since fl(d / s) <= c puts d / s at most half an ulp above c, and
+    r_i + r_j rounds to at most 2 top; the other two differences round to
+    at most top.  So |v| <= 2 c top^3 (1 + u)^3, and
+    fl(2 c top top top (1 + 1e-12)) lies above that: four roundings lose
+    far less than the 1e-12, which also covers the 2^-1075 by which a
+    product that underflows can be off, since top >= 1e-100.  The series
+    is tried on the rows under that bound only.
 
     Products run left to right in place, so r1 and r2 span the broadcast
     shape; the monotone factors reuse the buffers of the differences and
@@ -155,8 +116,6 @@ def _density3_vec(kind: EnsembleKind, r1, r2, r3):
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         v **= 2
         return v
-    if np.ndim(v) == 0:  # scalars: the one-row array form, whose buffers can be reused
-        return _density3_vec(kind, *(np.atleast_1d(r) for r in (r1, r2, r3)))[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind is EnsembleKind.BURES:
             v *= v
@@ -165,7 +124,7 @@ def _density3_vec(kind: EnsembleKind, r1, r2, r3):
             top = max(1e-100, *(np.fmax.reduce(r, axis=None, initial=0.0) for r in (r1, r2, r3)))
             bound = 2.0 * BKM_SERIES_CUTOFF * (top * top * top) * (1.0 + 1e-12)
             rows = np.flatnonzero((v <= bound) & (v >= -bound))  # a few rows of a tile
-            l1, l2, l3 = _logs(kind, r1, r2, r3)
+            l1, l2, l3 = (np.log(r) for r in (r1, r2, r3))
             gaps = (l1 - l2, np.subtract(l1, l3, out=l1), np.subtract(l2, l3, out=l2))
             for x, y, d, gap in zip((r1, r1, r2), (r2, r3, r3), (d12, d13, d23), gaps):
                 if rows.size:
@@ -182,20 +141,40 @@ def _density3_vec(kind: EnsembleKind, r1, r2, r3):
 
 
 def _density_pair_vec(kind: EnsembleKind, big, small, kk: int):
-    """Density of two distinct eigenvalues of multiplicities k_1 k_2 = ``kk``.
+    """Density of two distinct eigenvalues of multiplicities k_1 k_2 = ``kk`` (1 or 2).
 
-    HS ``(big - small)^(2 kk)``, as products (kk is 1 or 2); a monotone
-    ensemble multiplies by ``c_f(big, small)^kk (big small)^(-1/2)``.
+    HS ``d^(2 kk)``, d = big - small, as products; a monotone ensemble
+    multiplies by ``c_f(big, small)^kk (big small)^(-1/2)``: Bures
+    ``(2 / (big + small))^kk``, and BKM, with c = gap / d and
+    gap = log big - log small, ``(d gap)^kk / sqrt(big small)``, the form
+    of ``_density3_vec``, which is 0, not NaN, at d = 0.
+
+    A BKM pair with e = d / (big + small), ``|e| <= c`` (``BKM_SERIES_CUTOFF``),
+    takes gap's series (``_series_patch``).  Let top be the largest |r| of
+    both columns (NaN skipped), floored at 1e-290.  big + small rounds to at
+    most 2 top, and fl(d / s) <= c puts |d / s| at most half an ulp above
+    c, so a series row has |d| <= 2 c top (1 + u), u = 2^-53, for any
+    input; fl(2 c top (1 + 1e-12)) lies above that, since its two roundings
+    lose far less than the 1e-12 and the floor keeps it a normal number.
+    The series is tried on the rows under that bound only.
     """
     diff = big - small
-    v = diff * diff
-    if kk == 2:
-        v *= v
-    if kind is EnsembleKind.HILBERT_SCHMIDT:
-        return v
     with np.errstate(divide="ignore", invalid="ignore"):
-        lb, ls = _logs(kind, big, small)
-        return v * _mc_vec(kind, big, small, diff, lb, ls) ** kk / np.sqrt(big * small)
+        if kind is not EnsembleKind.BKM:
+            v = diff * diff
+            if kk == 2:
+                v *= v
+            return v if kind is EnsembleKind.HILBERT_SCHMIDT else v * (2.0 / (big + small)) ** kk / np.sqrt(big * small)
+        top = max(1e-290, *(np.fmax.reduce(np.abs(r), axis=None, initial=0.0) for r in (big, small)))
+        bound = 2.0 * BKM_SERIES_CUTOFF * top * (1.0 + 1e-12)
+        gap = np.log(big) - np.log(small)
+        rows = np.flatnonzero((diff <= bound) & (diff >= -bound))
+        if rows.size:
+            _series_patch(gap, big, small, diff, rows)
+        gap *= diff
+        if kk == 2:
+            gap *= gap
+        return np.divide(gap, np.sqrt(big * small), out=gap)
 
 
 #: One-coordinate pieces, parametrised by their smallest distinct eigenvalue y:
@@ -271,7 +250,7 @@ def _regular_chart(t, q):
     area element r dr dphi is (1 + 3 q^2) s t^3 / 3 dt dphi, and
     dq/dphi = (1 + 3 q^2) / (3 sqrt3), so per dt dq it is sqrt3 s t^3: no
     trigonometry.  The rejection sampler draws in this chart, and
-    quadrature reads it on rays of fixed q (``indicators._regular_rows``).
+    quadrature reads it on rays of fixed q (``indicators._ray_table``).
     """
     # in place where the result has the step's shape (quadrature broadcasts t against q)
     t3 = t * t
@@ -349,7 +328,8 @@ def _proposal_weight(kind: EnsembleKind, pieces: tuple, coords):
     """Rejection weight at proposal coordinates, and the spectrum columns they map to.
 
     A sampler draws from one piece, or from both degenerate edges
-    ``_EDGES``, whose coordinates end with each proposal's edge index.
+    ``_EDGES``, whose coordinates end with each proposal's edge index;
+    quadrature fits the same weight (``indicators._ray_table``).
     """
     if pieces == ((1, 1, 1),):
         return _regular_weight_qutrit(kind, *coords)

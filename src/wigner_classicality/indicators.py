@@ -6,9 +6,9 @@ expressed through the joint eigenvalue density.  Three independent methods
 are provided and cross-validated against each other:
 
 * closed forms (qubit, all ensembles; qutrit, Hilbert-Schmidt only),
-* quadrature from Chebyshev fits of the density along rays of the
-  eigenvalue simplex, summed over one fixed tanh-sinh rule in the rays'
-  q on the regular qutrit stratum, the chart the sampler draws in; it has
+* quadrature from Chebyshev fits, along rays of the eigenvalue simplex,
+  of the weight that the samplers draw from, summed over one fixed
+  tanh-sinh rule in the rays' q on the regular qutrit stratum; it has
   fixed accuracy and no tolerance,
 * seeded Monte Carlo over the ensemble samplers.
 
@@ -40,9 +40,7 @@ from .ensembles import (
     _LINES,
     _STRATA,
     EnsembleKind,
-    _density3_vec,
-    _line_weight,
-    _regular_chart,
+    _proposal_weight,
     _stratum_kind,
     _stratum_sampler,
     worker_seed,
@@ -228,20 +226,46 @@ def q_hs_qutrit_degenerate_closed_form(zeta: float) -> IndicatorResult:
 # quadrature: Chebyshev ray fits, and tanh-sinh in q on the regular stratum
 # ---------------------------------------------------------------------------
 
-#: Tanh-sinh rule in the regular chart's q on [0, 1]: nodes t = j h for
-#: |j| <= _TS_NODES at step h = _TS_STEP, so |t| <= 4.5.  The face singularity
-#: in the chart's t is absorbed by the ray fits, not by this rule; beyond
-#: |t| = 4.5 the nodes lie within 5e-62 of the ends of [0, 1].
+#: Tanh-sinh rule in the regular chart's q on [0, 1] (``_tanh_sinh_rule``):
+#: nodes s = j h for |j| <= _TS_NODES at step h = _TS_STEP.
 _TS_STEP = 1.0 / 16.0
 _TS_NODES = 72
 
 
+def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes q = 1 / (1 + exp(-pi sinh s)) of the tanh-sinh rule, and two rows of their weights.
+
+    |s| <= 4.5: the face singularity in the chart's t is absorbed by the
+    ray fits, not by this rule, and beyond |s| = 4.5 the nodes lie within
+    5e-62 of the ends of [0, 1].  The rows hold dq/ds = pi cosh(s) q (1 - q),
+    with 1 - q = 1 / (1 + exp(pi sinh s)), times the step, of the rule at
+    step h and of its even-j sub-rule at step 2h (j = -_TS_NODES is even).
+    ``math`` takes each node alone, so no bit follows numpy's SIMD dispatch.
+    """
+    nodes = []
+    for j in range(-_TS_NODES, _TS_NODES + 1):
+        e = math.pi * math.sinh(j * _TS_STEP)
+        q, v = 1.0 / (1.0 + math.exp(-e)), 1.0 / (1.0 + math.exp(e))
+        nodes.append((q, math.pi * math.cosh(j * _TS_STEP) * q * v))
+    q, w = np.array(nodes).T.copy()
+    rules = np.zeros((2, q.size))
+    rules[0], rules[1, ::2] = w * _TS_STEP, w[::2] * (2.0 * _TS_STEP)
+    return q, rules
+
+
 #: Chebyshev degree of the fit of a weight along one ray, and the fit's
 #: points x_j = (1 + cos(pi j / n)) / 2 in x = t^(1/4) for j < n; every
-#: weight is 0 at the last point x_n = 0.
+#: weight is 0 at the last point x_n = 0.  t = x^4 there (``_RAY_T``) and
+#: dt/dx = 4 x^3 (``_RAY_DT``) are products, whose bits, unlike those of
+#: ``x ** 4``, do not follow numpy's SIMD dispatch.
 _RAY_DEGREE = 128
 _RAY_X = np.sin(np.arange(_RAY_DEGREE, 0, -1) * (math.pi / (2 * _RAY_DEGREE))) ** 2
-_RAY_X.flags.writeable = False
+_RAY_T = (_RAY_X * _RAY_X) * (_RAY_X * _RAY_X)
+_RAY_DT = 4.0 * (_RAY_X * _RAY_X * _RAY_X)
+_TS_Q, _TS_RULES = _tanh_sinh_rule()
+for _a in (_RAY_X, _RAY_T, _RAY_DT, _TS_Q, _TS_RULES):
+    _a.flags.writeable = False
+del _a
 
 
 def _ray_node_table() -> tuple[np.ndarray, np.ndarray]:
@@ -364,58 +388,41 @@ _ROW_MASS_FLOOR = 1e-26
 _ZETA_BLOCK = 8
 
 
-def _regular_rows(kind: EnsembleKind, q: np.ndarray) -> np.ndarray:
-    """The weight per dt dq along the rays ``q`` of ``ensembles._regular_chart``, at t = x^4 of ``_RAY_X``, times dt/dx.
-
-    The weight is 0 on the face r2 = r3 at q = 1; rounding puts points of
-    the nodes next to it on or below the face, some at r2 = 0, where the
-    Bures and BKM densities are NaN, so every point with r2 <= r3 reads 0.
-    """
-    x = _RAY_X
-    spectra, area = _regular_chart(x ** 4, q[:, None])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = _density3_vec(kind, *spectra)
-    w[spectra[1] <= spectra[2]] = 0.0
-    return w * (area * 4.0 * x ** 3)
-
-
 @lru_cache(maxsize=None)
-def _regular_table(kind: EnsembleKind):
-    """Ray table of the regular stratum at the q nodes of the tanh-sinh rule (read-only).
+def _ray_table(kind: EnsembleKind, skind: str):
+    """Ray table of the stratum ``skind`` of ``ensembles._STRATA`` (read-only).
 
-    Along the ray q of ``ensembles._regular_chart`` the weight (density
-    times area element, ``_regular_rows``) is fitted by ``_ray_fit`` in
-    x = t^(1/4), which turns the BKM face singularity t log^2 t into
-    x^7 log^2 x.  Of the 145 rays, those whose fine-rule mass
-    ``rules[0] * G(0)`` is at most ``_ROW_MASS_FLOOR`` of the denominator
-    are dropped, which keeps 83, 90 and 91 rays for HS, Bures and BKM.
-    Returns the kept rays' q; the rows ``rules`` of their node weights
-    (step included) in the rule at step h and in its even-j sub-rule at
-    step 2h; the rows of h = G / (1 - x) at the Chebyshev points
-    ``_RAY_NODES``; the two rules' sums of G(0) over all 145 rays; and the
-    error term: the fine rule's sum of every ray's truncation bound and
-    rounding term, plus both rules' mass of the dropped rays, which bounds
-    what dropping them can change in any sum or rule difference.
+    Each row is a ``_ray_fit``, in x = t^(1/4), of the weight that every
+    sampler draws from, ``ensembles._proposal_weight``, times dt/dx along
+    the chart's t: one ray per q node of the tanh-sinh rule on the regular
+    stratum (x turns the BKM face singularity t log^2 t into x^7 log^2 x),
+    and one row per piece on a line stratum, which is their sum, so both
+    rule rows are all ones and differ by exactly 0.  Rows whose fine-rule
+    mass ``rules[0] * G(0)`` is at most ``_ROW_MASS_FLOOR`` of the
+    denominator are dropped, which keeps 83, 90 and 91 of the 145 rays for
+    HS, Bures and BKM, and every piece.  Returns the kept rows' keys (q,
+    or the piece's position), their two rule rows, their h = G / (1 - x)
+    at the Chebyshev points ``_RAY_NODES``, both rules' sums of G(0) over
+    all rows, and the error term: the fine rule's sum of every row's
+    truncation bound and rounding term, plus both rules' mass of the
+    dropped rows, which bounds what dropping them can change in any sum or
+    rule difference.
     """
-    t = np.arange(-_TS_NODES, _TS_NODES + 1) * _TS_STEP
-    s = math.pi * np.sinh(t)
-    q = 1.0 / (1.0 + np.exp(-s))
-    v = 1.0 / (1.0 + np.exp(s))
-    w = math.pi * np.cosh(t) * q * v
-    # j = -_TS_NODES is even
-    rules = np.zeros((2, t.size))
-    rules[0] = w * _TS_STEP
-    rules[1, ::2] = w[::2] * (2.0 * _TS_STEP)
-    h, err = _ray_fit(_regular_rows(kind, q))
+    pieces = _STRATA[skind]
+    if skind == "regular":
+        keys, rules, coords = _TS_Q, _TS_RULES, (_RAY_T, _TS_Q[:, None])
+    else:  # t, then each point's piece, which the degenerate edges read as its edge
+        keys, rules = np.arange(len(pieces), dtype=float), np.ones((2, len(pieces)))
+        coords = (np.tile(_RAY_T, (len(pieces), 1)), np.repeat(keys[:, None], _RAY_DEGREE, axis=1))
+    h, err = _ray_fit(_proposal_weight(kind, pieces, coords)[0] * _RAY_DT)
     den = rules @ h[:, 0]
     keep = rules[0] * h[:, 0] > _ROW_MASS_FLOOR * den[0]
-    dropped = float(rules.sum(axis=0)[~keep] @ h[~keep, 0])
-    fit_err = float(rules[0] @ err) + dropped
+    fit_err = float(rules[0] @ err) + float(rules.sum(axis=0)[~keep] @ h[~keep, 0])  # the dropped rows' mass
     # C order, as the full rows were: BLAS sums the other order differently
-    q, rules, h = q[keep], np.ascontiguousarray(rules[:, keep]), h[keep]
-    for a in (q, rules, h, den):
+    keys, rules, h = keys[keep], np.ascontiguousarray(rules[:, keep]), h[keep]
+    for a in (keys, rules, h, den):
         a.flags.writeable = False
-    return q, rules, h, den, fit_err
+    return keys, rules, h, den, fit_err
 
 
 def _regular_classical_cutoff(q, zeta):
@@ -444,43 +451,19 @@ def _regular_classical_cutoff(q, zeta):
 
 
 @lru_cache(maxsize=None)
-def _line_table(kind: EnsembleKind, pieces: tuple[tuple[int, int], ...]):
-    """Ray table of line pieces in the layout of ``_regular_table``, one row per piece (read-only).
-
-    The pieces are those of a line stratum in ``ensembles._STRATA``: the
-    qubit, or the two degenerate qutrit edges.  The weight of
-    ``ensembles._line_weight`` along its chart y = top t^4, the chart that
-    the samplers draw from, is fitted by ``_ray_fit``.  A stratum of pieces is their sum, so both rule rows are
-    all ones and the rule difference is exactly 0.  Returns the pieces'
-    positions as row keys, the two rule rows, the rows of h = G / (1 - x)
-    at the Chebyshev points ``_RAY_NODES``, both rules' sums of G(0), and
-    the fits' summed error terms.
-    """
-    weights = np.array([_line_weight(kind, mult, _RAY_X ** 4)[0] for mult in pieces])
-    h, err = _ray_fit(weights * (4.0 * _RAY_X ** 3))
-    keys, rules = np.arange(len(pieces), dtype=float), np.ones((2, len(pieces)))
-    den = rules @ h[:, 0]
-    for a in (keys, rules, h, den):
-        a.flags.writeable = False
-    return keys, rules, h, den, float(rules[0] @ err)
-
-
-@lru_cache(maxsize=None)
 def _table_union(kinds: tuple[EnsembleKind, ...], skind: str):
     """The union of the rows of the tables of ``kinds`` on a stratum, and each table on it (read-only).
 
-    The tables are ``_regular_table`` on the regular stratum and
-    ``_line_table`` of the stratum's pieces on the degenerate one and the
-    qubit.  Every regular table keeps rays among the same 145 q nodes,
-    and the weights of a read at an angle zeta depend on the ray's q
-    alone, so one set of weights over the union's rays serves every
-    table; the line tables of a stratum all have the same pieces.
-    Returns the union's row keys, increasing, and per kind the positions
-    of its rows among the union's, its h on the union's rows (0 on those
-    it dropped), and its rules, denominators and error term.
+    The tables are those of ``_ray_table``.  Every regular table keeps
+    rays among the same 145 q nodes, and the weights of a read at an angle
+    zeta depend on the ray's q alone, so one set of weights over the
+    union's rays serves every table; the line tables of a stratum all have
+    the same pieces.  Returns the union's row keys, increasing, and per
+    kind the positions of its rows among the union's, its h on the union's
+    rows (0 on those it dropped), and its rules, denominators and error
+    term.
     """
-    tables = [_regular_table(kind) if skind == "regular" else _line_table(kind, _STRATA[skind])
-              for kind in kinds]
+    tables = [_ray_table(kind, skind) for kind in kinds]
     # a set, not np.union1d, which imports numpy.ma (about 20 ms) on first use
     keys = np.array(sorted({v for table in tables for v in table[0].tolist()}))
     reads = []
@@ -526,12 +509,10 @@ def _classical_cutoff(skind: str, keys: np.ndarray, zetas) -> np.ndarray:
     if skind == "regular":
         return _regular_classical_cutoff(keys, np.array(zetas))
     pieces = _STRATA[skind]
-    if skind == "qubit":
-        y_c = [[(1.0 - 1.0 / SQRT3) / 2.0] for _ in zetas]
-    else:
-        y_c = [[_edge_classical_cutoff(comp, z) for comp in pieces] for z in zetas]
+    y_c = [[(1.0 - 1.0 / SQRT3) / 2.0] if skind == "qubit" else [_edge_classical_cutoff(comp, z) for comp in pieces]
+           for z in zetas]
     top = _LINES[pieces[0]][0]  # the two edges share theirs
-    return (np.array(y_c) / top) ** 0.25
+    return np.sqrt(np.sqrt(np.array(y_c) / top))
 
 
 def _table_integrals(kinds: tuple[EnsembleKind, ...], skind: str, zetas):
@@ -593,15 +574,14 @@ def q_quadrature(request: IndicatorRequest) -> IndicatorResult:
 
     The value is the ratio of the classical-region integral to the full
     stratum integral.  Each is a sum of ray cumulatives G(t) of Chebyshev
-    fits along rays of the chart (see ``_ray_fit``), over the rows of one
-    table per stratum: one row for the qubit and one per edge on the
-    degenerate stratum (``_line_table``); on the regular stratum the rays
-    of ``_regular_table`` that carry mass, 83 to 91 of its 145, with a
-    fixed tanh-sinh rule in the regular chart's q, the chart that the
-    sampler draws in.  Nothing is refined, so every cell has
-    the same fixed accuracy.  The error estimate is the integrals' errors
-    propagated through the ratio; a nonpositive denominator raises
-    ``ConvergenceError``.  The cell is a grid of one of ``indicators``,
+    fits along rays of the chart (see ``_ray_fit``) of the weight that the
+    sampler draws from, over the rows of one table per stratum
+    (``_ray_table``): one row for the qubit and one per edge on the
+    degenerate stratum; on the regular stratum the rays that carry mass,
+    83 to 91 of 145, with a fixed tanh-sinh rule in the regular chart's q.
+    Nothing is refined, so every cell has the same fixed accuracy.  The
+    error estimate is the integrals' errors propagated through the ratio;
+    a nonpositive denominator raises ``ConvergenceError``.  The cell is a grid of one of ``indicators``,
     which reads whole grids of angles and ensembles in one
     ``_quadrature_block`` with the same result per cell.
     """

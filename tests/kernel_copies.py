@@ -9,8 +9,15 @@ hold them to relative bounds against the copies of earlier versions.
 import numpy as np
 
 import wigner_classicality.ensembles as ensembles
-from wigner_classicality.ensembles import EnsembleKind
+from wigner_classicality.ensembles import _EDGES, EnsembleKind
 from wigner_classicality.spectra import SQRT3
+
+
+def _logs(kind: EnsembleKind, *r):
+    """``np.log`` of each eigenvalue for BKM, None otherwise: ``ensembles._logs`` of versions 0.2.8 to 0.3.6."""
+    if kind is EnsembleKind.BKM:
+        return tuple(np.log(v) for v in r)
+    return (None,) * len(r)
 
 
 def _mc_vec_028(kind: EnsembleKind, x, y, lx, ly):
@@ -34,7 +41,7 @@ def _density3_vec_028(kind: EnsembleKind, r1, r2, r3):
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v
     with np.errstate(divide="ignore", invalid="ignore"):
-        l1, l2, l3 = ensembles._logs(kind, r1, r2, r3)
+        l1, l2, l3 = _logs(kind, r1, r2, r3)
         c = _mc_vec_028(kind, r1, r2, l1, l2) * _mc_vec_028(kind, r1, r3, l1, l3) * _mc_vec_028(kind, r2, r3, l2, l3)
         return v * c / np.sqrt(r1 * r2 * r3)
 
@@ -72,7 +79,7 @@ def _density3_vec_034(kind: EnsembleKind, r1, r2, r3):
         root = np.sqrt(r1 * r2 * r3)
         if kind is EnsembleKind.BURES:
             return d * d * 8.0 / (root * (r1 + r2) * (r1 + r3) * (r2 + r3))
-        l1, l2, l3 = ensembles._logs(kind, r1, r2, r3)
+        l1, l2, l3 = _logs(kind, r1, r2, r3)
         return d * _gap_034(r1, r2, l1, l2) * _gap_034(r1, r3, l1, l3) * _gap_034(r2, r3, l2, l3) / root
 
 
@@ -84,3 +91,46 @@ def _regular_chart_034(t, q):
     r1 = s / 6.0 + 1.0 / 3.0 + s * q / 2.0
     r2 = s / 6.0 + 1.0 / 3.0 - s * q / 2.0
     return (r1, r2, r3), SQRT3 * s * t3
+
+
+def _line_spectrum_032(mult: tuple, y, edge=None):
+    """``ensembles._line_spectrum`` as 0.3.2 first shipped it."""
+    if mult == (1, 1):
+        return (1.0 - y, y)
+    e = edge if mult == _EDGES else _EDGES.index(mult)
+    big = (1.0 - (1.0 + e) * y) / (2.0 - e)
+    return (big, big * (1.0 - e) + y * e, y)
+
+
+def _density_pair_vec_033(kind: EnsembleKind, big, small, kk: int):
+    """``ensembles._density_pair_vec`` of version 0.3.3: 0.2.8's with ``(big - small)^(2 kk)`` as products."""
+    diff = big - small
+    v = diff * diff if kk == 1 else (diff * diff) * (diff * diff)
+    if kind is EnsembleKind.HILBERT_SCHMIDT:
+        return v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb, ls = _logs(kind, big, small)
+        return v * _mc_vec_028(kind, big, small, lb, ls) ** kk / np.sqrt(big * small)
+
+
+def _density_pair_vec_037(kind: EnsembleKind, big, small, kk: int):
+    """``ensembles._density_pair_vec`` of version 0.3.7: BKM as ``(d gap)^kk / sqrt(big small)``, gap = log big - log small."""
+    if kind is not EnsembleKind.BKM:
+        return _density_pair_vec_033(kind, big, small, kk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((big - small) * _gap_034(big, small, np.log(big), np.log(small))) ** kk / np.sqrt(big * small)
+
+
+def _line_weight_033(kind: EnsembleKind, mult: tuple, t, edge=None, pair=_density_pair_vec_033):
+    """``ensembles._line_weight`` of version 0.3.3 (``np.where`` on every tile): 0.3.2's with t^4 and t^3 as products.
+
+    ``pair`` is the pair density it weighs: 0.3.3's, or a later one.
+    """
+    top, kk, drdy = ensembles._LINES[mult[0] if mult == _EDGES else mult]
+    if mult == _EDGES:
+        drdy = drdy * (1.0 + edge)
+    y = top * ((t * t) * (t * t))
+    bad = (y <= 0.0) | (y >= top)
+    spectra = _line_spectrum_032(mult, np.where(bad, top / 2.0, y), edge)
+    val = pair(kind, spectra[0], spectra[-1], kk) * (drdy * 4.0 * top * ((t * t) * t))
+    return np.where(bad, 0.0, val), spectra

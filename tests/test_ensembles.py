@@ -19,7 +19,18 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import chisquare, ks_2samp
 
-from kernel_copies import _density3_vec_028, _density3_vec_034, _mc_vec_028, _regular_chart_028, _regular_chart_034
+from kernel_copies import (
+    _density3_vec_028,
+    _density3_vec_034,
+    _density_pair_vec_033,
+    _density_pair_vec_037,
+    _line_spectrum_032,
+    _line_weight_033,
+    _logs,
+    _mc_vec_028,
+    _regular_chart_028,
+    _regular_chart_034,
+)
 from matrix_models import bures_spectra, ginibre_spectra
 from scalar_density import joint_density, log_joint_density, mc_function
 
@@ -154,6 +165,7 @@ class TestJointDensity:
             assert math.isfinite(val) and val >= 0.0
 
     def test_matches_indicator_fast_paths(self):
+        # the array kernels take arrays only: each point is a 1-element array
         rng = np.random.default_rng(3)
         reg = DegeneracyType((1, 1, 1))
         for kind in ALL_KINDS:
@@ -163,13 +175,13 @@ class TestJointDensity:
                 r3 = 1 - r1 - r2
                 if not r1 > r2 > r3 > 0:
                     continue
-                assert _density3_vec(kind, r1, r2, r3) == pytest.approx(
+                assert _density3_vec(kind, *(np.array([r]) for r in (r1, r2, r3)))[0] == pytest.approx(
                     joint_density(kind, reg, (r1, r2, r3)), rel=1e-12)
             for comp in ((2, 1), (1, 2)):
                 for _ in range(50):
                     y = rng.uniform(0.01, 0.32)
                     big = (1 - y) / 2 if comp == (2, 1) else 1 - 2 * y
-                    assert _density_pair_vec(kind, big, y, 2) == pytest.approx(
+                    assert _density_pair_vec(kind, np.array([big]), np.array([y]), 2)[0] == pytest.approx(
                         joint_density(kind, DegeneracyType(comp), (big, y)), rel=1e-12
                     )
 
@@ -302,7 +314,7 @@ def _density_pair_vec_028(kind: EnsembleKind, big, small, kk: int):
     if kind is EnsembleKind.HILBERT_SCHMIDT:
         return v
     with np.errstate(divide="ignore", invalid="ignore"):
-        lb, ls = ensembles._logs(kind, big, small)
+        lb, ls = _logs(kind, big, small)
         return v * _mc_vec_028(kind, big, small, lb, ls) ** kk / np.sqrt(big * small)
 
 
@@ -330,15 +342,6 @@ def _regular_weight_qutrit_034(kind: EnsembleKind, t, q):
     return np.where(bad, 0.0, val), (r1 / total, r2 / total, r3 / total)
 
 
-def _line_spectrum_032(mult: tuple, y, edge=None):
-    """``ensembles._line_spectrum`` as 0.3.2 first shipped it."""
-    if mult == (1, 1):
-        return (1.0 - y, y)
-    e = edge if mult == _EDGES else _EDGES.index(mult)
-    big = (1.0 - (1.0 + e) * y) / (2.0 - e)
-    return (big, big * (1.0 - e) + y * e, y)
-
-
 def _line_weight_032(kind: EnsembleKind, mult: tuple, t, edge=None):
     """``ensembles._line_weight`` as 0.3.2 first shipped it (``np.where`` on every tile), on the 0.2.8 density."""
     top, kk, drdy = ensembles._LINES[mult[0] if mult == _EDGES else mult]
@@ -348,29 +351,6 @@ def _line_weight_032(kind: EnsembleKind, mult: tuple, t, edge=None):
     bad = (y <= 0.0) | (y >= top)
     spectra = _line_spectrum_032(mult, np.where(bad, top / 2.0, y), edge)
     val = _density_pair_vec_028(kind, spectra[0], spectra[-1], kk) * (drdy * 4.0 * top * t ** 3)
-    return np.where(bad, 0.0, val), spectra
-
-
-def _density_pair_vec_033(kind: EnsembleKind, big, small, kk: int):
-    """``ensembles._density_pair_vec`` of version 0.3.3: 0.2.8's with ``(big - small)^(2 kk)`` as products."""
-    diff = big - small
-    v = diff * diff if kk == 1 else (diff * diff) * (diff * diff)
-    if kind is EnsembleKind.HILBERT_SCHMIDT:
-        return v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lb, ls = ensembles._logs(kind, big, small)
-        return v * _mc_vec_028(kind, big, small, lb, ls) ** kk / np.sqrt(big * small)
-
-
-def _line_weight_033(kind: EnsembleKind, mult: tuple, t, edge=None):
-    """``ensembles._line_weight`` of version 0.3.3 (``np.where`` on every tile): 0.3.2's with t^4 and t^3 as products."""
-    top, kk, drdy = ensembles._LINES[mult[0] if mult == _EDGES else mult]
-    if mult == _EDGES:
-        drdy = drdy * (1.0 + edge)
-    y = top * ((t * t) * (t * t))
-    bad = (y <= 0.0) | (y >= top)
-    spectra = _line_spectrum_032(mult, np.where(bad, top / 2.0, y), edge)
-    val = _density_pair_vec_033(kind, spectra[0], spectra[-1], kk) * (drdy * 4.0 * top * ((t * t) * t))
     return np.where(bad, 0.0, val), spectra
 
 
@@ -478,7 +458,7 @@ class TestGuideBucketEdges:
 
 
 class TestWeightBits:
-    """The chart and the densities keep the bits of their 0.3.4 copies, the pair density those of 0.3.3.
+    """The chart and the densities keep the bits of their 0.3.4 copies, the pair density those of 0.3.7.
 
     ``_ReferenceSampler`` shares the package's weight, so only this pins
     it.  The regular chart and density also stay within a few ulp of 0.2.8's
@@ -515,7 +495,7 @@ class TestWeightBits:
         t, q = self._box_points()
         new = self._weights(kind, t, q)
         for name, kernel in (("_regular_chart", _regular_chart_034), ("_density3_vec", _density3_vec_034),
-                             ("_density_pair_vec", _density_pair_vec_033)):
+                             ("_density_pair_vec", _density_pair_vec_037)):
             monkeypatch.setattr(ensembles, name, kernel)
         old = self._weights(kind, t, q)
         for a, b in zip(new, old, strict=True):
@@ -560,7 +540,8 @@ class TestMaskedWeightBits:
     """Both weights keep the bits of their ``np.where`` copies on their fast path (no off-simplex row) and their masked path.
 
     The regular weight keeps those of ``_regular_weight_qutrit_034``, the
-    line weight those of ``_line_weight_033``.  The interior points of
+    line weight those of ``_line_weight_033`` on the pair density of 0.3.7,
+    whose HS and Bures bits are 0.3.3's.  The interior points of
     ``TestWeightBits._box_points`` have no such row; its box edges and the
     chart ends t = 0 and t = 1 of a line piece do.
     """
@@ -595,7 +576,8 @@ class TestMaskedWeightBits:
     @pytest.mark.parametrize("part", ["interior", "edges"])
     def test_line_weight_matches_033(self, kind, mult, part):
         t, edge = self._line_points(mult, part)
-        self._assert_same(ensembles._line_weight(kind, mult, t, edge), _line_weight_033(kind, mult, t, edge))
+        self._assert_same(ensembles._line_weight(kind, mult, t, edge),
+                          _line_weight_033(kind, mult, t, edge, pair=_density_pair_vec_037))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("mult", [(1, 1), (2, 1), (1, 2), _EDGES])
@@ -620,7 +602,13 @@ class TestMaskedWeightBits:
 
 
 class TestSeriesCutoff:
-    """``_mc_vec`` keeps 0.2.8's bits where |d| = |x - y| / (x + y) lies a few ulp either side of the cutoff."""
+    """The BKM pair density takes the series exactly where its plain 0.3.7 copy does, a few ulp either side of the cutoff.
+
+    The copy takes the series on every row with |e| = |x - y| / (x + y)
+    <= ``BKM_SERIES_CUTOFF``, as 0.2.8's ``_mc_vec`` did; the kernel tries
+    it on the candidate rows of its bound only.  Both pair powers and both
+    signs of x - y are checked.
+    """
 
     @staticmethod
     def _pairs():
@@ -633,7 +621,8 @@ class TestSeriesCutoff:
         x, y = s * (1.0 + d0) / 2.0, s * (1.0 - d0) / 2.0
         return x, y, (x - y) / (x + y)
 
-    def test_matches_028_around_the_cutoff(self):
+    @pytest.mark.parametrize("kk", [1, 2])
+    def test_matches_the_plain_copy_around_the_cutoff(self, kk):
         x, y, d = self._pairs()
         cutoff = ensembles.BKM_SERIES_CUTOFF
         # d within 8 ulp of the cutoff, on both sides of it and with both signs
@@ -642,20 +631,27 @@ class TestSeriesCutoff:
         for side in (np.abs(d) <= cutoff, np.abs(d) > cutoff):
             for sign in (d > 0.0, d < 0.0):
                 assert np.count_nonzero(close & side & sign) >= 10
-        lx, ly = np.log(x), np.log(y)
         for cut in (slice(None), close):
-            new = ensembles._mc_vec(EnsembleKind.BKM, x[cut], y[cut], x[cut] - y[cut], lx[cut], ly[cut])
-            assert np.array_equal(new, _mc_vec_028(EnsembleKind.BKM, x[cut], y[cut], lx[cut], ly[cut]))
+            new = _density_pair_vec(EnsembleKind.BKM, x[cut], y[cut], kk)
+            assert np.array_equal(new, _density_pair_vec_037(EnsembleKind.BKM, x[cut], y[cut], kk))
+            # 0.2.8 divided log x - log y by x - y: 9.9e-16 relative at most
+            np.testing.assert_allclose(new, _density_pair_vec_028(EnsembleKind.BKM, x[cut], y[cut], kk),
+                                       rtol=2e-15, atol=0.0)
 
+    @pytest.mark.parametrize("kk", [1, 2])
     @pytest.mark.parametrize("scale", [-1.0, 4.0])
-    def test_matches_028_off_the_simplex(self, scale):
+    def test_matches_the_plain_copy_off_the_simplex(self, scale, kk):
         # the candidate bound holds for any finite input: x + y negative, or above 1
         x, y, _ = self._pairs()
         x, y = scale * x, scale * y
-        with np.errstate(invalid="ignore"):
-            lx, ly = np.log(x), np.log(y)
-        new = ensembles._mc_vec(EnsembleKind.BKM, x, y, x - y, lx, ly)
-        assert np.array_equal(new, _mc_vec_028(EnsembleKind.BKM, x, y, lx, ly), equal_nan=True)
+        new = _density_pair_vec(EnsembleKind.BKM, x, y, kk)
+        assert np.array_equal(new, _density_pair_vec_037(EnsembleKind.BKM, x, y, kk), equal_nan=True)
+
+    @pytest.mark.parametrize("kk", [1, 2])
+    def test_equal_eigenvalues_give_zero(self, kk):
+        # d gap is 0 where d = 0; a gap / d form gives 0 / 0 = NaN there
+        x = np.linspace(0.01, 0.99, 99)
+        assert np.array_equal(_density_pair_vec(EnsembleKind.BKM, x, x.copy(), kk), np.zeros(x.size))
 
 
 class TestDensitySeriesCutoff:
@@ -731,7 +727,6 @@ class TestKernelsKeepTheirInputs:
         else:
             t, q = np.linspace(0.0, 1.0, 128) ** 4, rng.random((145, 1))
         (r1, r2, r3), _ = ensembles._regular_chart(t, q)
-        logs = ensembles._logs(EnsembleKind.BKM, r1, r2)
         line_t = rng.random(SpectrumSampler._TILE) if shape == "tile" else indicators._RAY_X ** 4
         edge = (rng.random(line_t.size) < 0.5).astype(float)
         cdf = np.cumsum(_envelope_table(kind, (1, 1, 1)))
@@ -745,7 +740,7 @@ class TestKernelsKeepTheirInputs:
             ("_line_weight", (line_t,), lambda t: ensembles._line_weight(kind, (1, 1), t)),
             ("_density3_vec", (r1, r2, r3), lambda *a: _density3_vec(kind, *a)),
             ("_density_pair_vec", (r1, r3), lambda *a: _density_pair_vec(kind, *a, 2)),
-            ("_mc_vec", (r1, r2, r1 - r2, *logs), lambda *a: ensembles._mc_vec(kind, *a)),
+            ("_density_pair_vec", (r1, r2), lambda *a: _density_pair_vec(kind, *a, 1)),
             ("_cell_lookup", (guide, above, x), lambda g, a, x: _cell_lookup((g, scale, a), x)),
             ("_dual_pairing", (r1, r2, r3, kernel), lambda *a: _dual_pairing(a[:3], a[3])),
         ]
@@ -913,7 +908,12 @@ _AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_S
 
 
 def _dispatch_digests() -> dict[str, str]:
-    """SHA-256 of the sample streams of every ensemble and stratum, and of the HS and Bures weights of every piece."""
+    """SHA-256 of the sample streams of every ensemble and stratum, and of the HS and Bures weights and quadrature.
+
+    The weights are those of every piece; the quadrature values and error
+    estimates those of every stratum over both figure grids (61 angles,
+    then 60 half a step off), built in this process.
+    """
     out = {}
     for kind in ALL_KINDS:
         for stratum in (QUBIT_STRATUM, REGULAR_QUTRIT, DEGENERATE_QUTRIT):
@@ -931,20 +931,32 @@ def _dispatch_digests() -> dict[str, str]:
         weights[(1, 1, 1)] = ensembles._regular_weight_qutrit(kind, t, q)
         for mult, (w, spectra) in weights.items():
             out[f"weight {kind.value} {mult}"] = hashlib.sha256(b"".join(a.tobytes() for a in (w, *spectra))).hexdigest()
+    grid = np.concatenate([np.linspace(0.0, ZETA_MAX, 61),
+                           np.linspace(math.pi / 360.0, ZETA_MAX - math.pi / 360.0, 60)]).tolist()
+    kinds = (EnsembleKind.HILBERT_SCHMIDT, EnsembleKind.BURES)
+    for stratum in (QUBIT_STRATUM, REGULAR_QUTRIT, DEGENERATE_QUTRIT):
+        curves = indicators.indicators(kinds, stratum, indicators.Method.QUADRATURE,
+                                       [None] if stratum.n == 2 else grid)
+        for kind, curve in zip(kinds, curves):
+            out[f"quadrature {kind.value} {_stratum_kind(stratum)}"] = hashlib.sha256(np.array(curve).tobytes()).hexdigest()
     return out
 
 
 def test_streams_do_not_follow_dispatch():
-    """Every stratum's sample stream gives the same bits with numpy's AVX-512 dispatch on and off.
+    """Every stratum's sample stream, and HS and Bures quadrature, give the same bits with numpy's AVX-512 dispatch on and off.
 
     This process's digests are compared with those of a subprocess that
     runs with CI's avx512-off feature list.  On a CPU without AVX-512, or
     in CI's avx512-off job, both sides run the same loops, so the test
-    cannot fail there.  The weights are products, sums, quotients and
-    ``np.sqrt``, whose bits do not follow the dispatch; the regular chart
-    takes no trigonometry.  BKM weights also take ``np.log``, whose last
-    bits do follow it, so only their streams are compared: an ulp of weight
-    flips an acceptance with odds of about 1e-16 per proposal.
+    cannot fail there; CI's log shows which extensions each job found.
+    The weights are products, sums, quotients and ``np.sqrt``, whose bits
+    do not follow the dispatch; the regular chart takes no trigonometry,
+    quadrature's chart points t = x^4 are products and its tanh-sinh nodes
+    come from ``math``.  BKM weights also take ``np.log``, whose last bits
+    do follow it, so only their streams are compared: an ulp of weight
+    flips an acceptance with odds of about 1e-16 per proposal.  BKM
+    quadrature on the regular stratum follows the dispatch in its last
+    bits, so BKM quadrature is left out.
     """
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(ensembles.__file__))

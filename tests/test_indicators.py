@@ -13,18 +13,20 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 import pytest
 
-from kernel_copies import _density3_vec_028, _regular_chart_028
+from kernel_copies import _density3_vec_028, _line_weight_033, _regular_chart_028
 
 import wigner_classicality
+import wigner_classicality.ensembles as ensembles
 import wigner_classicality.indicators as ind
 from wigner_classicality.ensembles import (
     _EDGES,
     _LINES,
+    _STRATA,
     EnsembleKind,
     SamplerFailureError,
     SpectrumSampler,
     _density3_vec,
-    _line_weight,
+    _proposal_weight,
     _regular_chart,
     stratum_spectra,
     worker_seed,
@@ -190,10 +192,10 @@ class TestQuadrature:
         # a cell reads one fixed ray table, built now or cached, so the
         # cache changes neither its value nor its error estimate
         request = quad_request(EnsembleKind.BKM, REGULAR_QUTRIT, 0.4)
-        ind._regular_table.cache_clear()
+        ind._ray_table.cache_clear()
         ind._table_union.cache_clear()  # which holds the tables' rows
         cold = q_quadrature(request)
-        assert ind._regular_table.cache_info().currsize == 1
+        assert ind._ray_table.cache_info().currsize == 1
         warm = q_quadrature(request)
         assert (warm.q, warm.error_estimate) == (cold.q, cold.error_estimate)
 
@@ -205,7 +207,7 @@ class TestQuadrature:
             return res.q, res.error_estimate
 
         first = cell()
-        ind._line_table.cache_clear()
+        ind._ray_table.cache_clear()
         ind._table_union.cache_clear()  # which holds the fits' rows
         assert cell() == first  # fits built again
         assert cell() == first  # fits from the cache
@@ -282,7 +284,7 @@ class TestQuadrature:
 
 def _quadrature_edge_split(ensemble: EnsembleKind) -> float:
     """The (2,1) edge's share of the degenerate stratum in quadrature, G0_21 / (G0_21 + G0_12)."""
-    g21, g12 = ind._line_table(ensemble, _EDGES)[2][:, 0]
+    g21, g12 = ind._ray_table(ensemble, "degenerate")[2][:, 0]
     return g21 / (g21 + g12)
 
 
@@ -384,8 +386,8 @@ class TestRayFitRounding:
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_regular_rays(self, ensemble):
-        q, _, h, _, _ = ind._regular_table(ensemble)
-        rows = ind._regular_rows(ensemble, q)
+        q, _, h, _, _ = ind._ray_table(ensemble, "regular")
+        rows = _weight_rows(ensemble, "regular", q)
         b, _ = ind._ray_coefficients(rows)
         assert np.array_equal(ind._ray_fit(rows)[0], h)  # the table's own rays
         for zeta in self.ZETAS:
@@ -393,17 +395,16 @@ class TestRayFitRounding:
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_line_pieces(self, ensemble):
-        x = ind._RAY_X
         qubit_cut = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
-        for pieces, cuts in [(((1, 1),), [[qubit_cut]]),
-                             (_EDGES, [[ind._edge_classical_cutoff(comp, zeta) for comp in _EDGES]
-                                       for zeta in self.ZETAS])]:
-            h = ind._line_table(ensemble, pieces)[2]
-            rows = np.array([_line_weight(ensemble, mult, x ** 4)[0] for mult in pieces]) * (4.0 * x ** 3)
+        for skind, cuts in [("qubit", [[qubit_cut]]),
+                            ("degenerate", [[ind._edge_classical_cutoff(comp, zeta) for comp in _EDGES]
+                                            for zeta in self.ZETAS])]:
+            keys, _, h, _, _ = ind._ray_table(ensemble, skind)
+            rows = _weight_rows(ensemble, skind, keys)
             b, _ = ind._ray_coefficients(rows)
             assert np.array_equal(ind._ray_fit(rows)[0], h)
             for y_c in cuts:
-                self.assert_within_rounding(h, b, (np.array(y_c) / _LINES[pieces[0]][0]) ** 0.25)
+                self.assert_within_rounding(h, b, np.sqrt(np.sqrt(np.array(y_c) / _LINES[_STRATA[skind][0]][0])))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -413,7 +414,7 @@ class TestRayCumulativeNodes:
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_ends_read_exact_values(self, ensemble):
-        h = ind._regular_table(ensemble)[2]
+        h = ind._ray_table(ensemble, "regular")[2]
         rows = np.ones(len(h))
         assert np.array_equal(ind._ray_read(ind._ray_weights(0.0 * rows), h), h[:, 0])  # G(0)
         assert np.array_equal(ind._ray_read(ind._ray_weights(rows), h), np.zeros(len(h)))
@@ -422,7 +423,7 @@ class TestRayCumulativeNodes:
     def test_one_ulp_off_a_point_is_continuous(self, ensemble):
         # t next to x_j^4 puts x within a few ulps of x_j, where G moves by
         # the weight times that distance: far below 1e-12 of the largest h
-        h = ind._regular_table(ensemble)[2]
+        h = ind._ray_table(ensemble, "regular")[2]
         scale = np.abs(h).max()
         for j, xj in enumerate(ind._RAY_NODES):
             on_point = xj ** 4
@@ -436,9 +437,9 @@ class TestRayCumulativeNodes:
         # at zeta = 0 the (2,1) edge is wholly classical: y_c = 0, so its
         # t = 0 reads G(0) exactly from the x = 0 point (the cell's value is
         # checked against its reference in TestQuadratureAccuracy)
-        _, _, h, den, _ = ind._line_table(ensemble, _EDGES)
+        _, _, h, den, _ = ind._ray_table(ensemble, "degenerate")
         ((num,), _), = ind._table_integrals((ensemble,), "degenerate", [0.0])
-        t_12 = (ind._edge_classical_cutoff((1, 2), 0.0) / _LINES[(1, 2)][0]) ** 0.25
+        t_12 = np.sqrt(np.sqrt(ind._edge_classical_cutoff((1, 2), 0.0) / _LINES[(1, 2)][0]))
         edges = ind._ray_read(ind._ray_weights(np.array([0.0, t_12])), h)
         assert edges[0] == h[0, 0]
         assert num == float(edges.sum()) and den[0] == float(h[:, 0].sum())
@@ -528,12 +529,19 @@ def _regular_rows_035(kind: EnsembleKind, q):
     return rows * (area * 4.0 * x ** 3)
 
 
-#: The regular tables' rules: tanh-sinh nodes u on [0, 1], read as phi = pi u
-#: from 0.2.8 to 0.3.4 (rows of 0.2.8's or 0.3.4's chart), and as q = u since
-#: 0.3.5; each is (rows, d(ray variable)/du, cutoff at the nodes u).
-PHI_028 = (_regular_rows_028, math.pi, lambda u, zeta: _regular_classical_cutoff_028(math.pi * u, zeta))
-PHI_034 = (_regular_rows_034, math.pi, PHI_028[2])
-Q_035 = (_regular_rows_035, 1.0, _regular_classical_cutoff_035)
+def _weight_rows(kind: EnsembleKind, skind: str, keys):
+    """The rows that ``_ray_table`` fits at its row ``keys``: the samplers' ``_proposal_weight`` times dt/dx.
+
+    Each ray of fixed q, or each line piece, is weighed alone, at the chart
+    points t = x^4 of ``_RAY_X`` formed here as products.
+    """
+    x = ind._RAY_X
+    t = (x * x) * (x * x)
+    if skind == "regular":
+        w = [_proposal_weight(kind, ((1, 1, 1),), (t, np.full(t.size, q)))[0] for q in keys]
+    else:
+        w = [_proposal_weight(kind, (_STRATA[skind][int(k)],), (t,))[0] for k in keys]
+    return np.array(w) * (4.0 * (x * x * x))
 
 
 def _rule_nodes_028():
@@ -545,11 +553,26 @@ def _rule_nodes_028():
     return u, math.pi * np.cosh(t) * u * v
 
 
+def _rule_nodes_037():
+    """The 145 tanh-sinh nodes of 0.3.7's table, taken by ``math`` node by node, and their weights."""
+    return ind._TS_Q, ind._TS_RULES[0] / ind._TS_STEP
+
+
+#: The regular tables' rules: tanh-sinh nodes u on [0, 1], read as phi = pi u
+#: from 0.2.8 to 0.3.4 (rows of 0.2.8's or 0.3.4's chart), and as q = u since
+#: 0.3.5; each is (rows, d(ray variable)/du, cutoff at the nodes u, nodes).
+#: 0.3.7 fits the samplers' weight, at nodes taken by ``math``.
+PHI_028 = (_regular_rows_028, math.pi, lambda u, zeta: _regular_classical_cutoff_028(math.pi * u, zeta), _rule_nodes_028)
+PHI_034 = (_regular_rows_034, math.pi, PHI_028[2], _rule_nodes_028)
+Q_035 = (_regular_rows_035, 1.0, _regular_classical_cutoff_035, _rule_nodes_028)
+Q_037 = (lambda kind, q: _weight_rows(kind, "regular", q), 1.0, _regular_classical_cutoff_035, _rule_nodes_037)
+
+
 @functools.lru_cache(maxsize=None)
 def _regular_table_028(kind: EnsembleKind, rule=PHI_034):
     """``indicators._regular_table`` of version 0.2.8, all 145 rays, fitted to the rows of ``rule``."""
-    rows, span, _ = rule
-    u, w = _rule_nodes_028()
+    rows, span, _, nodes = rule
+    u, w = nodes()
     rules = np.zeros((2, u.size))
     rules[0] = w * (span * ind._TS_STEP)
     rules[1, ::2] = w[::2] * (2.0 * span * ind._TS_STEP)
@@ -573,9 +596,28 @@ def _regular_cell_028(kind: EnsembleKind, zeta: float, rule=PHI_034) -> tuple[fl
 
 
 def _quadrature_block_028(kinds, stratum, zetas):
-    """``indicators._quadrature_block`` on the regular stratum from ``_regular_cell_028`` by the q rule."""
+    """``indicators._quadrature_block`` on the regular stratum from ``_regular_cell_028`` by 0.3.7's q rule."""
     assert stratum is REGULAR_QUTRIT
-    return [tuple(map(list, zip(*(_regular_cell_028(kind, zeta, Q_035) for zeta in zetas)))) for kind in kinds]
+    return [tuple(map(list, zip(*(_regular_cell_028(kind, zeta, Q_037) for zeta in zetas)))) for kind in kinds]
+
+
+def _line_cell_036(kind: EnsembleKind, skind: str, zeta) -> tuple[float, float]:
+    """``q_quadrature``'s value and error estimate of version 0.3.6 on a line stratum.
+
+    One fit per piece of 0.3.3's line weight (whose bits 0.3.6 kept) at
+    t = x ** 4, times 4 x ** 3, cut at t_c = (y_c / top) ** 0.25.
+    """
+    pieces = _STRATA[skind]
+    x = ind._RAY_X
+    h, err = ind._ray_fit(np.array([_line_weight_033(kind, mult, x ** 4)[0] for mult in pieces]) * (4.0 * x ** 3))
+    if skind == "qubit":
+        y_c = [(1.0 - 1.0 / SQRT3) / 2.0]
+    else:
+        y_c = [ind._edge_classical_cutoff(comp, zeta) for comp in pieces]
+    num = float(_ray_cumulative_028(h, (np.array(y_c) / _LINES[pieces[0]][0]) ** 0.25).sum())
+    den, fit_err = float(h[:, 0].sum()), float(err.sum())
+    q = num / den
+    return q, abs(q) * (fit_err / num if num > 0.0 else 0.0) + abs(q) * fit_err / den
 
 
 #: The benchmark's cold and warm curve grids: 61 angles, then 60 half a step off.
@@ -583,12 +625,45 @@ FIGURE_GRIDS = (np.linspace(0.0, ZETA_MAX, 61),
                 np.linspace(math.pi / 360.0, ZETA_MAX - math.pi / 360.0, 60))
 
 
+class TestOneWeightKernel:
+    """Quadrature fits the weight that every sampler draws from, ``ensembles._proposal_weight``, and no copy of it."""
+
+    @pytest.mark.parametrize("skind", ["qubit", "regular", "degenerate"])
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_table_rows_are_the_sampler_weight(self, ensemble, skind):
+        # every kept row is the fit of _proposal_weight times dt/dx, each ray
+        # or piece weighed alone, bit for bit
+        keys, _, h, _, _ = ind._ray_table(ensemble, skind)
+        assert np.array_equal(ind._ray_fit(_weight_rows(ensemble, skind, keys))[0], h)
+        if skind != "regular":
+            assert np.array_equal(keys, np.arange(len(_STRATA[skind])))
+
+    def test_rule_nodes_near_028(self):
+        # nodes and weights by math, one at a time, against 0.2.8's numpy
+        # arrays: near q = 0, exp(pi sinh s) at |pi sinh s| up to 141 carries
+        # the rounding of its argument, 2.8e-14 relative at most
+        q, w = _rule_nodes_037()
+        q_old, w_old = _rule_nodes_028()
+        np.testing.assert_allclose(q, q_old, rtol=5e-14, atol=0.0)
+        np.testing.assert_allclose(w, w_old, rtol=5e-14, atol=0.0)
+        assert np.array_equal(ind._TS_RULES[1, ::2], 2.0 * ind._TS_RULES[0, ::2])
+        assert not ind._TS_RULES[1, 1::2].any()
+
+    def test_indicators_binds_no_weight_kernel(self):
+        # a second copy of a weight would need one of these, under any name
+        kernels = [getattr(ensembles, name) for name in ("_density3_vec", "_density_pair_vec", "_line_weight",
+                                                          "_regular_chart", "_regular_weight_qutrit")]
+        assert not [name for name, value in vars(ind).items() if any(value is k for k in kernels)]
+        assert ind._proposal_weight is ensembles._proposal_weight
+
+
 class TestPrunedTableBits:
-    """The pruned ray table keeps every q bit of 0.2.8's 145 rays by the q rule, and no error estimate shrinks.
+    """The pruned ray table keeps every q bit of the full 145 rays fitted on the same rows, and no error estimate shrinks.
 
     0.2.8's table and integrals are copied above, as ``kernel_copies``
     copies the kernels, with the rules of each chart they were read in:
-    0.3.5's rule in q (``Q_035``), whose bits the table keeps, and the
+    0.3.7's rule in q over the samplers' weight (``Q_037``), whose bits the
+    table keeps; 0.3.5's rule in q (``Q_035``), which 0.3.6 read; and the
     rules in phi over 0.3.4's rows and over 0.2.8's rows of the (t, phi)
     chart, where every q bit of 0.3.3 lies.
     """
@@ -597,7 +672,7 @@ class TestPrunedTableBits:
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_figure_grids_near_the_phi_rule(self, ensemble, rule):
         # rays in q move each q by far less than its own error estimate:
-        # measured 2.6e-13 relative and 0.006 of the estimate at most
+        # measured 2.7e-13 relative and 0.006 of the estimate at most
         grid = np.concatenate(FIGURE_GRIDS)
         values, errors = ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid)[ALL_KINDS.index(ensemble)]
         for zeta, q, err in zip(grid, values, errors):
@@ -606,13 +681,31 @@ class TestPrunedTableBits:
             assert abs(q - old_q) <= 1e-12 * old_q, zeta
             assert 0.9 * old_err <= err <= 1.1 * old_err, zeta
 
+    @pytest.mark.parametrize("skind", ["qubit", "regular", "degenerate"])
+    @pytest.mark.parametrize("ensemble", ALL_KINDS)
+    def test_figure_grids_near_036(self, ensemble, skind):
+        # fitting the samplers' weight at dispatch-free nodes moved every cell
+        # once: measured 2.6e-13 relative, 0.05 of the 0.3.6 estimate and a
+        # factor 1.14 in the estimate at most
+        stratum = {"qubit": QUBIT_STRATUM, "regular": REGULAR_QUTRIT, "degenerate": DEGENERATE_QUTRIT}[skind]
+        grid = [None] if skind == "qubit" else np.concatenate(FIGURE_GRIDS).tolist()
+        values, errors = ind.indicators(ALL_KINDS, stratum, Method.QUADRATURE, grid)[ALL_KINDS.index(ensemble)]
+        for zeta, q, err in zip(grid, values, errors):
+            if skind == "regular":
+                old_q, old_err = _regular_cell_028(ensemble, zeta, Q_035)
+            else:
+                old_q, old_err = _line_cell_036(ensemble, skind, zeta)
+            assert abs(q - old_q) <= 0.1 * old_err, zeta
+            assert abs(q - old_q) <= 1e-12 * old_q, zeta
+            assert old_err / 1.25 <= err <= 1.25 * old_err, zeta
+
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_figure_grids(self, ensemble):
         # read through one call for all three ensembles, as the figures read them
         grid = np.concatenate(FIGURE_GRIDS)
         values, errors = ind.indicators(ALL_KINDS, REGULAR_QUTRIT, Method.QUADRATURE, grid)[ALL_KINDS.index(ensemble)]
         for zeta, q, err in zip(grid, values, errors):
-            old_q, old_err = _regular_cell_028(ensemble, zeta, Q_035)
+            old_q, old_err = _regular_cell_028(ensemble, zeta, Q_037)
             assert q.hex() == old_q.hex(), zeta
             # the dropped rays' mass is added to the error term
             assert err >= old_err, zeta
@@ -628,8 +721,8 @@ class TestPrunedTableBits:
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
     def test_kept_rays(self, ensemble):
         # every dropped ray weighs at most 1e-26 of the denominator, every kept one more
-        q, rules, h, den, fit_err = ind._regular_table(ensemble)
-        q_all, rules_all, h_all, den_all, fit_err_all = _regular_table_028(ensemble, Q_035)
+        q, rules, h, den, fit_err = ind._ray_table(ensemble, "regular")
+        q_all, rules_all, h_all, den_all, fit_err_all = _regular_table_028(ensemble, Q_037)
         kept = np.isin(q_all, q)
         assert np.count_nonzero(kept) == {EnsembleKind.HILBERT_SCHMIDT: 83, EnsembleKind.BURES: 90,
                                           EnsembleKind.BKM: 91}[ensemble]
@@ -648,18 +741,23 @@ class TestPrunedTableBits:
         # r2 = r3, some at r2 = 0, where the Bures and BKM densities are NaN;
         # built under the suite's RuntimeWarning-as-error filter, every row
         # is finite and >= 0, and every such point reads exactly 0
-        ind._regular_table.cache_clear()
+        ind._ray_table.cache_clear()
         ind._table_union.cache_clear()  # which holds the tables' rows
-        _, _, h, den, fit_err = ind._regular_table(ensemble)
+        _, _, h, den, fit_err = ind._ray_table(ensemble, "regular")
         assert np.all(np.isfinite(h)) and np.all(np.isfinite(den)) and math.isfinite(fit_err)
-        q, _ = _rule_nodes_028()
-        rows = ind._regular_rows(ensemble, q)
-        (_, r2, r3), _ = _regular_chart(ind._RAY_X ** 4, q[:, None])
-        off = r2 <= r3
+        q = ind._TS_Q
+        rows = _weight_rows(ensemble, "regular", q)
+        spectra, area = _regular_chart(ind._RAY_T, q[:, None])
+        off = spectra[1] <= spectra[2]
         assert off[:, 1:].any()  # beyond x = 1, where r1 = r2 = r3 on every ray
         assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
         assert np.all(rows[off] == 0.0)
-        assert np.array_equal(rows, _regular_rows_035(ensemble, q))
+        # 0.3.5's formula at the same points, density times (area times dt/dx):
+        # another order of the same products, 3.3e-16 relative at most
+        with np.errstate(invalid="ignore", divide="ignore"):
+            old = _density3_vec(ensemble, *spectra)
+        old[off] = 0.0
+        np.testing.assert_allclose(rows, old * (area * ind._RAY_DT), rtol=1e-15, atol=0.0)
 
 
 class TestQuadratureBlocks:

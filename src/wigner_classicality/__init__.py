@@ -6,7 +6,7 @@ Schmidt, Bures, Bogoliubov-Kubo-Mori), per degeneracy stratum, and across
 the one-parameter family of qutrit phase-space kernels.
 """
 
-__version__ = "0.3.7"
+__version__ = "0.3.8"
 
 from .spectra import (
     DegeneracyType,

@@ -40,6 +40,7 @@ from .indicators import (
     Method,
     UnsupportedRequestError,
     _degenerate_to_regular_ratios,
+    _mc_cells,
     _minima,
     compute_indicator,
     indicators,
@@ -352,27 +353,29 @@ def _check(name: str, expected: float, actual: float, tolerance: float) -> dict:
 VERIFY_MIN_EXPECTED_HITS = 25
 
 
-def _mc_checks(args: argparse.Namespace) -> list[dict]:
-    """Monte Carlo versus quadrature at 4 sigma, on nine cells.
+@contextlib.contextmanager
+def _mc_checks(args: argparse.Namespace):
+    """Monte Carlo versus quadrature at 4 sigma, on nine cells drawn in one pass of ``_mc_cells``.
 
     A cell draws ``min(--samples, 200 000)`` spectra, or
     ``ceil(VERIFY_MIN_EXPECTED_HITS / q_quad)`` if that is more.  Cell
     ``idx`` is seeded with ``worker_seed(seed, idx)``, so no two cells or
-    chunks share a stream.
+    chunks share a stream.  Entering submits every cell's runs, and the
+    block gets a function that waits for them and returns the nine checks.
     """
     samples = min(args.samples, 200_000)
     mc_cells = [(e, tag, math.pi / 6.0) for e in EnsembleKind for tag in ("regular", "degenerate")]
     mc_cells += [(e, "qubit", None) for e in EnsembleKind]
-    checks = []
+    cells, expected = [], []
     for idx, (ensemble, tag, z) in enumerate(mc_cells):
         stratum = _STRATUM_LABELS[tag]
         quad = compute_indicator(IndicatorRequest(ensemble, stratum, Method.QUADRATURE, z)).q
         n = max(samples, math.ceil(VERIFY_MIN_EXPECTED_HITS / quad)) if quad > 0.0 else samples
-        mc = compute_indicator(IndicatorRequest(ensemble, stratum, Method.MONTE_CARLO, z, samples=n,
-                                                seed=worker_seed(args.seed, idx), workers=args.workers)).q
-        sigma = math.sqrt(quad * (1.0 - quad) / n)
-        checks.append(_check(f"mc_vs_quad[{ensemble.label},{tag}]", quad, mc, 4.0 * sigma))
-    return checks
+        cells.append((ensemble, stratum, [z], n, worker_seed(args.seed, idx)))
+        expected.append((f"mc_vs_quad[{ensemble.label},{tag}]", quad, 4.0 * math.sqrt(quad * (1.0 - quad) / n)))
+    with _mc_cells(cells, args.workers) as collect:
+        yield lambda: [_check(name, quad, mc, tolerance)
+                       for (name, quad, tolerance), ((mc,), _) in zip(expected, collect())]
 
 
 def _verify_checks(args: argparse.Namespace) -> list[dict]:
@@ -391,8 +394,17 @@ def _verify_checks(args: argparse.Namespace) -> list[dict]:
         for z, c, q in zip(zeta_probe, closed, quad):
             checks.append(_check(f"hs_{tag}_quad_vs_closed[zeta={z:.6f}]", c, q, tol * c))
 
-    checks += _mc_checks(args)
+    # the pool draws the Monte Carlo cells while this process runs the
+    # checks that follow them in the report
+    with _mc_checks(args) as mc_checks:
+        later = _checks_after_mc(args, tol)
+        checks += mc_checks()
+    return checks + later
 
+
+def _checks_after_mc(args: argparse.Namespace, tol: float) -> list[dict]:
+    """The checks of ``verify`` that follow Monte Carlo: symmetry, asymmetry, ensemble ordering and the cone."""
+    checks: list[dict] = []
     # Hilbert-Schmidt mirror symmetry of the closed forms
     deltas = (0.05, 0.1, 0.15)
     for tag in ("regular", "degenerate"):

@@ -270,23 +270,34 @@ def _regular_chart(t, q):
 
 
 def _regular_weight_qutrit(kind: EnsembleKind, t, q):
-    """Rejection weight for the regular qutrit stratum in the chart ``_regular_chart``, and the spectra.
+    """Rejection weight for the regular qutrit stratum in the chart ``_regular_chart``, and the chart's spectra.
 
-    Proposals off the open ordered simplex get weight 0; the spectra are
-    renormalised to sum to one.
+    Proposals off the open ordered simplex get weight 0, so they are never
+    accepted, and placeholder spectra, on which the density is finite.  The
+    spectra sum to one only within rounding: the sampler renormalises the
+    rows it accepts (``_renormalise``), and quadrature reads no spectrum.
     """
     (r1, r2, r3), area = _regular_chart(t, q)
     bad = (r1 <= r2) | (r2 <= r3) | (t <= 0.0)
-    off = bad.any()  # a random tile seldom has such a row
-    spectra = [np.where(bad, fill, r) for fill, r in zip((0.5, 0.3, 0.2), (r1, r2, r3))] if off else (r1, r2, r3)
-    val = _density3_vec(kind, *spectra)
+    off = bad.any()  # a random tile seldom has such a row, a quadrature table always
+    if off:  # r1 and r2 have the mask's shape; r3 has t's, which quadrature broadcasts
+        np.copyto(r1, 0.5, where=bad)
+        np.copyto(r2, 0.3, where=bad)
+        r3 = np.where(bad, 0.2, r3)
+    val = _density3_vec(kind, r1, r2, r3)
     val *= area
     if off:
         val[bad] = 0.0
+    return val, (r1, r2, r3)
+
+
+def _renormalise(columns) -> None:
+    """Divide spectrum columns, in place, by their row sums."""
+    r1, r2, r3 = columns
     total = r1 + r2 + r3
     r1 /= total
     r2 /= total
-    return val, (r1, r2, r3 / total)
+    r3 /= total
 
 
 def _line_weight(kind: EnsembleKind, mult: tuple, t, edge=None):
@@ -470,6 +481,7 @@ class SpectrumSampler:
     def _cover(self, pieces: tuple) -> None:
         """Draw from the union of ``pieces``, which share the proposal box, with their tables end to end."""
         self._pieces = pieces
+        self._regular = pieces == ((1, 1, 1),)
         self._envelope = np.concatenate([_envelope_table(self.kind, mult) for mult in pieces])
 
     @property
@@ -501,7 +513,9 @@ class SpectrumSampler:
         batches sized from the running acceptance, and the rows that its
         last batch accepts past the block's end are dropped.  A batch's
         tiles are yielded only after the whole batch has passed its checks,
-        so a failing batch yields nothing.
+        so a failing batch yields nothing.  Regular-stratum rows are
+        renormalised as they are yielded (``_renormalise``), so only
+        accepted rows are.
         """
         for done in range(0, n, self._CHUNK):
             m = min(self._CHUNK, n - done)
@@ -522,7 +536,10 @@ class SpectrumSampler:
                 for columns in tiles:
                     k = min(len(columns[0]), m)
                     if k:
-                        yield tuple(c[:k] for c in columns)
+                        columns = tuple(c[:k] for c in columns)
+                        if self._regular:
+                            _renormalise(columns)
+                        yield columns
                     m -= k
 
     def _draw(self, m: int) -> list[tuple[np.ndarray, ...]]:

@@ -20,6 +20,7 @@ degenerate-to-regular ratio.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import math
 import numbers
 import os
@@ -644,8 +645,8 @@ def _mc_pool(size: int):
     if _POOL is not None and _POOL[0] >= size:
         return _POOL[1]
     _close_pool()
-    # imported here, as in _mc_block, so that importing the package and
-    # counting one run of chunks load no process or executor machinery
+    # imported here, as in _mc_cells, so that importing the package and
+    # counting one run of chunks per cell load no process or executor machinery
     import multiprocessing
     import warnings
     from concurrent.futures import ProcessPoolExecutor
@@ -668,62 +669,91 @@ def _mc_pool(size: int):
 
 @atexit.register
 def _close_pool() -> None:
-    """Shut the Monte Carlo pool down and drop it, before the interpreter tears its modules down."""
+    """Shut the Monte Carlo pool down, its queued runs cancelled, and drop it, before the interpreter tears its modules down."""
     global _POOL
     if _POOL is not None:
         (_, pool), _POOL = _POOL, None
-        pool.shutdown()
+        pool.shutdown(cancel_futures=True)
 
 
-def _mc_block(kind: EnsembleKind, stratum: StratumLabel, zetas, samples: int, seed: int,
-              workers: int) -> tuple[list[float], list[float]]:
-    """Monte Carlo values and error estimates of ``kind`` on ``stratum`` at each valid angle of ``zetas``.
+@contextlib.contextmanager
+def _mc_cells(cells, workers: int):
+    """Monte Carlo values and error estimates of cells (kind, stratum, zetas, samples, seed), drawn in one pass.
 
-    The sample budget is split into ``workers`` chunks with seeds derived by
-    ``worker_seed``; only the nonempty chunks, at most ``samples`` of them,
-    are seeded.  The chunks form runs of consecutive chunks, one per
-    process of ``_mc_pool``, at most ``_usable_cpus()`` of them; one run
-    is counted in this process, with no pool.  Each run sums the hits of
-    its chunks (``_mc_run``), so memory does not grow with ``workers``.
-    Each chunk's draws are counted against the kernel of every angle
-    (``_mc_chunk_hits``); the draws do not depend on the angle, so each
-    cell's count is the one it has alone.  A pool that loses a process
-    raises ``BrokenExecutor`` and is dropped, so the next call makes a
-    fresh one.  An empty grid draws nothing.
+    Each cell's sample budget is split into ``workers`` chunks with seeds
+    derived by ``worker_seed``; only the nonempty chunks, at most
+    ``samples`` of them, are seeded.  A cell's chunks form at most
+    ``_usable_cpus()`` runs of consecutive chunks, and each run sums the
+    hits of its chunks (``_mc_run``), so memory does not grow with
+    ``workers``.  Each chunk's draws are counted against the kernel of
+    every angle (``_mc_chunk_hits``); the draws do not depend on the
+    angle, so each count is the one its cell has alone.
+
+    Entering hands every run of every cell to ``_mc_pool`` in one ``map``,
+    largest runs first (Graham's list scheduling), with as many processes
+    as the cell with the most runs has; where no cell has two runs, each
+    cell's one run is counted in this process.  The block gets
+    ``collect``, which waits for the runs and returns each cell's values
+    and errors, so the caller may work while the pool draws.  Hits are
+    integers summed per cell, so the order in which runs finish changes no
+    bit.  A run's error reaches ``collect``'s caller, and ``map`` cancels
+    the pass's queued runs; a pool that loses a process raises
+    ``BrokenExecutor`` and is dropped.  Leaving the block before
+    ``collect`` shuts the pool down with its queued runs cancelled.
     """
-    if not zetas:
-        return [], []
-    kernels = [(sw_spectrum_qubit() if stratum.n == 2 else sw_spectrum_qutrit(z)).as_array() for z in zetas]
-    n, workers = int(samples), int(workers)
-    base, extra = divmod(n, workers)
-    # chunks from index n on would be empty, so none of them is seeded or run
-    chunks = min(workers, n)
-    runs = min(chunks, _usable_cpus())
-    pool = _mc_pool(runs) if runs > 1 else None
-    if pool is None:
-        hits = _mc_run((kind, stratum, kernels, base, extra, seed, 0, chunks))
-    else:
-        from concurrent.futures import BrokenExecutor
+    cpus, size, workers = _usable_cpus(), 0, int(workers)
+    runs, shapes = [], []  # (draws, cell, task) per run; (angles, samples) per cell
+    for cell, (kind, stratum, zetas, samples, seed) in enumerate(cells):
+        kernels = [(sw_spectrum_qubit() if stratum.n == 2 else sw_spectrum_qutrit(z)).as_array() for z in zetas]
+        n = int(samples)
+        shapes.append((len(kernels), n))
+        base, extra = divmod(n, workers)
+        # chunks from index n on would be empty, so none of them is seeded or run
+        chunks = min(workers, n) if kernels else 0
+        k = min(chunks, cpus)
+        size = max(size, k)
+        for j in range(k):
+            first, stop = j * chunks // k, (j + 1) * chunks // k
+            draws = (stop - first) * base + max(0, min(stop, extra) - first)
+            runs.append((draws, cell, (kind, stratum, kernels, base, extra, seed, first, stop)))
+    runs.sort(key=lambda run: run[0], reverse=True)  # stable: equal runs keep the cells' order
+    pool = _mc_pool(size) if size > 1 else None
+    hits = (map if pool is None else pool.map)(_mc_run, [task for _, _, task in runs])
+    collected = False
 
-        try:
-            hits = sum(pool.map(_mc_run, [(kind, stratum, kernels, base, extra, seed,
-                                           j * chunks // runs, (j + 1) * chunks // runs) for j in range(runs)]))
-        except BrokenExecutor:
-            _close_pool()
-            raise
-    values = [h / n for h in hits.tolist()]
-    # the rule of three where no classical state is seen
-    return values, [math.sqrt(q * (1.0 - q) / n) if q else 3.0 / n for q in values]
+    def collect() -> list[tuple[list[float], list[float]]]:
+        nonlocal collected
+        collected = True
+        totals = [np.zeros(angles, int) for angles, _ in shapes]
+        for (_, cell, _), h in zip(runs, hits):
+            totals[cell] += h
+        out = []
+        for (_, n), total in zip(shapes, totals):
+            values = [h / n for h in total.tolist()]
+            # the rule of three where no classical state is seen
+            out.append((values, [math.sqrt(q * (1.0 - q) / n) if q else 3.0 / n for q in values]))
+        return out
+
+    try:
+        yield collect
+    except BaseException as exc:
+        if pool is not None:
+            from concurrent.futures import BrokenExecutor
+
+            if not collected or isinstance(exc, BrokenExecutor):
+                _close_pool()
+        raise
 
 
 def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     """Indicator as the classical fraction of seeded ensemble draws.
 
-    The cell is a grid of one of ``_mc_block``: the budget is split into
-    ``workers`` chunks with seeds derived by ``worker_seed``; chunk hit
-    counts are integers, so the total is deterministic for a fixed (seed,
-    workers) pair regardless of execution order, and runs of consecutive
-    chunks go to at most ``_usable_cpus()`` forked processes.  The error
+    The cell is a grid of one of ``indicators``, drawn by ``_mc_cells``:
+    the budget is split into ``workers`` chunks with seeds derived by
+    ``worker_seed``; chunk hit counts are integers, so the total is
+    deterministic for a fixed (seed, workers) pair regardless of the order
+    in which chunks run or finish, and runs of consecutive chunks go to at
+    most ``_usable_cpus()`` forked processes, largest runs first.  The error
     estimate is the binomial standard error ``sqrt(q (1 - q) / n)``; when
     no classical state is seen the estimate falls back to the one-sided
     95 percent bound 3/n (rule of three).
@@ -774,10 +804,12 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
     with Q = 1 and error 0 here, before any table is read or any chunk is
     seeded.  Quadrature reads the whole grid in one ``_quadrature_block``,
     whose ensembles share the ray weights of each block of angles.  Monte
-    Carlo runs one ``_mc_block`` per ensemble, which counts every angle on
-    the draws of one stream (common random numbers), so neighbouring cells
-    of a curve are correlated.  A single ensemble is a one-tuple, and a
-    qubit takes ``zetas = [None]``.
+    Carlo draws every ensemble in one pass of ``_mc_cells``, whose runs of
+    chunks, those of all ensembles together, go to the pool at once,
+    largest first; each ensemble counts every angle on the draws of one
+    stream (common random numbers), so neighbouring cells of a curve are
+    correlated.  A single ensemble is a one-tuple, and a qubit takes
+    ``zetas = [None]``.
     """
     kinds, zetas = tuple(ensembles), list(zetas)
     _validate(kinds, stratum, method, zetas, samples, seed, workers)
@@ -786,7 +818,8 @@ def indicators(ensembles, stratum: StratumLabel, method: Method,
     if method is Method.QUADRATURE:
         return _quadrature_block(kinds, stratum, zetas)
     if method is Method.MONTE_CARLO:
-        return [_mc_block(kind, stratum, zetas, samples, seed, workers) for kind in kinds]
+        with _mc_cells([(kind, stratum, zetas, samples, seed) for kind in kinds], workers) as collect:
+            return collect()
     return [([_closed_form(kind, stratum, z) for z in zetas], [0.0] * len(zetas)) for kind in kinds]
 
 

@@ -561,15 +561,20 @@ class TestVerifyMonteCarlo:
         argv = ["verify", "--samples", "50000", "--workers", str(workers)]
         return cli._config_from_args(cli._build_parser().parse_args(argv))
 
+    @staticmethod
+    def mc_checks(config):
+        with cli._mc_checks(config) as collect:
+            return collect()
+
     def test_zero_hits_fail_every_check(self, chunk_seeds):
-        checks = cli._mc_checks(self.config(2))
+        checks = self.mc_checks(self.config(2))
         assert len(checks) == 9
         assert [c["check"] for c in checks if c["pass"]] == []
 
     def test_no_two_chunks_share_a_seed(self, chunk_seeds):
         for workers in (1, 2, 3, 4):
             chunk_seeds.clear()
-            cli._mc_checks(self.config(workers))
+            self.mc_checks(self.config(workers))
             assert len(chunk_seeds) == 9 * workers
             assert len(set(chunk_seeds)) == len(chunk_seeds)
 

@@ -342,6 +342,23 @@ def _regular_weight_qutrit_034(kind: EnsembleKind, t, q):
     return np.where(bad, 0.0, val), (r1 / total, r2 / total, r3 / total)
 
 
+def _accepted_rows(weight, t, q, renormalise=True):
+    """A regular weight's (weight, spectra), with the spectra of the points that the sampler can accept.
+
+    Those are the points on the open simplex, and ``_tiles`` renormalises
+    their rows (``ensembles._renormalise``); the other points have weight 0
+    and placeholder spectra.  A copy that renormalised every point takes
+    ``renormalise=False``.
+    """
+    w, spectra = weight
+    (r1, r2, r3), _ = ensembles._regular_chart(t, q)
+    inside = ~((r1 <= r2) | (r2 <= r3) | (t <= 0.0))
+    rows = tuple(c[inside] for c in spectra)
+    if renormalise:
+        ensembles._renormalise(rows)
+    return w, rows
+
+
 def _line_weight_032(kind: EnsembleKind, mult: tuple, t, edge=None):
     """``ensembles._line_weight`` as 0.3.2 first shipped it (``np.where`` on every tile), on the 0.2.8 density."""
     top, kk, drdy = ensembles._LINES[mult[0] if mult == _EDGES else mult]
@@ -520,8 +537,9 @@ class TestWeightBits:
         np.testing.assert_allclose(area * dq_dphi, area_old, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(_density3_vec(kind, *spectra), _density3_vec_028(kind, *spectra),
                                    rtol=2e-15, atol=0.0)
-        (w, spectra), (w_old, spectra_old) = (ensembles._regular_weight_qutrit(kind, t, q),
-                                              _regular_weight_qutrit_032(kind, t, phi))
+        (w, spectra), (w_old, spectra_old) = (_accepted_rows(ensembles._regular_weight_qutrit(kind, t, q), t, q),
+                                              _accepted_rows(_regular_weight_qutrit_032(kind, t, phi), t, q,
+                                                             renormalise=False))
         np.testing.assert_allclose(w * dq_dphi, w_old, rtol=3e-15, atol=0.0)
         for a, b in zip(spectra, spectra_old, strict=True):
             assert np.array_equal(a, b)
@@ -539,7 +557,8 @@ class TestWeightBits:
 class TestMaskedWeightBits:
     """Both weights keep the bits of their ``np.where`` copies on their fast path (no off-simplex row) and their masked path.
 
-    The regular weight keeps those of ``_regular_weight_qutrit_034``, the
+    The regular weight keeps those of ``_regular_weight_qutrit_034``, its
+    spectra on the rows the sampler can accept (``_accepted_rows``), the
     line weight those of ``_line_weight_033`` on the pair density of 0.3.7,
     whose HS and Bures bits are 0.3.3's.  The interior points of
     ``TestWeightBits._box_points`` have no such row; its box edges and the
@@ -569,7 +588,8 @@ class TestMaskedWeightBits:
         t, q = t[cut], q[cut]
         (r1, r2, r3), _ = _regular_chart_034(t, q)
         assert ((r1 <= r2) | (r2 <= r3) | (t <= 0.0)).any() == (part == "edges")
-        self._assert_same(ensembles._regular_weight_qutrit(kind, t, q), _regular_weight_qutrit_034(kind, t, q))
+        self._assert_same(_accepted_rows(ensembles._regular_weight_qutrit(kind, t, q), t, q),
+                          _accepted_rows(_regular_weight_qutrit_034(kind, t, q), t, q, renormalise=False))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("mult", [(1, 1), (2, 1), (1, 2), _EDGES])
@@ -901,6 +921,27 @@ class TestTileStream:
             # the hit count's sampler comes first, then those of the rows
             assert samplers[0] not in samplers[1:]
             assert {(s._proposed, s._accepted) for s in samplers} == {(reference._proposed, reference._accepted)}
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("mult", [(1, 1), (1, 1, 1), _EDGES], ids=["qubit", "regular", "edges"])
+    def test_only_accepted_regular_rows_are_renormalised(self, monkeypatch, kind, mult):
+        # _draw returns the chart's spectra on the accepted rows, and _tiles
+        # divides regular rows by their sums as 0.3.7's weight did on every
+        # proposal (r / (r1 + r2 + r3), the same bits); line rows pass as drawn
+        drawn, draw = [], SpectrumSampler._draw
+
+        def spy(self, m):
+            tiles = draw(self, m)
+            drawn.extend(tuple(c.copy() for c in columns) for columns in tiles)
+            return tiles
+
+        monkeypatch.setattr(SpectrumSampler, "_draw", spy)
+        rows = _sampler(SpectrumSampler, kind, mult, seed=29).sample(40_000)
+        columns = tuple(np.concatenate(c) for c in zip(*drawn))
+        if mult == (1, 1, 1):
+            total = columns[0] + columns[1] + columns[2]
+            columns = tuple(c / total for c in columns)
+        assert np.array_equal(rows, np.column_stack(columns)[:len(rows)])
 
 
 #: The CPU features that CI's avx512-off job disables (``NPY_DISABLE_CPU_FEATURES``).

@@ -1,5 +1,6 @@
 """Tests for the indicator computations and moduli-space utilities."""
 
+import contextlib
 import functools
 import math
 import multiprocessing
@@ -7,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import BrokenExecutor
 
@@ -16,6 +18,7 @@ import pytest
 from kernel_copies import _density3_vec_028, _line_weight_033, _regular_chart_028
 
 import wigner_classicality
+import wigner_classicality.cli as cli
 import wigner_classicality.ensembles as ensembles
 import wigner_classicality.indicators as ind
 from wigner_classicality.ensembles import (
@@ -1339,6 +1342,141 @@ class TestProcessPool:
                               samples=3000, seed=5, workers=2) == expected
         assert ind._POOL is not None
         assert len(multiprocessing.active_children()) == 2
+
+    @staticmethod
+    def one_pass(cells, workers):
+        """The values and errors of ``cells`` drawn in one pass of ``_mc_cells``."""
+        with ind._mc_cells(cells, workers) as collect:
+            return collect()
+
+    def serial_pass(self, monkeypatch, cells, workers):
+        """``one_pass`` counted in this process, with no pool."""
+        with monkeypatch.context() as m:
+            m.setattr(ind, "_usable_cpus", lambda: 1)
+            m.setattr(ind, "_mc_pool", None)
+            return self.one_pass(cells, workers)
+
+    @staticmethod
+    def verify_cells():
+        """The nine cells (kind, stratum, zetas, samples, seed) that ``verify``'s Monte Carlo checks draw by default."""
+        args = cli._config_from_args(cli._build_parser().parse_args(["verify"]))
+        cells = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "_mc_cells", lambda given, workers: cells.extend(given) or contextlib.nullcontext(list))
+            with cli._mc_checks(args) as checks:
+                assert checks() == []
+        return cells
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_verify_cells_in_one_pass_are_each_cell_alone(self, two_cpus, workers):
+        # values are hits over the same draw counts, so equal values are equal hits
+        cells = self.verify_cells()
+        assert len(cells) == 9 and len({seed for *_, seed in cells}) == 9
+        alone = [ind.indicators((kind,), stratum, Method.MONTE_CARLO, zetas, samples=n, seed=seed, workers=workers)[0]
+                 for kind, stratum, zetas, n, seed in cells]
+        assert self.one_pass(cells, workers) == alone
+        # one run per cell at one worker, counted here; two runs per cell otherwise
+        assert (ind._POOL is None) == (workers == 1)
+
+    def test_pass_sizes_the_pool_by_its_largest_cell(self, monkeypatch, two_cpus):
+        # at 9 workers a cell of s draws has min(9, s) chunks, in at most 2 runs on 2 CPUs
+        sizes, make = [], ind._mc_pool
+        monkeypatch.setattr(ind, "_mc_pool", lambda size: sizes.append(size) or make(size))
+
+        def cells(*samples):
+            return [(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, [None], n, 40 + i) for i, n in enumerate(samples)]
+
+        for draws, pool in (((1, 1), []), ((1, 2, 1), [2]), ((1, 500), [2])):
+            sizes.clear()
+            expected = self.serial_pass(monkeypatch, cells(*draws), 9)
+            assert self.one_pass(cells(*draws), 9) == expected
+            assert sizes == pool
+        assert ind._POOL[0] == 2 and len(multiprocessing.active_children()) == 2
+
+    @pytest.mark.parametrize("stratum,zetas", [(QUBIT_STRATUM, [None]), (REGULAR_QUTRIT, [0.0, 0.5]),
+                                               (DEGENERATE_QUTRIT, [0.3, ZETA_MAX])],
+                             ids=["qubit", "regular", "degenerate"])
+    def test_ensembles_of_one_call_are_each_ensemble_alone(self, two_cpus, stratum, zetas):
+        options = dict(samples=5000, seed=21, workers=2)
+        together = ind.indicators(ALL_KINDS, stratum, Method.MONTE_CARLO, zetas, **options)
+        assert together == [ind.indicators((kind,), stratum, Method.MONTE_CARLO, zetas, **options)[0]
+                            for kind in ALL_KINDS]
+        assert ind._POOL[0] == 2
+
+    @staticmethod
+    def nine_cells(seed):
+        """Every ensemble on every stratum at 3000 draws, cell i seeded with seed + i: 18 equal runs at 2 workers."""
+        return [(kind, stratum, zetas, 3000, seed + i) for i, (kind, stratum, zetas) in enumerate(
+            (kind, stratum, [None] if stratum.n == 2 else [0.4])
+            for kind in ALL_KINDS for stratum in (QUBIT_STRATUM, REGULAR_QUTRIT, DEGENERATE_QUTRIT))]
+
+    def test_sampler_failure_in_a_pass_cancels_its_queued_runs(self, monkeypatch, two_cpus, tmp_path):
+        expected = self.serial_pass(monkeypatch, self.nine_cells(200), 2)
+        chunk_hits, ran = ind._mc_chunk_hits, tmp_path / "ran"
+        doomed = worker_seed(100, 0)  # the first chunk of the first of 18 equal runs
+
+        def failing(kind, stratum, kernels, chunk, seed):
+            with open(ran, "a", encoding="utf-8") as fh:
+                fh.write(f"{seed}\n")
+            if seed == doomed:
+                raise SamplerFailureError(f"forced failure of pid {os.getpid()}")
+            time.sleep(0.05)
+            return chunk_hits(kind, stratum, kernels, chunk, seed)
+
+        # forked after the patch, so the pool's processes run it
+        monkeypatch.setattr(ind, "_mc_chunk_hits", failing)
+        with pytest.raises(SamplerFailureError, match=r"forced failure of pid (\d+)") as err:
+            self.one_pass(self.nine_cells(100), 2)
+        assert int(err.value.args[0].rsplit(" ", 1)[1]) != os.getpid()
+        pool = ind._POOL
+        assert pool is not None
+        # the same pool answers the next pass, queued behind the failed pass's runs that had begun
+        assert self.one_pass(self.nine_cells(200), 2) == expected
+        assert ind._POOL is pool
+        failed_pass = {worker_seed(100 + i, j) for i in range(9) for j in range(2)}
+        begun = [seed for seed in map(int, ran.read_text(encoding="utf-8").split()) if seed in failed_pass]
+        assert doomed in begun and len(begun) < 9  # the other runs of the 18 were cancelled
+
+    def test_killed_child_in_a_pass_breaks_only_its_pool(self, monkeypatch, two_cpus):
+        expected = self.serial_pass(monkeypatch, self.nine_cells(300), 2)
+        chunk_hits = ind._mc_chunk_hits
+        doomed = worker_seed(104, 1)
+
+        def killed(kind, stratum, kernels, chunk, seed):
+            if seed == doomed:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk_hits(kind, stratum, kernels, chunk, seed)
+
+        monkeypatch.setattr(ind, "_mc_chunk_hits", killed)
+        with pytest.raises(BrokenExecutor, match="terminated abruptly"):
+            self.one_pass(self.nine_cells(100), 2)
+        assert ind._POOL is None  # the broken pool is not kept
+        assert self.one_pass(self.nine_cells(300), 2) == expected
+        assert ind._POOL is not None
+        assert len(multiprocessing.active_children()) == 2
+
+    def test_verify_error_before_collecting_leaves_no_run_queued(self, monkeypatch, two_cpus, tmp_path):
+        ran = tmp_path / "ran"
+
+        def slow_no_hits(kind, stratum, kernels, chunk, seed):
+            with open(ran, "a", encoding="utf-8") as fh:
+                fh.write(f"{seed}\n")
+            time.sleep(0.2)
+            return [0] * len(kernels)
+
+        def failing_cone_check(args):
+            raise RuntimeError("forced failure between submit and collect")
+
+        monkeypatch.setattr(ind, "_mc_chunk_hits", slow_no_hits)
+        monkeypatch.setattr(cli, "_cone_check", failing_cone_check)
+        args = cli._config_from_args(cli._build_parser().parse_args(["verify", "--workers", "2"]))
+        with pytest.raises(RuntimeError, match="between submit and collect"):
+            cli._verify_checks(args)
+        # the pool is shut down with its queued runs cancelled, after the
+        # runs its processes had begun: of verify's 18 runs, those alone ran
+        assert ind._POOL is None and multiprocessing.active_children() == []
+        begun = ran.read_text(encoding="utf-8").split() if ran.exists() else []  # none, if cancelled first
+        assert len(begun) < 9
 
     def test_import_and_one_worker_load_no_pool_machinery(self, tmp_path):
         code = ("import sys\n"

@@ -12,8 +12,8 @@ verify   cross-method consistency suite with a JSON report
 
 Exit codes: 0 ok, 1 invalid configuration, 2 I/O error, 3 computation
 error, 4 verification failure.  All outputs are deterministic for a fixed
-configuration (including seed and worker count) and carry a provenance
-header line.
+configuration (including seed) and carry a provenance header line; the
+worker count caps Monte Carlo processes and changes no output.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ class SamplerFailureError(RuntimeError):
 
 
 def worker_seed(master_seed: int, worker_index: int) -> int:
-    """Derive the seed for one worker from a master seed.
+    """Derive the seed of stream ``worker_index`` from a master seed; Monte Carlo seeds chunk i of a cell with it.
 
     The seed is the first 64-bit word of ``np.random.SeedSequence`` with
     entropy ``master_seed`` and spawn key ``(worker_index,)``, so distinct

@@ -41,6 +41,7 @@ from .ensembles import (
     _LINES,
     _STRATA,
     EnsembleKind,
+    SpectrumSampler,
     _proposal_weight,
     _stratum_kind,
     _stratum_sampler,
@@ -77,11 +78,10 @@ class IndicatorRequest:
 
     ``zeta`` must be given for qutrit strata and omitted for the qubit.
     Quadrature has fixed accuracy and takes no options; Monte Carlo requests
-    carry a ``samples`` count and ``seed`` (``workers`` splits the sampling
-    into independently seeded chunks; results are deterministic for a fixed
-    (seed, workers) pair).  ``validate`` runs ``_validate``, the one set of
-    checks that ``indicators`` runs on a whole grid; computing a request
-    builds no other request.
+    carry a ``samples`` count and ``seed``, which fix the result, and
+    ``workers``, which only caps its processes.  ``validate`` runs
+    ``_validate``, the one set of checks that ``indicators`` runs on a
+    whole grid; computing a request builds no other request.
     """
 
     ensemble: EnsembleKind
@@ -618,14 +618,15 @@ def _usable_cpus() -> int:
 def _mc_run(task) -> np.ndarray:
     """Hits per angle of one run of consecutive chunks, the work of one pool process.
 
-    ``task`` is (kind, stratum, kernels, base, extra, seed, first, stop):
-    chunks ``first`` to ``stop - 1`` of a cell, chunk i drawing
-    base + (i < extra) points seeded by ``worker_seed(seed, i)``.  Each
-    chunk is seeded and counted as the run reaches it, so memory does not
-    grow with the run's length.
+    ``task`` is (kind, stratum, kernels, n, seed, first, stop): chunks
+    ``first`` to ``stop - 1`` of a cell of ``n`` draws, chunk i covering
+    draws i S to min((i + 1) S, n), S = ``SpectrumSampler._CHUNK``, seeded
+    by ``worker_seed(seed, i)``.  Each chunk is seeded and counted as the
+    run reaches it, so memory does not grow with the run's length.
     """
-    kind, stratum, kernels, base, extra, seed, first, stop = task
-    return sum((_mc_chunk_hits(kind, stratum, kernels, base + (1 if i < extra else 0), worker_seed(seed, i))
+    kind, stratum, kernels, n, seed, first, stop = task
+    chunk = SpectrumSampler._CHUNK
+    return sum((_mc_chunk_hits(kind, stratum, kernels, min(chunk, n - i * chunk), worker_seed(seed, i))
                 for i in range(first, stop)), np.zeros(len(kernels), int))
 
 
@@ -639,7 +640,8 @@ def _mc_pool(size: int):
     The pool is made on the first call that needs one, with all its
     processes started at once, and kept for the next; a call that needs
     more processes replaces it, so no pool has more processes than the
-    call that made it asked for.  ``_close_pool`` ends it at exit.
+    call that made it asked for, at most min(``_usable_cpus()``,
+    ``workers``).  ``_close_pool`` ends it at exit.
     """
     global _POOL
     if _POOL is not None and _POOL[0] >= size:
@@ -680,14 +682,15 @@ def _close_pool() -> None:
 def _mc_cells(cells, workers: int):
     """Monte Carlo values and error estimates of cells (kind, stratum, zetas, samples, seed), drawn in one pass.
 
-    Each cell's sample budget is split into ``workers`` chunks with seeds
-    derived by ``worker_seed``; only the nonempty chunks, at most
-    ``samples`` of them, are seeded.  A cell's chunks form at most
-    ``_usable_cpus()`` runs of consecutive chunks, and each run sums the
-    hits of its chunks (``_mc_run``), so memory does not grow with
-    ``workers``.  Each chunk's draws are counted against the kernel of
-    every angle (``_mc_chunk_hits``); the draws do not depend on the
-    angle, so each count is the one its cell has alone.
+    A cell of n draws is cut into chunks of S = ``SpectrumSampler._CHUNK``
+    draws, the last one short, chunk i seeded by ``worker_seed(seed, i)``,
+    so a cell's values depend on its seed and n alone.  A cell's chunks
+    form at most min(chunks, ``_usable_cpus()``, ``workers``) runs of
+    consecutive chunks, and each run sums the hits of its chunks
+    (``_mc_run``): ``workers`` caps the processes and changes no bit, and
+    memory does not grow with ``samples``.  Each chunk's draws are counted
+    against the kernel of every angle (``_mc_chunk_hits``); the draws do
+    not depend on the angle, so each count is the one its cell has alone.
 
     Entering hands every run of every cell to ``_mc_pool`` in one ``map``,
     largest runs first (Graham's list scheduling), with as many processes
@@ -701,21 +704,18 @@ def _mc_cells(cells, workers: int):
     ``BrokenExecutor`` and is dropped.  Leaving the block before
     ``collect`` shuts the pool down with its queued runs cancelled.
     """
-    cpus, size, workers = _usable_cpus(), 0, int(workers)
+    cpus, size, chunk = _usable_cpus(), 0, SpectrumSampler._CHUNK
     runs, shapes = [], []  # (draws, cell, task) per run; (angles, samples) per cell
     for cell, (kind, stratum, zetas, samples, seed) in enumerate(cells):
         kernels = [(sw_spectrum_qubit() if stratum.n == 2 else sw_spectrum_qutrit(z)).as_array() for z in zetas]
         n = int(samples)
         shapes.append((len(kernels), n))
-        base, extra = divmod(n, workers)
-        # chunks from index n on would be empty, so none of them is seeded or run
-        chunks = min(workers, n) if kernels else 0
-        k = min(chunks, cpus)
+        chunks = -(-n // chunk) if kernels else 0
+        k = min(chunks, cpus, workers)
         size = max(size, k)
         for j in range(k):
             first, stop = j * chunks // k, (j + 1) * chunks // k
-            draws = (stop - first) * base + max(0, min(stop, extra) - first)
-            runs.append((draws, cell, (kind, stratum, kernels, base, extra, seed, first, stop)))
+            runs.append((min(stop * chunk, n) - first * chunk, cell, (kind, stratum, kernels, n, seed, first, stop)))
     runs.sort(key=lambda run: run[0], reverse=True)  # stable: equal runs keep the cells' order
     pool = _mc_pool(size) if size > 1 else None
     hits = (map if pool is None else pool.map)(_mc_run, [task for _, _, task in runs])
@@ -748,12 +748,11 @@ def _mc_cells(cells, workers: int):
 def q_monte_carlo(request: IndicatorRequest) -> IndicatorResult:
     """Indicator as the classical fraction of seeded ensemble draws.
 
-    The cell is a grid of one of ``indicators``, drawn by ``_mc_cells``:
-    the budget is split into ``workers`` chunks with seeds derived by
-    ``worker_seed``; chunk hit counts are integers, so the total is
-    deterministic for a fixed (seed, workers) pair regardless of the order
-    in which chunks run or finish, and runs of consecutive chunks go to at
-    most ``_usable_cpus()`` forked processes, largest runs first.  The error
+    The cell is a grid of one of ``indicators``, drawn by ``_mc_cells`` in
+    chunks of ``SpectrumSampler._CHUNK`` draws seeded by ``worker_seed``
+    from the chunk's index; hit counts are integers, so the value depends
+    on ``seed`` and ``samples`` alone, not on ``workers``, which caps the
+    forked processes, or on the order in which chunks finish.  The error
     estimate is the binomial standard error ``sqrt(q (1 - q) / n)``; when
     no classical state is seen the estimate falls back to the one-sided
     95 percent bound 3/n (rule of three).

@@ -15,7 +15,7 @@ import pytest
 
 import wigner_classicality
 from wigner_classicality import cli
-from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler, stratum_spectra
+from wigner_classicality.ensembles import EnsembleKind, SpectrumSampler, stratum_spectra, worker_seed
 from wigner_classicality.spectra import trisectrix_boundary
 from wigner_classicality.indicators import (
     DEGENERATE_QUTRIT,
@@ -571,11 +571,20 @@ class TestVerifyMonteCarlo:
         assert len(checks) == 9
         assert [c["check"] for c in checks if c["pass"]] == []
 
-    def test_no_two_chunks_share_a_seed(self, chunk_seeds):
+    def test_no_two_chunks_share_a_seed(self, monkeypatch, chunk_seeds):
+        # a cell of n draws seeds its ceil(n / 2^18) chunks, chunk i with
+        # worker_seed(cell seed, i), whatever the worker count: verify's
+        # Bures and BKM regular cells draw more than one chunk
+        cells, mc_cells = [], cli._mc_cells
+        monkeypatch.setattr(cli, "_mc_cells", lambda given, workers: cells.extend(given) or mc_cells(given, workers))
         for workers in (1, 2, 3, 4):
+            cells.clear()
             chunk_seeds.clear()
             self.mc_checks(self.config(workers))
-            assert len(chunk_seeds) == 9 * workers
+            expected = [worker_seed(seed, i) for *_, n, seed in cells
+                        for i in range(-(-n // SpectrumSampler._CHUNK))]
+            assert len(cells) == 9 and len(expected) > 9
+            assert sorted(chunk_seeds) == sorted(expected)
             assert len(set(chunk_seeds)) == len(chunk_seeds)
 
 

@@ -813,7 +813,7 @@ class TestQuadratureBlocks:
         grid = [None] * 11 if stratum.n == 2 else [float(z) for z in np.linspace(0.0, ZETA_MAX, 11)]
         options = dict(samples=2000, seed=5, workers=workers)
         curves = ind.indicators(ALL_KINDS, stratum, Method.MONTE_CARLO, grid, **options)
-        assert len(samplers) == len(ALL_KINDS) * workers
+        assert len(samplers) == len(ALL_KINDS)  # 2000 draws are one chunk at any worker count
         for kind, curve in zip(ALL_KINDS, curves):
             cells = [q_monte_carlo(IndicatorRequest(ensemble=kind, stratum=stratum, method=Method.MONTE_CARLO,
                                                     zeta=z, **options)) for z in grid]
@@ -1113,17 +1113,20 @@ class TestMonteCarlo:
         assert abs(res.q - ref) <= 4.0 * sigma
 
     def test_pool_capped_at_cpu_count(self, serial_pool):
-        req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, 640, 9, workers=64)
+        block = SpectrumSampler._CHUNK
+        n = 2 * block + 640
+        req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, n, 9, workers=64)
         res = q_monte_carlo(req)
         assert serial_pool == [2]
-        # chunks and their seeds still follow the requested worker count
+        # chunks and their seeds follow the sample count: two full chunks and one of 640 draws
         kernels = [sw_spectrum_qubit().as_array()]
-        hits = sum(ind._mc_chunk_hits(req.ensemble, req.stratum, kernels, 10, worker_seed(9, i))[0]
-                   for i in range(64))
-        assert res.q == hits / 640
+        hits = sum(ind._mc_chunk_hits(req.ensemble, req.stratum, kernels, min(block, n - i * block),
+                                      worker_seed(9, i))[0] for i in range(3))
+        assert res.q == hits / n
 
     def test_one_usable_cpu_starts_no_pool(self, monkeypatch, serial_pool):
-        req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, 640, 9, workers=64)
+        req = self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None, SpectrumSampler._CHUNK + 640, 9,
+                              workers=64)
         two = q_monte_carlo(req)
         monkeypatch.setattr(ind, "_usable_cpus", lambda: 1)
         one = q_monte_carlo(req)
@@ -1151,11 +1154,12 @@ class TestMonteCarlo:
         monkeypatch.setattr(ind, "worker_seed", counting_seed)
         huge = q_monte_carlo(self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None,
                                              10, 9, workers=10 ** 6))
-        assert seeded == list(range(10))
-        assert serial_pool == [2]
-        ten = q_monte_carlo(self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None,
-                                            10, 9, workers=10))
-        assert huge.q == ten.q
+        # 10 draws are one chunk, counted here, whatever the worker count
+        assert seeded == [0]
+        assert serial_pool == []
+        one = q_monte_carlo(self.mc_request(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, None,
+                                            10, 9, workers=1))
+        assert huge.q == one.q
 
     def test_memory_does_not_grow_with_workers(self, serial_pool):
         # each run of chunks, counted here in _mc_run as a pool process counts
@@ -1238,7 +1242,13 @@ _POOLED_CELLS[4] = (EnsembleKind.BURES, REGULAR_QUTRIT, np.linspace(0.0, ZETA_MA
 
 
 class TestProcessPool:
-    """Monte Carlo runs in the forked processes of ``indicators._mc_pool``."""
+    """Monte Carlo runs in the forked processes of ``indicators._mc_pool``.
+
+    A cell of n draws has ceil(n / CHUNK) chunks, so only a cell of more
+    than CHUNK draws has two runs and reaches the pool.
+    """
+
+    CHUNK = SpectrumSampler._CHUNK
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
@@ -1265,8 +1275,10 @@ class TestProcessPool:
                              ids=[f"{k.value}-{ind._stratum_kind(s)}" for k, s, _ in _POOLED_CELLS])
     def test_hits_match_the_serial_path(self, monkeypatch, two_cpus, kind, stratum, zetas, workers):
         # hits are integers summed over the same chunks and seeds, so the
-        # pool changes no bit; the HS qubit cell runs chunks above one block
-        samples = 2 * SpectrumSampler._CHUNK + 11 if (kind, stratum.n) == (EnsembleKind.HILBERT_SCHMIDT, 2) else 4000
+        # pool changes no bit; every cell has two chunks, one per run, and
+        # the HS qubit cell three, in runs of one and two chunks
+        chunks = 3 if (kind, stratum.n) == (EnsembleKind.HILBERT_SCHMIDT, 2) else 2
+        samples = (chunks - 1) * self.CHUNK + 11
         options = dict(samples=samples, seed=17, workers=workers)
         expected = self.serial(monkeypatch, kind, stratum, zetas, **options)
         assert ind.indicators((kind,), stratum, Method.MONTE_CARLO, zetas, **options) == expected
@@ -1275,7 +1287,7 @@ class TestProcessPool:
         assert len(multiprocessing.active_children()) == 2
 
     def test_pool_is_kept_and_replaced_only_to_grow(self, monkeypatch, two_cpus):
-        options = dict(samples=500, seed=3)
+        options = dict(samples=self.CHUNK + 500, seed=3)
         ind.indicators(ALL_KINDS, QUBIT_STRATUM, Method.MONTE_CARLO, [None], workers=1, **options)
         assert ind._POOL is None  # one run is counted here
         small = ind._mc_pool(1)
@@ -1291,7 +1303,7 @@ class TestProcessPool:
 
     def test_no_fork_counts_every_run_here(self, monkeypatch, two_cpus):
         # where the OS cannot fork, _mc_pool gives no pool and the runs are counted in this process
-        options = dict(samples=3000, seed=5, workers=2)
+        options = dict(samples=self.CHUNK + 3000, seed=5, workers=2)
         expected = self.serial(monkeypatch, EnsembleKind.BKM, DEGENERATE_QUTRIT, [0.0, 0.5], **options)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert ind._mc_pool(2) is None
@@ -1300,7 +1312,8 @@ class TestProcessPool:
         assert ind._POOL is None and multiprocessing.active_children() == []
 
     def test_sampler_failure_in_a_child_reaches_the_caller(self, monkeypatch, two_cpus):
-        expected = self.serial(monkeypatch, EnsembleKind.BURES, REGULAR_QUTRIT, [0.5], samples=3000, seed=5, workers=2)
+        samples = self.CHUNK + 3000  # two chunks, in two runs
+        expected = self.serial(monkeypatch, EnsembleKind.BURES, REGULAR_QUTRIT, [0.5], samples=samples, seed=5, workers=2)
         chunk_hits = ind._mc_chunk_hits
         doomed = worker_seed(99, 1)
 
@@ -1313,18 +1326,19 @@ class TestProcessPool:
         monkeypatch.setattr(ind, "_mc_chunk_hits", failing)
         with pytest.raises(SamplerFailureError, match=r"forced failure of pid (\d+)") as err:
             ind.indicators((EnsembleKind.BURES,), REGULAR_QUTRIT, Method.MONTE_CARLO, [0.5],
-                           samples=3000, seed=99, workers=2)
+                           samples=samples, seed=99, workers=2)
         assert int(err.value.args[0].rsplit(" ", 1)[1]) != os.getpid()
         # the pool lost no process, so it is kept and takes the next call
         pool = ind._POOL
         assert pool is not None
         assert ind.indicators((EnsembleKind.BURES,), REGULAR_QUTRIT, Method.MONTE_CARLO, [0.5],
-                              samples=3000, seed=5, workers=2) == expected
+                              samples=samples, seed=5, workers=2) == expected
         assert ind._POOL is pool
 
     def test_killed_child_breaks_only_its_pool(self, monkeypatch, two_cpus):
+        samples = self.CHUNK + 3000  # two chunks, in two runs
         expected = self.serial(monkeypatch, EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, [None],
-                               samples=3000, seed=5, workers=2)
+                               samples=samples, seed=5, workers=2)
         chunk_hits = ind._mc_chunk_hits
         doomed = worker_seed(7, 1)
 
@@ -1336,10 +1350,10 @@ class TestProcessPool:
         monkeypatch.setattr(ind, "_mc_chunk_hits", killed)
         with pytest.raises(BrokenExecutor, match="terminated abruptly"):
             ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), QUBIT_STRATUM, Method.MONTE_CARLO, [None],
-                           samples=3000, seed=7, workers=2)
+                           samples=samples, seed=7, workers=2)
         assert ind._POOL is None  # the broken pool is not kept
         assert ind.indicators((EnsembleKind.HILBERT_SCHMIDT,), QUBIT_STRATUM, Method.MONTE_CARLO, [None],
-                              samples=3000, seed=5, workers=2) == expected
+                              samples=samples, seed=5, workers=2) == expected
         assert ind._POOL is not None
         assert len(multiprocessing.active_children()) == 2
 
@@ -1375,18 +1389,41 @@ class TestProcessPool:
         alone = [ind.indicators((kind,), stratum, Method.MONTE_CARLO, zetas, samples=n, seed=seed, workers=workers)[0]
                  for kind, stratum, zetas, n, seed in cells]
         assert self.one_pass(cells, workers) == alone
-        # one run per cell at one worker, counted here; two runs per cell otherwise
+        # one run per cell at one worker, counted here; otherwise two runs
+        # for each of the Bures and BKM regular cells, of 2 and 8 chunks
         assert (ind._POOL is None) == (workers == 1)
 
+    @pytest.mark.parametrize("kind,stratum,zetas", [
+        (EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, [None] * 3),
+        (EnsembleKind.BURES, REGULAR_QUTRIT, [0.0, 0.4, ZETA_MAX]),
+        (EnsembleKind.BKM, DEGENERATE_QUTRIT, [0.0, 0.4, ZETA_MAX]),
+    ], ids=["hs-qubit", "bures-regular", "bkm-degenerate"])
+    def test_cells_do_not_depend_on_workers(self, two_cpus, kind, stratum, zetas):
+        # chunk i of n draws covers draws i CHUNK to min((i + 1) CHUNK, n),
+        # seeded by worker_seed(seed, i), whatever the worker count; a cell
+        # of at most CHUNK draws is one chunk, as it was at one worker
+        kernels = [(sw_spectrum_qubit() if z is None else sw_spectrum_qutrit(z)).as_array() for z in zetas]
+        for n, seed in ((2 * self.CHUNK + 7, 17), (self.CHUNK, 5)):
+            hits = np.zeros(len(zetas), int)
+            for i in range(-(-n // self.CHUNK)):
+                hits += ind._mc_chunk_hits(kind, stratum, kernels, min(self.CHUNK, n - i * self.CHUNK),
+                                           worker_seed(seed, i))
+            cells = [ind.indicators((kind,), stratum, Method.MONTE_CARLO, zetas, samples=n, seed=seed,
+                                    workers=workers)[0] for workers in (1, 2, 3, 64)]
+            assert cells == [cells[0]] * 4
+            assert cells[0][0] == [h / n for h in hits.tolist()]
+        assert ind._POOL[0] == 2
+
     def test_pass_sizes_the_pool_by_its_largest_cell(self, monkeypatch, two_cpus):
-        # at 9 workers a cell of s draws has min(9, s) chunks, in at most 2 runs on 2 CPUs
+        # at 9 workers a cell of s draws has ceil(s / CHUNK) chunks, in at most 2 runs on 2 CPUs
         sizes, make = [], ind._mc_pool
         monkeypatch.setattr(ind, "_mc_pool", lambda size: sizes.append(size) or make(size))
 
         def cells(*samples):
             return [(EnsembleKind.HILBERT_SCHMIDT, QUBIT_STRATUM, [None], n, 40 + i) for i, n in enumerate(samples)]
 
-        for draws, pool in (((1, 1), []), ((1, 2, 1), [2]), ((1, 500), [2])):
+        chunk = self.CHUNK
+        for draws, pool in (((1, chunk), []), ((1, chunk + 1, 1), [2]), ((1, 3 * chunk), [2])):
             sizes.clear()
             expected = self.serial_pass(monkeypatch, cells(*draws), 9)
             assert self.one_pass(cells(*draws), 9) == expected
@@ -1397,16 +1434,16 @@ class TestProcessPool:
                                                (DEGENERATE_QUTRIT, [0.3, ZETA_MAX])],
                              ids=["qubit", "regular", "degenerate"])
     def test_ensembles_of_one_call_are_each_ensemble_alone(self, two_cpus, stratum, zetas):
-        options = dict(samples=5000, seed=21, workers=2)
+        options = dict(samples=self.CHUNK + 5000, seed=21, workers=2)
         together = ind.indicators(ALL_KINDS, stratum, Method.MONTE_CARLO, zetas, **options)
         assert together == [ind.indicators((kind,), stratum, Method.MONTE_CARLO, zetas, **options)[0]
                             for kind in ALL_KINDS]
         assert ind._POOL[0] == 2
 
-    @staticmethod
-    def nine_cells(seed):
-        """Every ensemble on every stratum at 3000 draws, cell i seeded with seed + i: 18 equal runs at 2 workers."""
-        return [(kind, stratum, zetas, 3000, seed + i) for i, (kind, stratum, zetas) in enumerate(
+    @classmethod
+    def nine_cells(cls, seed):
+        """Every ensemble on every stratum at two chunks' draws, cell i seeded with seed + i: 18 equal runs at 2 workers."""
+        return [(kind, stratum, zetas, 2 * cls.CHUNK, seed + i) for i, (kind, stratum, zetas) in enumerate(
             (kind, stratum, [None] if stratum.n == 2 else [0.4])
             for kind in ALL_KINDS for stratum in (QUBIT_STRATUM, REGULAR_QUTRIT, DEGENERATE_QUTRIT))]
 
@@ -1473,10 +1510,13 @@ class TestProcessPool:
         with pytest.raises(RuntimeError, match="between submit and collect"):
             cli._verify_checks(args)
         # the pool is shut down with its queued runs cancelled, after the
-        # runs its processes had begun: of verify's 18 runs, those alone ran
+        # runs its processes had begun: of verify's 11 runs, those alone ran,
+        # so the cells of the runs queued last were never drawn
         assert ind._POOL is None and multiprocessing.active_children() == []
-        begun = ran.read_text(encoding="utf-8").split() if ran.exists() else []  # none, if cancelled first
-        assert len(begun) < 9
+        begun = set(map(int, ran.read_text(encoding="utf-8").split())) if ran.exists() else set()  # none, if cancelled first
+        drawn = [seed for *_, n, seed in self.verify_cells()
+                 if begun & {worker_seed(seed, i) for i in range(-(-n // self.CHUNK))}]
+        assert len(drawn) < 5  # of verify's 9 cells
 
     def test_import_and_one_worker_load_no_pool_machinery(self, tmp_path):
         code = ("import sys\n"
@@ -1495,7 +1535,8 @@ class TestProcessPool:
                 "from wigner_classicality import indicators as ind\n"
                 "ind._usable_cpus = lambda: 2\n"
                 "ind.indicators((ind.EnsembleKind.HILBERT_SCHMIDT,), ind.QUBIT_STRATUM, ind.Method.MONTE_CARLO,\n"
-                "               [None], samples=20_000, seed=3, workers=int(sys.argv[1]))\n"
+                "               [None], samples=ind.SpectrumSampler._CHUNK + 20_000, seed=3,\n"
+                "               workers=int(sys.argv[1]))\n"
                 "ind._close_pool()\n"
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
 
@@ -1726,7 +1767,7 @@ def _binomial_two_sided(k: int, n: int, p: float) -> float:
 
 
 class TestCrossMethod:
-    #: The total false-alarm rate of ``test_mc_curve_matches_quadrature`` over all kinds and angles.
+    #: The total false-alarm rate of ``test_mc_curve_matches_quadrature`` over all strata, kinds and angles.
     CURVE_ALPHA = 1e-6
 
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
@@ -1739,23 +1780,25 @@ class TestCrossMethod:
         sigma = math.sqrt(quad * (1 - quad) / n)
         assert abs(mc - quad) <= 4.0 * sigma
 
+    @pytest.mark.parametrize("stratum", QUTRIT_STRATA, ids=["regular", "degenerate"])
     @pytest.mark.parametrize("ensemble", ALL_KINDS)
-    def test_mc_curve_matches_quadrature(self, ensemble):
-        """One 1e6-draw regular Monte Carlo stream, counted over the 61-angle figure grid, against quadrature.
+    def test_mc_curve_matches_quadrature(self, ensemble, stratum):
+        """One 1e6-draw Monte Carlo stream, counted over the 61-angle figure grid, against quadrature.
 
         Each count is held to quadrature's q by its exact binomial tail.  The
         cells share one stream, so a union (Bonferroni) bound, which holds
-        under any correlation, splits the total false-alarm rate over the 3 x
-        61 cells.  Quadrature's own error is below 1e-9 of q, far below the
-        Monte Carlo spread; a chart factor lost on one side, such as dq/dphi
-        or the sqrt3 of q = tan(phi/3)/sqrt3 in quadrature, moves q by far
-        more than that.
+        under any correlation, splits the total false-alarm rate over the 2 x
+        3 x 61 cells of both strata.  Quadrature's own error is below 1e-9 of
+        q, far below the Monte Carlo spread; a chart factor lost on one side,
+        such as dq/dphi or the sqrt3 of q = tan(phi/3)/sqrt3 in quadrature,
+        or an edge drawn with the other edge's mass, moves q by far more
+        than that.
         """
         n, grid = 1_000_000, FIGURE_GRIDS[0]
-        ((quad, _),) = ind.indicators((ensemble,), REGULAR_QUTRIT, Method.QUADRATURE, grid)
-        ((mc, _),) = ind.indicators((ensemble,), REGULAR_QUTRIT, Method.MONTE_CARLO, grid,
+        ((quad, _),) = ind.indicators((ensemble,), stratum, Method.QUADRATURE, grid)
+        ((mc, _),) = ind.indicators((ensemble,), stratum, Method.MONTE_CARLO, grid,
                                     samples=n, seed=2718, workers=1)
-        alpha = self.CURVE_ALPHA / (len(ALL_KINDS) * len(grid))
+        alpha = self.CURVE_ALPHA / (len(QUTRIT_STRATA) * len(ALL_KINDS) * len(grid))
         for zeta, q, value in zip(grid, quad, mc):
             hits = round(value * n)  # value is hits / n
             assert _binomial_two_sided(hits, n, q) > alpha, (zeta, hits, q * n)
